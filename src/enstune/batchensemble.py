@@ -17,31 +17,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics
 from .data import Standardizer
 from .netcore import (
     DenseLayer,
     GradCheckReport,
     MlpParams,
-    Optimizer,
     ShapeError,
     _check_labels,
-    cosine_lr,
     finite_difference_report,
     log_softmax,
     softmax,
 )
-from .splits import SplitPlan, joint_eval_sets
+from .splits import SplitPlan
 from .training import (
-    NONE,
     OptimizerConfig,
-    PatienceTracker,
     StopDecision,
     StoppingConfig,
     member_rng,
     normalized_epochs,
     _BATCH,
     _INIT,
+    _cosine_schedule,
+    _joint_nll,
+    _patience_loop,
 )
 
 GAUSSIAN = "gaussian"
@@ -381,22 +379,6 @@ class BeTrainResult:
         return [self.member_probs(x, m) for m in range(self.model.n_members)]
 
 
-def _monitor_score(model, scalers, plan, x, y) -> float:
-    sets = joint_eval_sets(plan)
-    if not sets:
-        # disjoint plans: average of the individual member validation NLLs
-        vals = []
-        for m, ms in enumerate(plan.members):
-            probs = softmax(be_forward(model, scalers[m](x[ms.val_idx]), m))
-            vals.append(metrics.nll(probs, y[ms.val_idx]))
-        return float(np.mean(vals))
-    vals = []
-    for member_ids, idx in sets:
-        probs = [softmax(be_forward(model, scalers[m](x[idx]), m)) for m in member_ids]
-        vals.append(metrics.nll(metrics.ensemble_mean(probs), y[idx]))
-    return float(np.mean(vals))
-
-
 def be_train(x, y, plan: SplitPlan, dims: list[int], scheme: str,
              opt_cfg: OptimizerConfig, stop_cfg: StoppingConfig, seed: int,
              sigma: float = 0.1, standardize: bool = True,
@@ -417,42 +399,37 @@ def be_train(x, y, plan: SplitPlan, dims: list[int], scheme: str,
                else Standardizer.identity(x.shape[1]) for ms in plan.members]
     streams = [_IndexStream(ms.train_idx, member_rng(seed, m, _BATCH))
                for m, ms in enumerate(plan.members)]
-    opt = Optimizer(opt_cfg.kind, model.arrays(), opt_cfg.lr,
-                    weight_decay=opt_cfg.weight_decay, momentum=opt_cfg.momentum,
-                    beta1=opt_cfg.beta1, beta2=opt_cfg.beta2, eps=opt_cfg.eps,
-                    decay_mask=model.decay_mask(opt_cfg.decay_bias))
+    opt = opt_cfg.build(model)
     steps_per_epoch = max(math.ceil(len(ms.train_idx) / stop_cfg.batch_size)
                           for ms in plan.members)
     batch = min(stop_cfg.batch_size, min(len(ms.train_idx) for ms in plan.members))
-    total_steps = (steps_per_epoch * opt_cfg.cosine_epochs
-                   if opt_cfg.cosine_epochs else None)
-    tracker = PatienceTracker(stop_cfg.patience)
-    best = model.copy()
-    history = []
+    lr_at = _cosine_schedule(opt_cfg, steps_per_epoch)
     steps = 0
-    stopped_early = False
-    for epoch in range(stop_cfg.max_epochs):
+
+    def run_epoch():
+        nonlocal steps
         for _ in range(steps_per_epoch):
             idx = [stream.next_batch(batch) for stream in streams]
             xs = np.stack([scalers[m](x[idx[m]]) for m in range(n_members)])
             ys = np.stack([y[idx[m]] for m in range(n_members)])
-            lr_now = (cosine_lr(opt_cfg.lr, min(steps, total_steps), total_steps)
-                      if total_steps is not None else opt_cfg.lr)
+            lr_now = lr_at(steps)
             _, grads = be_loss_and_grads(model, xs, ys)
             opt.step(model.arrays(), grads, lr_now)
             steps += 1
-        score = _monitor_score(model, scalers, plan, x, y)
-        history.append(score)
-        if tracker.update(score):
-            best = model.copy()
-        if stop_cfg.mode != NONE and tracker.should_stop:
-            stopped_early = True
-            break
-    if stop_cfg.mode != NONE:
+
+    def probs_at(m, idx):
+        return softmax(be_forward(model, scalers[m](x[idx]), m))
+
+    def restore(best):
+        nonlocal model
         model = best
-    decision = StopDecision(len(history) - 1, tracker.best_epoch, tracker.best_score,
-                            normalized_epochs(steps, batch, len(y)),
-                            history, stopped_early)
+
+    # disjoint plans monitor the average member NLL: there is no joint set,
+    # and members that share slow weights cannot stop one by one
+    decision = _patience_loop(stop_cfg, run_epoch,
+                              lambda: _joint_nll(plan, y, probs_at, fallback=True),
+                              lambda: model.copy(), restore)
+    decision.normalized_epochs = normalized_epochs(steps, batch, len(y))
     return BeTrainResult(model, scalers, decision)
 
 

@@ -3,7 +3,9 @@ report aggregation.
 
 Every config key is exposed as a flag of the same dotted name, e.g.
 ``--task.n 2000`` or ``--experiment.seeds [0,1,2]``; ``--set a.b=v`` does the
-same thing and can be repeated. Exit code is 0 only when all seeds complete.
+same thing and can be repeated. Exit code is 0 only when all seeds complete;
+1 when a seed or the run's summary fails, after partial results are written;
+2 for a bad config, which is rejected before any training.
 """
 
 from __future__ import annotations
@@ -17,13 +19,7 @@ import sys
 import numpy as np
 
 from . import experiments
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    apply_override,
-    config_from_dict,
-    parse_toml,
-)
+from .config import ConfigError, ExperimentConfig, load_config
 from .data import make_blobs, make_spirals, save_csv
 
 EXPERIMENT_COMMANDS = {
@@ -57,23 +53,18 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args, forced_kind: str) -> ExperimentConfig:
-    doc = {}
-    if args.config:
-        with open(args.config) as f:
-            doc = parse_toml(f.read())
-    for item in args.overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set {item!r} must look like section.key=value")
-        dotted, _, raw = item.partition("=")
-        apply_override(doc, dotted.strip(), raw.strip())
+    """``load_config`` over the ``--set`` items, then the dotted flags, then
+    the subcommand's kind; ``--out`` replaces experiment.out_dir verbatim."""
+    overrides = list(args.overrides)
     for key in _dotted_keys():
         value = getattr(args, f"dot:{key}", None)
         if value is not None:
-            apply_override(doc, key, value)
-    doc.setdefault("experiment", {})["kind"] = forced_kind
+            overrides.append(f"{key}={value}")
+    overrides.append(f"experiment.kind={forced_kind}")
+    cfg = load_config(args.config, overrides)
     if args.out:
-        doc["experiment"]["out_dir"] = args.out
-    return config_from_dict(doc)
+        cfg.experiment.out_dir = args.out
+    return cfg
 
 
 def _cmd_experiment(args, kind: str) -> int:

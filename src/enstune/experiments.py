@@ -1,5 +1,6 @@
-"""Seeded experiment orchestration: dataset assembly, per-experiment runners,
-aggregation with SEM, and reproducible run manifests.
+"""Seeded experiment orchestration: dataset assembly, one seed driver over a
+table of per-kind cell functions, aggregation with SEM, and reproducible run
+manifests.
 
 Every experiment writes three CSVs into its output directory: ``cells.csv``
 (one row per evaluated cell and seed), ``aggregate.csv`` (seed means with
@@ -37,7 +38,6 @@ from .splits import (
 from .training import (
     INDIVIDUAL,
     JOINT,
-    MONITOR_COLUMNS,
     NONE,
     OptimizerConfig,
     StoppingConfig,
@@ -123,51 +123,8 @@ class ExperimentError(RuntimeError):
     """One or more seeds failed; partial results were still written."""
 
 
-# ---------------------------------------------------------------------------
-# worker-pool plumbing: one job per seed, results merged in seed order
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-def _map_jobs(fn, jobs):
-    """Run jobs, capturing failures: list of ("ok", payload) | ("error", msg)."""
-    workers = _worker_count()
-    outcomes = []
-    if workers <= 1 or len(jobs) <= 1:
-        for job in jobs:
-            try:
-                outcomes.append(("ok", fn(job)))
-            except Exception as err:  # noqa: BLE001 - seed isolation is the point
-                outcomes.append(("error", f"{type(err).__name__}: {err}"))
-        return outcomes
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        futures = [pool.submit(fn, job) for job in jobs]
-        for fut in futures:
-            try:
-                outcomes.append(("ok", fut.result()))
-            except Exception as err:  # noqa: BLE001
-                outcomes.append(("error", f"{type(err).__name__}: {err}"))
-    return outcomes
-
-
-def _run_seed_jobs(fn, jobs, seeds):
-    payloads, failures = [], []
-    for seed, (status, payload) in zip(seeds, _map_jobs(fn, jobs)):
-        if status == "ok":
-            payloads.append(payload)
-        else:
-            failures.append({"seed": seed, "error": payload})
-    return payloads, failures
-
-
-def _fixed_budget_stop(cfg: ExperimentConfig) -> StoppingConfig:
-    return StoppingConfig(mode=NONE, patience=cfg.stopping.patience,
-                          max_epochs=cfg.stopping.max_epochs,
-                          batch_size=cfg.stopping.batch_size)
+def _dims(cfg: ExperimentConfig, dprime) -> list[int]:
+    return [dprime.x.shape[1]] + list(cfg.model.hidden) + [dprime.n_classes]
 
 
 def _optimizer_config(cfg: ExperimentConfig, cosine: bool) -> OptimizerConfig:
@@ -177,13 +134,40 @@ def _optimizer_config(cfg: ExperimentConfig, cosine: bool) -> OptimizerConfig:
                            cosine_epochs=cfg.stopping.max_epochs if cosine else None)
 
 
-# ---------------------------------------------------------------------------
-# weight-decay sweep
+def _stopping(cfg: ExperimentConfig, mode: str) -> StoppingConfig:
+    return StoppingConfig(mode=mode, patience=cfg.stopping.patience,
+                          max_epochs=cfg.stopping.max_epochs,
+                          batch_size=cfg.stopping.batch_size)
 
-def _sweep_seed_job(args):
-    cfg_doc, dprime_parts, test_parts, seed = args
-    cfg = config_from_dict(cfg_doc)
-    dprime, test = _datasets_from_parts(dprime_parts, test_parts)
+
+def _test_rows(experiment: str, variant: str, member_probs, labels, ece_bins: int,
+               **tags) -> list[list]:
+    """Ensemble and member-average rows of one cell on the test set."""
+    rec = metrics.compute_record(member_probs, labels, ece_bins=ece_bins, **tags)
+    avg = member_avg_record([(p, labels) for p in member_probs], ece_bins=ece_bins,
+                            **tags)
+    return [make_row(experiment, variant, None, "test", ENSEMBLE_SCOPE, rec),
+            make_row(experiment, variant, None, "test", MEMBER_AVG_SCOPE, avg)]
+
+
+def _joint_logits(result, plan: SplitPlan, ds) -> list:
+    """Member logits and labels on each of the plan's jointly evaluable sets."""
+    return [([member_logits(result.members[m], ds.x[idx]) for m in ids], ds.y[idx])
+            for ids, idx in joint_eval_sets(plan)]
+
+
+def _fit_to_dict(fit: calibration.TempFitResult) -> dict:
+    return {"mode": fit.mode, "T": fit.temperature, "val_nll": fit.val_nll,
+            "iterations": fit.iterations, "converged": fit.converged,
+            "at_boundary": fit.at_boundary}
+
+
+# ---------------------------------------------------------------------------
+# per-seed cell functions: (cfg, dprime, test, seed) -> (rows, runs, ...)
+
+def _wd_sweep_cells(cfg: ExperimentConfig, dprime, test, seed: int):
+    """One seed's rows and run entries, plus its sweep cells for the
+    selection in :func:`_wd_sweep_summary`."""
     grid = HyperGrid(cfg.experiment.weight_decays, cfg.ensemble_sizes(), [seed])
     sweep_cfg = SweepConfig(hidden=cfg.model.hidden, n_members=cfg.ensemble.members,
                             val_fraction=cfg.ensemble.val_pct,
@@ -192,31 +176,7 @@ def _sweep_seed_job(args):
                             lr=cfg.optimizer.lr, momentum=cfg.optimizer.momentum,
                             optimizer=cfg.optimizer.kind,
                             ece_bins=cfg.experiment.ece_bins)
-    return run_sweep(dprime, test, grid, sweep_cfg).cells
-
-
-def _datasets_from_parts(dprime_parts, test_parts):
-    from .data import Dataset
-    return (Dataset(*dprime_parts), Dataset(*test_parts))
-
-
-def _dataset_parts(ds):
-    return (ds.x, ds.y, ds.n_classes)
-
-
-def _run_wd_sweep(cfg: ExperimentConfig, dprime, test):
-    jobs = [(config_to_dict(cfg), _dataset_parts(dprime), _dataset_parts(test), s)
-            for s in cfg.experiment.seeds]
-    chunks, failures = _run_seed_jobs(_sweep_seed_job, jobs, cfg.experiment.seeds)
-    cells = [c for chunk in chunks for c in chunk]
-    if not cells:
-        raise ExperimentError("every sweep seed failed; nothing to select from")
-    completed = sorted({c.seed for c in cells})
-    grid = HyperGrid(cfg.experiment.weight_decays, cfg.ensemble_sizes(), completed)
-    sweep = SweepResult(grid, cells, cfg.ensemble.val_pct)
-    h_ind = select_h(sweep, "individual")
-    h_ens = select_h(sweep, "ensemble")
-    gap, gap_sem = optimality_gap(sweep, h_ind, h_ens)
+    cells = run_sweep(dprime, test, grid, sweep_cfg).cells
     rows = []
     for cell in cells:
         if cell.diverged:
@@ -226,21 +186,22 @@ def _run_wd_sweep(cfg: ExperimentConfig, dprime, test):
                                  cell.val_records[k]))
             rows.append(make_row("wd_sweep", "", cell.wd, "test", ENSEMBLE_SCOPE,
                                  cell.test_records[k]))
-    summary = {"h_ind": h_ind, "h_ens": h_ens, "gap": gap, "gap_sem": gap_sem}
     runs = [{"wd": c.wd, "seed": c.seed, "diverged": c.diverged,
              "member_val_nlls": c.member_val_nlls} for c in cells]
-    return rows, runs, summary, failures
+    return rows, runs, cells
 
 
-# ---------------------------------------------------------------------------
-# temperature scaling
-
-def _temp_modes_valid(cfg: ExperimentConfig) -> None:
-    joint_like = {"joint", "pool"} & set(cfg.experiment.modes)
-    if joint_like and DISJOINT in cfg.experiment.strategies:
-        raise ConfigError(
-            f"modes {sorted(joint_like)} need a jointly evaluable holdout; "
-            "the disjoint strategy precludes joint evaluation")
+def _wd_sweep_summary(cfg: ExperimentConfig, seed_results) -> dict:
+    """Selection under both objectives and the optimality gap, over the
+    seeds that completed."""
+    cells = [c for _, _, seed_cells in seed_results for c in seed_cells]
+    completed = sorted({c.seed for c in cells})
+    grid = HyperGrid(cfg.experiment.weight_decays, cfg.ensemble_sizes(), completed)
+    sweep = SweepResult(grid, cells, cfg.ensemble.val_pct)
+    h_ind = select_h(sweep, "individual")
+    h_ens = select_h(sweep, "ensemble")
+    gap, gap_sem = optimality_gap(sweep, h_ind, h_ens)
+    return {"h_ind": h_ind, "h_ens": h_ens, "gap": gap, "gap_sem": gap_sem}
 
 
 def _pool_objective(eval_sets):
@@ -257,16 +218,13 @@ def _pool_objective(eval_sets):
     return objective
 
 
-def _temp_scale_seed_job(args):
-    cfg_doc, dprime_parts, test_parts, seed = args
-    cfg = config_from_dict(cfg_doc)
-    dprime, test = _datasets_from_parts(dprime_parts, test_parts)
-    dims = [dprime.x.shape[1]] + list(cfg.model.hidden) + [dprime.n_classes]
+def _temp_scale_cells(cfg: ExperimentConfig, dprime, test, seed: int):
+    dims = _dims(cfg, dprime)
     m_total = cfg.ensemble.members
     opt = _optimizer_config(cfg, cosine=cfg.optimizer.kind == "sgd_momentum")
-    stop = _fixed_budget_stop(cfg)
+    stop = _stopping(cfg, NONE)
     ece_bins = cfg.experiment.ece_bins
-    rows, run_entries = [], []
+    rows, runs = [], []
     for strategy in cfg.experiment.strategies:
         for val_pct in cfg.val_pcts():
             plan = make_plan(strategy, len(dprime), val_pct, m_total, seed, dprime.y)
@@ -279,27 +237,27 @@ def _temp_scale_seed_job(args):
                      "plan": plan_reference(plan, val_pct), "fits": []}
             for mode in cfg.experiment.modes:
                 if mode == "none":
-                    ens_probs = test_probs
-                elif mode == "individual":
+                    rows += _test_rows("temp_scale", mode, test_probs, test.y,
+                                       ece_bins, **tags)
+                    continue
+                if mode == "individual":
                     member_vals = [(member_logits(mem, dprime.x[ms.val_idx]),
                                     dprime.y[ms.val_idx])
                                    for mem, ms in zip(result.members, plan.members)]
                     fit = calibration.calibrate_individual(member_vals)
-                    ens_probs = [calibration.apply_temperature(z, t)
-                                 for z, t in zip(test_logits, fit.temperature)]
+                    tempered = [calibration.apply_temperature(z, t)
+                                for z, t in zip(test_logits, fit.temperature)]
+                    rows += _test_rows("temp_scale", mode, tempered, test.y,
+                                       ece_bins, **tags)
                 elif mode == "joint":
-                    eval_sets = [([member_logits(result.members[m], dprime.x[idx])
-                                   for m in ids], dprime.y[idx])
-                                 for ids, idx in joint_eval_sets(plan)]
-                    fit = calibration.calibrate_joint(eval_sets)
-                    ens_probs = [calibration.apply_temperature(z, fit.temperature)
-                                 for z in test_logits]
-                elif mode == "pool":
-                    eval_sets = [([member_logits(result.members[m], dprime.x[idx])
-                                   for m in ids], dprime.y[idx])
-                                 for ids, idx in joint_eval_sets(plan)]
-                    fit = calibration.fit_temperature(_pool_objective(eval_sets),
-                                                      mode="pool")
+                    fit = calibration.calibrate_joint(_joint_logits(result, plan, dprime))
+                    tempered = [calibration.apply_temperature(z, fit.temperature)
+                                for z in test_logits]
+                    rows += _test_rows("temp_scale", mode, tempered, test.y,
+                                       ece_bins, **tags)
+                else:  # pool
+                    fit = calibration.fit_temperature(
+                        _pool_objective(_joint_logits(result, plan, dprime)), mode="pool")
                     mean_test = metrics.ensemble_mean(test_probs)
                     pooled = calibration.pool_apply_temperature(mean_test,
                                                                 fit.temperature)
@@ -311,52 +269,17 @@ def _temp_scale_seed_job(args):
                         entropy=metrics.entropy(pooled).mean, **tags)
                     rows.append(make_row("temp_scale", mode, None, "test",
                                          ENSEMBLE_SCOPE, rec))
-                    entry["fits"].append(_fit_to_dict(fit))
-                    continue
-                else:
-                    raise ConfigError(f"unknown temperature mode {mode!r}")
-                if mode != "none":
-                    entry["fits"].append(_fit_to_dict(fit))
-                rec = metrics.compute_record(ens_probs, test.y, ece_bins=ece_bins,
-                                             **tags)
-                rows.append(make_row("temp_scale", mode, None, "test",
-                                     ENSEMBLE_SCOPE, rec))
-                avg = member_avg_record([(p, test.y) for p in ens_probs],
-                                        ece_bins=ece_bins, **tags)
-                rows.append(make_row("temp_scale", mode, None, "test",
-                                     MEMBER_AVG_SCOPE, avg))
-            run_entries.append(entry)
-    return rows, run_entries
+                entry["fits"].append(_fit_to_dict(fit))
+            runs.append(entry)
+    return rows, runs
 
 
-def _fit_to_dict(fit: calibration.TempFitResult) -> dict:
-    return {"mode": fit.mode, "T": fit.temperature, "val_nll": fit.val_nll,
-            "iterations": fit.iterations, "converged": fit.converged,
-            "at_boundary": fit.at_boundary}
-
-
-def _run_temp_scale(cfg: ExperimentConfig, dprime, test):
-    _temp_modes_valid(cfg)
-    jobs = [(config_to_dict(cfg), _dataset_parts(dprime), _dataset_parts(test), s)
-            for s in cfg.experiment.seeds]
-    payloads, failures = _run_seed_jobs(_temp_scale_seed_job, jobs, cfg.experiment.seeds)
-    rows = [r for chunk, _ in payloads for r in chunk]
-    runs = [e for _, entries in payloads for e in entries]
-    return rows, runs, None, failures
-
-
-# ---------------------------------------------------------------------------
-# early stopping
-
-def _early_stop_seed_job(args):
-    cfg_doc, dprime_parts, test_parts, seed = args
-    cfg = config_from_dict(cfg_doc)
-    dprime, test = _datasets_from_parts(dprime_parts, test_parts)
-    dims = [dprime.x.shape[1]] + list(cfg.model.hidden) + [dprime.n_classes]
+def _early_stop_cells(cfg: ExperimentConfig, dprime, test, seed: int):
+    dims = _dims(cfg, dprime)
     m_total = cfg.ensemble.members
     opt = _optimizer_config(cfg, cosine=False)
     ece_bins = cfg.experiment.ece_bins
-    rows, run_entries = [], []
+    rows, runs = [], []
     for strategy in cfg.experiment.strategies:
         for mode in cfg.experiment.modes:
             if strategy == DISJOINT and mode == JOINT:
@@ -364,43 +287,20 @@ def _early_stop_seed_job(args):
             for val_pct in cfg.val_pcts():
                 plan = make_plan(strategy, len(dprime), val_pct, m_total, seed,
                                  dprime.y)
-                stop = StoppingConfig(mode=mode, patience=cfg.stopping.patience,
-                                      max_epochs=cfg.stopping.max_epochs,
-                                      batch_size=cfg.stopping.batch_size)
-                result = train_ensemble(dprime.x, dprime.y, plan, dims, opt, stop,
-                                        seed)
+                result = train_ensemble(dprime.x, dprime.y, plan, dims, opt,
+                                        _stopping(cfg, mode), seed)
                 norm = float(np.mean([s.normalized_epochs for s in result.stops]))
-                tags = dict(strategy=strategy, val_pct=val_pct, seed=seed,
-                            ensemble_size=m_total)
                 test_probs = [member_probs(m, test.x) for m in result.members]
-                rec = metrics.compute_record(test_probs, test.y, ece_bins=ece_bins,
-                                             normalized_epochs=norm, **tags)
-                rows.append(make_row("early_stop", mode, None, "test",
-                                     ENSEMBLE_SCOPE, rec))
-                avg = member_avg_record([(p, test.y) for p in test_probs],
-                                        ece_bins=ece_bins, normalized_epochs=norm,
-                                        **tags)
-                rows.append(make_row("early_stop", mode, None, "test",
-                                     MEMBER_AVG_SCOPE, avg))
-                run_entries.append({
+                rows += _test_rows("early_stop", mode, test_probs, test.y, ece_bins,
+                                   normalized_epochs=norm, strategy=strategy,
+                                   val_pct=val_pct, seed=seed, ensemble_size=m_total)
+                runs.append({
                     "strategy": strategy, "mode": mode, "val_pct": val_pct,
                     "seed": seed, "plan": plan_reference(plan, val_pct),
                     "stops": [s.to_dict() for s in result.stops] if result.stop is None
                              else [result.stop.to_dict()]})
-    return rows, run_entries
+    return rows, runs
 
-
-def _run_early_stop(cfg: ExperimentConfig, dprime, test):
-    jobs = [(config_to_dict(cfg), _dataset_parts(dprime), _dataset_parts(test), s)
-            for s in cfg.experiment.seeds]
-    payloads, failures = _run_seed_jobs(_early_stop_seed_job, jobs, cfg.experiment.seeds)
-    rows = [r for chunk, _ in payloads for r in chunk]
-    runs = [e for _, entries in payloads for e in entries]
-    return rows, runs, None, failures
-
-
-# ---------------------------------------------------------------------------
-# batch ensemble
 
 def parse_scheme(name: str):
     """'random_sign' or 'gaussian_<sigma>' into (kind, sigma)."""
@@ -416,18 +316,13 @@ def parse_scheme(name: str):
                       "'random_sign' or 'gaussian_<sigma>'")
 
 
-def _batch_ensemble_seed_job(args):
-    cfg_doc, dprime_parts, test_parts, seed = args
-    cfg = config_from_dict(cfg_doc)
-    dprime, test = _datasets_from_parts(dprime_parts, test_parts)
-    dims = [dprime.x.shape[1]] + list(cfg.model.hidden) + [dprime.n_classes]
+def _batch_ensemble_cells(cfg: ExperimentConfig, dprime, test, seed: int):
+    dims = _dims(cfg, dprime)
     m_total = cfg.ensemble.members
     opt = _optimizer_config(cfg, cosine=False)
-    stop = StoppingConfig(mode=JOINT, patience=cfg.stopping.patience,
-                          max_epochs=cfg.stopping.max_epochs,
-                          batch_size=cfg.stopping.batch_size)
+    stop = _stopping(cfg, JOINT)
     ece_bins = cfg.experiment.ece_bins
-    rows, run_entries = [], []
+    rows, runs = [], []
     for scheme_name in cfg.experiment.schemes:
         kind, sigma = parse_scheme(scheme_name)
         for strategy in cfg.experiment.strategies:
@@ -437,18 +332,10 @@ def _batch_ensemble_seed_job(args):
                 result = be_train(dprime.x, dprime.y, plan, dims, kind, opt, stop,
                                   seed, sigma=sigma)
                 tags = dict(strategy=strategy, val_pct=val_pct, seed=seed,
-                            ensemble_size=m_total)
-                norm = result.stop.normalized_epochs
-                test_probs = result.all_probs(test.x)
-                rec = metrics.compute_record(test_probs, test.y, ece_bins=ece_bins,
-                                             normalized_epochs=norm, **tags)
-                rows.append(make_row("batch_ensemble", scheme_name, None, "test",
-                                     ENSEMBLE_SCOPE, rec))
-                rows.append(make_row("batch_ensemble", scheme_name, None, "test",
-                                     MEMBER_AVG_SCOPE,
-                                     member_avg_record([(p, test.y) for p in test_probs],
-                                                       ece_bins=ece_bins,
-                                                       normalized_epochs=norm, **tags)))
+                            ensemble_size=m_total,
+                            normalized_epochs=result.stop.normalized_epochs)
+                rows += _test_rows("batch_ensemble", scheme_name,
+                                   result.all_probs(test.x), test.y, ece_bins, **tags)
                 for split_name, index_of in (("train", lambda ms: ms.train_idx),
                                              ("val", lambda ms: ms.val_idx)):
                     pairs = [(result.member_probs(dprime.x[index_of(ms)], m),
@@ -457,78 +344,162 @@ def _batch_ensemble_seed_job(args):
                     rows.append(make_row("batch_ensemble", scheme_name, None,
                                          split_name, MEMBER_AVG_SCOPE,
                                          member_avg_record(pairs, ece_bins=ece_bins,
-                                                           normalized_epochs=norm,
                                                            **tags)))
-                run_entries.append({
+                runs.append({
                     "scheme": scheme_name, "strategy": strategy, "val_pct": val_pct,
                     "seed": seed, "plan": plan_reference(plan, val_pct),
                     "stops": [result.stop.to_dict()]})
-    return rows, run_entries
+    return rows, runs
 
 
-def _run_batch_ensemble(cfg: ExperimentConfig, dprime, test):
-    jobs = [(config_to_dict(cfg), _dataset_parts(dprime), _dataset_parts(test), s)
-            for s in cfg.experiment.seeds]
-    payloads, failures = _run_seed_jobs(_batch_ensemble_seed_job, jobs, cfg.experiment.seeds)
-    rows = [r for chunk, _ in payloads for r in chunk]
-    runs = [e for _, entries in payloads for e in entries]
-    return rows, runs, None, failures
-
-
-# ---------------------------------------------------------------------------
-# joint stopping followed by joint temperature scaling on the same holdout
-
-def _stop_then_scale_seed_job(args):
-    cfg_doc, dprime_parts, test_parts, seed = args
-    cfg = config_from_dict(cfg_doc)
-    dprime, test = _datasets_from_parts(dprime_parts, test_parts)
-    dims = [dprime.x.shape[1]] + list(cfg.model.hidden) + [dprime.n_classes]
+def _stop_then_scale_cells(cfg: ExperimentConfig, dprime, test, seed: int):
+    """Joint stopping, then joint temperature scaling on the same holdout."""
     m_total = cfg.ensemble.members
-    opt = _optimizer_config(cfg, cosine=False)
     val_pct = cfg.val_pcts()[0]
     plan = make_plan(SHARED, len(dprime), val_pct, m_total, seed, dprime.y)
-    stop = StoppingConfig(mode=JOINT, patience=cfg.stopping.patience,
-                          max_epochs=cfg.stopping.max_epochs,
-                          batch_size=cfg.stopping.batch_size)
-    result = train_ensemble(dprime.x, dprime.y, plan, dims, opt, stop, seed)
+    result = train_ensemble(dprime.x, dprime.y, plan, _dims(cfg, dprime),
+                            _optimizer_config(cfg, cosine=False),
+                            _stopping(cfg, JOINT), seed)
     ece_bins = cfg.experiment.ece_bins
-    norm = result.stop.normalized_epochs
-    tags = dict(strategy=SHARED, val_pct=val_pct, seed=seed, ensemble_size=m_total)
+    tags = dict(strategy=SHARED, val_pct=val_pct, seed=seed, ensemble_size=m_total,
+                normalized_epochs=result.stop.normalized_epochs)
     test_logits = [member_logits(m, test.x) for m in result.members]
     rows = [make_row("stop_then_scale", "none", None, "test", ENSEMBLE_SCOPE,
                      metrics.compute_record([softmax(z) for z in test_logits],
-                                            test.y, ece_bins=ece_bins,
-                                            normalized_epochs=norm, **tags))]
-    eval_sets = [([member_logits(result.members[m], dprime.x[idx]) for m in ids],
-                  dprime.y[idx])
-                 for ids, idx in joint_eval_sets(plan)]
-    fit = calibration.calibrate_joint(eval_sets)
+                                            test.y, ece_bins=ece_bins, **tags))]
+    fit = calibration.calibrate_joint(_joint_logits(result, plan, dprime))
     tempered = [calibration.apply_temperature(z, fit.temperature)
                 for z in test_logits]
     rows.append(make_row("stop_then_scale", "joint_scale", None, "test",
                          ENSEMBLE_SCOPE,
                          metrics.compute_record(tempered, test.y, ece_bins=ece_bins,
-                                                normalized_epochs=norm, **tags)))
+                                                **tags)))
     entry = {"strategy": SHARED, "val_pct": val_pct, "seed": seed,
              "plan": plan_reference(plan, val_pct),
              "stops": [result.stop.to_dict()], "fits": [_fit_to_dict(fit)]}
     return rows, [entry]
 
 
-def _run_stop_then_scale(cfg: ExperimentConfig, dprime, test):
-    jobs = [(config_to_dict(cfg), _dataset_parts(dprime), _dataset_parts(test), s)
-            for s in cfg.experiment.seeds]
-    payloads, failures = _run_seed_jobs(_stop_then_scale_seed_job, jobs, cfg.experiment.seeds)
-    rows = [r for chunk, _ in payloads for r in chunk]
-    runs = [e for _, entries in payloads for e in entries]
-    return rows, runs, None, failures
+# kind -> (per-seed cell function, finish step over the completed seeds'
+# results, or None). A cell function returns (rows, runs, ...); the finish
+# step gets the full tuples, in seed order, and returns the run's summary.
+_KINDS = {
+    "wd_sweep": (_wd_sweep_cells, _wd_sweep_summary),
+    "temp_scale": (_temp_scale_cells, None),
+    "early_stop": (_early_stop_cells, None),
+    "batch_ensemble": (_batch_ensemble_cells, None),
+    "stop_then_scale": (_stop_then_scale_cells, None),
+}
+
+# the experiment.modes entries each kind reads
+_MODES = {"early_stop": (INDIVIDUAL, JOINT, NONE),
+          "temp_scale": ("none", "individual", "joint", "pool")}
+
+
+def _plan_specs(cfg: ExperimentConfig) -> list[tuple[str, float]]:
+    """The (strategy, val_pct) holdouts the experiment builds for every seed."""
+    kind = cfg.experiment.kind
+    if kind == "wd_sweep":
+        return [(SHARED, cfg.ensemble.val_pct)]
+    if kind == "stop_then_scale":
+        return [(SHARED, cfg.val_pcts()[0])]
+    return [(s, v) for s in cfg.experiment.strategies for v in cfg.val_pcts()]
+
+
+def _check_config(cfg: ExperimentConfig, dprime) -> None:
+    """Reject, before any training, what would fail every seed: unknown
+    modes and schemes, joint modes on disjoint holdouts, holdout plans that
+    cannot be built and invalid sweep grids."""
+    ex = cfg.experiment
+    try:
+        for mode in ex.modes if ex.kind in _MODES else ():
+            if mode not in _MODES[ex.kind]:
+                raise ConfigError(f"unknown {ex.kind} mode {mode!r}; expected one "
+                                  f"of {_MODES[ex.kind]}")
+        joint_like = {"joint", "pool"} & set(ex.modes)
+        if ex.kind == "temp_scale" and joint_like and DISJOINT in ex.strategies:
+            raise ConfigError(
+                f"modes {sorted(joint_like)} need a jointly evaluable holdout; "
+                "the disjoint strategy precludes joint evaluation")
+        if ex.kind == "batch_ensemble":
+            for name in ex.schemes:
+                parse_scheme(name)
+        if ex.kind == "wd_sweep":
+            HyperGrid(ex.weight_decays, cfg.ensemble_sizes(), ex.seeds)
+        for strategy, val_pct in _plan_specs(cfg):
+            make_plan(strategy, len(dprime), val_pct, cfg.ensemble.members,
+                      ex.seeds[0], dprime.y)
+    except ConfigError:
+        raise
+    except ValueError as err:  # SplitError included
+        raise ConfigError(str(err)) from err
+
+
+# ---------------------------------------------------------------------------
+# worker-pool plumbing: one job per seed, results merged in seed order
+
+def _worker_count() -> int:
+    try:
+        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+    except ValueError:
+        return 1
+
+
+def _describe(err: Exception) -> str:
+    return f"{type(err).__name__}: {err}"
+
+
+def _map_jobs(fn, jobs):
+    """Run ``fn(*job)`` per job, capturing failures: a list of ("ok", payload)
+    or ("error", message)."""
+    workers = _worker_count()
+    outcomes = []
+    if workers <= 1 or len(jobs) <= 1:
+        for job in jobs:
+            try:
+                outcomes.append(("ok", fn(*job)))
+            except Exception as err:  # noqa: BLE001 - seed isolation is the point
+                outcomes.append(("error", _describe(err)))
+        return outcomes
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        futures = [pool.submit(fn, *job) for job in jobs]
+        for fut in futures:
+            try:
+                outcomes.append(("ok", fut.result()))
+            except Exception as err:  # noqa: BLE001
+                outcomes.append(("error", _describe(err)))
+    return outcomes
+
+
+def _run_seeds(cfg: ExperimentConfig, dprime, test):
+    """Every seed's cells, then the kind's finish step over the completed
+    seeds. A failing seed or finish step becomes an entry of ``failures``
+    (seed None for the finish step) instead of stopping the run."""
+    cell_fn, finish = _KINDS[cfg.experiment.kind]
+    seeds = cfg.experiment.seeds
+    results, failures = [], []
+    for seed, (status, payload) in zip(seeds, _map_jobs(
+            cell_fn, [(cfg, dprime, test, s) for s in seeds])):
+        if status == "ok":
+            results.append(payload)
+        else:
+            failures.append({"seed": seed, "error": payload})
+    rows = [r for result in results for r in result[0]]
+    runs = [e for result in results for e in result[1]]
+    summary = None
+    if finish is not None and results:
+        try:
+            summary = finish(cfg, results)
+        except Exception as err:  # noqa: BLE001 - flush what the seeds produced
+            failures.append({"seed": None, "error": _describe(err)})
+    return rows, runs, summary, failures
 
 
 # ---------------------------------------------------------------------------
 # aggregation and reporting
 
-MONITOR_HEADER = (["experiment", "variant", "strategy", "val_pct", "seed"]
-                  + MONITOR_COLUMNS)
+MONITOR_HEADER = ["experiment", "variant", "strategy", "val_pct", "seed",
+                  "epoch", "member_id", "split", "nll"]
 
 
 def monitor_rows_from_runs(experiment: str, runs) -> list[list]:
@@ -633,27 +604,16 @@ def write_report(out_dir: str, rows) -> dict:
     return paths
 
 
-_RUNNERS = {
-    "wd_sweep": _run_wd_sweep,
-    "temp_scale": _run_temp_scale,
-    "early_stop": _run_early_stop,
-    "batch_ensemble": _run_batch_ensemble,
-    "stop_then_scale": _run_stop_then_scale,
-}
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
-    """Dispatch one experiment, write outputs and return the manifest."""
+    """Check the config, run every seed, write outputs and return the manifest."""
     cfg.validate()
     kind = cfg.experiment.kind
-    runner = _RUNNERS.get(kind)
-    if runner is None:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
     out_dir = out_dir or cfg.experiment.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     started = time.time()
     dprime, test = build_dataset(cfg)
-    rows, runs, summary, failures = runner(cfg, dprime, test)
+    _check_config(cfg, dprime)
+    os.makedirs(out_dir, exist_ok=True)
+    rows, runs, summary, failures = _run_seeds(cfg, dprime, test)
     cells_path = os.path.join(out_dir, "cells.csv")
     write_csv(cells_path, ROW_COLUMNS, rows)
     report_paths = write_report(out_dir, rows)
@@ -680,9 +640,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         manifest["outputs"]["summary"] = summary_path
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     if failures:
-        raise ExperimentError(
-            f"{len(failures)} of {len(cfg.experiment.seeds)} seeds failed; "
-            f"partial results flushed to {out_dir}")
+        seed_failures = sum(f["seed"] is not None for f in failures)
+        problem = f"{seed_failures} of {len(cfg.experiment.seeds)} seeds failed"
+        if failures[-1]["seed"] is None:
+            problem += f"; the {kind} summary failed ({failures[-1]['error']})"
+        raise ExperimentError(f"{problem}; partial results flushed to {out_dir}")
     return manifest
 
 

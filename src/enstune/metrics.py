@@ -8,7 +8,6 @@ score finite values without materially perturbing anything else.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
@@ -21,17 +20,6 @@ PROB_FLOOR = 1e-300
 
 CSV_COLUMNS = ["strategy", "val_pct", "seed", "ensemble_size", "error_pct",
                "nll", "ece", "diversity", "entropy", "normalized_epochs"]
-
-
-def validate_prob_matrix(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 2:
-        raise ShapeError("probability matrix must be 2-d (samples, classes)")
-    if (p < 0).any() or (p > 1).any():
-        raise ValueError("probabilities must lie in [0, 1]")
-    if np.abs(p.sum(axis=1) - 1.0).max() > 1e-9:
-        raise ValueError("probability rows must sum to 1 within 1e-9")
-    return p
 
 
 def _stack_members(members: Sequence[np.ndarray]) -> np.ndarray:
@@ -196,10 +184,3 @@ def mean_sem(values: Sequence[float]) -> tuple[float, float]:
         return float(arr[0] if arr.size == 1 else arr.mean()), 0.0
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
 
-
-def write_records_csv(path: str, records: Sequence[MetricsRecord]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(CSV_COLUMNS)
-        for r in records:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in r.to_row()])

@@ -268,12 +268,6 @@ class Optimizer:
                 p -= lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + self.eps)
 
 
-def optimizer_step(state: Optimizer, params: MlpParams, grads: MlpParams,
-                   lr_now: float | None = None) -> None:
-    """Functional wrapper around :meth:`Optimizer.step` for MLP parameters."""
-    state.step(params.arrays(), grads.arrays(), lr_now)
-
-
 @dataclass
 class GradCheckEntry:
     array_index: int

@@ -1,5 +1,6 @@
-"""Member training loops with individual vs joint early stopping, patience
-bookkeeping and step-normalized epoch accounting.
+"""Member training with individual vs joint early stopping, patience
+bookkeeping and step-normalized epoch accounting. One patience loop
+(:func:`_patience_loop`) runs every trainer, BatchEnsemble included.
 
 An "improvement" is a strictly lower monitored score; ties burn patience.
 Stopping restores the parameters snapshotted at the best epoch. Joint mode
@@ -32,6 +33,9 @@ _INIT, _BATCH = 0, 1
 INDIVIDUAL = "individual"
 JOINT = "joint"
 NONE = "none"
+
+_NO_JOINT_SET = ("joint stopping on a disjoint plan: no common validation set; "
+                 "pass disjoint_fallback=True to monitor the average member NLL")
 
 
 def member_rng(base_seed: int, member_index: int, purpose: int) -> np.random.Generator:
@@ -174,31 +178,80 @@ class _MemberState:
         self.opt = opt_cfg.build(self.params)
         self.batch_rng = member_rng(seed, member_index, _BATCH)
         self.steps = 0
-        self.best_params = self.params.copy()
 
-    def run_epoch(self, opt_cfg: OptimizerConfig, batch_size: int,
-                  total_steps: int | None) -> None:
+    def steps_per_epoch(self, batch_size: int) -> int:
+        return math.ceil(len(self.y_train) / batch_size)
+
+    def run_epoch(self, batch_size: int, lr_at) -> None:
         order = self.batch_rng.permutation(len(self.y_train))
         for batch in _batches(order, batch_size):
-            if total_steps is not None:
-                lr_now = cosine_lr(opt_cfg.lr, min(self.steps, total_steps), total_steps)
-            else:
-                lr_now = opt_cfg.lr
+            lr_now = lr_at(self.steps)
             _, grads = loss_and_grad(self.params, self.x_train[batch], self.y_train[batch])
             self.opt.step(self.params.arrays(), grads.arrays(), lr_now)
             self.steps += 1
 
-    def val_probs(self) -> np.ndarray:
-        return softmax(mlp_forward(self.params, self.x_val))
+    def probs(self, x: np.ndarray) -> np.ndarray:
+        return softmax(mlp_forward(self.params, self.scaler(x)))
 
     def val_nll(self) -> float:
-        return metrics.nll(self.val_probs(), self.y_val)
+        return metrics.nll(softmax(mlp_forward(self.params, self.x_val)), self.y_val)
 
-    def snapshot(self) -> None:
-        self.best_params = self.params.copy()
 
-    def restore(self) -> None:
-        self.params = self.best_params.copy()
+def _cosine_schedule(opt_cfg: OptimizerConfig, steps_per_epoch: int):
+    """Learning rate by optimizer step: constant, or one cosine cycle over
+    ``opt_cfg.cosine_epochs`` epochs of ``steps_per_epoch`` steps."""
+    if not opt_cfg.cosine_epochs:
+        return lambda step: opt_cfg.lr
+    total_steps = steps_per_epoch * opt_cfg.cosine_epochs
+    return lambda step: cosine_lr(opt_cfg.lr, min(step, total_steps), total_steps)
+
+
+def _patience_loop(stop_cfg: StoppingConfig, run_epoch, score, snapshot,
+                   restore) -> StopDecision:
+    """The training protocol shared by every trainer: run an epoch, score it,
+    snapshot on strict improvement, stop on exhausted patience and restore
+    the best snapshot.
+
+    ``snapshot()`` returns a copy of the trained state; ``restore(copy)``
+    reinstates one. Mode "none" runs every epoch and keeps the final state.
+    The caller fills in the decision's ``normalized_epochs``.
+    """
+    monitored = stop_cfg.mode != NONE
+    best = snapshot() if monitored else None
+    tracker = PatienceTracker(stop_cfg.patience)
+    history = []
+    stopped_early = False
+    for _ in range(stop_cfg.max_epochs):
+        run_epoch()
+        history.append(score())
+        if tracker.update(history[-1]) and monitored:
+            best = snapshot()
+        if monitored and tracker.should_stop:
+            stopped_early = True
+            break
+    if monitored:
+        restore(best)
+    return StopDecision(len(history) - 1, tracker.best_epoch, tracker.best_score,
+                        None, history, stopped_early)
+
+
+def _joint_nll(plan: SplitPlan, y: np.ndarray, probs_at, fallback: bool) -> float:
+    """Monitored score for joint stopping: the mean ensemble NLL over the
+    plan's jointly evaluable sets, with ``probs_at(m, idx)`` giving member
+    m's class probabilities on rows ``idx``. Plans without such a set
+    (disjoint) score the average member NLL on each member's own validation
+    set, if ``fallback`` allows it."""
+    sets = joint_eval_sets(plan)
+    if not sets:
+        if not fallback:
+            raise JointEvalUnavailableError(_NO_JOINT_SET)
+        return float(np.mean([metrics.nll(probs_at(m, ms.val_idx), y[ms.val_idx])
+                              for m, ms in enumerate(plan.members)]))
+    vals = []
+    for member_ids, idx in sets:
+        probs = [probs_at(m, idx) for m in member_ids]
+        vals.append(metrics.nll(metrics.ensemble_mean(probs), y[idx]))
+    return float(np.mean(vals))
 
 
 def train_member(x, y, train_idx, val_idx, dims, opt_cfg: OptimizerConfig,
@@ -213,26 +266,16 @@ def train_member(x, y, train_idx, val_idx, dims, opt_cfg: OptimizerConfig,
     y = np.asarray(y)
     state = _MemberState(x, y, train_idx, val_idx, dims, opt_cfg, seed,
                          member_index, standardize)
-    steps_per_epoch = math.ceil(len(state.y_train) / stop_cfg.batch_size)
-    total_steps = (steps_per_epoch * opt_cfg.cosine_epochs
-                   if opt_cfg.cosine_epochs else None)
-    tracker = PatienceTracker(stop_cfg.patience)
-    history = []
-    stopped_early = False
-    for epoch in range(stop_cfg.max_epochs):
-        state.run_epoch(opt_cfg, stop_cfg.batch_size, total_steps)
-        score = state.val_nll()
-        history.append(score)
-        if tracker.update(score):
-            state.snapshot()
-        if stop_cfg.mode != NONE and tracker.should_stop:
-            stopped_early = True
-            break
-    if stop_cfg.mode != NONE:
-        state.restore()
-    decision = StopDecision(len(history) - 1, tracker.best_epoch, tracker.best_score,
-                            normalized_epochs(state.steps, stop_cfg.batch_size, len(y)),
-                            history, stopped_early)
+    lr_at = _cosine_schedule(opt_cfg, state.steps_per_epoch(stop_cfg.batch_size))
+
+    def restore(params):
+        state.params = params
+
+    decision = _patience_loop(stop_cfg,
+                              lambda: state.run_epoch(stop_cfg.batch_size, lr_at),
+                              state.val_nll, lambda: state.params.copy(), restore)
+    decision.normalized_epochs = normalized_epochs(state.steps, stop_cfg.batch_size,
+                                                   len(y))
     return TrainedMember(state.params, state.scaler, decision, state.steps)
 
 
@@ -241,47 +284,6 @@ class EnsembleResult:
     members: list[TrainedMember]
     stop: StopDecision | None = None  # joint-mode decision, None for individual
     stops: list[StopDecision] = field(default_factory=list)
-
-    def probs(self, x: np.ndarray, k: int | None = None) -> list[np.ndarray]:
-        chosen = self.members if k is None else self.members[:k]
-        return [member_probs(m, x) for m in chosen]
-
-
-MONITOR_COLUMNS = ["epoch", "member_id", "split", "nll"]
-
-
-def monitor_rows(result: "EnsembleResult") -> list[list]:
-    """Per-epoch monitored scores: (epoch, member_id or "ensemble", "val", nll).
-
-    Joint runs log the ensemble score once per epoch; individual runs log
-    each member's own validation score.
-    """
-    rows = []
-    if result.stop is not None:
-        for epoch, score in enumerate(result.stop.history):
-            rows.append([epoch, "ensemble", "val", score])
-        return rows
-    for member_id, member in enumerate(result.members):
-        for epoch, score in enumerate(member.stop.history):
-            rows.append([epoch, member_id, "val", score])
-    return rows
-
-
-def _joint_score(states, plan: SplitPlan, x, y, fallback: bool) -> float:
-    """Monitored score for joint stopping under the plan's strategy."""
-    sets = joint_eval_sets(plan)
-    if not sets:
-        if not fallback:
-            raise JointEvalUnavailableError(
-                "joint stopping on a disjoint plan: no common validation set; "
-                "pass disjoint_fallback=True to monitor the average member NLL")
-        return float(np.mean([s.val_nll() for s in states]))
-    vals = []
-    for member_ids, idx in sets:
-        probs = [softmax(mlp_forward(states[m].params, states[m].scaler(x[idx])))
-                 for m in member_ids]
-        vals.append(metrics.nll(metrics.ensemble_mean(probs), y[idx]))
-    return float(np.mean(vals))
 
 
 def train_ensemble(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig,
@@ -306,35 +308,28 @@ def train_ensemble(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig,
 
     # joint mode: fail fast on disjoint plans before any training
     if plan.strategy == DISJOINT and not stop_cfg.disjoint_fallback:
-        raise JointEvalUnavailableError(
-            "joint stopping on a disjoint plan: no common validation set; "
-            "pass disjoint_fallback=True to monitor the average member NLL")
+        raise JointEvalUnavailableError(_NO_JOINT_SET)
     states = [_MemberState(x, y, ms.train_idx, ms.val_idx, dims, opt_cfg,
                            seeds[m], mid, standardize)
               for m, (ms, mid) in enumerate(zip(plan.members, member_ids))]
-    steps_per_epoch = max(math.ceil(len(s.y_train) / stop_cfg.batch_size)
-                          for s in states)
-    total_steps = (steps_per_epoch * opt_cfg.cosine_epochs
-                   if opt_cfg.cosine_epochs else None)
-    tracker = PatienceTracker(stop_cfg.patience)
-    history = []
-    stopped_early = False
-    for epoch in range(stop_cfg.max_epochs):
+    lr_at = _cosine_schedule(opt_cfg, max(s.steps_per_epoch(stop_cfg.batch_size)
+                                          for s in states))
+
+    def run_epoch():
         for s in states:
-            s.run_epoch(opt_cfg, stop_cfg.batch_size, total_steps)
-        score = _joint_score(states, plan, x, y, stop_cfg.disjoint_fallback)
-        history.append(score)
-        if tracker.update(score):
-            for s in states:
-                s.snapshot()
-        if tracker.should_stop:
-            stopped_early = True
-            break
-    for s in states:
-        s.restore()
+            s.run_epoch(stop_cfg.batch_size, lr_at)
+
+    def restore(params):
+        for s, p in zip(states, params):
+            s.params = p
+
+    decision = _patience_loop(
+        stop_cfg, run_epoch,
+        lambda: _joint_nll(plan, y, lambda m, idx: states[m].probs(x[idx]),
+                           stop_cfg.disjoint_fallback),
+        lambda: [s.params.copy() for s in states], restore)
     mean_steps = float(np.mean([s.steps for s in states]))
-    decision = StopDecision(len(history) - 1, tracker.best_epoch, tracker.best_score,
-                            normalized_epochs(mean_steps, stop_cfg.batch_size, len(y)),
-                            history, stopped_early)
+    decision.normalized_epochs = normalized_epochs(mean_steps, stop_cfg.batch_size,
+                                                   len(y))
     members = [TrainedMember(s.params, s.scaler, decision, s.steps) for s in states]
     return EnsembleResult(members, stop=decision, stops=[decision] * len(members))

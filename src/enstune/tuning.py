@@ -145,8 +145,9 @@ def run_sweep(dprime: Dataset, test: Dataset, grid: HyperGrid,
     return SweepResult(grid, cells, cfg.val_fraction)
 
 
-def _selection_score(sweep: SweepResult, wd: float, objective: str,
-                     single_member: bool) -> float:
+def selection_score(sweep: SweepResult, wd: float, objective: str,
+                    single_member: bool = False) -> float:
+    """Seed-mean validation score of one grid entry under an objective."""
     cells = [c for c in sweep.cells if c.wd == wd and not c.diverged]
     k_full = max(sweep.grid.ensemble_sizes)
     per_seed = []
@@ -175,18 +176,12 @@ def select_h(sweep: SweepResult, objective: str,
     best_wd = None
     best_score = np.inf
     for wd in sweep.usable_wds():
-        score = _selection_score(sweep, wd, objective, single_member)
+        score = selection_score(sweep, wd, objective, single_member)
         if score <= best_score:
             best_wd, best_score = wd, score
     if best_wd is None:
         raise ValueError("every sweep cell diverged; nothing to select")
     return best_wd
-
-
-def selection_score(sweep: SweepResult, wd: float, objective: str,
-                    single_member: bool = False) -> float:
-    """Seed-mean validation score of one grid entry under an objective."""
-    return _selection_score(sweep, wd, objective, single_member)
 
 
 def optimality_gap(sweep: SweepResult, h_ind: float, h_ens: float):

@@ -302,20 +302,70 @@ class TestExperiments:
         cfg = quick_config(out, ["experiment.kind=early_stop",
                                  'experiment.strategies=["shared"]',
                                  "experiment.seeds=[0,1]"])
-        real_job = experiments._early_stop_seed_job
+        real_cells, finish = experiments._KINDS["early_stop"]
 
-        def flaky(args):
-            if args[-1] == 1:
+        def flaky(cfg, dprime, test, seed):
+            if seed == 1:
                 raise RuntimeError("boom")
-            return real_job(args)
+            return real_cells(cfg, dprime, test, seed)
 
-        monkeypatch.setattr(experiments, "_early_stop_seed_job", flaky)
+        monkeypatch.setitem(experiments._KINDS, "early_stop", (flaky, finish))
         with pytest.raises(ExperimentError, match="1 of 2 seeds"):
             run_experiment(cfg)
         with open(os.path.join(out, "manifest.json")) as f:
             manifest = json.load(f)
         assert manifest["failures"][0]["seed"] == 1
         assert os.path.exists(os.path.join(out, "cells.csv"))
+
+    def test_wd_sweep_summary_failure_flushes_partial_results(self, tmp_path,
+                                                              monkeypatch):
+        # every decay stays selectable through seed 0, but the gap needs the
+        # selected cells of seed 1 too, which diverged
+        out = str(tmp_path / "wd")
+        cfg = quick_config(out, ["experiment.kind=wd_sweep",
+                                 "experiment.weight_decays=[0.0,0.01]",
+                                 "optimizer.kind=sgd_momentum", "optimizer.lr=0.05"])
+        real_sweep = experiments.run_sweep
+
+        def seed_1_diverges(dprime, test, grid, sweep_cfg):
+            result = real_sweep(dprime, test, grid, sweep_cfg)
+            if grid.seeds == [1]:
+                for cell in result.cells:
+                    cell.diverged = True
+            return result
+
+        monkeypatch.setattr(experiments, "run_sweep", seed_1_diverges)
+        with pytest.raises(ExperimentError, match="summary failed"):
+            run_experiment(cfg)
+        with open(os.path.join(out, "manifest.json")) as f:
+            manifest = json.load(f)
+        assert manifest["failures"] == [
+            {"seed": None,
+             "error": "ValueError: seed 1: selected cell diverged, gap undefined"}]
+        assert "summary" not in manifest
+        assert not os.path.exists(os.path.join(out, "summary.json"))
+        assert [r["diverged"] for r in manifest["runs"]] == [False, False, True, True]
+        with open(os.path.join(out, "cells.csv")) as f:
+            rows = list(csv.reader(f))[1:]
+        assert rows and {r[7] for r in rows} == {"0"}
+        for name in ("aggregate.csv", "plotdata.csv"):
+            assert os.path.exists(os.path.join(out, name))
+
+    @pytest.mark.parametrize("kind, files", [
+        ("early_stop", ["cells.csv", "aggregate.csv", "plotdata.csv", "monitor.csv"]),
+        ("wd_sweep", ["cells.csv", "aggregate.csv", "plotdata.csv", "summary.json"]),
+    ])
+    def test_worker_count_does_not_change_outputs(self, tmp_path, monkeypatch, kind,
+                                                  files):
+        extra = [f"experiment.kind={kind}", "experiment.weight_decays=[0.0,0.01]",
+                 "optimizer.kind=sgd_momentum", "optimizer.lr=0.05"]
+        outputs = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("ENSTUNE_WORKERS", workers)
+            out = tmp_path / f"workers{workers}"
+            run_experiment(quick_config(str(out), extra))
+            outputs[workers] = {name: (out / name).read_bytes() for name in files}
+        assert outputs["1"] == outputs["2"]
 
     def test_no_test_index_reachable_by_plans(self):
         cfg = load_config(None, BASE)
@@ -370,6 +420,29 @@ class TestCli:
             rows = list(csv.reader(f))
         assert rows[0][0] == "experiment"
         assert len(rows) > 1
+
+    @pytest.mark.parametrize("command, extra", [
+        ("early-stop", ['experiment.modes=["individual","sometimes"]']),
+        ("temp-scale", ['experiment.modes=["none","sometimes"]']),
+        ("batch-ensemble", ['experiment.schemes=["random_sign","uniform_0.1"]']),
+        ("early-stop", ['experiment.strategies=["shared","disjoint"]',
+                        "ensemble.members=4", "ensemble.val_pct=0.3"]),
+        ("sweep-wd", ["experiment.weight_decays=[0.001,0.01]"]),
+    ])
+    def test_bad_config_rejected_before_training(self, tmp_path, monkeypatch,
+                                                 command, extra):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the config was checked")
+
+        monkeypatch.setattr(experiments, "train_ensemble", no_training)
+        monkeypatch.setattr(experiments, "be_train", no_training)
+        monkeypatch.setattr(experiments, "run_sweep", no_training)
+        out = tmp_path / "run"
+        argv = [command, "--out", str(out)]
+        for item in BASE + extra:
+            argv += ["--set", item]
+        assert cli_main(argv) == 2
+        assert not (out / "cells.csv").exists()
 
     def test_bad_config_exit_code(self, tmp_path):
         assert cli_main(["early-stop", "--set", "task.kind=nosuch",

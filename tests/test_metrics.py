@@ -1,6 +1,5 @@
 """Tests for scoring and diversity metrics."""
 
-import csv
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ from enstune.metrics import (
     ensemble_mean,
     entropy,
     nll,
-    write_records_csv,
 )
 from enstune.netcore import LabelError, ShapeError
 
@@ -197,17 +195,15 @@ class TestAmbiguity:
 
 
 class TestMetricsRecord:
-    def test_csv_column_order(self, tmp_path):
+    def test_csv_column_order(self):
         rec = MetricsRecord(strategy="shared", val_pct=0.05, seed=3, ensemble_size=4,
                             error_pct=12.5, nll=0.42, ece=0.01, diversity=0.1,
                             entropy=0.9, normalized_epochs=17.5)
-        path = tmp_path / "rows.csv"
-        write_records_csv(str(path), [rec])
-        with open(path) as f:
-            rows = list(csv.reader(f))
-        assert rows[0] == CSV_COLUMNS
-        assert rows[1][0] == "shared"
-        assert float(rows[1][5]) == 0.42
+        row = rec.to_row()
+        assert len(row) == len(CSV_COLUMNS)
+        assert dict(zip(CSV_COLUMNS, row)) == {c: getattr(rec, c) for c in CSV_COLUMNS}
+        assert row[0] == "shared"
+        assert row[5] == 0.42
 
     def test_validate_bounds(self):
         with pytest.raises(ValueError):

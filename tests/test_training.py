@@ -198,7 +198,7 @@ class TestTrainEnsemble:
 
 class TestMonitorRows:
     def test_individual_and_joint_logs(self):
-        from enstune.training import monitor_rows
+        from enstune.experiments import monitor_rows_from_runs
 
         ds = blob_task()
         plan = make_shared(len(ds), 0.2, 2, rng_seed=21, labels=ds.y)
@@ -206,15 +206,17 @@ class TestMonitorRows:
         ind = train_ensemble(ds.x, ds.y, plan, [2, 8, 3], opt,
                              StoppingConfig(mode="individual", patience=2,
                                             max_epochs=4), 22)
-        rows = monitor_rows(ind)
-        assert {r[1] for r in rows} == {0, 1}
-        assert all(r[2] == "val" for r in rows)
+        rows = monitor_rows_from_runs("early_stop", [
+            {"mode": "individual", "stops": [s.to_dict() for s in ind.stops]}])
+        assert {r[6] for r in rows} == {0, 1}
+        assert all(r[7] == "val" for r in rows)
         joint = train_ensemble(ds.x, ds.y, plan, [2, 8, 3], opt,
                                StoppingConfig(mode="joint", patience=2,
                                               max_epochs=4), 22)
-        rows = monitor_rows(joint)
-        assert {r[1] for r in rows} == {"ensemble"}
-        assert [r[0] for r in rows] == list(range(len(joint.stop.history)))
+        rows = monitor_rows_from_runs("early_stop", [
+            {"mode": "joint", "stops": [joint.stop.to_dict()]}])
+        assert {r[6] for r in rows} == {"ensemble"}
+        assert [r[5] for r in rows] == list(range(len(joint.stop.history)))
 
 
 class TestStopDecisionInvariants:
