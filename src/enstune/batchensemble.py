@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,9 @@ from .netcore import (
     MlpParams,
     ShapeError,
     _check_labels,
+    _mlp_doc,
+    _mlp_from_doc,
+    _write_json,
     finite_difference_report,
     log_softmax,
     softmax,
@@ -437,10 +439,8 @@ def save_be_checkpoint(result: BeTrainResult | BatchEnsembleModel, path: str,
                        meta: dict | None = None) -> None:
     """Checkpoint extending the MLP JSON with fast weights and BN state."""
     model = result.model if isinstance(result, BeTrainResult) else result
-    doc = {
-        "arch": model.dims,
-        "layers": [{"w": l.weight.reshape(-1).tolist(), "b": l.bias.tolist()}
-                   for l in model.slow.layers],
+    _write_json(path, {
+        **_mlp_doc(model.slow),
         "fast": [{"r": r.tolist(), "s": s.tolist()}
                  for r, s in zip(model.fast.r, model.fast.s)],
         "bn": [{"gamma": b.gamma.tolist(), "beta": b.beta.tolist(),
@@ -450,21 +450,12 @@ def save_be_checkpoint(result: BeTrainResult | BatchEnsembleModel, path: str,
         "n_members": model.n_members,
         "use_batchnorm": model.use_batchnorm,
         "meta": dict(meta or {}),
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(doc, f)
-    os.replace(tmp, path)
+    })
 
 
 def load_be_checkpoint(path: str):
     with open(path) as f:
         doc = json.load(f)
-    arch = doc["arch"]
-    layers = []
-    for i, rec in enumerate(doc["layers"]):
-        w = np.asarray(rec["w"], dtype=np.float64).reshape(arch[i], arch[i + 1])
-        layers.append(DenseLayer(w, np.asarray(rec["b"], dtype=np.float64)))
     fast = FastWeights([np.asarray(f_["r"], dtype=np.float64) for f_ in doc["fast"]],
                        [np.asarray(f_["s"], dtype=np.float64) for f_ in doc["fast"]])
     bn = [BatchNormState(np.asarray(b["gamma"], dtype=np.float64),
@@ -473,6 +464,6 @@ def load_be_checkpoint(path: str):
                          np.asarray(b["running_var"], dtype=np.float64),
                          b["momentum"])
           for b in doc["bn"]]
-    model = BatchEnsembleModel(MlpParams(layers), fast, bn, int(doc["n_members"]),
+    model = BatchEnsembleModel(_mlp_from_doc(doc), fast, bn, int(doc["n_members"]),
                                bool(doc["use_batchnorm"]))
     return model, doc.get("meta", {})

@@ -175,30 +175,27 @@ def calibrate_joint(eval_sets: Sequence[tuple[Sequence[np.ndarray], np.ndarray]]
     return res
 
 
-def calibrate_pool(mean_probs_val: np.ndarray, labels: np.ndarray,
+def calibrate_pool(eval_sets: Sequence[tuple[Sequence[np.ndarray], np.ndarray]],
                    bracket=DEFAULT_BRACKET, tol: float = 1e-6) -> TempFitResult:
-    """Fit a temperature on the pooled probabilities: softmax(log p-bar / T)."""
-    mean_probs_val = np.asarray(mean_probs_val, dtype=np.float64)
-    labels = np.asarray(labels)
-    if len(labels) == 0:
-        raise TemperatureError("empty validation set")
+    """Fit a temperature on the pooled probabilities, softmax(log p-bar / T).
+
+    Each eval set pairs the participating members' validation probabilities
+    (all on the same samples) with the labels, as in
+    :func:`ensemble_nll_at_temperature`; the objective is the mean over sets
+    of the pooled-tempered NLL.
+    """
+    if len(eval_sets) == 0:
+        raise JointEvalUnavailableError(
+            "no jointly evaluable validation set: disjoint holdouts preclude "
+            "pooled evaluation")
+    pooled = []
+    for probs, y in eval_sets:
+        if len(y) == 0 or len(probs) == 0:
+            raise TemperatureError("empty pooled validation set")
+        pooled.append((metrics.ensemble_mean(probs), np.asarray(y)))
 
     def objective(t: float) -> float:
-        return metrics.nll(pool_apply_temperature(mean_probs_val, t), labels)
+        return float(np.mean([metrics.nll(pool_apply_temperature(mean_p, t), y)
+                              for mean_p, y in pooled]))
 
     return fit_temperature(objective, bracket, tol, mode="pool")
-
-
-def individual_prediction(member_logits: Sequence[np.ndarray],
-                          temperatures: Sequence[float]) -> np.ndarray:
-    """Average of per-member tempered probabilities."""
-    if len(member_logits) != len(temperatures):
-        raise TemperatureError("one temperature per member required")
-    return metrics.ensemble_mean([apply_temperature(z, t)
-                                  for z, t in zip(member_logits, temperatures)])
-
-
-def joint_prediction(member_logits: Sequence[np.ndarray], temperature: float) -> np.ndarray:
-    """Average of member probabilities after a shared temperature."""
-    return metrics.ensemble_mean([apply_temperature(z, temperature)
-                                  for z in member_logits])

@@ -16,11 +16,9 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import experiments
-from .config import ConfigError, ExperimentConfig, load_config
-from .data import make_blobs, make_spirals, save_csv
+from .config import ConfigError, ExperimentConfig, TaskSection, load_config
+from .data import make_task, save_csv
 
 EXPERIMENT_COMMANDS = {
     "sweep-wd": "wd_sweep",
@@ -81,14 +79,9 @@ def _cmd_experiment(args, kind: str) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    if args.kind == "blobs":
-        ds = make_blobs(args.n, args.classes, args.noise, rng, radius=args.radius,
-                        label_noise=args.label_noise)
-    elif args.kind == "spirals":
-        ds = make_spirals(args.n, args.noise, rng)
-    else:
-        raise ConfigError(f"cannot generate task kind {args.kind!r}")
+    ds = make_task(TaskSection(kind=args.kind, n=args.n, classes=args.classes,
+                               noise=args.noise, radius=args.radius,
+                               label_noise=args.label_noise, data_seed=args.seed))
     save_csv(ds, args.out, label_col=args.label_col)
     print(f"wrote {args.out} ({len(ds)} rows, {ds.n_classes} classes)")
     return 0

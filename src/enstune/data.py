@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError, TaskSection
 from .splits import SplitError, _stratified_portions
 
 
@@ -77,6 +78,20 @@ def make_spirals(n: int, noise: float, rng: np.random.Generator) -> Dataset:
     y = np.concatenate(ys)
     perm = rng.permutation(n)
     return Dataset(x[perm], y[perm], 2)
+
+
+def make_task(task: TaskSection) -> Dataset:
+    """The whole dataset a task section describes: blobs or spirals drawn
+    from ``task.data_seed``, or the rows of the CSV at ``task.path``."""
+    if task.kind == "csv":
+        return load_csv(task.path, task.label_col)
+    rng = np.random.default_rng(task.data_seed)
+    if task.kind == "blobs":
+        return make_blobs(task.n, task.classes, task.noise, rng, radius=task.radius,
+                          label_noise=task.label_noise)
+    if task.kind == "spirals":
+        return make_spirals(task.n, task.noise, rng)
+    raise ConfigError(f"unknown task kind {task.kind!r}")
 
 
 def save_csv(dataset: Dataset, path: str, label_col: str = "label") -> None:

@@ -23,8 +23,8 @@ import numpy as np
 from . import calibration, metrics
 from .batchensemble import GAUSSIAN, RANDOM_SIGN, be_train
 from .config import ConfigError, ExperimentConfig, config_from_dict, config_to_dict
-from .data import load_csv, make_blobs, make_spirals, train_test_split
-from .netcore import softmax
+from .data import make_task, train_test_split
+from .netcore import MlpParams, softmax
 from .splits import (
     DISJOINT,
     OVERLAPPING,
@@ -45,14 +45,7 @@ from .training import (
     member_probs,
     train_ensemble,
 )
-from .tuning import (
-    HyperGrid,
-    SweepConfig,
-    SweepResult,
-    optimality_gap,
-    run_sweep,
-    select_h,
-)
+from .tuning import HyperGrid, SweepResult, optimality_gap, run_sweep, select_h
 
 WORKERS_ENV = "ENSTUNE_WORKERS"
 
@@ -64,18 +57,8 @@ MEMBER_AVG_SCOPE = "member_avg"
 
 def build_dataset(cfg: ExperimentConfig):
     """Generate or load the task, then carve off the fixed stratified test set."""
-    task = cfg.task
-    rng = np.random.default_rng(task.data_seed)
-    if task.kind == "blobs":
-        ds = make_blobs(task.n, task.classes, task.noise, rng, radius=task.radius,
-                        label_noise=task.label_noise)
-    elif task.kind == "spirals":
-        ds = make_spirals(task.n, task.noise, rng)
-    elif task.kind == "csv":
-        ds = load_csv(task.path, task.label_col)
-    else:
-        raise ConfigError(f"unknown task kind {task.kind!r}")
-    return train_test_split(ds, task.test_fraction, seed=task.data_seed)
+    return train_test_split(make_task(cfg.task), cfg.task.test_fraction,
+                            seed=cfg.task.data_seed)
 
 
 def make_plan(strategy: str, n_total: int, val_pct: float, n_members: int,
@@ -169,14 +152,9 @@ def _wd_sweep_cells(cfg: ExperimentConfig, dprime, test, seed: int):
     """One seed's rows and run entries, plus its sweep cells for the
     selection in :func:`_wd_sweep_summary`."""
     grid = HyperGrid(cfg.experiment.weight_decays, cfg.ensemble_sizes(), [seed])
-    sweep_cfg = SweepConfig(hidden=cfg.model.hidden, n_members=cfg.ensemble.members,
-                            val_fraction=cfg.ensemble.val_pct,
-                            epochs=cfg.stopping.max_epochs,
-                            batch_size=cfg.stopping.batch_size,
-                            lr=cfg.optimizer.lr, momentum=cfg.optimizer.momentum,
-                            optimizer=cfg.optimizer.kind,
-                            ece_bins=cfg.experiment.ece_bins)
-    cells = run_sweep(dprime, test, grid, sweep_cfg).cells
+    cells = run_sweep(dprime, test, grid, _dims(cfg, dprime), cfg.ensemble.members,
+                      cfg.ensemble.val_pct, _optimizer_config(cfg, cosine=True),
+                      _stopping(cfg, NONE), cfg.experiment.ece_bins).cells
     rows = []
     for cell in cells:
         if cell.diverged:
@@ -197,25 +175,11 @@ def _wd_sweep_summary(cfg: ExperimentConfig, seed_results) -> dict:
     cells = [c for _, _, seed_cells in seed_results for c in seed_cells]
     completed = sorted({c.seed for c in cells})
     grid = HyperGrid(cfg.experiment.weight_decays, cfg.ensemble_sizes(), completed)
-    sweep = SweepResult(grid, cells, cfg.ensemble.val_pct)
+    sweep = SweepResult(grid, cells)
     h_ind = select_h(sweep, "individual")
     h_ens = select_h(sweep, "ensemble")
     gap, gap_sem = optimality_gap(sweep, h_ind, h_ens)
     return {"h_ind": h_ind, "h_ens": h_ens, "gap": gap, "gap_sem": gap_sem}
-
-
-def _pool_objective(eval_sets):
-    frozen = [([softmax(np.asarray(z, dtype=np.float64)) for z in zs], np.asarray(y))
-              for zs, y in eval_sets]
-
-    def objective(t):
-        vals = []
-        for probs, y in frozen:
-            mean_p = metrics.ensemble_mean(probs)
-            vals.append(metrics.nll(calibration.pool_apply_temperature(mean_p, t), y))
-        return float(np.mean(vals))
-
-    return objective
 
 
 def _temp_scale_cells(cfg: ExperimentConfig, dprime, test, seed: int):
@@ -235,6 +199,8 @@ def _temp_scale_cells(cfg: ExperimentConfig, dprime, test, seed: int):
                         ensemble_size=m_total)
             entry = {"strategy": strategy, "val_pct": val_pct, "seed": seed,
                      "plan": plan_reference(plan, val_pct), "fits": []}
+            if {"joint", "pool"} & set(cfg.experiment.modes):
+                joint_sets = _joint_logits(result, plan, dprime)
             for mode in cfg.experiment.modes:
                 if mode == "none":
                     rows += _test_rows("temp_scale", mode, test_probs, test.y,
@@ -250,14 +216,14 @@ def _temp_scale_cells(cfg: ExperimentConfig, dprime, test, seed: int):
                     rows += _test_rows("temp_scale", mode, tempered, test.y,
                                        ece_bins, **tags)
                 elif mode == "joint":
-                    fit = calibration.calibrate_joint(_joint_logits(result, plan, dprime))
+                    fit = calibration.calibrate_joint(joint_sets)
                     tempered = [calibration.apply_temperature(z, fit.temperature)
                                 for z in test_logits]
                     rows += _test_rows("temp_scale", mode, tempered, test.y,
                                        ece_bins, **tags)
                 else:  # pool
-                    fit = calibration.fit_temperature(
-                        _pool_objective(_joint_logits(result, plan, dprime)), mode="pool")
+                    fit = calibration.calibrate_pool(
+                        [([softmax(z) for z in zs], y) for zs, y in joint_sets])
                     mean_test = metrics.ensemble_mean(test_probs)
                     pooled = calibration.pool_apply_temperature(mean_test,
                                                                 fit.temperature)
@@ -407,11 +373,14 @@ def _plan_specs(cfg: ExperimentConfig) -> list[tuple[str, float]]:
 
 
 def _check_config(cfg: ExperimentConfig, dprime) -> None:
-    """Reject, before any training, what would fail every seed: unknown
-    modes and schemes, joint modes on disjoint holdouts, holdout plans that
-    cannot be built and invalid sweep grids."""
+    """Reject, before any training, what would fail every seed: stopping
+    and optimizer settings the trainers refuse, unknown modes and schemes,
+    joint modes on disjoint holdouts, holdout plans that cannot be built and
+    invalid sweep grids."""
     ex = cfg.experiment
     try:
+        _stopping(cfg, NONE)
+        _optimizer_config(cfg, cosine=False).build(MlpParams())
         for mode in ex.modes if ex.kind in _MODES else ():
             if mode not in _MODES[ex.kind]:
                 raise ConfigError(f"unknown {ex.kind} mode {mode!r}; expected one "

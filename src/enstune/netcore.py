@@ -345,32 +345,41 @@ def grad_check(params: MlpParams, x: np.ndarray, y: np.ndarray,
     return finite_difference_report(loss_fn, params.arrays(), grads.arrays(), eps)
 
 
-def save_checkpoint(params: MlpParams, path: str, meta: dict | None = None) -> None:
-    """JSON checkpoint: {arch, layers: [{w, b}], meta}; exact float64 round-trip."""
-    params.validate()
-    doc = {
-        "arch": params.dims,
-        "layers": [{"w": l.weight.reshape(-1).tolist(), "b": l.bias.tolist()}
-                   for l in params.layers],
-        "meta": dict(meta or {}),
-    }
+def _mlp_doc(params: MlpParams) -> dict:
+    """JSON encoding of the layers: {arch, layers: [{w, b}]}, weights flattened
+    row-major and reshaped by ``arch`` on load."""
+    return {"arch": params.dims,
+            "layers": [{"w": l.weight.reshape(-1).tolist(), "b": l.bias.tolist()}
+                       for l in params.layers]}
+
+
+def _mlp_from_doc(doc: dict) -> MlpParams:
+    """Inverse of :func:`_mlp_doc`."""
+    arch = doc["arch"]
+    return MlpParams([
+        DenseLayer(np.asarray(rec["w"], dtype=np.float64).reshape(arch[i], arch[i + 1]),
+                   np.asarray(rec["b"], dtype=np.float64))
+        for i, rec in enumerate(doc["layers"])])
+
+
+def _write_json(path: str, doc: dict) -> None:
+    """Write through a temporary file so a crash never leaves half a file."""
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
         json.dump(doc, f)
     os.replace(tmp, path)
 
 
+def save_checkpoint(params: MlpParams, path: str, meta: dict | None = None) -> None:
+    """JSON checkpoint: {arch, layers: [{w, b}], meta}; exact float64 round-trip."""
+    params.validate()
+    _write_json(path, {**_mlp_doc(params), "meta": dict(meta or {})})
+
+
 def load_checkpoint(path: str):
     """Inverse of :func:`save_checkpoint`; returns (params, meta)."""
     with open(path) as f:
         doc = json.load(f)
-    arch = doc["arch"]
-    layers = []
-    for i, rec in enumerate(doc["layers"]):
-        fan_in, fan_out = arch[i], arch[i + 1]
-        w = np.asarray(rec["w"], dtype=np.float64).reshape(fan_in, fan_out)
-        b = np.asarray(rec["b"], dtype=np.float64)
-        layers.append(DenseLayer(w, b))
-    params = MlpParams(layers)
+    params = _mlp_from_doc(doc)
     params.validate()
     return params, doc.get("meta", {})

@@ -61,6 +61,9 @@ class SplitPlan:
             "members": [{"train": ms.train_idx.tolist(), "val": ms.val_idx.tolist()}
                         for ms in self.members],
             "pairs": [[a, b, idx.tolist()] for a, b, idx in (self.joint_pairs or [])],
+            "portions": None if self.portions is None
+                        else [p.tolist() for p in self.portions],
+            "rng_seed": self.rng_seed,
         }
         return json.dumps(doc)
 
@@ -72,7 +75,11 @@ class SplitPlan:
                    for m in doc["members"]]
         pairs = [(int(a), int(b), np.asarray(idx, dtype=np.intp))
                  for a, b, idx in doc.get("pairs", [])] or None
-        return cls(doc["strategy"], int(doc["n_total"]), members, joint_pairs=pairs)
+        portions = doc.get("portions")
+        if portions is not None:
+            portions = [np.asarray(p, dtype=np.intp) for p in portions]
+        return cls(doc["strategy"], int(doc["n_total"]), members, portions=portions,
+                   joint_pairs=pairs, rng_seed=doc.get("rng_seed"))
 
 
 def _class_lists(n_total: int, labels, rng: np.random.Generator) -> list[np.ndarray]:

@@ -1,16 +1,18 @@
 """Weight-decay grid search under single-model vs ensemble selection
 objectives, and the resulting optimality gap on test loss.
 
-The sweep trains every grid cell to a fixed epoch budget with cosine
-annealing on a shared holdout; selection is the argmin of seed-mean
-validation NLL under either objective, ties breaking toward the larger
-(more regularizing) weight decay.
+The sweep trains every grid cell on a shared holdout with the caller's
+optimizer and stopping configs, only the weight decay varying (the
+``wd_sweep`` experiment passes a fixed epoch budget with cosine
+annealing); selection is the argmin of seed-mean validation NLL under
+either objective, ties breaking toward the larger (more regularizing)
+weight decay.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,13 +20,7 @@ from . import metrics
 from .data import Dataset
 from .netcore import NonFiniteLossError
 from .splits import make_shared
-from .training import (
-    NONE,
-    OptimizerConfig,
-    StoppingConfig,
-    member_probs,
-    train_ensemble,
-)
+from .training import OptimizerConfig, StoppingConfig, member_probs, train_ensemble
 
 INDIVIDUAL_OBJECTIVE = "individual"
 ENSEMBLE_OBJECTIVE = "ensemble"
@@ -47,11 +43,6 @@ class HyperGrid:
             raise ValueError("need at least one seed and one ensemble size")
 
 
-def log_grid(lo: float, hi: float, n: int) -> list[float]:
-    """Log-spaced weight decays plus the mandatory 0."""
-    return [0.0] + list(np.geomspace(lo, hi, n))
-
-
 @dataclass
 class SweepCell:
     wd: float
@@ -66,7 +57,6 @@ class SweepCell:
 class SweepResult:
     grid: HyperGrid
     cells: list[SweepCell]
-    val_pct: float
 
     def cell(self, wd: float, seed: int) -> SweepCell:
         for c in self.cells:
@@ -86,41 +76,28 @@ class SweepResult:
         return out
 
 
-@dataclass
-class SweepConfig:
-    hidden: list[int]
-    n_members: int
-    val_fraction: float = 0.1
-    epochs: int = 40
-    batch_size: int = 128
-    lr: float = 0.1
-    momentum: float = 0.9
-    optimizer: str = "sgd_momentum"
-    ece_bins: int = 15
-
-
-def run_sweep(dprime: Dataset, test: Dataset, grid: HyperGrid,
-              cfg: SweepConfig) -> SweepResult:
+def run_sweep(dprime: Dataset, test: Dataset, grid: HyperGrid, dims: list[int],
+              n_members: int, val_fraction: float, opt: OptimizerConfig,
+              stop: StoppingConfig, ece_bins: int = 15) -> SweepResult:
     """Train every (weight decay, seed) cell and record per-size metrics.
 
-    Size-k ensembles are the first k members by index. Cells whose training
-    diverges are kept, flagged, and excluded from selection.
+    Every cell trains with ``opt`` and ``stop``, the weight decay replaced by
+    the grid entry, on its seed's shared holdout. Size-k ensembles are the
+    first k members by index. Cells whose training diverges are kept,
+    flagged, and excluded from selection.
     """
-    if max(grid.ensemble_sizes) > cfg.n_members:
+    if max(grid.ensemble_sizes) > n_members:
         raise ValueError("ensemble sizes exceed the number of trained members")
-    dims = [dprime.x.shape[1]] + list(cfg.hidden) + [dprime.n_classes]
+    plans = [(seed, make_shared(len(dprime), val_fraction, n_members, rng_seed=seed,
+                                labels=dprime.y))
+             for seed in grid.seeds]
     cells = []
     for wd in grid.weight_decays:
-        opt = OptimizerConfig(kind=cfg.optimizer, lr=cfg.lr, weight_decay=wd,
-                              momentum=cfg.momentum, cosine_epochs=cfg.epochs)
-        stop = StoppingConfig(mode=NONE, max_epochs=cfg.epochs,
-                              batch_size=cfg.batch_size)
-        for seed in grid.seeds:
+        wd_opt = replace(opt, weight_decay=wd)
+        for seed, plan in plans:
             cell = SweepCell(wd=wd, seed=seed)
-            plan = make_shared(len(dprime), cfg.val_fraction, cfg.n_members,
-                               rng_seed=seed, labels=dprime.y)
             try:
-                result = train_ensemble(dprime.x, dprime.y, plan, dims, opt,
+                result = train_ensemble(dprime.x, dprime.y, plan, dims, wd_opt,
                                         stop, base_seed=seed)
             except NonFiniteLossError as err:
                 warnings.warn(f"sweep cell wd={wd} seed={seed} diverged: {err}")
@@ -131,18 +108,18 @@ def run_sweep(dprime: Dataset, test: Dataset, grid: HyperGrid,
             val_probs = [member_probs(m, dprime.x[val_idx]) for m in result.members]
             test_probs = [member_probs(m, test.x) for m in result.members]
             norm_epochs = float(np.mean([s.normalized_epochs for s in result.stops]))
-            tags = dict(strategy="shared", val_pct=cfg.val_fraction, seed=seed)
+            tags = dict(strategy="shared", val_pct=val_fraction, seed=seed)
             for k in grid.ensemble_sizes:
                 cell.val_records[k] = metrics.compute_record(
-                    val_probs[:k], dprime.y[val_idx], ece_bins=cfg.ece_bins,
+                    val_probs[:k], dprime.y[val_idx], ece_bins=ece_bins,
                     ensemble_size=k, normalized_epochs=norm_epochs, **tags)
                 cell.test_records[k] = metrics.compute_record(
-                    test_probs[:k], test.y, ece_bins=cfg.ece_bins,
+                    test_probs[:k], test.y, ece_bins=ece_bins,
                     ensemble_size=k, normalized_epochs=norm_epochs, **tags)
             cell.member_val_nlls = [metrics.nll(p, dprime.y[val_idx])
                                     for p in val_probs]
             cells.append(cell)
-    return SweepResult(grid, cells, cfg.val_fraction)
+    return SweepResult(grid, cells)
 
 
 def selection_score(sweep: SweepResult, wd: float, objective: str,

@@ -25,6 +25,7 @@ from enstune.experiments import rerun_from_manifest, run_experiment
 from enstune.netcore import MlpParams, grad_check, mlp_forward, softmax
 from enstune.splits import make_disjoint, make_overlapping, make_shared
 from enstune.training import (
+    NONE,
     OptimizerConfig,
     StoppingConfig,
     member_probs,
@@ -32,7 +33,6 @@ from enstune.training import (
 )
 from enstune.tuning import (
     HyperGrid,
-    SweepConfig,
     optimality_gap,
     run_sweep,
     select_h,
@@ -164,20 +164,33 @@ def test_criterion_4_batchensemble_algebra():
 
 
 def _grid_nll_minimizer(logits, labels, n_points=100_000, lo=0.01, hi=100.0):
-    """Brute-force oracle, vectorized over a chunked log grid."""
+    """Oracle: the first minimizer of the NLL over a dense log grid of T.
+
+    The NLL is convex in 1/T, hence unimodal along the grid, so a ternary
+    search over grid indices lands on the grid point a full scan would pick.
+    The last few candidates are scanned in full, taking the first minimum.
+    """
     ts = np.exp(np.linspace(math.log(lo), math.log(hi), n_points))
-    n = len(labels)
-    rows = np.arange(n)
-    best_t, best_val = None, math.inf
-    for chunk in np.array_split(ts, 10):
-        z = logits[None, :, :] / chunk[:, None, None]
+    rows = np.arange(len(labels))
+
+    def nlls(idx):
+        z = logits[None, :, :] / ts[idx][:, None, None]
         z = z - z.max(axis=-1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-        nlls = -logp[:, rows, labels].mean(axis=-1)
-        i = int(nlls.argmin())
-        if nlls[i] < best_val:
-            best_val, best_t = float(nlls[i]), float(chunk[i])
-    return best_t
+        return -logp[:, rows, labels].mean(axis=-1)
+
+    a, b = 0, n_points - 1
+    while b - a > 3:
+        m1, m2 = a + (b - a) // 3, b - (b - a) // 3
+        f1, f2 = nlls(np.array([m1, m2]))
+        if f1 < f2:
+            b = m2 - 1
+        elif f1 > f2:
+            a = m1 + 1
+        else:
+            b = m2
+    idx = np.arange(a, b + 1)
+    return float(ts[idx[int(nlls(idx).argmin())]])
 
 
 def test_criterion_5_temperature_fit_oracle():
@@ -216,15 +229,17 @@ def test_criterion_6_argmax_contracts():
     for _ in range(50):
         p = random_prob_matrix(rng, 30, 5)
         y = rng.integers(0, 5, size=30)
-        fit = calibration.calibrate_pool(p, y)
+        fit = calibration.calibrate_pool([([p], y)])
         for t in (fit.temperature, 0.1, 7.3):
             pooled = calibration.pool_apply_temperature(p, t)
             assert np.array_equal(pooled.argmax(axis=1), p.argmax(axis=1))
     # frozen witness: a shared temperature flips the averaged prediction
     z1 = np.array([[4.1, -1.0, 0.0]])
     z2 = np.array([[-4.0, 3.5, 0.0]])
-    before = calibration.joint_prediction([z1, z2], 1.0).argmax(axis=1)[0]
-    after = calibration.joint_prediction([z1, z2], 2.0).argmax(axis=1)[0]
+    before, after = (
+        metrics.ensemble_mean([calibration.apply_temperature(z, t)
+                               for z in (z1, z2)]).argmax(axis=1)[0]
+        for t in (1.0, 2.0))
     ok = before == 0 and after == 1
     report(6, ok,
            "per-member and pooled argmax preserved; frozen witness flips the "
@@ -350,9 +365,9 @@ def test_criterion_10_selection_definitional_check():
 
     dprime, test = train_test_split(ds, 0.2, seed=0)
     grid = HyperGrid([0.0, 1e-3, 1e-1], [1, 2, 3], [0, 1])
-    cfg = SweepConfig(hidden=[16], n_members=3, val_fraction=0.15, epochs=10,
-                      batch_size=64, lr=0.05)
-    sweep = run_sweep(dprime, test, grid, cfg)
+    opt = OptimizerConfig(kind="sgd_momentum", lr=0.05, cosine_epochs=10)
+    stop = StoppingConfig(mode=NONE, max_epochs=10, batch_size=64)
+    sweep = run_sweep(dprime, test, grid, [2, 16, 3], 3, 0.15, opt, stop)
     h_ind = select_h(sweep, "individual")
     h_ens = select_h(sweep, "ensemble")
     lhs = selection_score(sweep, h_ens, "ensemble")

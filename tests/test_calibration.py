@@ -16,8 +16,6 @@ from enstune.calibration import (
     calibrate_pool,
     ensemble_nll_at_temperature,
     fit_temperature,
-    individual_prediction,
-    joint_prediction,
     nll_at_temperature,
     pool_apply_temperature,
 )
@@ -171,8 +169,8 @@ class TestJoint:
         # preserves each member's argmax but flips the averaged prediction.
         z1 = np.array([[4.1, -1.0, 0.0]])
         z2 = np.array([[-4.0, 3.5, 0.0]])
-        before = joint_prediction([z1, z2], 1.0)
-        after = joint_prediction([z1, z2], 2.0)
+        before, after = (metrics.ensemble_mean([apply_temperature(z, t) for z in (z1, z2)])
+                         for t in (1.0, 2.0))
         assert before.argmax(axis=1)[0] == 0
         assert after.argmax(axis=1)[0] == 1
         for z in (z1, z2):
@@ -204,25 +202,35 @@ class TestPool:
         y = (rng.random(n)[:, None] > p.cumsum(axis=1)).sum(axis=1)
         members = [1.8 * true_logits + rng.normal(0, 0.8, size=(n, k)) for _ in range(m)]
         joint = calibrate_joint([(members, y)])
-        pool = calibrate_pool(metrics.ensemble_mean([softmax(z) for z in members]), y)
+        pool = calibrate_pool([([softmax(z) for z in members], y)])
         assert abs(joint.val_nll - pool.val_nll) < 0.01
 
     def test_fitted_pool_keeps_pooled_argmax(self):
         rng = np.random.default_rng(11)
         members = [rng.normal(0, 2, size=(50, 3)) for _ in range(3)]
         y = rng.integers(0, 3, size=50)
-        mean_p = metrics.ensemble_mean([softmax(z) for z in members])
-        res = calibrate_pool(mean_p, y)
+        probs = [softmax(z) for z in members]
+        mean_p = metrics.ensemble_mean(probs)
+        res = calibrate_pool([(probs, y)])
         out = pool_apply_temperature(mean_p, res.temperature)
         assert np.array_equal(out.argmax(axis=1), mean_p.argmax(axis=1))
 
+    def test_objective_is_mean_over_eval_sets(self):
+        # an overlapping plan's cyclic pairs: each set pools only its members
+        rng = np.random.default_rng(13)
+        sets = []
+        for n in (30, 45):
+            probs = [softmax(rng.normal(0, 2, size=(n, 3))) for _ in range(2)]
+            sets.append((probs, rng.integers(0, 3, size=n)))
+        res = calibrate_pool(sets)
+        per_set = [metrics.nll(pool_apply_temperature(metrics.ensemble_mean(p),
+                                                      res.temperature), y)
+                   for p, y in sets]
+        assert res.mode == "pool"
+        assert res.val_nll == float(np.mean(per_set))
 
-class TestPredictionPaths:
-    def test_individual_prediction_shape_contract(self):
-        rng = np.random.default_rng(12)
-        zs = [rng.normal(size=(4, 3)) for _ in range(2)]
+    def test_empty_input_is_structured_error(self):
+        with pytest.raises(JointEvalUnavailableError, match="disjoint"):
+            calibrate_pool([])
         with pytest.raises(TemperatureError):
-            individual_prediction(zs, [1.0])
-        p = individual_prediction(zs, [1.0, 2.0])
-        assert p.shape == (4, 3)
-        assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-12
+            calibrate_pool([([np.full((0, 3), 1 / 3)], np.zeros(0, dtype=int))])

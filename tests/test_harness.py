@@ -327,8 +327,8 @@ class TestExperiments:
                                  "optimizer.kind=sgd_momentum", "optimizer.lr=0.05"])
         real_sweep = experiments.run_sweep
 
-        def seed_1_diverges(dprime, test, grid, sweep_cfg):
-            result = real_sweep(dprime, test, grid, sweep_cfg)
+        def seed_1_diverges(dprime, test, grid, *args):
+            result = real_sweep(dprime, test, grid, *args)
             if grid.seeds == [1]:
                 for cell in result.cells:
                     cell.diverged = True
@@ -350,6 +350,17 @@ class TestExperiments:
         assert rows and {r[7] for r in rows} == {"0"}
         for name in ("aggregate.csv", "plotdata.csv"):
             assert os.path.exists(os.path.join(out, name))
+
+    def test_wd_sweep_honours_decay_bias(self, tmp_path):
+        cells = {}
+        for flag in ("true", "false"):
+            out = tmp_path / flag
+            run_experiment(quick_config(str(out), [
+                "experiment.kind=wd_sweep", "experiment.seeds=[0]",
+                "experiment.weight_decays=[0.0,0.1]", "optimizer.kind=sgd_momentum",
+                "optimizer.lr=0.05", f"optimizer.decay_bias={flag}"]))
+            cells[flag] = (out / "cells.csv").read_bytes()
+        assert cells["true"] != cells["false"]
 
     @pytest.mark.parametrize("kind, files", [
         ("early_stop", ["cells.csv", "aggregate.csv", "plotdata.csv", "monitor.csv"]),
@@ -428,6 +439,14 @@ class TestCli:
         ("early-stop", ['experiment.strategies=["shared","disjoint"]',
                         "ensemble.members=4", "ensemble.val_pct=0.3"]),
         ("sweep-wd", ["experiment.weight_decays=[0.001,0.01]"]),
+        ("early-stop", ["stopping.patience=0"]),
+        ("early-stop", ["stopping.batch_size=0"]),
+        ("early-stop", ["stopping.max_epochs=0"]),
+        ("early-stop", ["optimizer.kind=rmsprop"]),
+        ("sweep-wd", ["optimizer.kind=rmsprop"]),
+        ("batch-ensemble", ["optimizer.kind=rmsprop"]),
+        ("early-stop", ["optimizer.weight_decay=-0.1"]),
+        ("sweep-wd", ["stopping.patience=0"]),
     ])
     def test_bad_config_rejected_before_training(self, tmp_path, monkeypatch,
                                                  command, extra):

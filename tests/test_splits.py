@@ -192,6 +192,12 @@ class TestInvariantsAndDeterminism:
         clone = SplitPlan.from_json(plan.to_json())
         assert clone.strategy == plan.strategy
         assert clone.n_total == plan.n_total
+        assert clone.rng_seed == 5
+        assert len(clone.portions) == len(plan.portions)
+        for a, b in zip(plan.portions, clone.portions):
+            assert np.array_equal(a, b)
+        shared = SplitPlan.from_json(make_shared(20, 0.2, 3, rng_seed=7).to_json())
+        assert shared.rng_seed == 7 and shared.portions is None
         for a, b in zip(plan.members, clone.members):
             assert np.array_equal(a.train_idx, b.train_idx)
             assert np.array_equal(a.val_idx, b.val_idx)

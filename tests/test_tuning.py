@@ -5,12 +5,11 @@ import pytest
 
 from enstune import metrics
 from enstune.data import make_blobs, train_test_split
+from enstune.training import NONE, OptimizerConfig, StoppingConfig
 from enstune.tuning import (
     HyperGrid,
     SweepCell,
-    SweepConfig,
     SweepResult,
-    log_grid,
     optimality_gap,
     run_sweep,
     select_h,
@@ -34,7 +33,7 @@ def synthetic_sweep(table, seeds=(0,), k_full=4):
             cell.test_records = {k_full: record(test_nll, k_full, seed)}
             cells.append(cell)
     grid = HyperGrid(sorted(table.keys()), [k_full], list(seeds))
-    return SweepResult(grid, cells, 0.1)
+    return SweepResult(grid, cells)
 
 
 class TestHyperGrid:
@@ -45,12 +44,6 @@ class TestHyperGrid:
     def test_requires_increasing(self):
         with pytest.raises(ValueError, match="increasing"):
             HyperGrid([0.0, 1e-3, 1e-4], [4], [0])
-
-    def test_log_grid_includes_zero(self):
-        grid = log_grid(1e-5, 1e-2, 4)
-        assert grid[0] == 0.0
-        assert len(grid) == 5
-        assert all(b > a for a, b in zip(grid, grid[1:]))
 
 
 class TestSelection:
@@ -85,7 +78,7 @@ class TestSelection:
     def test_selection_invariant_under_reordering(self):
         table = {0.0: (1.2, 0.5, 0.45), 1e-4: (1.0, 0.52, 0.5), 1e-3: (0.9, 0.6, 0.55)}
         sweep = synthetic_sweep(table, seeds=(0, 1, 2))
-        shuffled = SweepResult(sweep.grid, list(reversed(sweep.cells)), 0.1)
+        shuffled = SweepResult(sweep.grid, list(reversed(sweep.cells)))
         for objective in ("individual", "ensemble"):
             assert select_h(sweep, objective) == select_h(shuffled, objective)
 
@@ -108,9 +101,9 @@ def small_sweep():
     ds = make_blobs(300, 3, 0.8, np.random.default_rng(0), label_noise=0.1)
     dprime, test = train_test_split(ds, 0.2, seed=0)
     grid = HyperGrid([0.0, 1e-3, 1e-1], [1, 2, 3], [0, 1])
-    cfg = SweepConfig(hidden=[16], n_members=3, val_fraction=0.15,
-                      epochs=12, batch_size=64, lr=0.05)
-    return run_sweep(dprime, test, grid, cfg)
+    opt = OptimizerConfig(kind="sgd_momentum", lr=0.05, cosine_epochs=12)
+    stop = StoppingConfig(mode=NONE, max_epochs=12, batch_size=64)
+    return run_sweep(dprime, test, grid, [2, 16, 3], 3, 0.15, opt, stop)
 
 
 class TestRunSweep:
