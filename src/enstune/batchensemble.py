@@ -135,12 +135,11 @@ def init_fast(dims: list[int], n_members: int, scheme: str,
 
 def make_batch_ensemble(dims: list[int], n_members: int, scheme: str,
                         rng: np.random.Generator, sigma: float = 0.1,
-                        use_batchnorm: bool = True,
-                        bn_momentum: float = 0.9) -> BatchEnsembleModel:
+                        use_batchnorm: bool = True) -> BatchEnsembleModel:
     """He-initialized slow weights plus fast weights and fresh BN state."""
     slow = MlpParams.random(dims, rng)
     fast = init_fast(dims, n_members, scheme, rng, sigma)
-    bn = ([BatchNormState.identity(n_members, w, bn_momentum) for w in dims[1:-1]]
+    bn = ([BatchNormState.identity(n_members, w) for w in dims[1:-1]]
           if use_batchnorm else [])
     return BatchEnsembleModel(slow, fast, bn, n_members, use_batchnorm)
 
@@ -383,8 +382,7 @@ class BeTrainResult:
 
 def be_train(x, y, plan: SplitPlan, dims: list[int], scheme: str,
              opt_cfg: OptimizerConfig, stop_cfg: StoppingConfig, seed: int,
-             sigma: float = 0.1, standardize: bool = True,
-             use_batchnorm: bool = True) -> BeTrainResult:
+             sigma: float = 0.1, use_batchnorm: bool = True) -> BeTrainResult:
     """Train a BatchEnsemble on the plan's per-member training sets.
 
     Every step draws one mini-batch per member from that member's own indices;
@@ -397,8 +395,7 @@ def be_train(x, y, plan: SplitPlan, dims: list[int], scheme: str,
     init_rng = member_rng(seed, 0, _INIT)
     model = make_batch_ensemble(dims, n_members, scheme, init_rng, sigma,
                                 use_batchnorm)
-    scalers = [Standardizer.fit(x[ms.train_idx]) if standardize
-               else Standardizer.identity(x.shape[1]) for ms in plan.members]
+    scalers = [Standardizer.fit(x[ms.train_idx]) for ms in plan.members]
     streams = [_IndexStream(ms.train_idx, member_rng(seed, m, _BATCH))
                for m, ms in enumerate(plan.members)]
     opt = opt_cfg.build(model)
@@ -429,7 +426,7 @@ def be_train(x, y, plan: SplitPlan, dims: list[int], scheme: str,
     # disjoint plans monitor the average member NLL: there is no joint set,
     # and members that share slow weights cannot stop one by one
     decision = _patience_loop(stop_cfg, run_epoch,
-                              lambda: _joint_nll(plan, y, probs_at, fallback=True),
+                              lambda: _joint_nll(plan, y, probs_at),
                               lambda: model.copy(), restore)
     decision.normalized_epochs = normalized_epochs(steps, batch, len(y))
     return BeTrainResult(model, scalers, decision)

@@ -79,9 +79,12 @@ def _cmd_experiment(args, kind: str) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    ds = make_task(TaskSection(kind=args.kind, n=args.n, classes=args.classes,
-                               noise=args.noise, radius=args.radius,
-                               label_noise=args.label_noise, data_seed=args.seed))
+    try:
+        ds = make_task(TaskSection(kind=args.kind, n=args.n, classes=args.classes,
+                                   noise=args.noise, radius=args.radius,
+                                   label_noise=args.label_noise, data_seed=args.seed))
+    except ValueError as err:  # a task the generator refuses
+        raise ConfigError(str(err)) from err
     save_csv(ds, args.out, label_col=args.label_col)
     print(f"wrote {args.out} ({len(ds)} rows, {ds.n_classes} classes)")
     return 0

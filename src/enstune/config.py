@@ -91,6 +91,8 @@ class ExperimentConfig:
                               f"expected one of {EXPERIMENT_KINDS}")
         if not self.experiment.seeds:
             raise ConfigError("experiment.seeds must be non-empty")
+        if self.experiment.ece_bins < 1:
+            raise ConfigError("experiment.ece_bins must be >= 1")
         if not 0.0 < self.ensemble.val_pct < 1.0:
             raise ConfigError("ensemble.val_pct must be in (0, 1)")
         for p in self.experiment.val_pcts:

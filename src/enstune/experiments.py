@@ -255,7 +255,8 @@ def _early_stop_cells(cfg: ExperimentConfig, dprime, test, seed: int):
                                  dprime.y)
                 result = train_ensemble(dprime.x, dprime.y, plan, dims, opt,
                                         _stopping(cfg, mode), seed)
-                norm = float(np.mean([s.normalized_epochs for s in result.stops]))
+                norm = float(np.mean([m.stop.normalized_epochs
+                                      for m in result.members]))
                 test_probs = [member_probs(m, test.x) for m in result.members]
                 rows += _test_rows("early_stop", mode, test_probs, test.y, ece_bins,
                                    normalized_epochs=norm, strategy=strategy,
@@ -263,8 +264,7 @@ def _early_stop_cells(cfg: ExperimentConfig, dprime, test, seed: int):
                 runs.append({
                     "strategy": strategy, "mode": mode, "val_pct": val_pct,
                     "seed": seed, "plan": plan_reference(plan, val_pct),
-                    "stops": [s.to_dict() for s in result.stops] if result.stop is None
-                             else [result.stop.to_dict()]})
+                    "stops": [d.to_dict() for d in result.decisions]})
     return rows, runs
 
 
@@ -326,9 +326,10 @@ def _stop_then_scale_cells(cfg: ExperimentConfig, dprime, test, seed: int):
     result = train_ensemble(dprime.x, dprime.y, plan, _dims(cfg, dprime),
                             _optimizer_config(cfg, cosine=False),
                             _stopping(cfg, JOINT), seed)
+    (decision,) = result.decisions
     ece_bins = cfg.experiment.ece_bins
     tags = dict(strategy=SHARED, val_pct=val_pct, seed=seed, ensemble_size=m_total,
-                normalized_epochs=result.stop.normalized_epochs)
+                normalized_epochs=decision.normalized_epochs)
     test_logits = [member_logits(m, test.x) for m in result.members]
     rows = [make_row("stop_then_scale", "none", None, "test", ENSEMBLE_SCOPE,
                      metrics.compute_record([softmax(z) for z in test_logits],
@@ -342,7 +343,7 @@ def _stop_then_scale_cells(cfg: ExperimentConfig, dprime, test, seed: int):
                                                 **tags)))
     entry = {"strategy": SHARED, "val_pct": val_pct, "seed": seed,
              "plan": plan_reference(plan, val_pct),
-             "stops": [result.stop.to_dict()], "fits": [_fit_to_dict(fit)]}
+             "stops": [decision.to_dict()], "fits": [_fit_to_dict(fit)]}
     return rows, [entry]
 
 
@@ -372,13 +373,16 @@ def _plan_specs(cfg: ExperimentConfig) -> list[tuple[str, float]]:
     return [(s, v) for s in cfg.experiment.strategies for v in cfg.val_pcts()]
 
 
-def _check_config(cfg: ExperimentConfig, dprime) -> None:
-    """Reject, before any training, what would fail every seed: stopping
-    and optimizer settings the trainers refuse, unknown modes and schemes,
-    joint modes on disjoint holdouts, holdout plans that cannot be built and
-    invalid sweep grids."""
+def _check_config(cfg: ExperimentConfig):
+    """Build the dataset, then return it after rejecting, before any
+    training, what would fail every seed: a task the generator or the test
+    split refuses, stopping and optimizer settings the trainers refuse,
+    unknown modes and schemes, joint modes on disjoint holdouts, holdout
+    plans that cannot be built, invalid sweep grids and sweep ensemble sizes
+    beyond the members."""
     ex = cfg.experiment
     try:
+        dprime, test = build_dataset(cfg)
         _stopping(cfg, NONE)
         _optimizer_config(cfg, cosine=False).build(MlpParams())
         for mode in ex.modes if ex.kind in _MODES else ():
@@ -395,13 +399,16 @@ def _check_config(cfg: ExperimentConfig, dprime) -> None:
                 parse_scheme(name)
         if ex.kind == "wd_sweep":
             HyperGrid(ex.weight_decays, cfg.ensemble_sizes(), ex.seeds)
+            if max(cfg.ensemble_sizes()) > cfg.ensemble.members:
+                raise ConfigError("experiment.ensemble_sizes exceed ensemble.members")
         for strategy, val_pct in _plan_specs(cfg):
             make_plan(strategy, len(dprime), val_pct, cfg.ensemble.members,
                       ex.seeds[0], dprime.y)
     except ConfigError:
         raise
-    except ValueError as err:  # SplitError included
+    except ValueError as err:  # SplitError and DataFormatError included
         raise ConfigError(str(err)) from err
+    return dprime, test
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +488,7 @@ def monitor_rows_from_runs(experiment: str, runs) -> list[list]:
         variant = entry.get("mode", entry.get("scheme", ""))
         prefix = [experiment, variant, entry.get("strategy", ""),
                   entry.get("val_pct", ""), entry.get("seed", "")]
-        if variant == INDIVIDUAL:
+        if variant in (INDIVIDUAL, NONE):  # one decision per member
             sources = list(enumerate(stops))
         else:
             sources = [("ensemble", stops[0])]
@@ -579,8 +586,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     kind = cfg.experiment.kind
     out_dir = out_dir or cfg.experiment.out_dir
     started = time.time()
-    dprime, test = build_dataset(cfg)
-    _check_config(cfg, dprime)
+    dprime, test = _check_config(cfg)
     os.makedirs(out_dir, exist_ok=True)
     rows, runs, summary, failures = _run_seeds(cfg, dprime, test)
     cells_path = os.path.join(out_dir, "cells.csv")

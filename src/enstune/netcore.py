@@ -217,6 +217,8 @@ class Optimizer:
                  decay_mask: list[bool] | None = None):
         if kind not in self.KINDS:
             raise ValueError(f"unknown optimizer kind {kind!r}")
+        if base_lr < 0:
+            raise ValueError("base_lr must be >= 0")
         if weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
         self.kind = kind

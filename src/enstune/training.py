@@ -1,6 +1,6 @@
 """Member training with individual vs joint early stopping, patience
 bookkeeping and step-normalized epoch accounting. One patience loop
-(:func:`_patience_loop`) runs every trainer, BatchEnsemble included.
+(:func:`_patience_loop`) runs every stopping group, BatchEnsemble included.
 
 An "improvement" is a strictly lower monitored score; ties burn patience.
 Stopping restores the parameters snapshotted at the best epoch. Joint mode
@@ -11,7 +11,7 @@ the plan's jointly evaluable sets and stops everyone together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +34,6 @@ INDIVIDUAL = "individual"
 JOINT = "joint"
 NONE = "none"
 
-_NO_JOINT_SET = ("joint stopping on a disjoint plan: no common validation set; "
-                 "pass disjoint_fallback=True to monitor the average member NLL")
-
 
 def member_rng(base_seed: int, member_index: int, purpose: int) -> np.random.Generator:
     """Independent stream per (seed, member, purpose); members never share."""
@@ -49,7 +46,6 @@ class StoppingConfig:
     patience: int = 10
     max_epochs: int = 100
     batch_size: int = 128
-    disjoint_fallback: bool = False  # joint mode on disjoint plans: avg member NLL
 
     def __post_init__(self):
         if self.patience < 1 or self.max_epochs < 1 or self.batch_size < 1:
@@ -125,16 +121,12 @@ class OptimizerConfig:
     lr: float = 1e-3
     weight_decay: float = 0.0
     momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     decay_bias: bool = False
     cosine_epochs: int | None = None  # anneal to 0 over this many epochs
 
     def build(self, params: MlpParams) -> Optimizer:
         return Optimizer(self.kind, params.arrays(), self.lr,
                          weight_decay=self.weight_decay, momentum=self.momentum,
-                         beta1=self.beta1, beta2=self.beta2, eps=self.eps,
                          decay_mask=params.decay_mask(self.decay_bias))
 
 
@@ -142,7 +134,7 @@ class OptimizerConfig:
 class TrainedMember:
     params: MlpParams
     scaler: Standardizer
-    stop: StopDecision
+    stop: StopDecision  # its stopping group's decision
     steps: int = 0
 
 
@@ -235,16 +227,14 @@ def _patience_loop(stop_cfg: StoppingConfig, run_epoch, score, snapshot,
                         None, history, stopped_early)
 
 
-def _joint_nll(plan: SplitPlan, y: np.ndarray, probs_at, fallback: bool) -> float:
+def _joint_nll(plan: SplitPlan, y: np.ndarray, probs_at) -> float:
     """Monitored score for joint stopping: the mean ensemble NLL over the
     plan's jointly evaluable sets, with ``probs_at(m, idx)`` giving member
-    m's class probabilities on rows ``idx``. Plans without such a set
-    (disjoint) score the average member NLL on each member's own validation
-    set, if ``fallback`` allows it."""
+    m's class probabilities on rows ``idx``. Disjoint plans have no such
+    set and score the average member NLL on each member's own validation set
+    (BatchEnsemble only: joint MLP stopping refuses disjoint plans)."""
     sets = joint_eval_sets(plan)
     if not sets:
-        if not fallback:
-            raise JointEvalUnavailableError(_NO_JOINT_SET)
         return float(np.mean([metrics.nll(probs_at(m, ms.val_idx), y[ms.val_idx])
                               for m, ms in enumerate(plan.members)]))
     vals = []
@@ -254,43 +244,44 @@ def _joint_nll(plan: SplitPlan, y: np.ndarray, probs_at, fallback: bool) -> floa
     return float(np.mean(vals))
 
 
-def train_member(x, y, train_idx, val_idx, dims, opt_cfg: OptimizerConfig,
-                 stop_cfg: StoppingConfig, seed: int, member_index: int = 0,
-                 standardize: bool = True) -> TrainedMember:
-    """Train one MLP with per-epoch validation monitoring.
+def _train_group(group: list[_MemberState], score, opt_cfg: OptimizerConfig,
+                 stop_cfg: StoppingConfig, n_total: int) -> StopDecision:
+    """Run the patience loop once over a stopping group of member states:
+    one cosine schedule over the group's longest epoch, one monitored
+    ``score()``, one snapshot/restore of every member's parameters."""
+    lr_at = _cosine_schedule(opt_cfg, max(s.steps_per_epoch(stop_cfg.batch_size)
+                                          for s in group))
 
-    With mode "none" the loop runs all epochs and keeps the final weights;
-    otherwise it stops on exhausted patience and restores the best epoch.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
-    state = _MemberState(x, y, train_idx, val_idx, dims, opt_cfg, seed,
-                         member_index, standardize)
-    lr_at = _cosine_schedule(opt_cfg, state.steps_per_epoch(stop_cfg.batch_size))
+    def run_epoch():
+        for s in group:
+            s.run_epoch(stop_cfg.batch_size, lr_at)
 
     def restore(params):
-        state.params = params
+        for s, p in zip(group, params):
+            s.params = p
 
-    decision = _patience_loop(stop_cfg,
-                              lambda: state.run_epoch(stop_cfg.batch_size, lr_at),
-                              state.val_nll, lambda: state.params.copy(), restore)
-    decision.normalized_epochs = normalized_epochs(state.steps, stop_cfg.batch_size,
-                                                   len(y))
-    return TrainedMember(state.params, state.scaler, decision, state.steps)
+    decision = _patience_loop(stop_cfg, run_epoch, score,
+                              lambda: [s.params.copy() for s in group], restore)
+    mean_steps = float(np.mean([s.steps for s in group]))
+    decision.normalized_epochs = normalized_epochs(mean_steps, stop_cfg.batch_size,
+                                                   n_total)
+    return decision
 
 
 @dataclass
 class EnsembleResult:
     members: list[TrainedMember]
-    stop: StopDecision | None = None  # joint-mode decision, None for individual
-    stops: list[StopDecision] = field(default_factory=list)
+    decisions: list[StopDecision]  # one per stopping group, in member order
 
 
 def train_ensemble(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig,
                    stop_cfg: StoppingConfig, base_seed: int,
                    member_seeds: list[int] | None = None,
                    standardize: bool = True) -> EnsembleResult:
-    """Train all plan members, with individual or joint early stopping."""
+    """Train all plan members in stopping groups, in member order: each
+    member alone on its own validation NLL in modes "individual" and "none",
+    all members together on the ensemble NLL in mode "joint". Each member's
+    ``stop`` is its group's decision."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     seeds = member_seeds if member_seeds is not None else [base_seed] * plan.n_members
@@ -298,38 +289,21 @@ def train_ensemble(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig,
         raise ValueError("member_seeds must have one entry per member")
     member_ids = (range(plan.n_members) if member_seeds is None
                   else [0] * plan.n_members)  # explicit seeds already disambiguate
-
-    if stop_cfg.mode in (INDIVIDUAL, NONE):
-        members = [train_member(x, y, ms.train_idx, ms.val_idx, dims, opt_cfg,
-                                stop_cfg, seeds[m], member_index=mid,
-                                standardize=standardize)
-                   for m, (ms, mid) in enumerate(zip(plan.members, member_ids))]
-        return EnsembleResult(members, stops=[m.stop for m in members])
-
-    # joint mode: fail fast on disjoint plans before any training
-    if plan.strategy == DISJOINT and not stop_cfg.disjoint_fallback:
-        raise JointEvalUnavailableError(_NO_JOINT_SET)
+    joint = stop_cfg.mode == JOINT
+    if joint and plan.strategy == DISJOINT:  # fail fast, before any training
+        raise JointEvalUnavailableError("joint stopping on a disjoint plan: "
+                                        "no common validation set")
     states = [_MemberState(x, y, ms.train_idx, ms.val_idx, dims, opt_cfg,
                            seeds[m], mid, standardize)
               for m, (ms, mid) in enumerate(zip(plan.members, member_ids))]
-    lr_at = _cosine_schedule(opt_cfg, max(s.steps_per_epoch(stop_cfg.batch_size)
-                                          for s in states))
-
-    def run_epoch():
-        for s in states:
-            s.run_epoch(stop_cfg.batch_size, lr_at)
-
-    def restore(params):
-        for s, p in zip(states, params):
-            s.params = p
-
-    decision = _patience_loop(
-        stop_cfg, run_epoch,
-        lambda: _joint_nll(plan, y, lambda m, idx: states[m].probs(x[idx]),
-                           stop_cfg.disjoint_fallback),
-        lambda: [s.params.copy() for s in states], restore)
-    mean_steps = float(np.mean([s.steps for s in states]))
-    decision.normalized_epochs = normalized_epochs(mean_steps, stop_cfg.batch_size,
-                                                   len(y))
-    members = [TrainedMember(s.params, s.scaler, decision, s.steps) for s in states]
-    return EnsembleResult(members, stop=decision, stops=[decision] * len(members))
+    if joint:
+        groups = [(states, lambda: _joint_nll(
+            plan, y, lambda m, idx: states[m].probs(x[idx])))]
+    else:
+        groups = [([s], s.val_nll) for s in states]
+    members, decisions = [], []
+    for group, score in groups:
+        decision = _train_group(group, score, opt_cfg, stop_cfg, len(y))
+        decisions.append(decision)
+        members += [TrainedMember(s.params, s.scaler, decision, s.steps) for s in group]
+    return EnsembleResult(members, decisions)

@@ -41,6 +41,8 @@ class HyperGrid:
             raise ValueError("weight decays must be >= 0")
         if not self.seeds or not self.ensemble_sizes:
             raise ValueError("need at least one seed and one ensemble size")
+        if min(self.ensemble_sizes) < 1:
+            raise ValueError("ensemble sizes must be >= 1")
 
 
 @dataclass
@@ -107,7 +109,8 @@ def run_sweep(dprime: Dataset, test: Dataset, grid: HyperGrid, dims: list[int],
             val_idx = plan.members[0].val_idx
             val_probs = [member_probs(m, dprime.x[val_idx]) for m in result.members]
             test_probs = [member_probs(m, test.x) for m in result.members]
-            norm_epochs = float(np.mean([s.normalized_epochs for s in result.stops]))
+            norm_epochs = float(np.mean([m.stop.normalized_epochs
+                                         for m in result.members]))
             tags = dict(strategy="shared", val_pct=val_fraction, seed=seed)
             for k in grid.ensemble_sizes:
                 cell.val_records[k] = metrics.compute_record(

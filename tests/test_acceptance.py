@@ -310,8 +310,8 @@ def test_criterion_8_early_stopping_trend():
                                  base_seed=seed)
             probs = [member_probs(m, test.x) for m in res.members]
             nlls[mode].append(metrics.nll(metrics.ensemble_mean(probs), test.y))
-            epochs[mode].append(float(np.mean([s.normalized_epochs
-                                               for s in res.stops])))
+            epochs[mode].append(float(np.mean([m.stop.normalized_epochs
+                                               for m in res.members])))
     ind_e, joint_e = np.mean(epochs["individual"]), np.mean(epochs["joint"])
     ind_n, joint_n = np.mean(nlls["individual"]), np.mean(nlls["joint"])
     elapsed = time.monotonic() - start

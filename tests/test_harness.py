@@ -1,6 +1,7 @@
 """Tests for config parsing, datasets, experiment runners and reporting."""
 
 import csv
+import glob
 import json
 import os
 
@@ -32,8 +33,12 @@ from enstune.experiments import (
     parse_scheme,
     run_experiment,
 )
-from enstune.training import OptimizerConfig, StoppingConfig, train_member
+from enstune.splits import SHARED, MemberSplit, SplitPlan
+from enstune.training import OptimizerConfig, StoppingConfig, train_ensemble
 
+
+CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
+                                        "configs", "*.toml")))
 
 BASE = ["task.n=360", "task.classes=3", "task.noise=0.8", "task.label_noise=0.1",
         "model.hidden=[8]", "ensemble.members=3", "ensemble.val_pct=0.1",
@@ -92,9 +97,10 @@ class TestConfig:
 class TestData:
     def test_blobs_separable_when_noiseless(self):
         ds = make_blobs(120, 2, 0.0, np.random.default_rng(0))
-        member = train_member(ds.x, ds.y, np.arange(100), np.arange(100, 120),
-                              [2, 2], OptimizerConfig(lr=0.1),
-                              StoppingConfig(max_epochs=40, batch_size=32), seed=0)
+        plan = SplitPlan(SHARED, 120, [MemberSplit(np.arange(100), np.arange(100, 120))])
+        (member,) = train_ensemble(ds.x, ds.y, plan, [2, 2], OptimizerConfig(lr=0.1),
+                                   StoppingConfig(max_epochs=40, batch_size=32),
+                                   0).members
         from enstune.training import member_probs
         err = metrics.classification_error(member_probs(member, ds.x), ds.y)
         assert err == 0.0
@@ -447,6 +453,12 @@ class TestCli:
         ("batch-ensemble", ["optimizer.kind=rmsprop"]),
         ("early-stop", ["optimizer.weight_decay=-0.1"]),
         ("sweep-wd", ["stopping.patience=0"]),
+        ("early-stop", ["task.n=3", "task.classes=4"]),
+        ("early-stop", ["task.test_fraction=0"]),
+        ("early-stop", ["optimizer.lr=-0.1"]),
+        ("early-stop", ["experiment.ece_bins=0"]),
+        ("sweep-wd", ["experiment.ensemble_sizes=[5]", "ensemble.members=4"]),
+        ("sweep-wd", ["experiment.ensemble_sizes=[0,2]"]),
     ])
     def test_bad_config_rejected_before_training(self, tmp_path, monkeypatch,
                                                  command, extra):
@@ -466,3 +478,15 @@ class TestCli:
     def test_bad_config_exit_code(self, tmp_path):
         assert cli_main(["early-stop", "--set", "task.kind=nosuch",
                          "--out", str(tmp_path / "x")]) == 2
+
+    def test_gen_data_bad_task_exit_code(self, tmp_path):
+        out = tmp_path / "ds.csv"
+        assert cli_main(["gen-data", "--n", "2", "--classes", "4",
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+    def test_study_config_passes_checks(self, path):
+        cfg = load_config(path)
+        dprime, test = experiments._check_config(cfg)
+        assert len(dprime) + len(test) == cfg.task.n

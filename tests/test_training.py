@@ -6,26 +6,34 @@ import pytest
 from enstune import metrics
 from enstune.data import make_blobs
 from enstune.splits import (
+    SHARED,
     JointEvalUnavailableError,
+    MemberSplit,
+    SplitPlan,
     make_disjoint,
     make_overlapping,
     make_shared,
 )
 from enstune.training import (
-    EnsembleResult,
     OptimizerConfig,
     StoppingConfig,
     member_probs,
     normalized_epochs,
     stop_controller,
     train_ensemble,
-    train_member,
 )
 
 
 def blob_task(n=240, k=3, noise=0.4, seed=0, label_noise=0.0):
     ds = make_blobs(n, k, noise, np.random.default_rng(seed), label_noise=label_noise)
     return ds
+
+
+def train_solo(ds, member_split, dims, opt, stop, seed):
+    """One member trained on ``member_split`` as a one-member plan."""
+    plan = SplitPlan(SHARED, len(ds), [member_split])
+    (member,) = train_ensemble(ds.x, ds.y, plan, dims, opt, stop, seed).members
+    return member
 
 
 class TestStopController:
@@ -81,10 +89,8 @@ class TestTrainMember:
     def test_separable_blobs_reach_zero_val_error(self):
         ds = blob_task(noise=0.15)
         plan = make_shared(len(ds), 0.2, 1, rng_seed=0, labels=ds.y)
-        member = train_member(ds.x, ds.y, plan.members[0].train_idx,
-                              plan.members[0].val_idx, [2, 16, 3],
-                              OptimizerConfig(lr=5e-3),
-                              StoppingConfig(max_epochs=60, batch_size=32), seed=1)
+        member = train_solo(ds, plan.members[0], [2, 16, 3], OptimizerConfig(lr=5e-3),
+                            StoppingConfig(max_epochs=60, batch_size=32), seed=1)
         probs = member_probs(member, ds.x[plan.members[0].val_idx])
         err = metrics.classification_error(probs, ds.y[plan.members[0].val_idx])
         assert err == 0.0
@@ -93,28 +99,24 @@ class TestTrainMember:
     def test_single_epoch(self):
         ds = blob_task()
         plan = make_shared(len(ds), 0.2, 1, rng_seed=2, labels=ds.y)
-        member = train_member(ds.x, ds.y, plan.members[0].train_idx,
-                              plan.members[0].val_idx, [2, 8, 3],
-                              OptimizerConfig(), StoppingConfig(max_epochs=1), seed=3)
+        member = train_solo(ds, plan.members[0], [2, 8, 3], OptimizerConfig(),
+                            StoppingConfig(max_epochs=1), seed=3)
         assert member.stop.stop_epoch == 0
         assert member.stop.best_epoch == 0
 
     def test_deterministic_histories(self):
         ds = blob_task()
         plan = make_shared(len(ds), 0.25, 1, rng_seed=4, labels=ds.y)
-        runs = [train_member(ds.x, ds.y, plan.members[0].train_idx,
-                             plan.members[0].val_idx, [2, 8, 3],
-                             OptimizerConfig(), StoppingConfig(max_epochs=15), seed=7)
+        runs = [train_solo(ds, plan.members[0], [2, 8, 3], OptimizerConfig(),
+                           StoppingConfig(max_epochs=15), seed=7)
                 for _ in range(2)]
         assert runs[0].stop.history == runs[1].stop.history
 
     def test_restored_params_reproduce_best_score(self):
         ds = blob_task(noise=0.9, label_noise=0.2)
         plan = make_shared(len(ds), 0.25, 1, rng_seed=5, labels=ds.y)
-        member = train_member(ds.x, ds.y, plan.members[0].train_idx,
-                              plan.members[0].val_idx, [2, 16, 3],
-                              OptimizerConfig(lr=5e-3),
-                              StoppingConfig(patience=5, max_epochs=80), seed=6)
+        member = train_solo(ds, plan.members[0], [2, 16, 3], OptimizerConfig(lr=5e-3),
+                            StoppingConfig(patience=5, max_epochs=80), seed=6)
         probs = member_probs(member, ds.x[plan.members[0].val_idx])
         re_evaluated = metrics.nll(probs, ds.y[plan.members[0].val_idx])
         assert re_evaluated == pytest.approx(member.stop.best_score, abs=1e-12)
@@ -122,8 +124,8 @@ class TestTrainMember:
     def test_empty_sets_rejected(self):
         ds = blob_task()
         with pytest.raises(ValueError, match="empty"):
-            train_member(ds.x, ds.y, np.arange(0), np.arange(10), [2, 3],
-                         OptimizerConfig(), StoppingConfig(), seed=0)
+            train_solo(ds, MemberSplit(np.arange(0), np.arange(10)), [2, 3],
+                       OptimizerConfig(), StoppingConfig(), seed=0)
 
 
 class TestTrainEnsemble:
@@ -133,13 +135,13 @@ class TestTrainEnsemble:
         stop = StoppingConfig(mode="joint", patience=3, max_epochs=25)
         joint = train_ensemble(ds.x, ds.y, plan, [2, 8, 3], OptimizerConfig(),
                                stop, base_seed=9, member_seeds=[11, 11, 11])
-        solo = train_member(ds.x, ds.y, plan.members[0].train_idx,
-                            plan.members[0].val_idx, [2, 8, 3], OptimizerConfig(),
-                            StoppingConfig(mode="individual", patience=3, max_epochs=25),
-                            seed=11)
-        assert joint.stop.history == pytest.approx(solo.stop.history, abs=1e-12)
-        assert joint.stop.stop_epoch == solo.stop.stop_epoch
-        assert joint.stop.best_epoch == solo.stop.best_epoch
+        solo = train_solo(ds, plan.members[0], [2, 8, 3], OptimizerConfig(),
+                          StoppingConfig(mode="individual", patience=3, max_epochs=25),
+                          seed=11)
+        (decision,) = joint.decisions
+        assert decision.history == pytest.approx(solo.stop.history, abs=1e-12)
+        assert decision.stop_epoch == solo.stop.stop_epoch
+        assert decision.best_epoch == solo.stop.best_epoch
 
     def test_overlapping_joint_score_matches_hand_computation(self):
         ds = blob_task(n=200, k=4)
@@ -152,7 +154,8 @@ class TestTrainEnsemble:
         for a, b, idx in plan.joint_pairs:
             probs = [member_probs(res.members[m], ds.x[idx]) for m in (a, b)]
             vals.append(metrics.nll(metrics.ensemble_mean(probs), ds.y[idx]))
-        assert float(np.mean(vals)) == pytest.approx(res.stop.best_score, abs=1e-12)
+        (decision,) = res.decisions
+        assert float(np.mean(vals)) == pytest.approx(decision.best_score, abs=1e-12)
 
     def test_joint_on_disjoint_requires_fallback(self):
         ds = blob_task()
@@ -160,11 +163,6 @@ class TestTrainEnsemble:
         stop = StoppingConfig(mode="joint", patience=2, max_epochs=3)
         with pytest.raises(JointEvalUnavailableError):
             train_ensemble(ds.x, ds.y, plan, [2, 8, 3], OptimizerConfig(), stop, 14)
-        stop_fb = StoppingConfig(mode="joint", patience=2, max_epochs=3,
-                                 disjoint_fallback=True)
-        res = train_ensemble(ds.x, ds.y, plan, [2, 8, 3], OptimizerConfig(), stop_fb, 14)
-        assert isinstance(res, EnsembleResult)
-        assert res.stop is not None
 
     def test_individual_mode_allows_distinct_stop_epochs(self):
         ds = blob_task(n=300, noise=0.8, label_noise=0.15)
@@ -172,9 +170,9 @@ class TestTrainEnsemble:
         stop = StoppingConfig(mode="individual", patience=3, max_epochs=40)
         res = train_ensemble(ds.x, ds.y, plan, [2, 16, 3], OptimizerConfig(lr=5e-3),
                              stop, base_seed=16)
-        assert res.stop is None
-        assert len(res.stops) == 3
-        assert len({s.stop_epoch for s in res.stops}) >= 1  # may differ per member
+        assert len(res.decisions) == 3
+        assert [m.stop for m in res.members] == res.decisions
+        assert len({d.stop_epoch for d in res.decisions}) >= 1  # may differ per member
 
     def test_joint_common_stop_epoch(self):
         ds = blob_task(n=200, noise=0.7, label_noise=0.1)
@@ -182,7 +180,8 @@ class TestTrainEnsemble:
         stop = StoppingConfig(mode="joint", patience=3, max_epochs=30)
         res = train_ensemble(ds.x, ds.y, plan, [2, 8, 3], OptimizerConfig(lr=5e-3),
                              stop, base_seed=18)
-        assert all(s is res.stop for s in res.stops)
+        (decision,) = res.decisions
+        assert all(m.stop is decision for m in res.members)
 
     def test_ensemble_determinism(self):
         ds = blob_task()
@@ -190,7 +189,7 @@ class TestTrainEnsemble:
         stop = StoppingConfig(mode="joint", patience=2, max_epochs=8)
         a = train_ensemble(ds.x, ds.y, plan, [2, 8, 3], OptimizerConfig(), stop, 20)
         b = train_ensemble(ds.x, ds.y, plan, [2, 8, 3], OptimizerConfig(), stop, 20)
-        assert a.stop.history == b.stop.history
+        assert a.decisions[0].history == b.decisions[0].history
         for ma, mb in zip(a.members, b.members):
             for la, lb in zip(ma.params.layers, mb.params.layers):
                 assert np.array_equal(la.weight, lb.weight)
@@ -207,16 +206,29 @@ class TestMonitorRows:
                              StoppingConfig(mode="individual", patience=2,
                                             max_epochs=4), 22)
         rows = monitor_rows_from_runs("early_stop", [
-            {"mode": "individual", "stops": [s.to_dict() for s in ind.stops]}])
+            {"mode": "individual", "stops": [d.to_dict() for d in ind.decisions]}])
         assert {r[6] for r in rows} == {0, 1}
         assert all(r[7] == "val" for r in rows)
         joint = train_ensemble(ds.x, ds.y, plan, [2, 8, 3], opt,
                                StoppingConfig(mode="joint", patience=2,
                                               max_epochs=4), 22)
         rows = monitor_rows_from_runs("early_stop", [
-            {"mode": "joint", "stops": [joint.stop.to_dict()]}])
+            {"mode": "joint", "stops": [d.to_dict() for d in joint.decisions]}])
         assert {r[6] for r in rows} == {"ensemble"}
-        assert [r[5] for r in rows] == list(range(len(joint.stop.history)))
+        assert [r[5] for r in rows] == list(range(len(joint.decisions[0].history)))
+
+    def test_none_mode_logs_every_member(self):
+        from enstune.experiments import monitor_rows_from_runs
+
+        ds = blob_task()
+        plan = make_shared(len(ds), 0.2, 3, rng_seed=23, labels=ds.y)
+        res = train_ensemble(ds.x, ds.y, plan, [2, 8, 3], OptimizerConfig(),
+                             StoppingConfig(mode="none", max_epochs=4), 24)
+        rows = monitor_rows_from_runs("early_stop", [
+            {"mode": "none", "stops": [d.to_dict() for d in res.decisions]}])
+        assert {r[6] for r in rows} == {0, 1, 2}
+        for m, member in enumerate(res.members):
+            assert [r[8] for r in rows if r[6] == m] == member.stop.history
 
 
 class TestStopDecisionInvariants:
