@@ -72,9 +72,9 @@ class BatchNormState:
     momentum: float = 0.9
 
     @classmethod
-    def identity(cls, n_members: int, width: int, momentum: float = 0.9) -> "BatchNormState":
+    def identity(cls, n_members: int, width: int) -> "BatchNormState":
         return cls(np.ones((n_members, width)), np.zeros((n_members, width)),
-                   np.zeros((n_members, width)), np.ones((n_members, width)), momentum)
+                   np.zeros((n_members, width)), np.ones((n_members, width)))
 
     def copy(self) -> "BatchNormState":
         return BatchNormState(self.gamma.copy(), self.beta.copy(),
@@ -355,7 +355,7 @@ class _IndexStream:
 
     def next_batch(self, size: int) -> np.ndarray:
         take = []
-        need = min(size, len(self.indices)) if size > len(self.indices) else size
+        need = min(size, len(self.indices))
         while need > 0:
             if self.pos == len(self.order):
                 self.order = self.rng.permutation(len(self.indices))

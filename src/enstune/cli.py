@@ -40,7 +40,7 @@ def _dotted_keys() -> list[str]:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", default=None,
-                        help="TOML-style config file")
+                        help="TOML config file")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config key")
     parser.add_argument("--out", default=None, metavar="DIR",

@@ -1,14 +1,16 @@
-"""Experiment configuration: dataclass sections, a TOML-style file loader
-and dotted-name overrides so every key can be set from the command line.
+"""Experiment configuration: dataclass sections, a TOML file loader and
+dotted-name overrides so every key can be set from the command line.
 
-The file format is the scalar/array subset of TOML: ``[section]`` headers,
-``key = value`` lines, ``#`` comments, quoted strings, booleans, numbers and
-flat arrays.
+Files are TOML, read with the standard library's :mod:`tomllib`: one
+``[section]`` table per section dataclass below. Each value must have its
+field's declared type (see :func:`_coerce`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import tomllib
+import typing
 from dataclasses import dataclass, field
 
 EXPERIMENT_KINDS = ("wd_sweep", "temp_scale", "early_stop", "batch_ensemble",
@@ -91,6 +93,10 @@ class ExperimentConfig:
                               f"expected one of {EXPERIMENT_KINDS}")
         if not self.experiment.seeds:
             raise ConfigError("experiment.seeds must be non-empty")
+        if any(seed < 0 for seed in self.experiment.seeds):
+            raise ConfigError("experiment.seeds must be >= 0")
+        if any(width < 1 for width in self.model.hidden):
+            raise ConfigError("model.hidden widths must be >= 1")
         if self.experiment.ece_bins < 1:
             raise ConfigError("experiment.ece_bins must be >= 1")
         if not 0.0 < self.ensemble.val_pct < 1.0:
@@ -110,6 +116,11 @@ class ExperimentConfig:
         return self.experiment.ensemble_sizes or list(range(1, self.ensemble.members + 1))
 
 
+# Declared field types, section name -> {key -> type}, for _coerce.
+_FIELD_TYPES = {name: typing.get_type_hints(section)
+                for name, section in typing.get_type_hints(ExperimentConfig).items()}
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     return dataclasses.asdict(cfg)
 
@@ -117,121 +128,49 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 def config_from_dict(doc: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
     for section, values in doc.items():
-        if not hasattr(cfg, section):
+        if section not in _FIELD_TYPES:
             raise ConfigError(f"unknown config section [{section}]")
         target = getattr(cfg, section)
         if not isinstance(values, dict):
             raise ConfigError(f"section [{section}] must hold key = value pairs")
-        names = {f.name: f for f in dataclasses.fields(target)}
+        types = _FIELD_TYPES[section]
         for key, value in values.items():
-            if key not in names:
+            if key not in types:
                 raise ConfigError(f"unknown key {section}.{key}")
-            setattr(target, key, _coerce(value, getattr(target, key), f"{section}.{key}"))
+            setattr(target, key, _coerce(value, types[key], f"{section}.{key}"))
     cfg.validate()
     return cfg
 
 
-def _coerce(value, current, where: str):
-    """Nudge parsed scalars toward the field's existing type."""
-    if isinstance(current, bool):
-        if isinstance(value, bool):
-            return value
-        raise ConfigError(f"{where}: expected a boolean")
-    if isinstance(current, float) and isinstance(value, int) and not isinstance(value, bool):
+def _coerce(value, hint, where: str):
+    """Check a parsed value against the field's declared type: ints widen to
+    floats, and a scalar given for a list field becomes a one-item list."""
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        items = value if isinstance(value, list) else [value]
+        return [_coerce(v, item, f"{where}[{i}]") for i, v in enumerate(items)]
+    if hint is float and type(value) is int:
         return float(value)
-    if isinstance(current, list) and isinstance(value, list):
-        if current and isinstance(current[0], float):
-            return [float(v) for v in value]
-        return value
-    if isinstance(current, list) and not isinstance(value, list):
-        return [value]
-    if type(value) is not type(current):
-        raise ConfigError(f"{where}: expected {type(current).__name__}, "
+    if type(value) is not hint:
+        raise ConfigError(f"{where}: expected {hint.__name__}, "
                           f"got {type(value).__name__}")
     return value
 
 
-def parse_scalar(text: str):
-    """One TOML-ish value: bool, int, float, quoted string or array."""
-    text = text.strip()
-    if not text:
-        raise ConfigError("empty value")
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        return [parse_scalar(part) for part in _split_array(inner)]
-    if text in ("true", "false"):
-        return text == "true"
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    raise ConfigError(f"cannot parse value {text!r} (strings need quotes)")
-
-
-def _split_array(inner: str) -> list[str]:
-    parts, depth, quoted, cur = [], 0, False, []
-    for ch in inner:
-        if ch == '"':
-            quoted = not quoted
-        if not quoted:
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                parts.append("".join(cur))
-                cur = []
-                continue
-        cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    return [p for p in (part.strip() for part in parts) if p]
-
-
 def parse_toml(text: str) -> dict:
-    """Sections of key = value pairs; a tiny but strict TOML subset."""
-    doc: dict = {}
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if not name:
-                raise ConfigError(f"line {lineno}: empty section name")
-            section = doc.setdefault(name, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value")
-        if section is None:
-            raise ConfigError(f"line {lineno}: key outside any [section]")
-        key, _, value = line.partition("=")
-        try:
-            section[key.strip()] = parse_scalar(value)
-        except ConfigError as err:
-            raise ConfigError(f"line {lineno}: {err}") from None
-    return doc
+    """A TOML document, read with :mod:`tomllib`."""
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as err:
+        raise ConfigError(str(err)) from None
 
 
-def _strip_comment(line: str) -> str:
-    out = []
-    quoted = False
-    for ch in line:
-        if ch == '"':
-            quoted = not quoted
-        if ch == "#" and not quoted:
-            break
-        out.append(ch)
-    return "".join(out)
+def parse_scalar(text: str):
+    """One TOML value: bool, int, float, quoted string or array."""
+    doc = parse_toml(f"value = {text}")
+    if len(doc) != 1:
+        raise ConfigError(f"{text!r} holds more than one value")
+    return doc["value"]
 
 
 def apply_override(doc: dict, dotted: str, raw: str) -> None:
@@ -239,19 +178,24 @@ def apply_override(doc: dict, dotted: str, raw: str) -> None:
     if "." not in dotted:
         raise ConfigError(f"override {dotted!r} must look like section.key")
     section, _, key = dotted.partition(".")
+    if not isinstance(doc.setdefault(section, {}), dict):
+        raise ConfigError(f"section [{section}] must hold key = value pairs")
     try:
         value = parse_scalar(raw)
     except ConfigError:
         value = raw  # bare strings are convenient on the command line
-    doc.setdefault(section, {})[key] = value
+    doc[section][key] = value
 
 
 def load_config(path: str | None, overrides: list[str] = ()) -> ExperimentConfig:
     """Read a config file (optional) and apply dotted overrides in order."""
     doc: dict = {}
     if path:
-        with open(path) as f:
-            doc = parse_toml(f.read())
+        try:
+            with open(path, encoding="utf-8") as f:
+                doc = parse_toml(f.read())
+        except (OSError, UnicodeDecodeError, ConfigError) as err:
+            raise ConfigError(f"config {path}: {err}") from None
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} must look like section.key=value")

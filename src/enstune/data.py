@@ -145,7 +145,7 @@ def train_test_split(dataset: Dataset, test_fraction: float, seed: int,
     to be fixed once per task, before any member-level splitting."""
     n = len(dataset)
     n_test = round(test_fraction * n)
-    if n_test == 0 or n_test == n:
+    if not 0 < n_test < n:
         raise SplitError(f"test fraction {test_fraction} leaves an empty side")
     rng = np.random.default_rng(seed)
     labels = dataset.y if stratify else None

@@ -24,7 +24,7 @@ from . import calibration, metrics
 from .batchensemble import GAUSSIAN, RANDOM_SIGN, be_train
 from .config import ConfigError, ExperimentConfig, config_from_dict, config_to_dict
 from .data import make_task, train_test_split
-from .netcore import MlpParams, softmax
+from .netcore import MlpParams, _write_json, softmax
 from .splits import (
     DISJOINT,
     OVERLAPPING,
@@ -375,11 +375,11 @@ def _plan_specs(cfg: ExperimentConfig) -> list[tuple[str, float]]:
 
 def _check_config(cfg: ExperimentConfig):
     """Build the dataset, then return it after rejecting, before any
-    training, what would fail every seed: a task the generator or the test
-    split refuses, stopping and optimizer settings the trainers refuse,
-    unknown modes and schemes, joint modes on disjoint holdouts, holdout
-    plans that cannot be built, invalid sweep grids and sweep ensemble sizes
-    beyond the members."""
+    training, what would fail every seed: a task the generator, the CSV
+    reader or the test split refuses, stopping and optimizer settings the
+    trainers refuse, unknown modes and schemes, joint modes on disjoint
+    holdouts, holdout plans that cannot be built, invalid sweep grids and
+    sweep ensemble sizes beyond the members."""
     ex = cfg.experiment
     try:
         dprime, test = build_dataset(cfg)
@@ -406,7 +406,7 @@ def _check_config(cfg: ExperimentConfig):
                       ex.seeds[0], dprime.y)
     except ConfigError:
         raise
-    except ValueError as err:  # SplitError and DataFormatError included
+    except (OSError, ValueError) as err:  # unreadable CSV, SplitError, DataFormatError
         raise ConfigError(str(err)) from err
     return dprime, test
 
@@ -611,9 +611,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     if summary is not None:
         manifest["summary"] = summary
         summary_path = os.path.join(out_dir, "summary.json")
-        _write_json(summary_path, summary)
+        _write_json(summary_path, summary, indent=1)
         manifest["outputs"]["summary"] = summary_path
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest, indent=1)
     if failures:
         seed_failures = sum(f["seed"] is not None for f in failures)
         problem = f"{seed_failures} of {len(cfg.experiment.seeds)} seeds failed"
@@ -621,23 +621,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
             problem += f"; the {kind} summary failed ({failures[-1]['error']})"
         raise ExperimentError(f"{problem}; partial results flushed to {out_dir}")
     return manifest
-
-
-def _write_json(path: str, doc) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(doc, f, indent=1, default=_json_default)
-    os.replace(tmp, path)
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def rerun_from_manifest(manifest_path: str, out_dir: str) -> dict:

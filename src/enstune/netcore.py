@@ -364,11 +364,11 @@ def _mlp_from_doc(doc: dict) -> MlpParams:
         for i, rec in enumerate(doc["layers"])])
 
 
-def _write_json(path: str, doc: dict) -> None:
+def _write_json(path: str, doc: dict, indent: int | None = None) -> None:
     """Write through a temporary file so a crash never leaves half a file."""
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
-        json.dump(doc, f)
+        json.dump(doc, f, indent=indent)
     os.replace(tmp, path)
 
 

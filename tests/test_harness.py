@@ -93,6 +93,51 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown experiment kind"):
             load_config(None, ["experiment.kind=mystery"])
 
+    def test_method_names_are_not_sections(self):
+        with pytest.raises(ConfigError, match="unknown config section"):
+            load_config(None, ["validate.x=1"])
+
+    def test_override_value_holds_one_key(self):
+        with pytest.raises(ConfigError):
+            parse_scalar("1\n[x]")
+
+    def test_toml_multiline_arrays_literal_strings_dotted_keys(self, tmp_path):
+        path = tmp_path / "cfg.toml"
+        path.write_text(
+            "task.n = 500\n"
+            "task.kind = 'spirals'\n"
+            "\n"
+            "[experiment]\n"
+            "seeds = [\n"
+            "    0,\n"
+            "    1,  # trailing comma\n"
+            "]\n"
+            "out_dir = 'runs\\demo'\n")
+        cfg = load_config(str(path))
+        assert (cfg.task.n, cfg.task.kind) == (500, "spirals")
+        assert cfg.experiment.seeds == [0, 1]
+        assert cfg.experiment.out_dir == "runs\\demo"
+
+    def test_override_into_top_level_value_rejected(self, tmp_path):
+        path = tmp_path / "cfg.toml"
+        path.write_text("task = 5\n")
+        with pytest.raises(ConfigError, match="must hold key = value pairs"):
+            load_config(str(path), ["task.n=100"])
+
+    @pytest.mark.parametrize("text, line", [
+        ("[optimizer]\nlr = .5\n", 2),
+        ("[task]\nn = 100\nn = 200\n", 3),
+        ("[task]\nn = 100\n[task]\nclasses = 3\n", 3),
+    ], ids=["bare-fraction", "repeated-key", "repeated-section"])
+    def test_non_toml_file_rejected(self, tmp_path, text, line):
+        path = tmp_path / "cfg.toml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=rf"cfg\.toml: .*\(at line {line}, column"):
+            load_config(str(path))
+        out = tmp_path / "run"
+        assert cli_main(["early-stop", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestData:
     def test_blobs_separable_when_noiseless(self):
@@ -455,10 +500,23 @@ class TestCli:
         ("sweep-wd", ["stopping.patience=0"]),
         ("early-stop", ["task.n=3", "task.classes=4"]),
         ("early-stop", ["task.test_fraction=0"]),
+        ("early-stop", ["task.test_fraction=1.5"]),
+        ("early-stop", ["task.test_fraction=-0.2"]),
         ("early-stop", ["optimizer.lr=-0.1"]),
         ("early-stop", ["experiment.ece_bins=0"]),
         ("sweep-wd", ["experiment.ensemble_sizes=[5]", "ensemble.members=4"]),
         ("sweep-wd", ["experiment.ensemble_sizes=[0,2]"]),
+        ("sweep-wd", ["experiment.seeds=[0.5]"]),
+        ("sweep-wd", ['experiment.seeds=["a"]']),
+        ("sweep-wd", ["experiment.seeds=[true]"]),
+        ("sweep-wd", ['experiment.weight_decays=["x"]']),
+        ("sweep-wd", ['experiment.val_pcts=["x"]']),
+        ("sweep-wd", ["model.hidden=[1.5]"]),
+        ("sweep-wd", ["experiment.ensemble_sizes=[1.5]"]),
+        ("early-stop", ["model.hidden=[0]"]),
+        ("early-stop", ["model.hidden=[-1]"]),
+        ("early-stop", ["experiment.seeds=[0,-1]"]),
+        ("early-stop", ["optimizer.lr=.5"]),
     ])
     def test_bad_config_rejected_before_training(self, tmp_path, monkeypatch,
                                                  command, extra):
@@ -478,6 +536,22 @@ class TestCli:
     def test_bad_config_exit_code(self, tmp_path):
         assert cli_main(["early-stop", "--set", "task.kind=nosuch",
                          "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("case", ["config-dir", "config-not-utf8", "csv-dir"])
+    def test_unreadable_config_input_exit_code(self, tmp_path, monkeypatch, case):
+        monkeypatch.setattr(experiments, "train_ensemble", None)  # no training
+        out = tmp_path / "run"
+        argv = ["early-stop", "--out", str(out)]
+        if case == "config-dir":
+            argv += ["--config", str(tmp_path)]
+        elif case == "config-not-utf8":
+            path = tmp_path / "cfg.toml"
+            path.write_bytes(b'[task]\nkind = "bl\xffobs"\n')
+            argv += ["--config", str(path)]
+        else:
+            argv += ["--task.kind", "csv", "--task.path", str(tmp_path)]
+        assert cli_main(argv) == 2
+        assert not out.exists()
 
     def test_gen_data_bad_task_exit_code(self, tmp_path):
         out = tmp_path / "ds.csv"
