@@ -500,12 +500,12 @@ class TestCli:
         ("sweep-wd", ["stopping.patience=0"]),
         ("early-stop", ["task.n=3", "task.classes=4"]),
         ("early-stop", ["task.test_fraction=0"]),
-        ("early-stop", ["task.test_fraction=1.5"]),
-        ("early-stop", ["task.test_fraction=-0.2"]),
         ("early-stop", ["optimizer.lr=-0.1"]),
         ("early-stop", ["experiment.ece_bins=0"]),
         ("sweep-wd", ["experiment.ensemble_sizes=[5]", "ensemble.members=4"]),
         ("sweep-wd", ["experiment.ensemble_sizes=[0,2]"]),
+        ("early-stop", ["task.test_fraction=1.5"]),
+        ("early-stop", ["task.test_fraction=-0.2"]),
         ("sweep-wd", ["experiment.seeds=[0.5]"]),
         ("sweep-wd", ['experiment.seeds=["a"]']),
         ("sweep-wd", ["experiment.seeds=[true]"]),
