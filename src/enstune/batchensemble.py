@@ -10,7 +10,6 @@ joint evaluation, the average of individual member NLLs on disjoint plans.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -23,9 +22,6 @@ from .netcore import (
     MlpParams,
     ShapeError,
     _check_labels,
-    _mlp_doc,
-    _mlp_from_doc,
-    _write_json,
     finite_difference_report,
     log_softmax,
     softmax,
@@ -48,6 +44,7 @@ GAUSSIAN = "gaussian"
 RANDOM_SIGN = "random_sign"
 
 _VAR_FLOOR = 1e-12  # batch-norm variance clamp; fresh running stats stay exact
+_BN_MOMENTUM = 0.9  # running-statistics decay per training step
 
 
 @dataclass
@@ -69,7 +66,6 @@ class BatchNormState:
     beta: np.ndarray          # (n_members, width)
     running_mean: np.ndarray  # (n_members, width)
     running_var: np.ndarray   # (n_members, width)
-    momentum: float = 0.9
 
     @classmethod
     def identity(cls, n_members: int, width: int) -> "BatchNormState":
@@ -78,8 +74,7 @@ class BatchNormState:
 
     def copy(self) -> "BatchNormState":
         return BatchNormState(self.gamma.copy(), self.beta.copy(),
-                              self.running_mean.copy(), self.running_var.copy(),
-                              self.momentum)
+                              self.running_mean.copy(), self.running_var.copy())
 
 
 @dataclass
@@ -156,11 +151,10 @@ def _bn_forward(u: np.ndarray, state: BatchNormState, members, training: bool,
         mean = u.mean(axis=1, keepdims=True)
         var = u.var(axis=1, keepdims=True)
         if update_stats:
-            mom = state.momentum
-            state.running_mean[members] = (mom * state.running_mean[members]
-                                           + (1 - mom) * mean[:, 0, :])
-            state.running_var[members] = (mom * state.running_var[members]
-                                          + (1 - mom) * var[:, 0, :])
+            state.running_mean[members] = (_BN_MOMENTUM * state.running_mean[members]
+                                           + (1 - _BN_MOMENTUM) * mean[:, 0, :])
+            state.running_var[members] = (_BN_MOMENTUM * state.running_var[members]
+                                          + (1 - _BN_MOMENTUM) * var[:, 0, :])
     else:
         mean = state.running_mean[members][:, None, :]
         var = state.running_var[members][:, None, :]
@@ -382,7 +376,7 @@ class BeTrainResult:
 
 def be_train(x, y, plan: SplitPlan, dims: list[int], scheme: str,
              opt_cfg: OptimizerConfig, stop_cfg: StoppingConfig, seed: int,
-             sigma: float = 0.1, use_batchnorm: bool = True) -> BeTrainResult:
+             sigma: float = 0.1) -> BeTrainResult:
     """Train a BatchEnsemble on the plan's per-member training sets.
 
     Every step draws one mini-batch per member from that member's own indices;
@@ -393,8 +387,7 @@ def be_train(x, y, plan: SplitPlan, dims: list[int], scheme: str,
     y = np.asarray(y)
     n_members = plan.n_members
     init_rng = member_rng(seed, 0, _INIT)
-    model = make_batch_ensemble(dims, n_members, scheme, init_rng, sigma,
-                                use_batchnorm)
+    model = make_batch_ensemble(dims, n_members, scheme, init_rng, sigma)
     scalers = [Standardizer.fit(x[ms.train_idx]) for ms in plan.members]
     streams = [_IndexStream(ms.train_idx, member_rng(seed, m, _BATCH))
                for m, ms in enumerate(plan.members)]
@@ -430,37 +423,3 @@ def be_train(x, y, plan: SplitPlan, dims: list[int], scheme: str,
                               lambda: model.copy(), restore)
     decision.normalized_epochs = normalized_epochs(steps, batch, len(y))
     return BeTrainResult(model, scalers, decision)
-
-
-def save_be_checkpoint(result: BeTrainResult | BatchEnsembleModel, path: str,
-                       meta: dict | None = None) -> None:
-    """Checkpoint extending the MLP JSON with fast weights and BN state."""
-    model = result.model if isinstance(result, BeTrainResult) else result
-    _write_json(path, {
-        **_mlp_doc(model.slow),
-        "fast": [{"r": r.tolist(), "s": s.tolist()}
-                 for r, s in zip(model.fast.r, model.fast.s)],
-        "bn": [{"gamma": b.gamma.tolist(), "beta": b.beta.tolist(),
-                "running_mean": b.running_mean.tolist(),
-                "running_var": b.running_var.tolist(), "momentum": b.momentum}
-               for b in model.bn],
-        "n_members": model.n_members,
-        "use_batchnorm": model.use_batchnorm,
-        "meta": dict(meta or {}),
-    })
-
-
-def load_be_checkpoint(path: str):
-    with open(path) as f:
-        doc = json.load(f)
-    fast = FastWeights([np.asarray(f_["r"], dtype=np.float64) for f_ in doc["fast"]],
-                       [np.asarray(f_["s"], dtype=np.float64) for f_ in doc["fast"]])
-    bn = [BatchNormState(np.asarray(b["gamma"], dtype=np.float64),
-                         np.asarray(b["beta"], dtype=np.float64),
-                         np.asarray(b["running_mean"], dtype=np.float64),
-                         np.asarray(b["running_var"], dtype=np.float64),
-                         b["momentum"])
-          for b in doc["bn"]]
-    model = BatchEnsembleModel(_mlp_from_doc(doc), fast, bn, int(doc["n_members"]),
-                               bool(doc["use_batchnorm"]))
-    return model, doc.get("meta", {})

@@ -19,7 +19,9 @@ from . import metrics
 from .netcore import softmax
 from .splits import JointEvalUnavailableError
 
-DEFAULT_BRACKET = (0.01, 100.0)
+BRACKET = (0.01, 100.0)  # temperature search range
+TOL = 1e-6  # bracket width in log T at which the search stops
+MAX_EVALS = 100  # objective evaluations per fit
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -60,17 +62,13 @@ def pool_apply_temperature(mean_probs: np.ndarray, temperature: float) -> np.nda
 
 
 def fit_temperature(objective: Callable[[float], float],
-                    bracket: tuple[float, float] = DEFAULT_BRACKET,
-                    tol: float = 1e-6, max_iter: int = 100,
                     mode: str = "scalar") -> TempFitResult:
     """Minimize ``objective(T)`` over log T by golden-section search.
 
     Returns the best temperature among all evaluated points (the bracket ends
     are always evaluated, so a monotone objective yields the exact bound).
     """
-    lo, hi = bracket
-    if not 0 < lo < hi:
-        raise TemperatureError(f"invalid bracket {bracket}")
+    lo, hi = BRACKET
     evals = 0
 
     def f(ln_t: float) -> float:
@@ -89,7 +87,7 @@ def fit_temperature(objective: Callable[[float], float],
     x2 = a + GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
     seen += [(x1, f1), (x2, f2)]
-    while b - a > tol and evals < max_iter:
+    while b - a > TOL and evals < MAX_EVALS:
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - GOLDEN * (b - a)
@@ -103,7 +101,7 @@ def fit_temperature(objective: Callable[[float], float],
     best_ln, best_val = min(seen, key=lambda t: (t[1], t[0]))
     lo_ln, hi_ln = math.log(lo), math.log(hi)
     at_boundary = best_ln in (lo_ln, hi_ln)
-    converged = at_boundary or (b - a) <= tol
+    converged = at_boundary or (b - a) <= TOL
     best_t = lo if best_ln == lo_ln else hi if best_ln == hi_ln else math.exp(best_ln)
     return TempFitResult(temperature=best_t, val_nll=best_val,
                          iterations=evals, converged=converged, mode=mode,
@@ -149,12 +147,12 @@ def ensemble_nll_at_temperature(eval_sets: Sequence[tuple[Sequence[np.ndarray], 
 
 
 def calibrate_individual(member_vals: Sequence[tuple[np.ndarray, np.ndarray]],
-                         bracket=DEFAULT_BRACKET, tol: float = 1e-6) -> TempFitResult:
+                         ) -> TempFitResult:
     """Fit one temperature per member on its own validation set.
 
     The prediction path averages softmax(z_m / T_m) over members.
     """
-    fits = [fit_temperature(nll_at_temperature(z, y), bracket, tol, mode="individual")
+    fits = [fit_temperature(nll_at_temperature(z, y), mode="individual")
             for z, y in member_vals]
     return TempFitResult(
         temperature=[f.temperature for f in fits],
@@ -168,15 +166,13 @@ def calibrate_individual(member_vals: Sequence[tuple[np.ndarray, np.ndarray]],
 
 
 def calibrate_joint(eval_sets: Sequence[tuple[Sequence[np.ndarray], np.ndarray]],
-                    bracket=DEFAULT_BRACKET, tol: float = 1e-6) -> TempFitResult:
+                    ) -> TempFitResult:
     """Fit a single shared temperature on the joint ensemble objective."""
-    res = fit_temperature(ensemble_nll_at_temperature(eval_sets), bracket, tol,
-                          mode="joint")
-    return res
+    return fit_temperature(ensemble_nll_at_temperature(eval_sets), mode="joint")
 
 
 def calibrate_pool(eval_sets: Sequence[tuple[Sequence[np.ndarray], np.ndarray]],
-                   bracket=DEFAULT_BRACKET, tol: float = 1e-6) -> TempFitResult:
+                   ) -> TempFitResult:
     """Fit a temperature on the pooled probabilities, softmax(log p-bar / T).
 
     Each eval set pairs the participating members' validation probabilities
@@ -198,4 +194,4 @@ def calibrate_pool(eval_sets: Sequence[tuple[Sequence[np.ndarray], np.ndarray]],
         return float(np.mean([metrics.nll(pool_apply_temperature(mean_p, t), y)
                               for mean_p, y in pooled]))
 
-    return fit_temperature(objective, bracket, tol, mode="pool")
+    return fit_temperature(objective, mode="pool")

@@ -43,7 +43,6 @@ class ModelSection:
 @dataclass
 class EnsembleSection:
     members: int = 4
-    strategy: str = "shared"
     val_pct: float = 0.05
 
 

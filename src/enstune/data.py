@@ -47,6 +47,8 @@ def make_blobs(n: int, n_classes: int, noise: float, rng: np.random.Generator,
     """Gaussian clusters with means equally spaced on a circle."""
     if n_classes < 2 or n < n_classes:
         raise ValueError("need at least 2 classes and one sample per class")
+    if not 0.0 <= label_noise < 1.0:
+        raise ValueError(f"label_noise must be in [0, 1), got {label_noise}")
     counts = [n // n_classes + (1 if c < n % n_classes else 0) for c in range(n_classes)]
     angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
     means = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -139,17 +141,15 @@ def load_csv(path: str, label_col: str = "label") -> Dataset:
     return Dataset(np.asarray(xs, dtype=np.float64), y, int(y.max()) + 1)
 
 
-def train_test_split(dataset: Dataset, test_fraction: float, seed: int,
-                     stratify: bool = True):
-    """Stratified (by default) split into (rest, test); the test set is meant
-    to be fixed once per task, before any member-level splitting."""
+def train_test_split(dataset: Dataset, test_fraction: float, seed: int):
+    """Stratified split into (rest, test); the test set is meant to be fixed
+    once per task, before any member-level splitting."""
     n = len(dataset)
     n_test = round(test_fraction * n)
     if not 0 < n_test < n:
         raise SplitError(f"test fraction {test_fraction} leaves an empty side")
     rng = np.random.default_rng(seed)
-    labels = dataset.y if stratify else None
-    test_idx, rest_idx = _stratified_portions([n_test, n - n_test], n, labels, rng)
+    test_idx, rest_idx = _stratified_portions([n_test, n - n_test], n, dataset.y, rng)
     rest = Dataset(dataset.x[rest_idx], dataset.y[rest_idx], dataset.n_classes)
     test = Dataset(dataset.x[test_idx], dataset.y[test_idx], dataset.n_classes)
     return rest, test

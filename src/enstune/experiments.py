@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -24,7 +25,7 @@ from . import calibration, metrics
 from .batchensemble import GAUSSIAN, RANDOM_SIGN, be_train
 from .config import ConfigError, ExperimentConfig, config_from_dict, config_to_dict
 from .data import make_task, train_test_split
-from .netcore import MlpParams, _write_json, softmax
+from .netcore import MlpParams, softmax
 from .splits import (
     DISJOINT,
     OVERLAPPING,
@@ -362,6 +363,11 @@ _KINDS = {
 _MODES = {"early_stop": (INDIVIDUAL, JOINT, NONE),
           "temp_scale": ("none", "individual", "joint", "pool")}
 
+# the experiment lists each kind loops over; an empty one yields no cell
+_LISTS = {"early_stop": ("strategies", "modes"),
+          "temp_scale": ("strategies", "modes"),
+          "batch_ensemble": ("strategies", "schemes")}
+
 
 def _plan_specs(cfg: ExperimentConfig) -> list[tuple[str, float]]:
     """The (strategy, val_pct) holdouts the experiment builds for every seed."""
@@ -375,12 +381,22 @@ def _plan_specs(cfg: ExperimentConfig) -> list[tuple[str, float]]:
 
 def _check_config(cfg: ExperimentConfig):
     """Build the dataset, then return it after rejecting, before any
-    training, what would fail every seed: a task the generator, the CSV
-    reader or the test split refuses, stopping and optimizer settings the
-    trainers refuse, unknown modes and schemes, joint modes on disjoint
-    holdouts, holdout plans that cannot be built, invalid sweep grids and
-    sweep ensemble sizes beyond the members."""
+    training, what would fail every seed or write no cell: a task the
+    generator, the CSV reader or the test split refuses, stopping and
+    optimizer settings the trainers refuse, empty strategy, mode or scheme
+    lists, an early_stop whose only cells are disjoint x joint, unknown
+    modes and schemes, joint modes on disjoint holdouts, holdout plans that
+    cannot be built, invalid sweep grids and sweep ensemble sizes beyond the
+    members."""
     ex = cfg.experiment
+    for key in _LISTS.get(ex.kind, ()):
+        if not getattr(ex, key):
+            raise ConfigError(f"experiment.{key} is empty: {ex.kind} would write no cell")
+    if ex.kind == "early_stop" and all(s == DISJOINT and m == JOINT
+                                       for s in ex.strategies for m in ex.modes):
+        raise ConfigError("experiment.strategies and experiment.modes pair only "
+                          "disjoint with joint, a cell early_stop skips: it would "
+                          "write no cell")
     try:
         dprime, test = build_dataset(cfg)
         _stopping(cfg, NONE)
@@ -552,6 +568,14 @@ def _format_cell(v) -> str:
     return str(v)
 
 
+def _write_json(path: str, doc: dict) -> None:
+    """Write through a temporary file so a crash never leaves half a file."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as f:
+        json.dump(doc, f, indent=1)
+    os.replace(tmp, path)
+
+
 def write_csv(path: str, header, rows) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as f:
@@ -611,9 +635,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     if summary is not None:
         manifest["summary"] = summary
         summary_path = os.path.join(out_dir, "summary.json")
-        _write_json(summary_path, summary, indent=1)
+        _write_json(summary_path, summary)
         manifest["outputs"]["summary"] = summary_path
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest, indent=1)
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     if failures:
         seed_failures = sum(f["seed"] is not None for f in failures)
         problem = f"{seed_failures} of {len(cfg.experiment.seeds)} seeds failed"
@@ -624,8 +648,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
 
 
 def rerun_from_manifest(manifest_path: str, out_dir: str) -> dict:
-    """Re-run an experiment from its manifest's resolved config."""
+    """Re-run an experiment from its manifest's resolved config.
+
+    Manifests written before ``ensemble.strategy`` was retired still carry
+    it; no run ever read it, so it is dropped with a warning."""
     with open(manifest_path) as f:
         manifest = json.load(f)
+    ensemble = manifest["config"].get("ensemble", {})
+    if "strategy" in ensemble:
+        del ensemble["strategy"]
+        warnings.warn(f"{manifest_path}: dropping ensemble.strategy, a retired key "
+                      "that no run read")
     cfg = config_from_dict(manifest["config"])
     return run_experiment(cfg, out_dir=out_dir)

@@ -148,14 +148,6 @@ class MetricsRecord:
     entropy: float = 0.0
     normalized_epochs: float | None = None
 
-    def validate(self) -> None:
-        if not 0.0 <= self.error_pct <= 100.0:
-            raise ValueError("error_pct outside [0, 100]")
-        if self.nll < 0 or self.ece < 0 or self.ece > 1:
-            raise ValueError("nll must be >= 0 and ece in [0, 1]")
-        if self.diversity < -1e-12:
-            raise ValueError("diversity must be non-negative")
-
     def to_row(self) -> list:
         vals = [getattr(self, f.name) for f in fields(self)]
         return ["" if v is None else v for v in vals]

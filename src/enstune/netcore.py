@@ -7,9 +7,7 @@ plain mutable containers owned by a single training job at a time.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -95,22 +93,6 @@ class MlpParams:
             mask.append(True)
             mask.append(decay_bias)
         return mask
-
-    def validate(self) -> None:
-        for i, l in enumerate(self.layers):
-            if l.weight.ndim != 2 or l.bias.ndim != 1:
-                raise ShapeError(f"layer {i}: weight must be 2-d and bias 1-d")
-            if l.weight.shape[1] != l.bias.shape[0]:
-                raise ShapeError(
-                    f"layer {i}: weight out-dim {l.weight.shape[1]} != bias dim {l.bias.shape[0]}"
-                )
-            if i > 0 and self.layers[i - 1].weight.shape[1] != l.weight.shape[0]:
-                raise ShapeError(
-                    f"layer {i}: in-dim {l.weight.shape[0]} does not chain from "
-                    f"layer {i - 1} out-dim {self.layers[i - 1].weight.shape[1]}"
-                )
-            if not (np.isfinite(l.weight).all() and np.isfinite(l.bias).all()):
-                raise NonFiniteLossError(f"layer {i}: non-finite parameter entries")
 
 
 def _forward_cached(params: MlpParams, x: np.ndarray):
@@ -201,6 +183,9 @@ def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam moment decays, denominator floor
+
+
 class Optimizer:
     """SGD with momentum or Adam over a flat list of parameter arrays.
 
@@ -213,7 +198,6 @@ class Optimizer:
 
     def __init__(self, kind: str, params: list[np.ndarray], base_lr: float,
                  weight_decay: float = 0.0, momentum: float = 0.9,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  decay_mask: list[bool] | None = None):
         if kind not in self.KINDS:
             raise ValueError(f"unknown optimizer kind {kind!r}")
@@ -225,9 +209,6 @@ class Optimizer:
         self.base_lr = float(base_lr)
         self.weight_decay = float(weight_decay)
         self.momentum = float(momentum)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self._shapes = [p.shape for p in params]
         self.decay_mask = list(decay_mask) if decay_mask is not None else [True] * len(params)
@@ -262,12 +243,12 @@ class Optimizer:
                 p -= lr * self.velocity[i]
         else:
             t = self.step_count
-            bc1 = 1.0 - self.beta1 ** t
-            bc2 = 1.0 - self.beta2 ** t
+            bc1 = 1.0 - _BETA1 ** t
+            bc2 = 1.0 - _BETA2 ** t
             for i, (p, g) in enumerate(zip(params, grads)):
-                self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-                self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-                p -= lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + self.eps)
+                self.m[i] = _BETA1 * self.m[i] + (1.0 - _BETA1) * g
+                self.v[i] = _BETA2 * self.v[i] + (1.0 - _BETA2) * (g * g)
+                p -= lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + _ADAM_EPS)
 
 
 @dataclass
@@ -345,43 +326,3 @@ def grad_check(params: MlpParams, x: np.ndarray, y: np.ndarray,
         return loss, sig
 
     return finite_difference_report(loss_fn, params.arrays(), grads.arrays(), eps)
-
-
-def _mlp_doc(params: MlpParams) -> dict:
-    """JSON encoding of the layers: {arch, layers: [{w, b}]}, weights flattened
-    row-major and reshaped by ``arch`` on load."""
-    return {"arch": params.dims,
-            "layers": [{"w": l.weight.reshape(-1).tolist(), "b": l.bias.tolist()}
-                       for l in params.layers]}
-
-
-def _mlp_from_doc(doc: dict) -> MlpParams:
-    """Inverse of :func:`_mlp_doc`."""
-    arch = doc["arch"]
-    return MlpParams([
-        DenseLayer(np.asarray(rec["w"], dtype=np.float64).reshape(arch[i], arch[i + 1]),
-                   np.asarray(rec["b"], dtype=np.float64))
-        for i, rec in enumerate(doc["layers"])])
-
-
-def _write_json(path: str, doc: dict, indent: int | None = None) -> None:
-    """Write through a temporary file so a crash never leaves half a file."""
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(doc, f, indent=indent)
-    os.replace(tmp, path)
-
-
-def save_checkpoint(params: MlpParams, path: str, meta: dict | None = None) -> None:
-    """JSON checkpoint: {arch, layers: [{w, b}], meta}; exact float64 round-trip."""
-    params.validate()
-    _write_json(path, {**_mlp_doc(params), "meta": dict(meta or {})})
-
-
-def load_checkpoint(path: str):
-    """Inverse of :func:`save_checkpoint`; returns (params, meta)."""
-    with open(path) as f:
-        doc = json.load(f)
-    params = _mlp_from_doc(doc)
-    params.validate()
-    return params, doc.get("meta", {})

@@ -8,7 +8,6 @@ preserves class proportions to within one sample per class.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,33 +52,6 @@ class SplitPlan:
                 raise SplitError(f"member {m}: train and val overlap")
             if not np.array_equal(np.sort(both), full):
                 raise SplitError(f"member {m}: train+val is not a partition of indices")
-
-    def to_json(self) -> str:
-        doc = {
-            "strategy": self.strategy,
-            "n_total": self.n_total,
-            "members": [{"train": ms.train_idx.tolist(), "val": ms.val_idx.tolist()}
-                        for ms in self.members],
-            "pairs": [[a, b, idx.tolist()] for a, b, idx in (self.joint_pairs or [])],
-            "portions": None if self.portions is None
-                        else [p.tolist() for p in self.portions],
-            "rng_seed": self.rng_seed,
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SplitPlan":
-        doc = json.loads(text)
-        members = [MemberSplit(np.asarray(m["train"], dtype=np.intp),
-                               np.asarray(m["val"], dtype=np.intp))
-                   for m in doc["members"]]
-        pairs = [(int(a), int(b), np.asarray(idx, dtype=np.intp))
-                 for a, b, idx in doc.get("pairs", [])] or None
-        portions = doc.get("portions")
-        if portions is not None:
-            portions = [np.asarray(p, dtype=np.intp) for p in portions]
-        return cls(doc["strategy"], int(doc["n_total"]), members, portions=portions,
-                   joint_pairs=pairs, rng_seed=doc.get("rng_seed"))
 
 
 def _class_lists(n_total: int, labels, rng: np.random.Generator) -> list[np.ndarray]:

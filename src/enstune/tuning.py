@@ -125,8 +125,7 @@ def run_sweep(dprime: Dataset, test: Dataset, grid: HyperGrid, dims: list[int],
     return SweepResult(grid, cells)
 
 
-def selection_score(sweep: SweepResult, wd: float, objective: str,
-                    single_member: bool = False) -> float:
+def selection_score(sweep: SweepResult, wd: float, objective: str) -> float:
     """Seed-mean validation score of one grid entry under an objective."""
     cells = [c for c in sweep.cells if c.wd == wd and not c.diverged]
     k_full = max(sweep.grid.ensemble_sizes)
@@ -134,20 +133,16 @@ def selection_score(sweep: SweepResult, wd: float, objective: str,
     for c in cells:
         if objective == ENSEMBLE_OBJECTIVE:
             per_seed.append(c.val_records[k_full].nll)
-        elif single_member:
-            per_seed.append(c.member_val_nlls[0])
         else:
             per_seed.append(float(np.mean(c.member_val_nlls)))
     return float(np.mean(per_seed))
 
 
-def select_h(sweep: SweepResult, objective: str,
-             single_member: bool = False) -> float:
+def select_h(sweep: SweepResult, objective: str) -> float:
     """Argmin of seed-mean validation NLL over the grid.
 
-    ``individual`` scores the mean member NLL (or just the first member's
-    with ``single_member``); ``ensemble`` scores the full-size ensemble NLL.
-    Exact ties go to the larger weight decay.
+    ``individual`` scores the mean member NLL; ``ensemble`` scores the
+    full-size ensemble NLL. Exact ties go to the larger weight decay.
     """
     if objective not in (INDIVIDUAL_OBJECTIVE, ENSEMBLE_OBJECTIVE):
         raise ValueError(f"unknown selection objective {objective!r}")
@@ -156,7 +151,7 @@ def select_h(sweep: SweepResult, objective: str,
     best_wd = None
     best_score = np.inf
     for wd in sweep.usable_wds():
-        score = selection_score(sweep, wd, objective, single_member)
+        score = selection_score(sweep, wd, objective)
         if score <= best_score:
             best_wd, best_score = wd, score
     if best_wd is None:

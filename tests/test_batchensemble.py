@@ -10,10 +10,8 @@ from enstune.batchensemble import (
     be_loss_and_grads,
     be_train,
     init_fast,
-    load_be_checkpoint,
     make_batch_ensemble,
     materialized_member_params,
-    save_be_checkpoint,
 )
 from enstune.data import make_blobs
 from enstune.netcore import mlp_forward
@@ -204,17 +202,3 @@ class TestTraining:
         a = be_train(ds.x, ds.y, plan, **kw)
         b = be_train(ds.x, ds.y, plan, **kw)
         assert a.stop.history == b.stop.history
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        model = small_model(seed=12)
-        # perturb running stats so the round trip is non-trivial
-        model.bn[0].running_mean += 0.25
-        path = str(tmp_path / "be.json")
-        save_be_checkpoint(model, path, {"seed": 12})
-        loaded, meta = load_be_checkpoint(path)
-        assert meta == {"seed": 12}
-        x = np.random.default_rng(13).normal(size=(5, 3))
-        assert np.array_equal(be_forward_all(loaded, x), be_forward_all(model, x))
-        assert loaded.bn[0].momentum == model.bn[0].momentum

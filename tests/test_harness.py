@@ -348,6 +348,23 @@ class TestExperiments:
                  open(os.path.join(out_b, name), "rb") as fb:
                 assert fa.read() == fb.read(), name
 
+    def test_rerun_drops_retired_strategy_key(self, tmp_path):
+        out_a = tmp_path / "a"
+        run_experiment(quick_config(str(out_a), ["experiment.kind=early_stop",
+                                                 'experiment.strategies=["shared"]',
+                                                 "experiment.seeds=[0]"]))
+        manifest_path = out_a / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["ensemble"]["strategy"] = "shared"  # as older runs wrote
+        manifest_path.write_text(json.dumps(manifest, indent=1))
+        out_b = tmp_path / "b"
+        with pytest.warns(UserWarning, match="ensemble.strategy"):
+            experiments.rerun_from_manifest(str(manifest_path), str(out_b))
+        for name in ("cells.csv", "monitor.csv"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+        rerun = json.loads((out_b / "manifest.json").read_text())
+        assert "strategy" not in rerun["config"]["ensemble"]
+
     def test_seed_failure_flushes_partial_results(self, tmp_path, monkeypatch):
         out = str(tmp_path / "fail")
         cfg = quick_config(out, ["experiment.kind=early_stop",
@@ -517,6 +534,14 @@ class TestCli:
         ("early-stop", ["model.hidden=[-1]"]),
         ("early-stop", ["experiment.seeds=[0,-1]"]),
         ("early-stop", ["optimizer.lr=.5"]),
+        ("early-stop", ["experiment.strategies=[]"]),
+        ("temp-scale", ["experiment.modes=[]"]),
+        ("batch-ensemble", ["experiment.schemes=[]"]),
+        ("early-stop", ['experiment.strategies=["disjoint"]', 'experiment.modes=["joint"]']),
+        ("early-stop", ["task.label_noise=2"]),
+        ("early-stop", ["task.label_noise=1"]),
+        ("early-stop", ["task.label_noise=-0.1"]),
+        ("early-stop", ["ensemble.strategy=disjoint"]),
     ])
     def test_bad_config_rejected_before_training(self, tmp_path, monkeypatch,
                                                  command, extra):
@@ -536,6 +561,15 @@ class TestCli:
     def test_bad_config_exit_code(self, tmp_path):
         assert cli_main(["early-stop", "--set", "task.kind=nosuch",
                          "--out", str(tmp_path / "x")]) == 2
+
+    def test_retired_strategy_flag_rejected_before_training(self, tmp_path,
+                                                            monkeypatch):
+        monkeypatch.setattr(experiments, "train_ensemble", None)  # no training
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["early-stop", "--ensemble.strategy", "disjoint", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", ["config-dir", "config-not-utf8", "csv-dir"])
     def test_unreadable_config_input_exit_code(self, tmp_path, monkeypatch, case):
@@ -557,6 +591,12 @@ class TestCli:
         out = tmp_path / "ds.csv"
         assert cli_main(["gen-data", "--n", "2", "--classes", "4",
                          "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noise", ["2", "1", "-0.1"])
+    def test_gen_data_label_noise_out_of_range_exit_code(self, tmp_path, noise):
+        out = tmp_path / "ds.csv"
+        assert cli_main(["gen-data", "--label-noise", noise, "--out", str(out)]) == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)

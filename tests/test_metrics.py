@@ -204,8 +204,3 @@ class TestMetricsRecord:
         assert dict(zip(CSV_COLUMNS, row)) == {c: getattr(rec, c) for c in CSV_COLUMNS}
         assert row[0] == "shared"
         assert row[5] == 0.42
-
-    def test_validate_bounds(self):
-        with pytest.raises(ValueError):
-            MetricsRecord(error_pct=120.0).validate()
-        MetricsRecord(error_pct=50.0, nll=1.0, ece=0.5).validate()

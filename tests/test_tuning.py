@@ -82,10 +82,6 @@ class TestSelection:
         for objective in ("individual", "ensemble"):
             assert select_h(sweep, objective) == select_h(shuffled, objective)
 
-    def test_single_member_flag(self):
-        sweep = synthetic_sweep({0.0: (1.0, 0.8, 0.9), 1e-3: (0.7, 0.9, 1.0)})
-        assert select_h(sweep, "individual", single_member=True) == 1e-3
-
     def test_definitional_val_inequality(self):
         # by argmin construction the ensemble objective at its own selection
         # is no worse than at any other selection
