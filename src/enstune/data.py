@@ -8,6 +8,7 @@ the normalization constants.
 from __future__ import annotations
 
 import csv
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,18 +83,34 @@ def make_spirals(n: int, noise: float, rng: np.random.Generator) -> Dataset:
     return Dataset(x[perm], y[perm], 2)
 
 
+# the task keys each task kind reads, besides kind, data_seed and test_fraction
+_TASK_KEYS = {"blobs": ("n", "classes", "noise", "radius", "label_noise"),
+              "spirals": ("n", "noise"),
+              "csv": ("path", "label_col")}
+
+
 def make_task(task: TaskSection) -> Dataset:
     """The whole dataset a task section describes: blobs or spirals drawn
-    from ``task.data_seed``, or the rows of the CSV at ``task.path``."""
+    from ``task.data_seed``, or the rows of the CSV at ``task.path``. A key
+    the kind does not read must keep its default, so a run never records a
+    setting it ignored."""
+    if task.kind not in _TASK_KEYS:
+        raise ConfigError(f"unknown task kind {task.kind!r}")
+    default = TaskSection()
+    reads = _TASK_KEYS[task.kind] + ("kind", "data_seed", "test_fraction")
+    unread = [f"task.{f.name} (default {getattr(default, f.name)!r})"
+              for f in dataclasses.fields(task)
+              if f.name not in reads and getattr(task, f.name) != getattr(default, f.name)]
+    if unread:
+        raise ConfigError(f"{task.kind} tasks do not read {', '.join(unread)}; "
+                          "leave them at their defaults")
     if task.kind == "csv":
         return load_csv(task.path, task.label_col)
     rng = np.random.default_rng(task.data_seed)
     if task.kind == "blobs":
         return make_blobs(task.n, task.classes, task.noise, rng, radius=task.radius,
                           label_noise=task.label_noise)
-    if task.kind == "spirals":
-        return make_spirals(task.n, task.noise, rng)
-    raise ConfigError(f"unknown task kind {task.kind!r}")
+    return make_spirals(task.n, task.noise, rng)
 
 
 def save_csv(dataset: Dataset, path: str, label_col: str = "label") -> None:

@@ -1,6 +1,6 @@
-"""Seeded experiment orchestration: dataset assembly, one seed driver over a
-table of per-kind cell functions, aggregation with SEM, and reproducible run
-manifests.
+"""Seeded experiment orchestration: dataset assembly, one driver over a table
+of (seed, holdout plan) jobs and per-kind cell functions, aggregation with
+SEM, and reproducible run manifests.
 
 Every experiment writes three CSVs into its output directory: ``cells.csv``
 (one row per evaluated cell and seed), ``aggregate.csv`` (seed means with
@@ -18,6 +18,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,15 +148,32 @@ def _fit_to_dict(fit: calibration.TempFitResult) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# per-seed cell functions: (cfg, dprime, test, seed) -> (rows, runs, ...)
+# the job table: one job per holdout plan of a seed, and per-plan cell
+# functions (cfg, dprime, test, seed, plan, job) -> (rows, runs, ...)
 
-def _wd_sweep_cells(cfg: ExperimentConfig, dprime, test, seed: int):
+class Job(NamedTuple):
+    """One holdout plan of a seed; ``scheme`` is set for batch_ensemble only."""
+    strategy: str
+    val_pct: float
+    scheme: str | None = None
+
+
+def _jobs(cfg: ExperimentConfig) -> list[Job]:
+    """A seed's jobs in output order: every strategy x val_pct, with the
+    scheme as the outermost key for batch_ensemble."""
+    ex = cfg.experiment
+    schemes = ex.schemes if ex.kind == "batch_ensemble" else [None]
+    return [Job(strategy, val_pct, scheme) for scheme in schemes
+            for strategy in ex.strategies for val_pct in cfg.val_pcts()]
+
+
+def _wd_sweep_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan, job: Job):
     """One seed's rows and run entries, plus its sweep cells for the
     selection in :func:`_wd_sweep_summary`."""
     grid = HyperGrid(cfg.experiment.weight_decays, cfg.ensemble_sizes(), [seed])
-    cells = run_sweep(dprime, test, grid, _dims(cfg, dprime), cfg.ensemble.members,
-                      cfg.ensemble.val_pct, _optimizer_config(cfg, cosine=True),
-                      _stopping(cfg, NONE), cfg.experiment.ece_bins).cells
+    cells = run_sweep(dprime, test, grid, [plan], _dims(cfg, dprime), job.val_pct,
+                      _optimizer_config(cfg, cosine=True), _stopping(cfg, NONE),
+                      cfg.experiment.ece_bins).cells
     rows = []
     for cell in cells:
         if cell.diverged:
@@ -183,89 +201,74 @@ def _wd_sweep_summary(cfg: ExperimentConfig, seed_results) -> dict:
     return {"h_ind": h_ind, "h_ens": h_ens, "gap": gap, "gap_sem": gap_sem}
 
 
-def _temp_scale_cells(cfg: ExperimentConfig, dprime, test, seed: int):
-    dims = _dims(cfg, dprime)
-    m_total = cfg.ensemble.members
+def _temp_scale_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan, job: Job):
     opt = _optimizer_config(cfg, cosine=cfg.optimizer.kind == "sgd_momentum")
-    stop = _stopping(cfg, NONE)
     ece_bins = cfg.experiment.ece_bins
-    rows, runs = [], []
-    for strategy in cfg.experiment.strategies:
-        for val_pct in cfg.val_pcts():
-            plan = make_plan(strategy, len(dprime), val_pct, m_total, seed, dprime.y)
-            result = train_ensemble(dprime.x, dprime.y, plan, dims, opt, stop, seed)
-            test_logits = [member_logits(m, test.x) for m in result.members]
-            test_probs = [softmax(z) for z in test_logits]
-            tags = dict(strategy=strategy, val_pct=val_pct, seed=seed,
-                        ensemble_size=m_total)
-            entry = {"strategy": strategy, "val_pct": val_pct, "seed": seed,
-                     "plan": plan_reference(plan, val_pct), "fits": []}
-            if {"joint", "pool"} & set(cfg.experiment.modes):
-                joint_sets = _joint_logits(result, plan, dprime)
-            for mode in cfg.experiment.modes:
-                if mode == "none":
-                    rows += _test_rows("temp_scale", mode, test_probs, test.y,
-                                       ece_bins, **tags)
-                    continue
-                if mode == "individual":
-                    member_vals = [(member_logits(mem, dprime.x[ms.val_idx]),
-                                    dprime.y[ms.val_idx])
-                                   for mem, ms in zip(result.members, plan.members)]
-                    fit = calibration.calibrate_individual(member_vals)
-                    tempered = [calibration.apply_temperature(z, t)
-                                for z, t in zip(test_logits, fit.temperature)]
-                    rows += _test_rows("temp_scale", mode, tempered, test.y,
-                                       ece_bins, **tags)
-                elif mode == "joint":
-                    fit = calibration.calibrate_joint(joint_sets)
-                    tempered = [calibration.apply_temperature(z, fit.temperature)
-                                for z in test_logits]
-                    rows += _test_rows("temp_scale", mode, tempered, test.y,
-                                       ece_bins, **tags)
-                else:  # pool
-                    fit = calibration.calibrate_pool(
-                        [([softmax(z) for z in zs], y) for zs, y in joint_sets])
-                    mean_test = metrics.ensemble_mean(test_probs)
-                    pooled = calibration.pool_apply_temperature(mean_test,
-                                                                fit.temperature)
-                    rec = metrics.MetricsRecord(
-                        error_pct=metrics.classification_error(pooled, test.y),
-                        nll=metrics.nll(pooled, test.y),
-                        ece=metrics.ece(pooled, test.y, n_bins=ece_bins),
-                        diversity=metrics.diversity(test_probs).mean,
-                        entropy=metrics.entropy(pooled).mean, **tags)
-                    rows.append(make_row("temp_scale", mode, None, "test",
-                                         ENSEMBLE_SCOPE, rec))
-                entry["fits"].append(_fit_to_dict(fit))
-            runs.append(entry)
-    return rows, runs
+    result = train_ensemble(dprime.x, dprime.y, plan, _dims(cfg, dprime), opt,
+                            _stopping(cfg, NONE), seed)
+    test_logits = [member_logits(m, test.x) for m in result.members]
+    test_probs = [softmax(z) for z in test_logits]
+    tags = dict(strategy=job.strategy, val_pct=job.val_pct, seed=seed,
+                ensemble_size=cfg.ensemble.members)
+    entry = {"strategy": job.strategy, "val_pct": job.val_pct, "seed": seed,
+             "plan": plan_reference(plan, job.val_pct), "fits": []}
+    if {"joint", "pool"} & set(cfg.experiment.modes):
+        joint_sets = _joint_logits(result, plan, dprime)
+    rows = []
+    for mode in cfg.experiment.modes:
+        if mode == "none":
+            rows += _test_rows("temp_scale", mode, test_probs, test.y, ece_bins, **tags)
+            continue
+        if mode == "individual":
+            member_vals = [(member_logits(mem, dprime.x[ms.val_idx]),
+                            dprime.y[ms.val_idx])
+                           for mem, ms in zip(result.members, plan.members)]
+            fit = calibration.calibrate_individual(member_vals)
+            tempered = [calibration.apply_temperature(z, t)
+                        for z, t in zip(test_logits, fit.temperature)]
+            rows += _test_rows("temp_scale", mode, tempered, test.y, ece_bins, **tags)
+        elif mode == "joint":
+            fit = calibration.calibrate_joint(joint_sets)
+            tempered = [calibration.apply_temperature(z, fit.temperature)
+                        for z in test_logits]
+            rows += _test_rows("temp_scale", mode, tempered, test.y, ece_bins, **tags)
+        else:  # pool
+            fit = calibration.calibrate_pool(
+                [([softmax(z) for z in zs], y) for zs, y in joint_sets])
+            mean_test = metrics.ensemble_mean(test_probs)
+            pooled = calibration.pool_apply_temperature(mean_test, fit.temperature)
+            rec = metrics.MetricsRecord(
+                error_pct=metrics.classification_error(pooled, test.y),
+                nll=metrics.nll(pooled, test.y),
+                ece=metrics.ece(pooled, test.y, n_bins=ece_bins),
+                diversity=metrics.diversity(test_probs).mean,
+                entropy=metrics.entropy(pooled).mean, **tags)
+            rows.append(make_row("temp_scale", mode, None, "test", ENSEMBLE_SCOPE, rec))
+        entry["fits"].append(_fit_to_dict(fit))
+    return rows, [entry]
 
 
-def _early_stop_cells(cfg: ExperimentConfig, dprime, test, seed: int):
+def _early_stop_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan, job: Job):
+    """Every stopping mode, each trained on the job's one plan."""
     dims = _dims(cfg, dprime)
     m_total = cfg.ensemble.members
     opt = _optimizer_config(cfg, cosine=False)
     ece_bins = cfg.experiment.ece_bins
     rows, runs = [], []
-    for strategy in cfg.experiment.strategies:
-        for mode in cfg.experiment.modes:
-            if strategy == DISJOINT and mode == JOINT:
-                continue  # no jointly evaluable set; not a valid cell
-            for val_pct in cfg.val_pcts():
-                plan = make_plan(strategy, len(dprime), val_pct, m_total, seed,
-                                 dprime.y)
-                result = train_ensemble(dprime.x, dprime.y, plan, dims, opt,
-                                        _stopping(cfg, mode), seed)
-                norm = float(np.mean([m.stop.normalized_epochs
-                                      for m in result.members]))
-                test_probs = [member_probs(m, test.x) for m in result.members]
-                rows += _test_rows("early_stop", mode, test_probs, test.y, ece_bins,
-                                   normalized_epochs=norm, strategy=strategy,
-                                   val_pct=val_pct, seed=seed, ensemble_size=m_total)
-                runs.append({
-                    "strategy": strategy, "mode": mode, "val_pct": val_pct,
-                    "seed": seed, "plan": plan_reference(plan, val_pct),
-                    "stops": [d.to_dict() for d in result.decisions]})
+    for mode in cfg.experiment.modes:
+        if job.strategy == DISJOINT and mode == JOINT:
+            continue  # no jointly evaluable set; not a valid cell
+        result = train_ensemble(dprime.x, dprime.y, plan, dims, opt,
+                                _stopping(cfg, mode), seed)
+        norm = float(np.mean([m.stop.normalized_epochs for m in result.members]))
+        test_probs = [member_probs(m, test.x) for m in result.members]
+        rows += _test_rows("early_stop", mode, test_probs, test.y, ece_bins,
+                           normalized_epochs=norm, strategy=job.strategy,
+                           val_pct=job.val_pct, seed=seed, ensemble_size=m_total)
+        runs.append({
+            "strategy": job.strategy, "mode": mode, "val_pct": job.val_pct,
+            "seed": seed, "plan": plan_reference(plan, job.val_pct),
+            "stops": [d.to_dict() for d in result.decisions]})
     return rows, runs
 
 
@@ -283,53 +286,42 @@ def parse_scheme(name: str):
                       "'random_sign' or 'gaussian_<sigma>'")
 
 
-def _batch_ensemble_cells(cfg: ExperimentConfig, dprime, test, seed: int):
-    dims = _dims(cfg, dprime)
-    m_total = cfg.ensemble.members
-    opt = _optimizer_config(cfg, cosine=False)
-    stop = _stopping(cfg, JOINT)
+def _batch_ensemble_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan,
+                          job: Job):
+    kind, sigma = parse_scheme(job.scheme)
     ece_bins = cfg.experiment.ece_bins
-    rows, runs = [], []
-    for scheme_name in cfg.experiment.schemes:
-        kind, sigma = parse_scheme(scheme_name)
-        for strategy in cfg.experiment.strategies:
-            for val_pct in cfg.val_pcts():
-                plan = make_plan(strategy, len(dprime), val_pct, m_total, seed,
-                                 dprime.y)
-                result = be_train(dprime.x, dprime.y, plan, dims, kind, opt, stop,
-                                  seed, sigma=sigma)
-                tags = dict(strategy=strategy, val_pct=val_pct, seed=seed,
-                            ensemble_size=m_total,
-                            normalized_epochs=result.stop.normalized_epochs)
-                rows += _test_rows("batch_ensemble", scheme_name,
-                                   result.all_probs(test.x), test.y, ece_bins, **tags)
-                for split_name, index_of in (("train", lambda ms: ms.train_idx),
-                                             ("val", lambda ms: ms.val_idx)):
-                    pairs = [(result.member_probs(dprime.x[index_of(ms)], m),
-                              dprime.y[index_of(ms)])
-                             for m, ms in enumerate(plan.members)]
-                    rows.append(make_row("batch_ensemble", scheme_name, None,
-                                         split_name, MEMBER_AVG_SCOPE,
-                                         member_avg_record(pairs, ece_bins=ece_bins,
-                                                           **tags)))
-                runs.append({
-                    "scheme": scheme_name, "strategy": strategy, "val_pct": val_pct,
-                    "seed": seed, "plan": plan_reference(plan, val_pct),
-                    "stops": [result.stop.to_dict()]})
-    return rows, runs
+    result = be_train(dprime.x, dprime.y, plan, _dims(cfg, dprime), kind,
+                      _optimizer_config(cfg, cosine=False), _stopping(cfg, JOINT),
+                      seed, sigma=sigma)
+    tags = dict(strategy=job.strategy, val_pct=job.val_pct, seed=seed,
+                ensemble_size=cfg.ensemble.members,
+                normalized_epochs=result.stop.normalized_epochs)
+    rows = _test_rows("batch_ensemble", job.scheme, result.all_probs(test.x), test.y,
+                      ece_bins, **tags)
+    for split_name, index_of in (("train", lambda ms: ms.train_idx),
+                                 ("val", lambda ms: ms.val_idx)):
+        pairs = [(result.member_probs(dprime.x[index_of(ms)], m),
+                  dprime.y[index_of(ms)])
+                 for m, ms in enumerate(plan.members)]
+        rows.append(make_row("batch_ensemble", job.scheme, None, split_name,
+                             MEMBER_AVG_SCOPE,
+                             member_avg_record(pairs, ece_bins=ece_bins, **tags)))
+    entry = {"scheme": job.scheme, "strategy": job.strategy, "val_pct": job.val_pct,
+             "seed": seed, "plan": plan_reference(plan, job.val_pct),
+             "stops": [result.stop.to_dict()]}
+    return rows, [entry]
 
 
-def _stop_then_scale_cells(cfg: ExperimentConfig, dprime, test, seed: int):
+def _stop_then_scale_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan,
+                           job: Job):
     """Joint stopping, then joint temperature scaling on the same holdout."""
-    m_total = cfg.ensemble.members
-    val_pct = cfg.val_pcts()[0]
-    plan = make_plan(SHARED, len(dprime), val_pct, m_total, seed, dprime.y)
     result = train_ensemble(dprime.x, dprime.y, plan, _dims(cfg, dprime),
                             _optimizer_config(cfg, cosine=False),
                             _stopping(cfg, JOINT), seed)
     (decision,) = result.decisions
     ece_bins = cfg.experiment.ece_bins
-    tags = dict(strategy=SHARED, val_pct=val_pct, seed=seed, ensemble_size=m_total,
+    tags = dict(strategy=job.strategy, val_pct=job.val_pct, seed=seed,
+                ensemble_size=cfg.ensemble.members,
                 normalized_epochs=decision.normalized_epochs)
     test_logits = [member_logits(m, test.x) for m in result.members]
     rows = [make_row("stop_then_scale", "none", None, "test", ENSEMBLE_SCOPE,
@@ -342,15 +334,15 @@ def _stop_then_scale_cells(cfg: ExperimentConfig, dprime, test, seed: int):
                          ENSEMBLE_SCOPE,
                          metrics.compute_record(tempered, test.y, ece_bins=ece_bins,
                                                 **tags)))
-    entry = {"strategy": SHARED, "val_pct": val_pct, "seed": seed,
-             "plan": plan_reference(plan, val_pct),
+    entry = {"strategy": job.strategy, "val_pct": job.val_pct, "seed": seed,
+             "plan": plan_reference(plan, job.val_pct),
              "stops": [decision.to_dict()], "fits": [_fit_to_dict(fit)]}
     return rows, [entry]
 
 
-# kind -> (per-seed cell function, finish step over the completed seeds'
-# results, or None). A cell function returns (rows, runs, ...); the finish
-# step gets the full tuples, in seed order, and returns the run's summary.
+# kind -> (per-plan cell function, finish step over the completed seeds'
+# results, or None). A cell function returns (rows, runs, ...), joined per
+# seed in job order; the finish step gets those tuples, in seed order.
 _KINDS = {
     "wd_sweep": (_wd_sweep_cells, _wd_sweep_summary),
     "temp_scale": (_temp_scale_cells, None),
@@ -359,24 +351,15 @@ _KINDS = {
     "stop_then_scale": (_stop_then_scale_cells, None),
 }
 
-# the experiment.modes entries each kind reads
+# the experiment.modes entries each kind reads; the other kinds read none
 _MODES = {"early_stop": (INDIVIDUAL, JOINT, NONE),
           "temp_scale": ("none", "individual", "joint", "pool")}
 
 # the experiment lists each kind loops over; an empty one yields no cell
 _LISTS = {"early_stop": ("strategies", "modes"),
           "temp_scale": ("strategies", "modes"),
-          "batch_ensemble": ("strategies", "schemes")}
-
-
-def _plan_specs(cfg: ExperimentConfig) -> list[tuple[str, float]]:
-    """The (strategy, val_pct) holdouts the experiment builds for every seed."""
-    kind = cfg.experiment.kind
-    if kind == "wd_sweep":
-        return [(SHARED, cfg.ensemble.val_pct)]
-    if kind == "stop_then_scale":
-        return [(SHARED, cfg.val_pcts()[0])]
-    return [(s, v) for s in cfg.experiment.strategies for v in cfg.val_pcts()]
+          "batch_ensemble": ("strategies", "schemes"),
+          "stop_then_scale": ("strategies",)}
 
 
 def _check_config(cfg: ExperimentConfig):
@@ -385,9 +368,10 @@ def _check_config(cfg: ExperimentConfig):
     generator, the CSV reader or the test split refuses, stopping and
     optimizer settings the trainers refuse, empty strategy, mode or scheme
     lists, an early_stop whose only cells are disjoint x joint, unknown
-    modes and schemes, joint modes on disjoint holdouts, holdout plans that
-    cannot be built, invalid sweep grids and sweep ensemble sizes beyond the
-    members."""
+    modes and schemes, modes set for a kind that reads none, joint
+    evaluation on disjoint holdouts, a wd_sweep with more than its one
+    shared holdout, holdout plans that cannot be built, invalid sweep grids
+    and sweep ensemble sizes beyond the members."""
     ex = cfg.experiment
     for key in _LISTS.get(ex.kind, ()):
         if not getattr(ex, key):
@@ -397,6 +381,7 @@ def _check_config(cfg: ExperimentConfig):
         raise ConfigError("experiment.strategies and experiment.modes pair only "
                           "disjoint with joint, a cell early_stop skips: it would "
                           "write no cell")
+    jobs = _jobs(cfg)
     try:
         dprime, test = build_dataset(cfg)
         _stopping(cfg, NONE)
@@ -405,19 +390,34 @@ def _check_config(cfg: ExperimentConfig):
             if mode not in _MODES[ex.kind]:
                 raise ConfigError(f"unknown {ex.kind} mode {mode!r}; expected one "
                                   f"of {_MODES[ex.kind]}")
+        default_modes = ExperimentConfig().experiment.modes
+        if ex.kind not in _MODES and ex.modes != default_modes:
+            raise ConfigError(f"{ex.kind} reads no experiment.modes; leave it at "
+                              f"its default {default_modes}")
         joint_like = {"joint", "pool"} & set(ex.modes)
         if ex.kind == "temp_scale" and joint_like and DISJOINT in ex.strategies:
             raise ConfigError(
                 f"modes {sorted(joint_like)} need a jointly evaluable holdout; "
                 "the disjoint strategy precludes joint evaluation")
+        if ex.kind == "stop_then_scale" and DISJOINT in ex.strategies:
+            raise ConfigError("stop_then_scale stops and scales on a jointly "
+                              "evaluable holdout; the disjoint strategy precludes "
+                              "joint evaluation")
         if ex.kind == "batch_ensemble":
             for name in ex.schemes:
                 parse_scheme(name)
         if ex.kind == "wd_sweep":
+            if jobs != [Job(SHARED, cfg.val_pcts()[0])]:
+                raise ConfigError(
+                    "wd_sweep scores every member on member 0's validation rows, so "
+                    "it runs one shared holdout at one val_pct; got "
+                    f"experiment.strategies={ex.strategies} and val_pcts "
+                    f"{cfg.val_pcts()}")
             HyperGrid(ex.weight_decays, cfg.ensemble_sizes(), ex.seeds)
             if max(cfg.ensemble_sizes()) > cfg.ensemble.members:
                 raise ConfigError("experiment.ensemble_sizes exceed ensemble.members")
-        for strategy, val_pct in _plan_specs(cfg):
+        plans = dict.fromkeys((job.strategy, job.val_pct) for job in jobs)
+        for strategy, val_pct in plans:  # each distinct plan once, in job order
             make_plan(strategy, len(dprime), val_pct, cfg.ensemble.members,
                       ex.seeds[0], dprime.y)
     except ConfigError:
@@ -428,23 +428,27 @@ def _check_config(cfg: ExperimentConfig):
 
 
 # ---------------------------------------------------------------------------
-# worker-pool plumbing: one job per seed, results merged in seed order
+# worker-pool plumbing: one job per (seed, plan), merged per seed in job order
 
 def _worker_count() -> int:
+    """The ``ENSTUNE_WORKERS`` pool size: an integer >= 1, 1 when unset."""
+    raw = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def _describe(err: Exception) -> str:
     return f"{type(err).__name__}: {err}"
 
 
-def _map_jobs(fn, jobs):
+def _map_jobs(fn, jobs, workers: int):
     """Run ``fn(*job)`` per job, capturing failures: a list of ("ok", payload)
     or ("error", message)."""
-    workers = _worker_count()
     outcomes = []
     if workers <= 1 or len(jobs) <= 1:
         for job in jobs:
@@ -463,19 +467,32 @@ def _map_jobs(fn, jobs):
     return outcomes
 
 
-def _run_seeds(cfg: ExperimentConfig, dprime, test):
-    """Every seed's cells, then the kind's finish step over the completed
-    seeds. A failing seed or finish step becomes an entry of ``failures``
-    (seed None for the finish step) instead of stopping the run."""
-    cell_fn, finish = _KINDS[cfg.experiment.kind]
-    seeds = cfg.experiment.seeds
+def _run_job(cfg: ExperimentConfig, dprime, test, seed: int, job: Job):
+    """Build the job's holdout plan once and run the kind's cell function on it."""
+    plan = make_plan(job.strategy, len(dprime), job.val_pct, cfg.ensemble.members,
+                     seed, dprime.y)
+    return _KINDS[cfg.experiment.kind][0](cfg, dprime, test, seed, plan, job)
+
+
+def _run_seeds(cfg: ExperimentConfig, dprime, test, workers: int):
+    """Every (seed, job) pair, then the kind's finish step over the completed
+    seeds. A seed with a failing job, or a failing finish step, becomes an
+    entry of ``failures`` (seed None for the finish step) instead of stopping
+    the run; a failed seed contributes no rows or runs."""
+    finish = _KINDS[cfg.experiment.kind][1]
+    seeds, jobs = cfg.experiment.seeds, _jobs(cfg)
+    outcomes = _map_jobs(_run_job, [(cfg, dprime, test, s, job)
+                                    for s in seeds for job in jobs], workers)
     results, failures = [], []
-    for seed, (status, payload) in zip(seeds, _map_jobs(
-            cell_fn, [(cfg, dprime, test, s) for s in seeds])):
-        if status == "ok":
-            results.append(payload)
-        else:
-            failures.append({"seed": seed, "error": payload})
+    for i, seed in enumerate(seeds):
+        seed_outcomes = outcomes[i * len(jobs):(i + 1) * len(jobs)]
+        errors = [payload for status, payload in seed_outcomes if status == "error"]
+        if errors:
+            failures.append({"seed": seed, "error": errors[0]})
+            continue
+        payloads = [payload for _, payload in seed_outcomes]
+        results.append(tuple([x for part in parts for x in part]
+                             for parts in zip(*payloads)))
     rows = [r for result in results for r in result[0]]
     runs = [e for result in results for e in result[1]]
     summary = None
@@ -610,9 +627,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     kind = cfg.experiment.kind
     out_dir = out_dir or cfg.experiment.out_dir
     started = time.time()
+    workers = _worker_count()
     dprime, test = _check_config(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    rows, runs, summary, failures = _run_seeds(cfg, dprime, test)
+    rows, runs, summary, failures = _run_seeds(cfg, dprime, test, workers)
     cells_path = os.path.join(out_dir, "cells.csv")
     write_csv(cells_path, ROW_COLUMNS, rows)
     report_paths = write_report(out_dir, rows)

@@ -1,9 +1,9 @@
 """Weight-decay grid search under single-model vs ensemble selection
 objectives, and the resulting optimality gap on test loss.
 
-The sweep trains every grid cell on a shared holdout with the caller's
-optimizer and stopping configs, only the weight decay varying (the
-``wd_sweep`` experiment passes a fixed epoch budget with cosine
+The sweep trains every grid cell on the caller's holdout plan for its seed,
+with the caller's optimizer and stopping configs, only the weight decay
+varying (the ``wd_sweep`` experiment passes a fixed epoch budget with cosine
 annealing); selection is the argmin of seed-mean validation NLL under
 either objective, ties breaking toward the larger (more regularizing)
 weight decay.
@@ -19,7 +19,6 @@ import numpy as np
 from . import metrics
 from .data import Dataset
 from .netcore import NonFiniteLossError
-from .splits import make_shared
 from .training import OptimizerConfig, StoppingConfig, member_probs, train_ensemble
 
 INDIVIDUAL_OBJECTIVE = "individual"
@@ -78,25 +77,24 @@ class SweepResult:
         return out
 
 
-def run_sweep(dprime: Dataset, test: Dataset, grid: HyperGrid, dims: list[int],
-              n_members: int, val_fraction: float, opt: OptimizerConfig,
+def run_sweep(dprime: Dataset, test: Dataset, grid: HyperGrid, plans: list,
+              dims: list[int], val_fraction: float, opt: OptimizerConfig,
               stop: StoppingConfig, ece_bins: int = 15) -> SweepResult:
     """Train every (weight decay, seed) cell and record per-size metrics.
 
-    Every cell trains with ``opt`` and ``stop``, the weight decay replaced by
-    the grid entry, on its seed's shared holdout. Size-k ensembles are the
-    first k members by index. Cells whose training diverges are kept,
-    flagged, and excluded from selection.
+    ``plans`` holds one holdout plan per grid seed, in seed order, and
+    ``val_fraction`` is the validation fraction they were built with. Every
+    cell trains with ``opt`` and ``stop``, the weight decay replaced by the
+    grid entry, on its seed's plan, and is scored on member 0's validation
+    rows. Size-k ensembles are the first k members by index. Cells whose
+    training diverges are kept, flagged, and excluded from selection.
     """
-    if max(grid.ensemble_sizes) > n_members:
+    if any(max(grid.ensemble_sizes) > plan.n_members for plan in plans):
         raise ValueError("ensemble sizes exceed the number of trained members")
-    plans = [(seed, make_shared(len(dprime), val_fraction, n_members, rng_seed=seed,
-                                labels=dprime.y))
-             for seed in grid.seeds]
     cells = []
     for wd in grid.weight_decays:
         wd_opt = replace(opt, weight_decay=wd)
-        for seed, plan in plans:
+        for seed, plan in zip(grid.seeds, plans, strict=True):
             cell = SweepCell(wd=wd, seed=seed)
             try:
                 result = train_ensemble(dprime.x, dprime.y, plan, dims, wd_opt,
@@ -111,7 +109,7 @@ def run_sweep(dprime: Dataset, test: Dataset, grid: HyperGrid, dims: list[int],
             test_probs = [member_probs(m, test.x) for m in result.members]
             norm_epochs = float(np.mean([m.stop.normalized_epochs
                                          for m in result.members]))
-            tags = dict(strategy="shared", val_pct=val_fraction, seed=seed)
+            tags = dict(strategy=plan.strategy, val_pct=val_fraction, seed=seed)
             for k in grid.ensemble_sizes:
                 cell.val_records[k] = metrics.compute_record(
                     val_probs[:k], dprime.y[val_idx], ece_bins=ece_bins,

@@ -367,7 +367,9 @@ def test_criterion_10_selection_definitional_check():
     grid = HyperGrid([0.0, 1e-3, 1e-1], [1, 2, 3], [0, 1])
     opt = OptimizerConfig(kind="sgd_momentum", lr=0.05, cosine_epochs=10)
     stop = StoppingConfig(mode=NONE, max_epochs=10, batch_size=64)
-    sweep = run_sweep(dprime, test, grid, [2, 16, 3], 3, 0.15, opt, stop)
+    plans = [make_shared(len(dprime), 0.15, 3, rng_seed=seed, labels=dprime.y)
+             for seed in grid.seeds]
+    sweep = run_sweep(dprime, test, grid, plans, [2, 16, 3], 0.15, opt, stop)
     h_ind = select_h(sweep, "individual")
     h_ens = select_h(sweep, "ensemble")
     lhs = selection_score(sweep, h_ens, "ensemble")

@@ -12,6 +12,7 @@ from enstune import experiments, metrics
 from enstune.cli import main as cli_main
 from enstune.config import (
     ConfigError,
+    TaskSection,
     load_config,
     parse_scalar,
     parse_toml,
@@ -22,6 +23,7 @@ from enstune.data import (
     load_csv,
     make_blobs,
     make_spirals,
+    make_task,
     save_csv,
     train_test_split,
 )
@@ -162,6 +164,16 @@ class TestData:
         ds = make_spirals(300, 0.1, np.random.default_rng(3))
         assert ds.n_classes == 2
         assert set(np.unique(ds.y)) == {0, 1}
+
+    @pytest.mark.parametrize("task, key", [
+        (TaskSection(kind="spirals", label_noise=0.4, radius=9.0), "task.radius"),
+        (TaskSection(kind="spirals", classes=3), "task.classes"),
+        (TaskSection(kind="csv", path="ds.csv", n=100), "task.n"),
+        (TaskSection(kind="blobs", label_col="y"), "task.label_col"),
+    ])
+    def test_task_key_the_kind_ignores_rejected(self, task, key):
+        with pytest.raises(ConfigError, match=key):
+            make_task(task)
 
     def test_stratified_split_counts(self):
         ds = make_blobs(1000, 4, 2.0, np.random.default_rng(4))
@@ -368,22 +380,63 @@ class TestExperiments:
     def test_seed_failure_flushes_partial_results(self, tmp_path, monkeypatch):
         out = str(tmp_path / "fail")
         cfg = quick_config(out, ["experiment.kind=early_stop",
-                                 'experiment.strategies=["shared"]',
+                                 'experiment.strategies=["shared","overlapping"]',
                                  "experiment.seeds=[0,1]"])
         real_cells, finish = experiments._KINDS["early_stop"]
 
-        def flaky(cfg, dprime, test, seed):
-            if seed == 1:
+        def flaky(cfg, dprime, test, seed, plan, job):
+            if seed == 1 and job.strategy == "overlapping":  # seed 1's second job
                 raise RuntimeError("boom")
-            return real_cells(cfg, dprime, test, seed)
+            return real_cells(cfg, dprime, test, seed, plan, job)
 
         monkeypatch.setitem(experiments._KINDS, "early_stop", (flaky, finish))
         with pytest.raises(ExperimentError, match="1 of 2 seeds"):
             run_experiment(cfg)
         with open(os.path.join(out, "manifest.json")) as f:
             manifest = json.load(f)
-        assert manifest["failures"][0]["seed"] == 1
-        assert os.path.exists(os.path.join(out, "cells.csv"))
+        assert manifest["failures"] == [{"seed": 1, "error": "RuntimeError: boom"}]
+        # seed 1's first job succeeded, but a failed seed writes nothing
+        assert [(r["seed"], r["strategy"], r["mode"]) for r in manifest["runs"]] == [
+            (0, s, m) for s in ("shared", "overlapping") for m in ("individual", "joint")]
+        with open(os.path.join(out, "cells.csv")) as f:
+            rows = list(csv.reader(f))[1:]
+        assert len(rows) == 8 and {r[7] for r in rows} == {"0"}
+
+    def test_early_stop_builds_each_plan_once_per_seed(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("ENSTUNE_WORKERS", raising=False)  # spies see every job
+        cfg = quick_config(str(tmp_path / "es"), [
+            "experiment.kind=early_stop",
+            'experiment.strategies=["shared","disjoint","overlapping"]',
+            'experiment.modes=["individual","joint"]'])
+        built = []
+        real_make_plan, real_check = experiments.make_plan, experiments._check_config
+
+        def spy(strategy, n_total, val_pct, n_members, seed, labels):
+            built.append((seed, strategy))
+            return real_make_plan(strategy, n_total, val_pct, n_members, seed, labels)
+
+        def check_then_forget(cfg):
+            checked = real_check(cfg)
+            built.clear()  # count the plans built at run time only
+            return checked
+
+        monkeypatch.setattr(experiments, "make_plan", spy)
+        monkeypatch.setattr(experiments, "_check_config", check_then_forget)
+        run_experiment(cfg)
+        assert built == [(seed, s) for seed in (0, 1)
+                         for s in ("shared", "disjoint", "overlapping")]
+
+    def test_stop_then_scale_runs_every_plan(self, tmp_path):
+        out = tmp_path / "sts"
+        run_experiment(quick_config(str(out), [
+            "experiment.kind=stop_then_scale", "experiment.seeds=[0]",
+            'experiment.strategies=["shared","overlapping"]',
+            "experiment.val_pcts=[0.1,0.3]"]))
+        with open(out / "cells.csv") as f:
+            rows = list(csv.reader(f))[1:]
+        assert [(r[1], r[5], r[6]) for r in rows] == [
+            (variant, s, v) for s in ("shared", "overlapping") for v in ("0.1", "0.3")
+            for variant in ("none", "joint_scale")]
 
     def test_wd_sweep_summary_failure_flushes_partial_results(self, tmp_path,
                                                               monkeypatch):
@@ -433,11 +486,24 @@ class TestExperiments:
     @pytest.mark.parametrize("kind, files", [
         ("early_stop", ["cells.csv", "aggregate.csv", "plotdata.csv", "monitor.csv"]),
         ("wd_sweep", ["cells.csv", "aggregate.csv", "plotdata.csv", "summary.json"]),
+        ("temp_scale", ["cells.csv", "aggregate.csv", "plotdata.csv"]),
     ])
     def test_worker_count_does_not_change_outputs(self, tmp_path, monkeypatch, kind,
                                                   files):
         extra = [f"experiment.kind={kind}", "experiment.weight_decays=[0.0,0.01]",
                  "optimizer.kind=sgd_momentum", "optimizer.lr=0.05"]
+        if kind == "temp_scale":  # one seed, whose four plans fan out
+            extra += ["experiment.seeds=[0]",
+                      'experiment.strategies=["shared","overlapping"]',
+                      "experiment.val_pcts=[0.1,0.2]"]
+        pools = []
+        real_pool = experiments.ProcessPoolExecutor
+
+        def recording_pool(max_workers):
+            pools.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", recording_pool)
         outputs = {}
         for workers in ("1", "2"):
             monkeypatch.setenv("ENSTUNE_WORKERS", workers)
@@ -445,6 +511,19 @@ class TestExperiments:
             run_experiment(quick_config(str(out), extra))
             outputs[workers] = {name: (out / name).read_bytes() for name in files}
         assert outputs["1"] == outputs["2"]
+        assert pools == [2]  # only the two-worker run used a pool
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_worker_count_rejected_before_training(self, tmp_path, monkeypatch,
+                                                       value):
+        monkeypatch.setenv("ENSTUNE_WORKERS", value)
+        monkeypatch.setattr(experiments, "train_ensemble", None)  # no training
+        out = tmp_path / "run"
+        argv = ["early-stop", "--out", str(out)]
+        for item in BASE:
+            argv += ["--set", item]
+        assert cli_main(argv) == 2
+        assert not out.exists()
 
     def test_no_test_index_reachable_by_plans(self):
         cfg = load_config(None, BASE)
@@ -542,6 +621,22 @@ class TestCli:
         ("early-stop", ["task.label_noise=1"]),
         ("early-stop", ["task.label_noise=-0.1"]),
         ("early-stop", ["ensemble.strategy=disjoint"]),
+        ("stop-then-scale", ['experiment.strategies=["disjoint"]',
+                             "experiment.val_pcts=[0.1,0.3]"]),
+        ("stop-then-scale", ['experiment.strategies=["shared","disjoint"]']),
+        ("stop-then-scale", ["experiment.strategies=[]"]),
+        ("sweep-wd", ['experiment.strategies=["overlapping"]',
+                      "experiment.val_pcts=[0.3]", 'experiment.modes=["joint"]']),
+        ("sweep-wd", ['experiment.strategies=["overlapping"]']),
+        ("sweep-wd", ['experiment.strategies=["shared","overlapping"]']),
+        ("sweep-wd", ["experiment.val_pcts=[0.1,0.3]"]),
+        ("sweep-wd", ['experiment.modes=["joint"]']),
+        ("batch-ensemble", ['experiment.modes=["individual"]']),
+        ("stop-then-scale", ['experiment.modes=["joint"]']),
+        ("early-stop", ["task.kind=spirals", "task.classes=4", "task.label_noise=0.4",
+                        "task.radius=9"]),
+        ("early-stop", ["task.kind=spirals", "task.classes=4", "task.label_noise=0",
+                        "task.radius=9"]),
     ])
     def test_bad_config_rejected_before_training(self, tmp_path, monkeypatch,
                                                  command, extra):
@@ -590,6 +685,12 @@ class TestCli:
     def test_gen_data_bad_task_exit_code(self, tmp_path):
         out = tmp_path / "ds.csv"
         assert cli_main(["gen-data", "--n", "2", "--classes", "4",
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_gen_data_key_the_kind_ignores_exit_code(self, tmp_path):
+        out = tmp_path / "ds.csv"
+        assert cli_main(["gen-data", "--kind", "spirals", "--classes", "3",
                          "--out", str(out)]) == 2
         assert not out.exists()
 

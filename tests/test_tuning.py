@@ -5,6 +5,7 @@ import pytest
 
 from enstune import metrics
 from enstune.data import make_blobs, train_test_split
+from enstune.splits import make_shared
 from enstune.training import NONE, OptimizerConfig, StoppingConfig
 from enstune.tuning import (
     HyperGrid,
@@ -99,7 +100,9 @@ def small_sweep():
     grid = HyperGrid([0.0, 1e-3, 1e-1], [1, 2, 3], [0, 1])
     opt = OptimizerConfig(kind="sgd_momentum", lr=0.05, cosine_epochs=12)
     stop = StoppingConfig(mode=NONE, max_epochs=12, batch_size=64)
-    return run_sweep(dprime, test, grid, [2, 16, 3], 3, 0.15, opt, stop)
+    plans = [make_shared(len(dprime), 0.15, 3, rng_seed=seed, labels=dprime.y)
+             for seed in grid.seeds]
+    return run_sweep(dprime, test, grid, plans, [2, 16, 3], 0.15, opt, stop)
 
 
 class TestRunSweep:
