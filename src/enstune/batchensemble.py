@@ -28,13 +28,14 @@ from .netcore import (
 )
 from .splits import SplitPlan
 from .training import (
+    NONE,
     OptimizerConfig,
     StopDecision,
     StoppingConfig,
     member_rng,
-    normalized_epochs,
     _BATCH,
     _INIT,
+    _Rule,
     _cosine_schedule,
     _joint_nll,
     _patience_loop,
@@ -374,6 +375,41 @@ class BeTrainResult:
         return [self.member_probs(x, m) for m in range(self.model.n_members)]
 
 
+class _BeTrajectory:
+    """A BatchEnsemble's one trajectory: every step draws one mini-batch per
+    member from that member's own indices and updates all weights together."""
+
+    def __init__(self, x, y, plan: SplitPlan, model: BatchEnsembleModel,
+                 opt_cfg: OptimizerConfig, batch_size: int, seed: int):
+        self.x, self.y = x, y
+        self.params = model
+        self.scalers = [Standardizer.fit(x[ms.train_idx]) for ms in plan.members]
+        self.streams = [_IndexStream(ms.train_idx, member_rng(seed, m, _BATCH))
+                        for m, ms in enumerate(plan.members)]
+        self.opt = opt_cfg.build(model)
+        self.steps_per_epoch = max(math.ceil(len(ms.train_idx) / batch_size)
+                                   for ms in plan.members)
+        self.batch = min(batch_size, min(len(ms.train_idx) for ms in plan.members))
+        self.lr_at = _cosine_schedule(opt_cfg, self.steps_per_epoch)
+        self.steps = 0
+
+    def run_epoch(self) -> None:
+        for _ in range(self.steps_per_epoch):
+            idx = [stream.next_batch(self.batch) for stream in self.streams]
+            xs = np.stack([scaler(self.x[i]) for scaler, i in zip(self.scalers, idx)])
+            ys = np.stack([self.y[i] for i in idx])
+            lr_now = self.lr_at(self.steps)
+            _, grads = be_loss_and_grads(self.params, xs, ys)
+            self.opt.step(self.params.arrays(), grads, lr_now)
+            self.steps += 1
+
+    def snapshot(self) -> BatchEnsembleModel:
+        return self.params.copy()
+
+    def probs(self, m: int, idx: np.ndarray) -> np.ndarray:
+        return softmax(be_forward(self.params, self.scalers[m](self.x[idx]), m))
+
+
 def be_train(x, y, plan: SplitPlan, dims: list[int], scheme: str,
              opt_cfg: OptimizerConfig, stop_cfg: StoppingConfig, seed: int,
              sigma: float = 0.1) -> BeTrainResult:
@@ -385,41 +421,13 @@ def be_train(x, y, plan: SplitPlan, dims: list[int], scheme: str,
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
-    n_members = plan.n_members
-    init_rng = member_rng(seed, 0, _INIT)
-    model = make_batch_ensemble(dims, n_members, scheme, init_rng, sigma)
-    scalers = [Standardizer.fit(x[ms.train_idx]) for ms in plan.members]
-    streams = [_IndexStream(ms.train_idx, member_rng(seed, m, _BATCH))
-               for m, ms in enumerate(plan.members)]
-    opt = opt_cfg.build(model)
-    steps_per_epoch = max(math.ceil(len(ms.train_idx) / stop_cfg.batch_size)
-                          for ms in plan.members)
-    batch = min(stop_cfg.batch_size, min(len(ms.train_idx) for ms in plan.members))
-    lr_at = _cosine_schedule(opt_cfg, steps_per_epoch)
-    steps = 0
-
-    def run_epoch():
-        nonlocal steps
-        for _ in range(steps_per_epoch):
-            idx = [stream.next_batch(batch) for stream in streams]
-            xs = np.stack([scalers[m](x[idx[m]]) for m in range(n_members)])
-            ys = np.stack([y[idx[m]] for m in range(n_members)])
-            lr_now = lr_at(steps)
-            _, grads = be_loss_and_grads(model, xs, ys)
-            opt.step(model.arrays(), grads, lr_now)
-            steps += 1
-
-    def probs_at(m, idx):
-        return softmax(be_forward(model, scalers[m](x[idx]), m))
-
-    def restore(best):
-        nonlocal model
-        model = best
-
+    model = make_batch_ensemble(dims, plan.n_members, scheme,
+                                member_rng(seed, 0, _INIT), sigma)
+    traj = _BeTrajectory(x, y, plan, model, opt_cfg, stop_cfg.batch_size, seed)
     # disjoint plans monitor the average member NLL: there is no joint set,
     # and members that share slow weights cannot stop one by one
-    decision = _patience_loop(stop_cfg, run_epoch,
-                              lambda: _joint_nll(plan, y, probs_at),
-                              lambda: model.copy(), restore)
-    decision.normalized_epochs = normalized_epochs(steps, batch, len(y))
-    return BeTrainResult(model, scalers, decision)
+    rule = _Rule([0], lambda: _joint_nll(plan, y, traj.probs),
+                 stop_cfg.mode != NONE, stop_cfg.patience)
+    _patience_loop([traj], [rule], stop_cfg.max_epochs)
+    (model,) = rule.kept
+    return BeTrainResult(model, traj.scalers, rule.decision(traj.batch, len(y)))

@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import time
+import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from typing import NamedTuple
@@ -249,17 +250,22 @@ def _temp_scale_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan, job:
 
 
 def _early_stop_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan, job: Job):
-    """Every stopping mode, each trained on the job's one plan."""
-    dims = _dims(cfg, dprime)
+    """Every stopping mode, all observing one training of the job's plan."""
+    # disjoint x joint has no jointly evaluable set; not a valid cell
+    modes = [mode for mode in cfg.experiment.modes
+             if not (job.strategy == DISJOINT and mode == JOINT)]
+    if not modes:
+        return [], []
+    # a mode listed twice trains once and repeats its cells
+    trained = train_ensemble(dprime.x, dprime.y, plan, _dims(cfg, dprime),
+                             _optimizer_config(cfg, cosine=False),
+                             _stopping(cfg, modes[0]), seed,
+                             modes=dict.fromkeys(modes))
     m_total = cfg.ensemble.members
-    opt = _optimizer_config(cfg, cosine=False)
     ece_bins = cfg.experiment.ece_bins
     rows, runs = [], []
-    for mode in cfg.experiment.modes:
-        if job.strategy == DISJOINT and mode == JOINT:
-            continue  # no jointly evaluable set; not a valid cell
-        result = train_ensemble(dprime.x, dprime.y, plan, dims, opt,
-                                _stopping(cfg, mode), seed)
+    for mode in modes:
+        result = trained.by_mode[mode]
         norm = float(np.mean([m.stop.normalized_epochs for m in result.members]))
         test_probs = [member_probs(m, test.x) for m in result.members]
         rows += _test_rows("early_stop", mode, test_probs, test.y, ece_bins,
@@ -355,6 +361,12 @@ _KINDS = {
 _MODES = {"early_stop": (INDIVIDUAL, JOINT, NONE),
           "temp_scale": ("none", "individual", "joint", "pool")}
 
+# the kinds that read each experiment list; any other kind must leave it at
+# its default. weight_decays stays unchecked: the benchmark's tiny configs
+# set it for every kind
+_READERS = {"modes": tuple(_MODES), "schemes": ("batch_ensemble",),
+            "ensemble_sizes": ("wd_sweep",)}
+
 # the experiment lists each kind loops over; an empty one yields no cell
 _LISTS = {"early_stop": ("strategies", "modes"),
           "temp_scale": ("strategies", "modes"),
@@ -366,12 +378,13 @@ def _check_config(cfg: ExperimentConfig):
     """Build the dataset, then return it after rejecting, before any
     training, what would fail every seed or write no cell: a task the
     generator, the CSV reader or the test split refuses, stopping and
-    optimizer settings the trainers refuse, empty strategy, mode or scheme
-    lists, an early_stop whose only cells are disjoint x joint, unknown
-    modes and schemes, modes set for a kind that reads none, joint
-    evaluation on disjoint holdouts, a wd_sweep with more than its one
-    shared holdout, holdout plans that cannot be built, invalid sweep grids
-    and sweep ensemble sizes beyond the members."""
+    optimizer settings the trainers refuse, a momentum adam does not read,
+    empty strategy, mode or scheme lists, an early_stop whose only cells are
+    disjoint x joint, unknown modes and schemes, modes, schemes or ensemble
+    sizes set for a kind that reads none, joint evaluation on disjoint
+    holdouts, a wd_sweep with more than its one shared holdout, holdout
+    plans that cannot be built, invalid sweep grids and sweep ensemble sizes
+    beyond the members."""
     ex = cfg.experiment
     for key in _LISTS.get(ex.kind, ()):
         if not getattr(ex, key):
@@ -390,10 +403,16 @@ def _check_config(cfg: ExperimentConfig):
             if mode not in _MODES[ex.kind]:
                 raise ConfigError(f"unknown {ex.kind} mode {mode!r}; expected one "
                                   f"of {_MODES[ex.kind]}")
-        default_modes = ExperimentConfig().experiment.modes
-        if ex.kind not in _MODES and ex.modes != default_modes:
-            raise ConfigError(f"{ex.kind} reads no experiment.modes; leave it at "
-                              f"its default {default_modes}")
+        defaults = ExperimentConfig()
+        momentum = defaults.optimizer.momentum
+        if cfg.optimizer.kind == "adam" and cfg.optimizer.momentum != momentum:
+            raise ConfigError("adam reads no optimizer.momentum; leave it at its "
+                              f"default {momentum}")
+        for key, readers in _READERS.items():
+            default = getattr(defaults.experiment, key)
+            if ex.kind not in readers and getattr(ex, key) != default:
+                raise ConfigError(f"{ex.kind} reads no experiment.{key}; leave it "
+                                  f"at its default {default}")
         joint_like = {"joint", "pool"} & set(ex.modes)
         if ex.kind == "temp_scale" and joint_like and DISJOINT in ex.strategies:
             raise ConfigError(
@@ -442,13 +461,16 @@ def _worker_count() -> int:
     return workers
 
 
-def _describe(err: Exception) -> str:
-    return f"{type(err).__name__}: {err}"
+def _describe(err: Exception) -> dict:
+    """A failure's ``error`` line and full ``traceback``; a worker's remote
+    traceback is the exception's ``__cause__`` and is formatted with it."""
+    return {"error": f"{type(err).__name__}: {err}",
+            "traceback": "".join(traceback.format_exception(err))}
 
 
 def _map_jobs(fn, jobs, workers: int):
     """Run ``fn(*job)`` per job, capturing failures: a list of ("ok", payload)
-    or ("error", message)."""
+    or ("error", :func:`_describe` dict)."""
     outcomes = []
     if workers <= 1 or len(jobs) <= 1:
         for job in jobs:
@@ -477,8 +499,9 @@ def _run_job(cfg: ExperimentConfig, dprime, test, seed: int, job: Job):
 def _run_seeds(cfg: ExperimentConfig, dprime, test, workers: int):
     """Every (seed, job) pair, then the kind's finish step over the completed
     seeds. A seed with a failing job, or a failing finish step, becomes an
-    entry of ``failures`` (seed None for the finish step) instead of stopping
-    the run; a failed seed contributes no rows or runs."""
+    entry of ``failures`` (seed None for the finish step), with the error line
+    and its full traceback, instead of stopping the run; a failed seed
+    contributes no rows or runs."""
     finish = _KINDS[cfg.experiment.kind][1]
     seeds, jobs = cfg.experiment.seeds, _jobs(cfg)
     outcomes = _map_jobs(_run_job, [(cfg, dprime, test, s, job)
@@ -488,7 +511,7 @@ def _run_seeds(cfg: ExperimentConfig, dprime, test, workers: int):
         seed_outcomes = outcomes[i * len(jobs):(i + 1) * len(jobs)]
         errors = [payload for status, payload in seed_outcomes if status == "error"]
         if errors:
-            failures.append({"seed": seed, "error": errors[0]})
+            failures.append({"seed": seed, **errors[0]})
             continue
         payloads = [payload for _, payload in seed_outcomes]
         results.append(tuple([x for part in parts for x in part]
@@ -500,7 +523,7 @@ def _run_seeds(cfg: ExperimentConfig, dprime, test, workers: int):
         try:
             summary = finish(cfg, results)
         except Exception as err:  # noqa: BLE001 - flush what the seeds produced
-            failures.append({"seed": None, "error": _describe(err)})
+            failures.append({"seed": None, **_describe(err)})
     return rows, runs, summary, failures
 
 

@@ -1,17 +1,21 @@
 """Member training with individual vs joint early stopping, patience
 bookkeeping and step-normalized epoch accounting. One patience loop
-(:func:`_patience_loop`) runs every stopping group, BatchEnsemble included.
+(:func:`_patience_loop`) advances every trajectory, BatchEnsemble included,
+and feeds the stopping rules that observe it.
 
 An "improvement" is a strictly lower monitored score; ties burn patience.
-Stopping restores the parameters snapshotted at the best epoch. Joint mode
-advances all members one epoch in lockstep, monitors the ensemble score on
-the plan's jointly evaluable sets and stops everyone together.
+Stopping restores the parameters snapshotted at the best epoch. Members
+advance one epoch at a time in lockstep; a joint rule monitors the ensemble
+score on the plan's jointly evaluable sets and stops everyone together.
+Under a constant learning rate the individual, joint and none runs of one
+plan are prefixes of one trajectory per member, so one call trains each
+member once and every mode observes it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,8 +138,8 @@ class OptimizerConfig:
 class TrainedMember:
     params: MlpParams
     scaler: Standardizer
-    stop: StopDecision  # its stopping group's decision
-    steps: int = 0
+    stop: StopDecision  # its stopping rule's decision
+    steps: int = 0  # optimizer steps its trajectory ran
 
 
 def member_probs(member: TrainedMember, x: np.ndarray) -> np.ndarray:
@@ -153,10 +157,11 @@ def _batches(order: np.ndarray, batch_size: int):
 
 
 class _MemberState:
-    """One member's parameters, scaler, data views and RNG streams."""
+    """One member's trajectory: parameters, scaler, data views, RNG streams
+    and its learning-rate schedule ``lr_at(step)``."""
 
     def __init__(self, x, y, train_idx, val_idx, dims, opt_cfg, seed, member_index,
-                 standardize):
+                 standardize, batch_size, lr_at):
         if len(train_idx) == 0 or len(val_idx) == 0:
             raise ValueError(f"member {member_index}: empty train or validation set")
         self.scaler = (Standardizer.fit(x[train_idx]) if standardize
@@ -169,18 +174,20 @@ class _MemberState:
         self.params = MlpParams.random(dims, init_rng)
         self.opt = opt_cfg.build(self.params)
         self.batch_rng = member_rng(seed, member_index, _BATCH)
+        self.batch_size = batch_size
+        self.lr_at = lr_at
         self.steps = 0
 
-    def steps_per_epoch(self, batch_size: int) -> int:
-        return math.ceil(len(self.y_train) / batch_size)
-
-    def run_epoch(self, batch_size: int, lr_at) -> None:
+    def run_epoch(self) -> None:
         order = self.batch_rng.permutation(len(self.y_train))
-        for batch in _batches(order, batch_size):
-            lr_now = lr_at(self.steps)
+        for batch in _batches(order, self.batch_size):
+            lr_now = self.lr_at(self.steps)
             _, grads = loss_and_grad(self.params, self.x_train[batch], self.y_train[batch])
             self.opt.step(self.params.arrays(), grads.arrays(), lr_now)
             self.steps += 1
+
+    def snapshot(self) -> MlpParams:
+        return self.params.copy()
 
     def probs(self, x: np.ndarray) -> np.ndarray:
         return softmax(mlp_forward(self.params, self.scaler(x)))
@@ -198,33 +205,70 @@ def _cosine_schedule(opt_cfg: OptimizerConfig, steps_per_epoch: int):
     return lambda step: cosine_lr(opt_cfg.lr, min(step, total_steps), total_steps)
 
 
-def _patience_loop(stop_cfg: StoppingConfig, run_epoch, score, snapshot,
-                   restore) -> StopDecision:
-    """The training protocol shared by every trainer: run an epoch, score it,
-    snapshot on strict improvement, stop on exhausted patience and restore
-    the best snapshot.
+class _Rule:
+    """A stopping rule observing the trajectories ``ids`` through ``score()``,
+    with its own patience tracker and history. After the loop ``kept`` holds
+    the state it keeps of each trajectory (the best-epoch snapshot, or the
+    final state when unmonitored) and ``steps`` each trajectory's optimizer
+    steps when the rule stopped."""
 
-    ``snapshot()`` returns a copy of the trained state; ``restore(copy)``
-    reinstates one. Mode "none" runs every epoch and keeps the final state.
-    The caller fills in the decision's ``normalized_epochs``.
+    def __init__(self, ids, score, monitored: bool, patience: int):
+        self.ids = list(ids)
+        self.score = score
+        self.monitored = monitored
+        self.tracker = PatienceTracker(patience)
+        self.history: list[float] = []
+        self.stopped_early = False
+        self.kept: list | None = None
+        self.steps: list[int] | None = None
+
+    def decision(self, batch_size: int, n_total: int) -> StopDecision:
+        """The rule's decision, its normalized epochs taken from the mean
+        steps of its trajectories at stop."""
+        return StopDecision(len(self.history) - 1, self.tracker.best_epoch,
+                            self.tracker.best_score,
+                            normalized_epochs(float(np.mean(self.steps)), batch_size,
+                                              n_total),
+                            self.history, self.stopped_early)
+
+
+def _patience_loop(trajectories, rules: list[_Rule], max_epochs: int) -> None:
+    """The training protocol shared by every trainer. Each epoch advances
+    every trajectory a live rule observes, then feeds each live rule its
+    score: a monitored rule snapshots its trajectories on strict improvement
+    and stops on exhausted patience, keeping its best snapshot; an
+    unmonitored rule (mode "none") runs all ``max_epochs`` and keeps the
+    final state. A trajectory stops once every rule on it has stopped, so
+    rules sharing a trajectory never retrain its prefix.
+
+    A trajectory has ``run_epoch()``, ``snapshot()`` (a copy of its trained
+    state), the live state ``params`` and its optimizer ``steps``. Rules
+    with the same ``score`` callable share one evaluation per epoch.
     """
-    monitored = stop_cfg.mode != NONE
-    best = snapshot() if monitored else None
-    tracker = PatienceTracker(stop_cfg.patience)
-    history = []
-    stopped_early = False
-    for _ in range(stop_cfg.max_epochs):
-        run_epoch()
-        history.append(score())
-        if tracker.update(history[-1]) and monitored:
-            best = snapshot()
-        if monitored and tracker.should_stop:
-            stopped_early = True
+    for rule in rules:
+        if rule.monitored:
+            rule.kept = [trajectories[i].snapshot() for i in rule.ids]
+    live = list(rules)
+    for _ in range(max_epochs):
+        for i in sorted({i for rule in live for i in rule.ids}):
+            trajectories[i].run_epoch()
+        scores = {}
+        for rule in live:
+            if rule.score not in scores:
+                scores[rule.score] = rule.score()
+            rule.history.append(scores[rule.score])
+            if rule.tracker.update(rule.history[-1]) and rule.monitored:
+                rule.kept = [trajectories[i].snapshot() for i in rule.ids]
+            if rule.monitored and rule.tracker.should_stop:
+                rule.stopped_early = True
+                rule.steps = [trajectories[i].steps for i in rule.ids]
+        live = [rule for rule in live if rule.steps is None]
+        if not live:
             break
-    if monitored:
-        restore(best)
-    return StopDecision(len(history) - 1, tracker.best_epoch, tracker.best_score,
-                        None, history, stopped_early)
+    for rule in live:  # ran every epoch
+        rule.steps = [trajectories[i].steps for i in rule.ids]
+        if not rule.monitored:
+            rule.kept = [trajectories[i].params for i in rule.ids]
 
 
 def _joint_nll(plan: SplitPlan, y: np.ndarray, probs_at) -> float:
@@ -244,66 +288,75 @@ def _joint_nll(plan: SplitPlan, y: np.ndarray, probs_at) -> float:
     return float(np.mean(vals))
 
 
-def _train_group(group: list[_MemberState], score, opt_cfg: OptimizerConfig,
-                 stop_cfg: StoppingConfig, n_total: int) -> StopDecision:
-    """Run the patience loop once over a stopping group of member states:
-    one cosine schedule over the group's longest epoch, one monitored
-    ``score()``, one snapshot/restore of every member's parameters."""
-    lr_at = _cosine_schedule(opt_cfg, max(s.steps_per_epoch(stop_cfg.batch_size)
-                                          for s in group))
-
-    def run_epoch():
-        for s in group:
-            s.run_epoch(stop_cfg.batch_size, lr_at)
-
-    def restore(params):
-        for s, p in zip(group, params):
-            s.params = p
-
-    decision = _patience_loop(stop_cfg, run_epoch, score,
-                              lambda: [s.params.copy() for s in group], restore)
-    mean_steps = float(np.mean([s.steps for s in group]))
-    decision.normalized_epochs = normalized_epochs(mean_steps, stop_cfg.batch_size,
-                                                   n_total)
-    return decision
-
-
 @dataclass
 class EnsembleResult:
     members: list[TrainedMember]
-    decisions: list[StopDecision]  # one per stopping group, in member order
+    decisions: list[StopDecision]  # one per stopping rule, in member order
+    by_mode: dict[str, EnsembleResult] = field(default_factory=dict)
 
 
 def train_ensemble(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig,
                    stop_cfg: StoppingConfig, base_seed: int,
                    member_seeds: list[int] | None = None,
-                   standardize: bool = True) -> EnsembleResult:
-    """Train all plan members in stopping groups, in member order: each
-    member alone on its own validation NLL in modes "individual" and "none",
-    all members together on the ensemble NLL in mode "joint". Each member's
-    ``stop`` is its group's decision."""
+                   standardize: bool = True, modes=None) -> EnsembleResult:
+    """Train every plan member's trajectory once, observed by the stopping
+    rules of each mode in ``modes`` (default: ``stop_cfg.mode`` alone): in
+    modes "individual" and "none" one rule per member on its own validation
+    NLL, in mode "joint" one rule over all members on the ensemble NLL. A
+    member trains until every rule on it has stopped.
+
+    ``by_mode`` maps each mode to its members and decisions (one per rule,
+    in member order); ``members`` and ``decisions`` are those of
+    ``stop_cfg.mode``. Each member's ``stop`` is its rule's decision and
+    ``steps`` the optimizer steps its trajectory ran in this call. Modes
+    share a trajectory only under one learning-rate schedule, so a call with
+    several modes refuses ``opt_cfg.cosine_epochs``; alone, a joint rule
+    anneals every member over the longest member epoch."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
+    modes = (stop_cfg.mode,) if modes is None else tuple(modes)
+    if (stop_cfg.mode not in modes or len(set(modes)) != len(modes)
+            or not set(modes) <= {INDIVIDUAL, JOINT, NONE}):
+        raise ValueError(f"modes {modes} must be distinct stopping modes and "
+                         f"include stop_cfg.mode {stop_cfg.mode!r}")
+    if len(modes) > 1 and opt_cfg.cosine_epochs:
+        raise ValueError("several stopping modes share one trajectory per member "
+                         "only under a constant learning rate; cosine_epochs needs "
+                         "one mode per call")
     seeds = member_seeds if member_seeds is not None else [base_seed] * plan.n_members
     if len(seeds) != plan.n_members:
         raise ValueError("member_seeds must have one entry per member")
     member_ids = (range(plan.n_members) if member_seeds is None
                   else [0] * plan.n_members)  # explicit seeds already disambiguate
-    joint = stop_cfg.mode == JOINT
-    if joint and plan.strategy == DISJOINT:  # fail fast, before any training
+    if JOINT in modes and plan.strategy == DISJOINT:  # fail fast, before any training
         raise JointEvalUnavailableError("joint stopping on a disjoint plan: "
                                         "no common validation set")
-    states = [_MemberState(x, y, ms.train_idx, ms.val_idx, dims, opt_cfg,
-                           seeds[m], mid, standardize)
+    steps_per_epoch = [math.ceil(len(ms.train_idx) / stop_cfg.batch_size)
+                       for ms in plan.members]
+    states = [_MemberState(x, y, ms.train_idx, ms.val_idx, dims, opt_cfg, seeds[m],
+                           mid, standardize, stop_cfg.batch_size,
+                           _cosine_schedule(opt_cfg, max(steps_per_epoch)
+                                            if JOINT in modes else steps_per_epoch[m]))
               for m, (ms, mid) in enumerate(zip(plan.members, member_ids))]
-    if joint:
-        groups = [(states, lambda: _joint_nll(
-            plan, y, lambda m, idx: states[m].probs(x[idx])))]
-    else:
-        groups = [([s], s.val_nll) for s in states]
-    members, decisions = [], []
-    for group, score in groups:
-        decision = _train_group(group, score, opt_cfg, stop_cfg, len(y))
-        decisions.append(decision)
-        members += [TrainedMember(s.params, s.scaler, decision, s.steps) for s in group]
-    return EnsembleResult(members, decisions)
+    rules = {}
+    for mode in modes:
+        if mode == JOINT:
+            rules[mode] = [_Rule(range(len(states)), lambda: _joint_nll(
+                plan, y, lambda m, idx: states[m].probs(x[idx])), True,
+                stop_cfg.patience)]
+        else:
+            rules[mode] = [_Rule([m], s.val_nll, mode != NONE, stop_cfg.patience)
+                           for m, s in enumerate(states)]
+    _patience_loop(states, [r for mode_rules in rules.values() for r in mode_rules],
+                   stop_cfg.max_epochs)
+    by_mode = {}
+    for mode, mode_rules in rules.items():
+        members, decisions = [], []
+        for rule in mode_rules:
+            decision = rule.decision(stop_cfg.batch_size, len(y))
+            decisions.append(decision)
+            members += [TrainedMember(p, states[i].scaler, decision, states[i].steps)
+                        for i, p in zip(rule.ids, rule.kept)]
+        by_mode[mode] = EnsembleResult(members, decisions)
+    own = by_mode[stop_cfg.mode]
+    return EnsembleResult(own.members, own.decisions, by_mode)

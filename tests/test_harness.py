@@ -394,13 +394,39 @@ class TestExperiments:
             run_experiment(cfg)
         with open(os.path.join(out, "manifest.json")) as f:
             manifest = json.load(f)
-        assert manifest["failures"] == [{"seed": 1, "error": "RuntimeError: boom"}]
+        (failure,) = manifest["failures"]
+        assert 'raise RuntimeError("boom")' in failure.pop("traceback")
+        assert failure == {"seed": 1, "error": "RuntimeError: boom"}
         # seed 1's first job succeeded, but a failed seed writes nothing
         assert [(r["seed"], r["strategy"], r["mode"]) for r in manifest["runs"]] == [
             (0, s, m) for s in ("shared", "overlapping") for m in ("individual", "joint")]
         with open(os.path.join(out, "cells.csv")) as f:
             rows = list(csv.reader(f))[1:]
         assert len(rows) == 8 and {r[7] for r in rows} == {"0"}
+
+    def test_worker_failure_records_the_remote_traceback(self, tmp_path,
+                                                        monkeypatch):
+        out = str(tmp_path / "fail")
+        cfg = quick_config(out, ["experiment.kind=early_stop", "experiment.seeds=[0,1]"])
+        real_cells, finish = experiments._KINDS["early_stop"]
+
+        def flaky_in_worker(cfg, dprime, test, seed, plan, job):
+            if seed == 1:
+                raise RuntimeError(f"boom in pid {os.getpid()}")
+            return real_cells(cfg, dprime, test, seed, plan, job)
+
+        monkeypatch.setitem(experiments._KINDS, "early_stop", (flaky_in_worker, finish))
+        monkeypatch.setenv("ENSTUNE_WORKERS", "2")
+        with pytest.raises(ExperimentError, match="1 of 2 seeds"):
+            run_experiment(cfg)
+        with open(os.path.join(out, "manifest.json")) as f:
+            (failure,) = json.load(f)["failures"]
+        assert failure["seed"] == 1
+        assert failure["error"].startswith("RuntimeError: boom in pid ")
+        assert failure["error"] != f"RuntimeError: boom in pid {os.getpid()}"
+        # the worker's frames arrive as the exception's cause
+        assert "in flaky_in_worker" in failure["traceback"]
+        assert "in _run_job" in failure["traceback"]
 
     def test_early_stop_builds_each_plan_once_per_seed(self, tmp_path, monkeypatch):
         monkeypatch.delenv("ENSTUNE_WORKERS", raising=False)  # spies see every job
@@ -460,9 +486,11 @@ class TestExperiments:
             run_experiment(cfg)
         with open(os.path.join(out, "manifest.json")) as f:
             manifest = json.load(f)
-        assert manifest["failures"] == [
-            {"seed": None,
-             "error": "ValueError: seed 1: selected cell diverged, gap undefined"}]
+        (failure,) = manifest["failures"]
+        assert "in _wd_sweep_summary" in failure.pop("traceback")
+        assert failure == {
+            "seed": None,
+            "error": "ValueError: seed 1: selected cell diverged, gap undefined"}
         assert "summary" not in manifest
         assert not os.path.exists(os.path.join(out, "summary.json"))
         assert [r["diverged"] for r in manifest["runs"]] == [False, False, True, True]
@@ -637,6 +665,13 @@ class TestCli:
                         "task.radius=9"]),
         ("early-stop", ["task.kind=spirals", "task.classes=4", "task.label_noise=0",
                         "task.radius=9"]),
+        ("early-stop", ["optimizer.momentum=0.1"]),
+        ("batch-ensemble", ["optimizer.kind=adam", "optimizer.momentum=0.5"]),
+        ("early-stop", ['experiment.schemes=["bogus"]']),
+        ("temp-scale", ['experiment.schemes=["random_sign"]']),
+        ("early-stop", ["experiment.ensemble_sizes=[1,2]"]),
+        ("batch-ensemble", ["experiment.ensemble_sizes=[2]"]),
+        ("stop-then-scale", ["experiment.ensemble_sizes=[1]"]),
     ])
     def test_bad_config_rejected_before_training(self, tmp_path, monkeypatch,
                                                  command, extra):

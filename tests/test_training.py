@@ -1,9 +1,11 @@
 """Tests for training loops, patience control and normalized epochs."""
 
+import math
+
 import numpy as np
 import pytest
 
-from enstune import metrics
+from enstune import metrics, training
 from enstune.data import make_blobs
 from enstune.splits import (
     SHARED,
@@ -193,6 +195,105 @@ class TestTrainEnsemble:
         for ma, mb in zip(a.members, b.members):
             for la, lb in zip(ma.params.layers, mb.params.layers):
                 assert np.array_equal(la.weight, lb.weight)
+
+
+MODES = ("individual", "joint", "none")
+
+
+def _shared_trajectory_case(strategy):
+    """A noisy task whose members stop at different epochs, and a plan."""
+    ds = blob_task(n=300, noise=0.8, label_noise=0.15)
+    make = make_shared if strategy == "shared" else make_overlapping
+    kwargs = {"val_fraction": 0.2} if strategy == "shared" else {}
+    plan = make(len(ds), n_members=3, rng_seed=1, labels=ds.y, **kwargs)
+    return ds, plan
+
+
+def _train(ds, plan, mode, modes=None, opt=None, max_epochs=40):
+    return train_ensemble(ds.x, ds.y, plan, [2, 16, 3],
+                          opt or OptimizerConfig(lr=0.02),
+                          StoppingConfig(mode=mode, patience=2, max_epochs=max_epochs,
+                                         batch_size=32),
+                          base_seed=3, modes=modes)
+
+
+class TestSharedTrajectory:
+    """One call trains each member once and every stopping mode observes it."""
+
+    @pytest.mark.parametrize("strategy", ["shared", "overlapping"])
+    def test_every_mode_matches_its_single_mode_call(self, strategy):
+        ds, plan = _shared_trajectory_case(strategy)
+        multi = _train(ds, plan, "individual", modes=MODES)
+        assert list(multi.by_mode) == list(MODES)
+        assert multi.members is multi.by_mode["individual"].members
+        stops = [d.stop_epoch for d in multi.by_mode["individual"].decisions]
+        assert len(set(stops)) > 1 and max(stops) < 39  # rules stop apart
+        for mode in MODES:
+            single = _train(ds, plan, mode)
+            shared = multi.by_mode[mode]
+            assert [d.to_dict() for d in shared.decisions] == \
+                [d.to_dict() for d in single.decisions], mode
+            assert len(shared.members) == len(single.members) == plan.n_members
+            for a, b in zip(shared.members, single.members):
+                assert a.stop.to_dict() == b.stop.to_dict()
+                for pa, pb in zip(a.params.arrays(), b.params.arrays()):
+                    assert np.array_equal(pa, pb), mode
+
+    def test_individual_decisions_replay_the_none_histories(self):
+        ds, plan = _shared_trajectory_case("overlapping")
+        multi = _train(ds, plan, "none", modes=MODES)
+        nones = multi.by_mode["none"].decisions
+        assert all(len(d.history) == 40 for d in nones)  # none runs every epoch
+        for m, decision in enumerate(multi.by_mode["individual"].decisions):
+            oracle = stop_controller(nones[m].history, patience=2)
+            assert decision.stopped_early
+            # the member kept training after its individual rule stopped
+            assert len(set(nones[m].history[decision.stop_epoch:])) > 1
+            assert (decision.stop_epoch, decision.best_epoch, decision.best_score,
+                    decision.history, decision.stopped_early) == (
+                oracle.stop_epoch, oracle.best_epoch, oracle.best_score,
+                oracle.history, oracle.stopped_early)
+
+    @pytest.mark.parametrize("strategy", ["shared", "overlapping"])
+    def test_each_member_trains_until_its_last_rule_stops(self, strategy,
+                                                          monkeypatch):
+        ds, plan = _shared_trajectory_case(strategy)
+        calls = []
+        real = training.loss_and_grad
+
+        def counting(params, x, y):
+            calls.append(len(x))
+            return real(params, x, y)
+
+        monkeypatch.setattr(training, "loss_and_grad", counting)
+        multi = _train(ds, plan, "joint", modes=("individual", "joint"))
+        (joint,) = multi.by_mode["joint"].decisions
+        individual = multi.by_mode["individual"].decisions
+        assert {d.stop_epoch for d in individual} - {joint.stop_epoch}
+        expected = []
+        for m, ms in enumerate(plan.members):
+            steps_per_epoch = math.ceil(len(ms.train_idx) / 32)
+            epochs = max(individual[m].stop_epoch, joint.stop_epoch) + 1
+            expected.append(steps_per_epoch * epochs)
+            assert individual[m].normalized_epochs == normalized_epochs(
+                steps_per_epoch * (individual[m].stop_epoch + 1), 32, len(ds))
+        assert len(calls) == sum(expected)
+        assert [member.steps for member in multi.members] == expected
+
+    def test_several_modes_refuse_a_cosine_schedule(self):
+        ds, plan = _shared_trajectory_case("shared")
+        opt = OptimizerConfig(lr=0.02, cosine_epochs=10)
+        with pytest.raises(ValueError, match="cosine_epochs"):
+            _train(ds, plan, "individual", modes=("individual", "joint"), opt=opt)
+        assert _train(ds, plan, "joint", opt=opt, max_epochs=3).decisions
+
+    @pytest.mark.parametrize("mode, modes", [("individual", ("joint", "none")),
+                                             ("joint", ("joint", "joint")),
+                                             ("none", ("none", "sometimes"))])
+    def test_bad_mode_lists_rejected(self, mode, modes):
+        ds, plan = _shared_trajectory_case("shared")
+        with pytest.raises(ValueError, match="modes"):
+            _train(ds, plan, mode, modes=modes)
 
 
 class TestMonitorRows:
