@@ -103,6 +103,13 @@ class ExperimentConfig:
         for p in self.experiment.val_pcts:
             if not 0.0 < p < 1.0:
                 raise ConfigError("experiment.val_pcts entries must be in (0, 1)")
+        for key in ("seeds", "strategies", "modes", "schemes", "val_pcts",
+                    "ensemble_sizes"):
+            values = getattr(self.experiment, key)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"experiment.{key} repeats an entry ({values}): the "
+                                  "repeat would write the same cells again, which "
+                                  "aggregate.csv counts as more seeds")
         if self.task.kind not in ("blobs", "spirals", "csv"):
             raise ConfigError(f"unknown task kind {self.task.kind!r}")
         if self.task.kind == "csv" and not self.task.path:

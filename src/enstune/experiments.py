@@ -256,11 +256,9 @@ def _early_stop_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan, job:
              if not (job.strategy == DISJOINT and mode == JOINT)]
     if not modes:
         return [], []
-    # a mode listed twice trains once and repeats its cells
     trained = train_ensemble(dprime.x, dprime.y, plan, _dims(cfg, dprime),
                              _optimizer_config(cfg, cosine=False),
-                             _stopping(cfg, modes[0]), seed,
-                             modes=dict.fromkeys(modes))
+                             _stopping(cfg, modes[0]), seed, modes=modes)
     m_total = cfg.ensemble.members
     ece_bins = cfg.experiment.ece_bins
     rows, runs = [], []

@@ -171,6 +171,56 @@ def loss_and_grad(params: MlpParams, x: np.ndarray, y: np.ndarray):
     return nll, grads
 
 
+def _stacked_loss_and_grad(params: list[np.ndarray], x: np.ndarray, y: np.ndarray,
+                           bufs: dict):
+    """:func:`loss_and_grad` over stacked parameter rows, with the same
+    operations per row, so each row's gradients are bit-identical to its own
+    call's.
+
+    ``params`` interleaves weights ``(D, M, in, out)`` and biases
+    ``(D, M, 1, out)``; the batch ``x`` is ``(1, M, n, in)``, one minibatch
+    per member broadcast across the D rows of every member, with intp labels
+    ``y`` ``(M, n)`` already checked. Activations, deltas and gradients live
+    in ``bufs``, flat arrays the caller keeps across calls and this function
+    grows as needed. Returns ``(None, grads)``, the gradients shaped like
+    ``params``, or, when some row's loss is non-finite, ``(mask, None)`` with
+    the ``(D, M, n)`` mask of its non-finite samples.
+    """
+    weights, biases = params[0::2], params[1::2]
+    n = x.shape[-2]
+
+    def buf(key, shape):
+        size = math.prod(shape)
+        if key not in bufs or bufs[key].size < size:
+            bufs[key] = np.empty(size)
+        return bufs[key][:size].reshape(shape)
+
+    acts = [x]
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = np.matmul(acts[-1], w, out=buf(i, w.shape[:2] + (n, w.shape[3])))
+        z += b
+        if i < len(weights) - 1:
+            np.maximum(z, 0.0, out=z)  # positive exactly where the pre-activation is
+        acts.append(z)
+    logp = log_softmax(acts.pop())
+    pick = (slice(None), np.arange(y.shape[0])[:, None], np.arange(n), y)
+    finite = np.isfinite(logp[pick])
+    if not finite.all():
+        return ~finite, None
+    delta = np.exp(logp)
+    delta[pick] -= 1.0
+    delta /= n
+    grads = [buf(("grad", j), p.shape) for j, p in enumerate(params)]
+    for i in range(len(weights) - 1, -1, -1):
+        np.matmul(acts[i].swapaxes(-1, -2), delta, out=grads[2 * i])
+        np.sum(delta, axis=-2, keepdims=True, out=grads[2 * i + 1])
+        if i > 0:  # the activation's last read: its buffer takes the delta
+            active = acts[i] > 0
+            delta = np.matmul(delta, weights[i].swapaxes(-1, -2), out=acts[i])
+            delta *= active
+    return None, grads
+
+
 def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
     """Single-cycle cosine annealing from ``base_lr`` to 0, no restarts."""
     if total_steps <= 0:
@@ -191,7 +241,11 @@ class Optimizer:
 
     Weight decay is decoupled: arrays selected by ``decay_mask`` are shrunk by
     ``lr_now * weight_decay`` before the gradient update, for both kinds.
-    Biases are excluded from decay unless the mask says otherwise.
+    Biases are excluded from decay unless the mask says otherwise. Stacked
+    parameters (a leading row axis on every array) may take one decay per
+    row, as an array broadcasting against each decayed array; a row with
+    decay 0 is multiplied by exactly 1.0, which leaves it as a skipped decay
+    would.
     """
 
     KINDS = ("sgd_momentum", "adam")
@@ -203,11 +257,13 @@ class Optimizer:
             raise ValueError(f"unknown optimizer kind {kind!r}")
         if base_lr < 0:
             raise ValueError("base_lr must be >= 0")
-        if weight_decay < 0:
+        decays = np.asarray(weight_decay, dtype=np.float64)
+        if (decays < 0).any():
             raise ValueError("weight_decay must be >= 0")
         self.kind = kind
         self.base_lr = float(base_lr)
-        self.weight_decay = float(weight_decay)
+        self.weight_decay = decays if decays.ndim else float(weight_decay)
+        self._decays = bool((decays > 0).any())
         self.momentum = float(momentum)
         self.step_count = 0
         self._shapes = [p.shape for p in params]
@@ -233,10 +289,11 @@ class Optimizer:
                 raise ShapeError(f"array {i}: shape {p.shape}/{g.shape} does not match "
                                  f"optimizer state {self._shapes[i]}")
         self.step_count += 1
-        if self.weight_decay > 0.0 and lr > 0.0:
+        if self._decays and lr > 0.0:
+            shrink = 1.0 - lr * self.weight_decay
             for p, decays in zip(params, self.decay_mask):
                 if decays:
-                    p *= 1.0 - lr * self.weight_decay
+                    p *= shrink
         if self.kind == "sgd_momentum":
             for i, (p, g) in enumerate(zip(params, grads)):
                 self.velocity[i] = self.momentum * self.velocity[i] + g
@@ -249,6 +306,15 @@ class Optimizer:
                 self.m[i] = _BETA1 * self.m[i] + (1.0 - _BETA1) * g
                 self.v[i] = _BETA2 * self.v[i] + (1.0 - _BETA2) * (g * g)
                 p -= lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + _ADAM_EPS)
+
+    def keep_rows(self, rows: np.ndarray) -> None:
+        """Keep only ``rows`` of the leading row axis of stacked state and of a
+        per-row weight decay, as when those rows are dropped from the stack."""
+        for state in ([self.velocity] if self.kind == "sgd_momentum" else [self.m, self.v]):
+            state[:] = [a[rows] for a in state]
+        if not isinstance(self.weight_decay, float):
+            self.weight_decay = self.weight_decay[rows]
+        self._shapes = [(len(rows),) + shape[1:] for shape in self._shapes]
 
 
 @dataclass

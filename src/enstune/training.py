@@ -9,7 +9,8 @@ advance one epoch at a time in lockstep; a joint rule monitors the ensemble
 score on the plan's jointly evaluable sets and stops everyone together.
 Under a constant learning rate the individual, joint and none runs of one
 plan are prefixes of one trajectory per member, so one call trains each
-member once and every mode observes it.
+member once and every mode observes it. A weight-decay grid, which no rule
+observes, trains as one stacked trajectory (:func:`train_grid`).
 """
 
 from __future__ import annotations
@@ -22,14 +23,25 @@ import numpy as np
 from . import metrics
 from .data import Standardizer
 from .netcore import (
+    DenseLayer,
     MlpParams,
+    NonFiniteLossError,
     Optimizer,
+    _check_labels,
+    _stacked_loss_and_grad,
     cosine_lr,
     loss_and_grad,
     mlp_forward,
     softmax,
 )
-from .splits import DISJOINT, JointEvalUnavailableError, SplitPlan, joint_eval_sets
+from .splits import (
+    DISJOINT,
+    SHARED,
+    JointEvalUnavailableError,
+    MemberSplit,
+    SplitPlan,
+    joint_eval_sets,
+)
 
 # purposes for per-member RNG stream derivation
 _INIT, _BATCH = 0, 1
@@ -138,7 +150,7 @@ class OptimizerConfig:
 class TrainedMember:
     params: MlpParams
     scaler: Standardizer
-    stop: StopDecision  # its stopping rule's decision
+    stop: StopDecision | None  # its stopping rule's decision; None if no rule observed it
     steps: int = 0  # optimizer steps its trajectory ran
 
 
@@ -156,24 +168,30 @@ def _batches(order: np.ndarray, batch_size: int):
         yield order[start:start + batch_size]
 
 
+def _member_start(x, y, ms: MemberSplit, dims, seed: int, member_index: int,
+                  standardize: bool):
+    """Where every trajectory of (seed, member) starts: its scaler, scaled
+    train rows and labels, initial parameters and batch stream."""
+    if len(ms.train_idx) == 0 or len(ms.val_idx) == 0:
+        raise ValueError(f"member {member_index}: empty train or validation set")
+    scaler = (Standardizer.fit(x[ms.train_idx]) if standardize
+              else Standardizer.identity(x.shape[1]))
+    return (scaler, scaler(x[ms.train_idx]), y[ms.train_idx],
+            MlpParams.random(dims, member_rng(seed, member_index, _INIT)),
+            member_rng(seed, member_index, _BATCH))
+
+
 class _MemberState:
     """One member's trajectory: parameters, scaler, data views, RNG streams
     and its learning-rate schedule ``lr_at(step)``."""
 
-    def __init__(self, x, y, train_idx, val_idx, dims, opt_cfg, seed, member_index,
+    def __init__(self, x, y, ms: MemberSplit, dims, opt_cfg, seed, member_index,
                  standardize, batch_size, lr_at):
-        if len(train_idx) == 0 or len(val_idx) == 0:
-            raise ValueError(f"member {member_index}: empty train or validation set")
-        self.scaler = (Standardizer.fit(x[train_idx]) if standardize
-                       else Standardizer.identity(x.shape[1]))
-        self.x_train = self.scaler(x[train_idx])
-        self.y_train = y[train_idx]
-        self.x_val = self.scaler(x[val_idx])
-        self.y_val = y[val_idx]
-        init_rng = member_rng(seed, member_index, _INIT)
-        self.params = MlpParams.random(dims, init_rng)
+        (self.scaler, self.x_train, self.y_train, self.params,
+         self.batch_rng) = _member_start(x, y, ms, dims, seed, member_index, standardize)
+        self.x_val = self.scaler(x[ms.val_idx])
+        self.y_val = y[ms.val_idx]
         self.opt = opt_cfg.build(self.params)
-        self.batch_rng = member_rng(seed, member_index, _BATCH)
         self.batch_size = batch_size
         self.lr_at = lr_at
         self.steps = 0
@@ -333,8 +351,8 @@ def train_ensemble(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig,
                                         "no common validation set")
     steps_per_epoch = [math.ceil(len(ms.train_idx) / stop_cfg.batch_size)
                        for ms in plan.members]
-    states = [_MemberState(x, y, ms.train_idx, ms.val_idx, dims, opt_cfg, seeds[m],
-                           mid, standardize, stop_cfg.batch_size,
+    states = [_MemberState(x, y, ms, dims, opt_cfg, seeds[m], mid, standardize,
+                           stop_cfg.batch_size,
                            _cosine_schedule(opt_cfg, max(steps_per_epoch)
                                             if JOINT in modes else steps_per_epoch[m]))
               for m, (ms, mid) in enumerate(zip(plan.members, member_ids))]
@@ -360,3 +378,78 @@ def train_ensemble(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig,
         by_mode[mode] = EnsembleResult(members, decisions)
     own = by_mode[stop_cfg.mode]
     return EnsembleResult(own.members, own.decisions, by_mode)
+
+
+def train_grid(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig, weight_decays,
+               stop_cfg: StoppingConfig, base_seed: int) -> list:
+    """Train every (weight decay, member) pair of a shared plan for
+    ``stop_cfg.max_epochs`` epochs as one stacked trajectory: one batched
+    step per minibatch moves all decays x members rows.
+
+    Each row starts where :func:`train_ensemble` starts the member (scaler,
+    initial parameters, batch stream, learning-rate schedule) and ends
+    bit-identical to that call's mode-"none" member under ``opt_cfg`` with
+    the row's weight decay. No rule observes the rows, so nothing is scored
+    per epoch. A shared plan's members train on the same rows, so every row
+    takes the same steps.
+
+    Returns, per weight decay, its members in plan order, or the
+    :class:`NonFiniteLossError` of its first row whose loss went non-finite:
+    at that step the decay's rows and their optimizer state leave the stack
+    and the other rows redo the step.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y)
+    if plan.strategy != SHARED:
+        raise ValueError(f"a grid trajectory needs a shared plan, got {plan.strategy!r}")
+    scalers, xs, ys, inits, batch_rngs = zip(*(
+        _member_start(x, y, ms, dims, base_seed, m, standardize=True)
+        for m, ms in enumerate(plan.members)))
+    xs = np.stack(xs)
+    ys = np.stack([_check_labels(labels, dims[-1]) for labels in ys])
+    n_rows = len(weight_decays)
+    params = []
+    for layers in zip(*(p.layers for p in inits)):
+        params.append(np.repeat(np.stack([l.weight for l in layers])[None], n_rows, axis=0))
+        params.append(np.repeat(np.stack([l.bias[None] for l in layers])[None], n_rows,
+                                axis=0))
+    opt = Optimizer(opt_cfg.kind, params, opt_cfg.lr,
+                    weight_decay=np.asarray(weight_decays, dtype=np.float64)[:, None, None,
+                                                                             None],
+                    momentum=opt_cfg.momentum,
+                    decay_mask=inits[0].decay_mask(opt_cfg.decay_bias))
+    n_train, batch_size = ys.shape[1], stop_cfg.batch_size
+    lr_at = _cosine_schedule(opt_cfg, math.ceil(n_train / batch_size))
+    outcomes = [None] * n_rows
+    live = list(range(n_rows))  # the grid entry of each stack row
+    member_ix = np.arange(len(plan.members))[:, None]
+    bufs: dict = {}
+    steps = 0
+    for _ in range(stop_cfg.max_epochs):
+        if not live:
+            break
+        orders = np.stack([rng.permutation(n_train) for rng in batch_rngs])
+        for start in range(0, n_train, batch_size):
+            idx = orders[:, start:start + batch_size]
+            xb, yb = xs[member_ix, idx][None], ys[member_ix, idx]
+            bad, grads = _stacked_loss_and_grad(params, xb, yb, bufs)
+            while bad is not None:
+                bad_rows = bad.any(axis=-1)
+                for r in np.flatnonzero(bad_rows.any(axis=1)):
+                    m = int(np.argmax(bad_rows[r]))
+                    outcomes[live[r]] = NonFiniteLossError(
+                        f"non-finite loss at sample {int(np.argmax(bad[r, m]))}")
+                keep = np.flatnonzero(~bad_rows.any(axis=1))
+                params = [p[keep] for p in params]
+                opt.keep_rows(keep)
+                live = [live[r] for r in keep]
+                bad, grads = _stacked_loss_and_grad(params, xb, yb, bufs)
+            opt.step(params, grads, lr_at(steps))
+            steps += 1
+    for r, entry in enumerate(live):
+        outcomes[entry] = [
+            TrainedMember(MlpParams([DenseLayer(w[r, m].copy(), b[r, m, 0].copy())
+                                     for w, b in zip(params[0::2], params[1::2])]),
+                          scaler, None, steps)
+            for m, scaler in enumerate(scalers)]
+    return outcomes

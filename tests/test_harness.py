@@ -515,6 +515,9 @@ class TestExperiments:
         ("early_stop", ["cells.csv", "aggregate.csv", "plotdata.csv", "monitor.csv"]),
         ("wd_sweep", ["cells.csv", "aggregate.csv", "plotdata.csv", "summary.json"]),
         ("temp_scale", ["cells.csv", "aggregate.csv", "plotdata.csv"]),
+        ("batch_ensemble", ["cells.csv", "aggregate.csv", "plotdata.csv", "monitor.csv"]),
+        ("stop_then_scale", ["cells.csv", "aggregate.csv", "plotdata.csv",
+                             "monitor.csv"]),
     ])
     def test_worker_count_does_not_change_outputs(self, tmp_path, monkeypatch, kind,
                                                   files):
@@ -672,6 +675,14 @@ class TestCli:
         ("early-stop", ["experiment.ensemble_sizes=[1,2]"]),
         ("batch-ensemble", ["experiment.ensemble_sizes=[2]"]),
         ("stop-then-scale", ["experiment.ensemble_sizes=[1]"]),
+        ("early-stop", ["experiment.seeds=[0,0]"]),
+        ("sweep-wd", ["experiment.seeds=[1,0,1]"]),
+        ("early-stop", ['experiment.modes=["joint","individual","joint"]']),
+        ("temp-scale", ['experiment.modes=["none","pool","none"]']),
+        ("early-stop", ['experiment.strategies=["shared","overlapping","shared"]']),
+        ("batch-ensemble", ['experiment.schemes=["random_sign","random_sign"]']),
+        ("temp-scale", ["experiment.val_pcts=[0.1,0.2,0.1]"]),
+        ("sweep-wd", ["experiment.ensemble_sizes=[1,3,3]"]),
     ])
     def test_bad_config_rejected_before_training(self, tmp_path, monkeypatch,
                                                  command, extra):

@@ -14,6 +14,7 @@ from enstune.netcore import (
     NonFiniteLossError,
     Optimizer,
     ShapeError,
+    _stacked_loss_and_grad,
     cosine_lr,
     grad_check,
     loss_and_grad,
@@ -179,6 +180,80 @@ class TestOptimizer:
         opt = Optimizer("adam", p, base_lr=0.1)
         with pytest.raises(ShapeError):
             opt.step(p, [np.zeros(4)])
+
+
+def stack_rows(rows):
+    """Stacked arrays of a grid of MLPs, ``rows[d][m]``: weights (D, M, in,
+    out) and biases (D, M, 1, out), interleaved like ``MlpParams.arrays``."""
+    out = []
+    for layers in zip(*(p.layers for row in rows for p in row)):
+        shape = (len(rows), len(rows[0]))
+        out.append(np.stack([l.weight for l in layers]).reshape(shape + layers[0].weight.shape))
+        out.append(np.stack([l.bias[None] for l in layers]).reshape(
+            shape + (1,) + layers[0].bias.shape))
+    return out
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("n", [9, 1])
+    def test_every_row_is_bit_identical_to_loss_and_grad(self, n):
+        rng = np.random.default_rng(3)
+        dims = [3, 7, 5, 4]
+        rows = [[random_mlp(dims, seed=10 * d + m) for m in range(2)] for d in range(3)]
+        x = rng.normal(size=(2, n, 3))
+        y = rng.integers(0, 4, size=(2, n))
+        bad, grads = _stacked_loss_and_grad(stack_rows(rows), x[None], y, {})
+        assert bad is None
+        for d, row in enumerate(rows):
+            for m, params in enumerate(row):
+                _, want = loss_and_grad(params, x[m], y[m])
+                got = [g[d, m] for g in grads]
+                for a, b in zip(got, want.arrays(), strict=True):
+                    assert np.array_equal(a.reshape(b.shape), b)
+
+    def test_reports_the_rows_whose_loss_is_non_finite(self):
+        rng = np.random.default_rng(4)
+        rows = [[random_mlp([2, 4, 3], seed=d + m) for m in range(2)] for d in range(2)]
+        rows[1][0].layers[1].weight[:] = np.inf
+        x = rng.normal(size=(2, 5, 2))
+        y = rng.integers(0, 3, size=(2, 5))
+        with np.errstate(invalid="ignore"):
+            bad, grads = _stacked_loss_and_grad(stack_rows(rows), x[None], y, {})
+        assert grads is None
+        assert bad.shape == (2, 2, 5)
+        assert bad[1, 0].any() and not bad[0].any() and not bad[1, 1].any()
+        with pytest.raises(NonFiniteLossError), np.errstate(invalid="ignore"):
+            loss_and_grad(rows[1][0], x[0], y[0])
+
+
+class TestStackedOptimizer:
+    @pytest.mark.parametrize("kind", Optimizer.KINDS)
+    def test_per_row_decay_matches_one_optimizer_per_row(self, kind):
+        rng = np.random.default_rng(6)
+        decays = [0.0, 0.3, 0.05]
+        stacked = [rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 1, 4))]
+        single = [[a[d].copy() for a in stacked] for d in range(3)]
+        mask = [True, False]
+        opt = Optimizer(kind, stacked, 0.1, weight_decay=np.array(decays)[:, None, None],
+                        decay_mask=mask)
+        singles = [Optimizer(kind, p, 0.1, weight_decay=wd, decay_mask=mask)
+                   for p, wd in zip(single, decays)]
+        for step in range(4):
+            if step == 2:  # drop the middle row, with its state
+                opt.keep_rows(np.array([0, 2]))
+                stacked = [a[[0, 2]] for a in stacked]
+                del single[1], singles[1]
+            grads = [rng.normal(size=a.shape) for a in stacked]
+            opt.step(stacked, grads, lr_now=0.1 / (step + 1))
+            for d, (p, o) in enumerate(zip(single, singles)):
+                o.step(p, [g[d] for g in grads], lr_now=0.1 / (step + 1))
+        for d, p in enumerate(single):
+            assert all(np.array_equal(a[d], b) for a, b in zip(stacked, p))
+
+    def test_negative_row_decay_rejected(self):
+        with pytest.raises(ValueError, match="weight_decay"):
+            Optimizer("adam", [np.zeros((2, 3))], 0.1,
+                      weight_decay=np.array([[0.0], [-1.0]]))
 
 
 class TestCosine:

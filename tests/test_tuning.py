@@ -1,12 +1,22 @@
 """Tests for the weight-decay sweep, selection rules and optimality gap."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from enstune import metrics
 from enstune.data import make_blobs, train_test_split
-from enstune.splits import make_shared
-from enstune.training import NONE, OptimizerConfig, StoppingConfig
+from enstune.netcore import NonFiniteLossError
+from enstune.splits import make_overlapping, make_shared
+from enstune.training import (
+    NONE,
+    OptimizerConfig,
+    StoppingConfig,
+    member_probs,
+    train_ensemble,
+    train_grid,
+)
 from enstune.tuning import (
     HyperGrid,
     SweepCell,
@@ -93,16 +103,54 @@ class TestSelection:
                 <= selection_score(sweep, h_ind, "ensemble"))
 
 
+def small_sweep_data():
+    ds = make_blobs(300, 3, 0.8, np.random.default_rng(0), label_noise=0.1)
+    return train_test_split(ds, 0.2, seed=0)
+
+
+SMALL_OPT = OptimizerConfig(kind="sgd_momentum", lr=0.05, cosine_epochs=12)
+SMALL_STOP = StoppingConfig(mode=NONE, max_epochs=12, batch_size=64)
+
+
+def shared_plans(dprime, seeds, n_members=3, val_fraction=0.15):
+    return [make_shared(len(dprime), val_fraction, n_members, rng_seed=seed,
+                        labels=dprime.y) for seed in seeds]
+
+
 @pytest.fixture(scope="module")
 def small_sweep():
-    ds = make_blobs(300, 3, 0.8, np.random.default_rng(0), label_noise=0.1)
-    dprime, test = train_test_split(ds, 0.2, seed=0)
+    dprime, test = small_sweep_data()
     grid = HyperGrid([0.0, 1e-3, 1e-1], [1, 2, 3], [0, 1])
-    opt = OptimizerConfig(kind="sgd_momentum", lr=0.05, cosine_epochs=12)
-    stop = StoppingConfig(mode=NONE, max_epochs=12, batch_size=64)
-    plans = [make_shared(len(dprime), 0.15, 3, rng_seed=seed, labels=dprime.y)
-             for seed in grid.seeds]
-    return run_sweep(dprime, test, grid, plans, [2, 16, 3], 0.15, opt, stop)
+    return run_sweep(dprime, test, grid, shared_plans(dprime, grid.seeds), [2, 16, 3],
+                     0.15, SMALL_OPT, SMALL_STOP)
+
+
+def per_cell_sweep(dprime, test, grid, plans, dims, val_fraction, opt, stop):
+    """The sweep cell by cell, one train_ensemble call per (weight decay,
+    seed): the oracle for the stacked grid trajectory."""
+    cells = {}
+    for wd in grid.weight_decays:
+        for seed, plan in zip(grid.seeds, plans):
+            cell = cells[wd, seed] = SweepCell(wd=wd, seed=seed)
+            try:
+                result = train_ensemble(dprime.x, dprime.y, plan, dims,
+                                        replace(opt, weight_decay=wd), stop, seed)
+            except NonFiniteLossError:
+                cell.diverged = True
+                continue
+            val_idx = plan.members[0].val_idx
+            val_probs = [member_probs(m, dprime.x[val_idx]) for m in result.members]
+            test_probs = [member_probs(m, test.x) for m in result.members]
+            norm = float(np.mean([m.stop.normalized_epochs for m in result.members]))
+            tags = dict(strategy=plan.strategy, val_pct=val_fraction, seed=seed,
+                        normalized_epochs=norm)
+            for k in grid.ensemble_sizes:
+                cell.val_records[k] = metrics.compute_record(
+                    val_probs[:k], dprime.y[val_idx], ensemble_size=k, **tags)
+                cell.test_records[k] = metrics.compute_record(
+                    test_probs[:k], test.y, ensemble_size=k, **tags)
+            cell.member_val_nlls = [metrics.nll(p, dprime.y[val_idx]) for p in val_probs]
+    return cells
 
 
 class TestRunSweep:
@@ -136,3 +184,58 @@ class TestRunSweep:
         assert h_ind in small_sweep.grid.weight_decays
         assert h_ens in small_sweep.grid.weight_decays
         assert np.isfinite(gap) and np.isfinite(sem)
+
+
+class TestGridTrajectory:
+    """The stacked grid trajectory against one train_ensemble call per cell."""
+
+    @pytest.mark.parametrize("opt, hidden, batch_size", [
+        (OptimizerConfig(kind="sgd_momentum", lr=0.05, cosine_epochs=5), [16], 64),
+        (OptimizerConfig(kind="adam", lr=0.01), [8, 6], 50),
+        (OptimizerConfig(kind="sgd_momentum", lr=0.05, decay_bias=True, cosine_epochs=5),
+         [16], 64),
+    ], ids=["sgd-cosine", "adam-constant", "decay-bias"])
+    def test_every_row_equals_its_own_train_ensemble_call(self, opt, hidden, batch_size):
+        dprime, _ = small_sweep_data()
+        decays = [0.0, 1e-3, 1e-1]
+        dims = [2] + hidden + [3]
+        stop = StoppingConfig(mode=NONE, max_epochs=5, batch_size=batch_size)
+        (plan,) = shared_plans(dprime, [4])
+        grid = train_grid(dprime.x, dprime.y, plan, dims, opt, decays, stop, 4)
+        for wd, members in zip(decays, grid):
+            cell = train_ensemble(dprime.x, dprime.y, plan, dims,
+                                  replace(opt, weight_decay=wd), stop, 4).members
+            assert len(members) == len(cell) == 3
+            for got, want in zip(members, cell):
+                assert got.steps == want.steps
+                assert np.array_equal(got.scaler.mean, want.scaler.mean)
+                assert np.array_equal(got.scaler.sd, want.scaler.sd)
+                for a, b in zip(got.params.arrays(), want.params.arrays(), strict=True):
+                    assert np.array_equal(a, b)
+
+    def test_diverging_cells_are_flagged_and_the_rest_train_on(self):
+        dprime, test = small_sweep_data()
+        grid = HyperGrid([0.0, 1e-3, 1e9], [1, 2, 3], [0, 1])
+        plans = shared_plans(dprime, grid.seeds)
+        oracle = per_cell_sweep(dprime, test, grid, plans, [2, 16, 3], 0.15,
+                                SMALL_OPT, SMALL_STOP)
+        with pytest.warns(UserWarning, match="diverged: non-finite loss at sample") as rec:
+            sweep = run_sweep(dprime, test, grid, plans, [2, 16, 3], 0.15, SMALL_OPT,
+                              SMALL_STOP)
+        diverged = sorted((c.wd, c.seed) for c in sweep.cells if c.diverged)
+        assert diverged == [(1e9, 0), (1e9, 1)]
+        assert diverged == sorted(key for key, c in oracle.items() if c.diverged)
+        assert sum("diverged" in str(w.message) for w in rec) == 2
+        assert [(c.wd, c.seed) for c in sweep.cells] == list(oracle)
+        for cell in sweep.cells:
+            want = oracle[cell.wd, cell.seed]
+            assert cell.val_records == want.val_records
+            assert cell.test_records == want.test_records
+            assert cell.member_val_nlls == want.member_val_nlls
+
+    def test_refuses_a_plan_that_is_not_shared(self):
+        dprime, _ = small_sweep_data()
+        plan = make_overlapping(len(dprime), 3, 0, dprime.y, val_fraction=0.15)
+        with pytest.raises(ValueError, match="shared plan"):
+            train_grid(dprime.x, dprime.y, plan, [2, 4, 3], SMALL_OPT, [0.0], SMALL_STOP,
+                       0)
