@@ -10,7 +10,7 @@ with ``at_boundary`` set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,7 +34,7 @@ class TempFitResult:
     """Outcome of a scalar temperature fit.
 
     ``temperature`` is a float, or a list of per-member floats for the
-    individual mode. ``per_member`` keeps the member-level fits there.
+    individual mode.
     """
 
     temperature: float | list[float]
@@ -43,7 +43,6 @@ class TempFitResult:
     converged: bool
     mode: str
     at_boundary: bool = False
-    per_member: list["TempFitResult"] = field(default_factory=list)
 
 
 def apply_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
@@ -161,7 +160,6 @@ def calibrate_individual(member_vals: Sequence[tuple[np.ndarray, np.ndarray]],
         converged=all(f.converged for f in fits),
         mode="individual",
         at_boundary=any(f.at_boundary for f in fits),
-        per_member=fits,
     )
 
 

@@ -27,7 +27,7 @@ from . import calibration, metrics
 from .batchensemble import GAUSSIAN, RANDOM_SIGN, be_train
 from .config import ConfigError, ExperimentConfig, config_from_dict, config_to_dict
 from .data import make_task, train_test_split
-from .netcore import MlpParams, softmax
+from .netcore import MlpParams, NonFiniteLossError, softmax
 from .splits import (
     DISJOINT,
     OVERLAPPING,
@@ -46,9 +46,11 @@ from .training import (
     StoppingConfig,
     member_logits,
     member_probs,
+    normalized_epochs,
     train_ensemble,
+    train_grid,
 )
-from .tuning import HyperGrid, SweepResult, optimality_gap, run_sweep, select_h
+from .tuning import HyperGrid, SweepCell, SweepResult, optimality_gap, select_h
 
 WORKERS_ENV = "ENSTUNE_WORKERS"
 
@@ -169,21 +171,42 @@ def _jobs(cfg: ExperimentConfig) -> list[Job]:
 
 
 def _wd_sweep_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan, job: Job):
-    """One seed's rows and run entries, plus its sweep cells for the
-    selection in :func:`_wd_sweep_summary`."""
-    grid = HyperGrid(cfg.experiment.weight_decays, cfg.ensemble_sizes(), [seed])
-    cells = run_sweep(dprime, test, grid, [plan], _dims(cfg, dprime), job.val_pct,
-                      _optimizer_config(cfg, cosine=True), _stopping(cfg, NONE),
-                      cfg.experiment.ece_bins).cells
-    rows = []
-    for cell in cells:
-        if cell.diverged:
+    """Train the seed's weight-decay grid as one stacked trajectory and score
+    each decay's cell on member 0's validation rows, size-k ensembles being
+    the first k members. Returns the rows, run entries and sweep cells for
+    the selection in :func:`_wd_sweep_summary`; a diverged cell is flagged
+    and writes no row."""
+    stop = _stopping(cfg, NONE)
+    trained = train_grid(dprime.x, dprime.y, plan, _dims(cfg, dprime),
+                         _optimizer_config(cfg, cosine=True),
+                         cfg.experiment.weight_decays, stop, base_seed=seed)
+    val_idx = plan.members[0].val_idx
+    ece_bins = cfg.experiment.ece_bins
+    rows, cells = [], []
+    for wd, members in zip(cfg.experiment.weight_decays, trained):
+        cell = SweepCell(wd=wd, seed=seed)
+        cells.append(cell)
+        if isinstance(members, NonFiniteLossError):
+            warnings.warn(f"sweep cell wd={wd} seed={seed} diverged: {members}")
+            cell.diverged = True
             continue
-        for k in grid.ensemble_sizes:
-            rows.append(make_row("wd_sweep", "", cell.wd, "val", ENSEMBLE_SCOPE,
+        val_probs = [member_probs(m, dprime.x[val_idx]) for m in members]
+        test_probs = [member_probs(m, test.x) for m in members]
+        tags = dict(strategy=job.strategy, val_pct=job.val_pct, seed=seed,
+                    normalized_epochs=float(np.mean([
+                        normalized_epochs(m.steps, stop.batch_size, len(dprime.y))
+                        for m in members])))
+        for k in cfg.ensemble_sizes():
+            cell.val_records[k] = metrics.compute_record(
+                val_probs[:k], dprime.y[val_idx], ece_bins=ece_bins, ensemble_size=k,
+                **tags)
+            cell.test_records[k] = metrics.compute_record(
+                test_probs[:k], test.y, ece_bins=ece_bins, ensemble_size=k, **tags)
+            rows.append(make_row("wd_sweep", "", wd, "val", ENSEMBLE_SCOPE,
                                  cell.val_records[k]))
-            rows.append(make_row("wd_sweep", "", cell.wd, "test", ENSEMBLE_SCOPE,
+            rows.append(make_row("wd_sweep", "", wd, "test", ENSEMBLE_SCOPE,
                                  cell.test_records[k]))
+        cell.member_val_nlls = [metrics.nll(p, dprime.y[val_idx]) for p in val_probs]
     runs = [{"wd": c.wd, "seed": c.seed, "diverged": c.diverged,
              "member_val_nlls": c.member_val_nlls} for c in cells]
     return rows, runs, cells
@@ -380,9 +403,9 @@ def _check_config(cfg: ExperimentConfig):
     empty strategy, mode or scheme lists, an early_stop whose only cells are
     disjoint x joint, unknown modes and schemes, modes, schemes or ensemble
     sizes set for a kind that reads none, joint evaluation on disjoint
-    holdouts, a wd_sweep with more than its one shared holdout, holdout
-    plans that cannot be built, invalid sweep grids and sweep ensemble sizes
-    beyond the members."""
+    holdouts, a wd_sweep with more than its one shared holdout or with an
+    optimizer.weight_decay it would ignore, holdout plans that cannot be
+    built, invalid sweep grids and sweep ensemble sizes beyond the members."""
     ex = cfg.experiment
     for key in _LISTS.get(ex.kind, ()):
         if not getattr(ex, key):
@@ -430,6 +453,11 @@ def _check_config(cfg: ExperimentConfig):
                     "it runs one shared holdout at one val_pct; got "
                     f"experiment.strategies={ex.strategies} and val_pcts "
                     f"{cfg.val_pcts()}")
+            if cfg.optimizer.weight_decay != defaults.optimizer.weight_decay:
+                raise ConfigError("wd_sweep takes every weight decay from "
+                                  "experiment.weight_decays and reads no "
+                                  "optimizer.weight_decay; leave it at its default "
+                                  f"{defaults.optimizer.weight_decay}")
             HyperGrid(ex.weight_decays, cfg.ensemble_sizes(), ex.seeds)
             if max(cfg.ensemble_sizes()) > cfg.ensemble.members:
                 raise ConfigError("experiment.ensemble_sizes exceed ensemble.members")

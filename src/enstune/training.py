@@ -390,8 +390,9 @@ def train_grid(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig, weight_dec
     initial parameters, batch stream, learning-rate schedule) and ends
     bit-identical to that call's mode-"none" member under ``opt_cfg`` with
     the row's weight decay. No rule observes the rows, so nothing is scored
-    per epoch. A shared plan's members train on the same rows, so every row
-    takes the same steps.
+    per epoch. A shared plan's members train on the same rows, one scaled
+    matrix that each member's batch stream indexes, so every row takes the
+    same steps.
 
     Returns, per weight decay, its members in plan order, or the
     :class:`NonFiniteLossError` of its first row whose loss went non-finite:
@@ -405,8 +406,7 @@ def train_grid(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig, weight_dec
     scalers, xs, ys, inits, batch_rngs = zip(*(
         _member_start(x, y, ms, dims, base_seed, m, standardize=True)
         for m, ms in enumerate(plan.members)))
-    xs = np.stack(xs)
-    ys = np.stack([_check_labels(labels, dims[-1]) for labels in ys])
+    x_train, y_train = xs[0], _check_labels(ys[0], dims[-1])
     n_rows = len(weight_decays)
     params = []
     for layers in zip(*(p.layers for p in inits)):
@@ -418,11 +418,10 @@ def train_grid(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig, weight_dec
                                                                              None],
                     momentum=opt_cfg.momentum,
                     decay_mask=inits[0].decay_mask(opt_cfg.decay_bias))
-    n_train, batch_size = ys.shape[1], stop_cfg.batch_size
+    n_train, batch_size = len(y_train), stop_cfg.batch_size
     lr_at = _cosine_schedule(opt_cfg, math.ceil(n_train / batch_size))
     outcomes = [None] * n_rows
     live = list(range(n_rows))  # the grid entry of each stack row
-    member_ix = np.arange(len(plan.members))[:, None]
     bufs: dict = {}
     steps = 0
     for _ in range(stop_cfg.max_epochs):
@@ -431,7 +430,7 @@ def train_grid(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig, weight_dec
         orders = np.stack([rng.permutation(n_train) for rng in batch_rngs])
         for start in range(0, n_train, batch_size):
             idx = orders[:, start:start + batch_size]
-            xb, yb = xs[member_ix, idx][None], ys[member_ix, idx]
+            xb, yb = x_train[idx][None], y_train[idx]
             bad, grads = _stacked_loss_and_grad(params, xb, yb, bufs)
             while bad is not None:
                 bad_rows = bad.any(axis=-1)

@@ -1,13 +1,12 @@
-"""Weight-decay grid search under single-model vs ensemble selection
-objectives, and the resulting optimality gap on test loss.
+"""Weight-decay selection under single-model vs ensemble objectives, and
+the resulting optimality gap on test loss.
 
-The sweep trains every grid cell on the caller's shared holdout plan for its
-seed, with the caller's optimizer and stopping configs, only the weight
-decay varying (the ``wd_sweep`` experiment passes a fixed epoch budget with
-cosine annealing). A seed's whole grid is one stacked trajectory
-(:func:`~enstune.training.train_grid`), every decay x member in one batched
-step. Selection is the argmin of seed-mean validation NLL under either
-objective, ties breaking toward the larger (more regularizing) weight decay.
+A :class:`SweepResult` holds one :class:`SweepCell` per (weight decay,
+seed) of a :class:`HyperGrid`, each with its per-size validation and test
+records and its members' validation NLLs (the ``wd_sweep`` experiment trains
+and scores them). Selection is the argmin of seed-mean validation NLL under
+either objective over the grid entries with a non-diverged cell, ties
+breaking toward the larger (more regularizing) weight decay.
 """
 
 from __future__ import annotations
@@ -18,15 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .data import Dataset
-from .netcore import NonFiniteLossError
-from .training import (
-    OptimizerConfig,
-    StoppingConfig,
-    member_probs,
-    normalized_epochs,
-    train_grid,
-)
 
 INDIVIDUAL_OBJECTIVE = "individual"
 ENSEMBLE_OBJECTIVE = "ensemble"
@@ -82,53 +72,6 @@ class SweepResult:
             else:
                 warnings.warn(f"weight decay {wd} excluded: all cells diverged")
         return out
-
-
-def run_sweep(dprime: Dataset, test: Dataset, grid: HyperGrid, plans: list,
-              dims: list[int], val_fraction: float, opt: OptimizerConfig,
-              stop: StoppingConfig, ece_bins: int = 15) -> SweepResult:
-    """Train every (weight decay, seed) cell and record per-size metrics.
-
-    ``plans`` holds one shared holdout plan per grid seed, in seed order, and
-    ``val_fraction`` is the validation fraction they were built with. Each
-    seed's cells train as one stacked trajectory on its plan, with ``opt``
-    and ``stop`` and the grid entry as each cell's weight decay, and are
-    scored on member 0's validation rows. Size-k ensembles are the first k
-    members by index. Cells whose training diverges are kept, flagged, and
-    excluded from selection; the seed's other cells train on.
-    """
-    if any(max(grid.ensemble_sizes) > plan.n_members for plan in plans):
-        raise ValueError("ensemble sizes exceed the number of trained members")
-    per_seed = []
-    for seed, plan in zip(grid.seeds, plans, strict=True):
-        trained = train_grid(dprime.x, dprime.y, plan, dims, opt, grid.weight_decays,
-                             stop, base_seed=seed)
-        val_idx = plan.members[0].val_idx
-        per_seed.append([])
-        for wd, members in zip(grid.weight_decays, trained):
-            cell = SweepCell(wd=wd, seed=seed)
-            per_seed[-1].append(cell)
-            if isinstance(members, NonFiniteLossError):
-                warnings.warn(f"sweep cell wd={wd} seed={seed} diverged: {members}")
-                cell.diverged = True
-                continue
-            val_probs = [member_probs(m, dprime.x[val_idx]) for m in members]
-            test_probs = [member_probs(m, test.x) for m in members]
-            norm_epochs = float(np.mean([normalized_epochs(m.steps, stop.batch_size,
-                                                           len(dprime.y))
-                                         for m in members]))
-            tags = dict(strategy=plan.strategy, val_pct=val_fraction, seed=seed)
-            for k in grid.ensemble_sizes:
-                cell.val_records[k] = metrics.compute_record(
-                    val_probs[:k], dprime.y[val_idx], ece_bins=ece_bins,
-                    ensemble_size=k, normalized_epochs=norm_epochs, **tags)
-                cell.test_records[k] = metrics.compute_record(
-                    test_probs[:k], test.y, ece_bins=ece_bins,
-                    ensemble_size=k, normalized_epochs=norm_epochs, **tags)
-            cell.member_val_nlls = [metrics.nll(p, dprime.y[val_idx])
-                                    for p in val_probs]
-    # cells in grid order: every seed of the first decay, then the next decay
-    return SweepResult(grid, [cell for wd_cells in zip(*per_seed) for cell in wd_cells])
 
 
 def selection_score(sweep: SweepResult, wd: float, objective: str) -> float:

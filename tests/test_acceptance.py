@@ -19,13 +19,12 @@ from enstune.batchensemble import (
     make_batch_ensemble,
     materialized_member_params,
 )
-from enstune.config import load_config
+from enstune.config import config_from_dict, load_config
 from enstune.data import make_blobs
-from enstune.experiments import rerun_from_manifest, run_experiment
+from enstune.experiments import Job, _wd_sweep_cells, rerun_from_manifest, run_experiment
 from enstune.netcore import MlpParams, grad_check, mlp_forward, softmax
-from enstune.splits import make_disjoint, make_overlapping, make_shared
+from enstune.splits import SHARED, make_disjoint, make_overlapping, make_shared
 from enstune.training import (
-    NONE,
     OptimizerConfig,
     StoppingConfig,
     member_probs,
@@ -33,8 +32,8 @@ from enstune.training import (
 )
 from enstune.tuning import (
     HyperGrid,
+    SweepResult,
     optimality_gap,
-    run_sweep,
     select_h,
     selection_score,
 )
@@ -365,11 +364,20 @@ def test_criterion_10_selection_definitional_check():
 
     dprime, test = train_test_split(ds, 0.2, seed=0)
     grid = HyperGrid([0.0, 1e-3, 1e-1], [1, 2, 3], [0, 1])
-    opt = OptimizerConfig(kind="sgd_momentum", lr=0.05, cosine_epochs=10)
-    stop = StoppingConfig(mode=NONE, max_epochs=10, batch_size=64)
-    plans = [make_shared(len(dprime), 0.15, 3, rng_seed=seed, labels=dprime.y)
-             for seed in grid.seeds]
-    sweep = run_sweep(dprime, test, grid, plans, [2, 16, 3], 0.15, opt, stop)
+    # a [2, 16, 3] MLP, sgd_momentum at lr 0.05 with cosine annealing over
+    # 10 epochs of batch 64, one shared plan per seed
+    cfg = config_from_dict({
+        "model": {"hidden": [16]}, "ensemble": {"members": 3, "val_pct": 0.15},
+        "optimizer": {"kind": "sgd_momentum", "lr": 0.05},
+        "stopping": {"max_epochs": 10, "batch_size": 64},
+        "experiment": {"kind": "wd_sweep", "seeds": grid.seeds,
+                       "weight_decays": grid.weight_decays,
+                       "ensemble_sizes": grid.ensemble_sizes}})
+    per_seed = [_wd_sweep_cells(cfg, dprime, test, seed,
+                                make_shared(len(dprime), 0.15, 3, rng_seed=seed,
+                                            labels=dprime.y), Job(SHARED, 0.15))[2]
+                for seed in grid.seeds]
+    sweep = SweepResult(grid, [c for wd_cells in zip(*per_seed) for c in wd_cells])
     h_ind = select_h(sweep, "individual")
     h_ens = select_h(sweep, "ensemble")
     lhs = selection_score(sweep, h_ens, "ensemble")

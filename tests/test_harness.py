@@ -35,6 +35,7 @@ from enstune.experiments import (
     parse_scheme,
     run_experiment,
 )
+from enstune.netcore import NonFiniteLossError
 from enstune.splits import SHARED, MemberSplit, SplitPlan
 from enstune.training import OptimizerConfig, StoppingConfig, train_ensemble
 
@@ -472,17 +473,17 @@ class TestExperiments:
         cfg = quick_config(out, ["experiment.kind=wd_sweep",
                                  "experiment.weight_decays=[0.0,0.01]",
                                  "optimizer.kind=sgd_momentum", "optimizer.lr=0.05"])
-        real_sweep = experiments.run_sweep
+        real_grid = experiments.train_grid
 
-        def seed_1_diverges(dprime, test, grid, *args):
-            result = real_sweep(dprime, test, grid, *args)
-            if grid.seeds == [1]:
-                for cell in result.cells:
-                    cell.diverged = True
-            return result
+        def seed_1_diverges(*args, base_seed):
+            trained = real_grid(*args, base_seed=base_seed)
+            if base_seed == 1:
+                return [NonFiniteLossError("non-finite loss at sample 0")] * len(trained)
+            return trained
 
-        monkeypatch.setattr(experiments, "run_sweep", seed_1_diverges)
-        with pytest.raises(ExperimentError, match="summary failed"):
+        monkeypatch.setattr(experiments, "train_grid", seed_1_diverges)
+        with pytest.warns(UserWarning, match="seed=1 diverged"), \
+                pytest.raises(ExperimentError, match="summary failed"):
             run_experiment(cfg)
         with open(os.path.join(out, "manifest.json")) as f:
             manifest = json.load(f)
@@ -563,6 +564,63 @@ class TestExperiments:
         assert len(dprime) + len(test) == cfg.task.n
         overlap = {tuple(r) for r in dprime.x} & {tuple(r) for r in test.x}
         assert not overlap
+
+
+ROW_HEADER = ["experiment", "variant", "wd", "split", "scope", "strategy", "val_pct",
+              "seed", "ensemble_size", "error_pct", "nll", "ece", "diversity",
+              "entropy", "normalized_epochs"]
+CELL_KEY = ["experiment", "variant", "wd", "split", "scope", "strategy", "val_pct",
+            "ensemble_size"]
+
+
+class TestOutputSchema:
+    """The output files' columns and keys, spelled out here rather than read
+    from the module's own constants, so a schema change fails a test."""
+
+    @pytest.fixture(scope="class")
+    def outputs(self, tmp_path_factory):
+        out = {}
+        for kind, extra in (("early_stop", []),
+                            ("wd_sweep", ["experiment.weight_decays=[0.0,0.01]",
+                                          "optimizer.kind=sgd_momentum",
+                                          "optimizer.lr=0.05"])):
+            out_dir = tmp_path_factory.mktemp(kind)
+            run_experiment(quick_config(str(out_dir), [f"experiment.kind={kind}",
+                                                       "experiment.seeds=[0]"] + extra))
+            out[kind] = out_dir
+        return out
+
+    @pytest.mark.parametrize("name, header", [
+        ("cells.csv", ROW_HEADER),
+        ("aggregate.csv", CELL_KEY + [
+            "n", "error_pct_mean", "error_pct_sem", "nll_mean", "nll_sem", "ece_mean",
+            "ece_sem", "diversity_mean", "diversity_sem", "entropy_mean", "entropy_sem",
+            "normalized_epochs_mean", "normalized_epochs_sem"]),
+        ("plotdata.csv", CELL_KEY + ["metric", "mean", "sem", "n"]),
+    ])
+    @pytest.mark.parametrize("kind", ["early_stop", "wd_sweep"])
+    def test_csv_headers(self, outputs, kind, name, header):
+        with open(outputs[kind] / name, newline="") as f:
+            assert next(csv.reader(f)) == header
+
+    def test_monitor_header(self, outputs):
+        with open(outputs["early_stop"] / "monitor.csv", newline="") as f:
+            assert next(csv.reader(f)) == [
+                "experiment", "variant", "strategy", "val_pct", "seed", "epoch",
+                "member_id", "split", "nll"]
+
+    def test_manifest_and_summary_keys(self, outputs):
+        keys = ["experiment", "config", "seeds", "ece_bins", "n_dprime", "n_test",
+                "runs", "failures", "outputs", "wall_clock_s"]
+        with open(outputs["early_stop"] / "manifest.json") as f:
+            assert list(json.load(f)) == keys
+        with open(outputs["wd_sweep"] / "manifest.json") as f:
+            manifest = json.load(f)
+        assert list(manifest) == keys + ["summary"]
+        for entry in manifest["runs"]:
+            assert list(entry) == ["wd", "seed", "diverged", "member_val_nlls"]
+        with open(outputs["wd_sweep"] / "summary.json") as f:
+            assert list(json.load(f)) == ["h_ind", "h_ens", "gap", "gap_sem"]
 
 
 class TestCli:
@@ -683,6 +741,7 @@ class TestCli:
         ("batch-ensemble", ['experiment.schemes=["random_sign","random_sign"]']),
         ("temp-scale", ["experiment.val_pcts=[0.1,0.2,0.1]"]),
         ("sweep-wd", ["experiment.ensemble_sizes=[1,3,3]"]),
+        ("sweep-wd", ["optimizer.weight_decay=0.5"]),
     ])
     def test_bad_config_rejected_before_training(self, tmp_path, monkeypatch,
                                                  command, extra):
@@ -691,7 +750,7 @@ class TestCli:
 
         monkeypatch.setattr(experiments, "train_ensemble", no_training)
         monkeypatch.setattr(experiments, "be_train", no_training)
-        monkeypatch.setattr(experiments, "run_sweep", no_training)
+        monkeypatch.setattr(experiments, "train_grid", no_training)
         out = tmp_path / "run"
         argv = [command, "--out", str(out)]
         for item in BASE + extra:

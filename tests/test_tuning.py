@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from enstune import metrics
+from enstune.config import config_from_dict
 from enstune.data import make_blobs, train_test_split
+from enstune.experiments import Job, _wd_sweep_cells
 from enstune.netcore import NonFiniteLossError
-from enstune.splits import make_overlapping, make_shared
+from enstune.splits import SHARED, make_overlapping, make_shared
 from enstune.training import (
     NONE,
     OptimizerConfig,
@@ -22,7 +24,6 @@ from enstune.tuning import (
     SweepCell,
     SweepResult,
     optimality_gap,
-    run_sweep,
     select_h,
     selection_score,
 )
@@ -117,12 +118,32 @@ def shared_plans(dprime, seeds, n_members=3, val_fraction=0.15):
                         labels=dprime.y) for seed in seeds]
 
 
+def grid_sweep(dprime, test, grid, plans):
+    """The wd_sweep cell function once per seed of ``grid``, training a
+    [2, 16, 3] MLP with SMALL_OPT's optimizer for SMALL_STOP's budget, cosine
+    annealed over it as SMALL_OPT is, with its cells in grid order: every
+    seed of the first decay, then the next decay. ``plans`` are shared_plans
+    at their default validation fraction."""
+    cfg = config_from_dict({
+        "model": {"hidden": [16]},
+        "ensemble": {"members": plans[0].n_members, "val_pct": 0.15},
+        "optimizer": {"kind": SMALL_OPT.kind, "lr": SMALL_OPT.lr},
+        "stopping": {"max_epochs": SMALL_STOP.max_epochs,
+                     "batch_size": SMALL_STOP.batch_size},
+        "experiment": {"kind": "wd_sweep", "seeds": grid.seeds,
+                       "weight_decays": grid.weight_decays,
+                       "ensemble_sizes": grid.ensemble_sizes}})
+    per_seed = [_wd_sweep_cells(cfg, dprime, test, seed, plan,
+                                Job(SHARED, 0.15))[2]
+                for seed, plan in zip(grid.seeds, plans, strict=True)]
+    return SweepResult(grid, [cell for wd_cells in zip(*per_seed) for cell in wd_cells])
+
+
 @pytest.fixture(scope="module")
 def small_sweep():
     dprime, test = small_sweep_data()
     grid = HyperGrid([0.0, 1e-3, 1e-1], [1, 2, 3], [0, 1])
-    return run_sweep(dprime, test, grid, shared_plans(dprime, grid.seeds), [2, 16, 3],
-                     0.15, SMALL_OPT, SMALL_STOP)
+    return grid_sweep(dprime, test, grid, shared_plans(dprime, grid.seeds))
 
 
 def per_cell_sweep(dprime, test, grid, plans, dims, val_fraction, opt, stop):
@@ -220,8 +241,7 @@ class TestGridTrajectory:
         oracle = per_cell_sweep(dprime, test, grid, plans, [2, 16, 3], 0.15,
                                 SMALL_OPT, SMALL_STOP)
         with pytest.warns(UserWarning, match="diverged: non-finite loss at sample") as rec:
-            sweep = run_sweep(dprime, test, grid, plans, [2, 16, 3], 0.15, SMALL_OPT,
-                              SMALL_STOP)
+            sweep = grid_sweep(dprime, test, grid, plans)
         diverged = sorted((c.wd, c.seed) for c in sweep.cells if c.diverged)
         assert diverged == [(1e9, 0), (1e9, 1)]
         assert diverged == sorted(key for key, c in oracle.items() if c.diverged)
