@@ -11,7 +11,7 @@ joint evaluation, the average of individual member NLLs on disjoint plans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .netcore import (
     MlpParams,
     ShapeError,
     _check_labels,
+    _concat,
+    _split,
     finite_difference_report,
     log_softmax,
     softmax,
@@ -55,9 +57,6 @@ class FastWeights:
     r: list[np.ndarray]  # layer i: (n_members, in_dim)
     s: list[np.ndarray]  # layer i: (n_members, out_dim)
 
-    def copy(self) -> "FastWeights":
-        return FastWeights([a.copy() for a in self.r], [a.copy() for a in self.s])
-
 
 @dataclass
 class BatchNormState:
@@ -73,27 +72,43 @@ class BatchNormState:
         return cls(np.ones((n_members, width)), np.zeros((n_members, width)),
                    np.zeros((n_members, width)), np.ones((n_members, width)))
 
-    def copy(self) -> "BatchNormState":
-        return BatchNormState(self.gamma.copy(), self.beta.copy(),
-                              self.running_mean.copy(), self.running_var.copy())
-
 
 @dataclass
 class BatchEnsembleModel:
+    """Slow weights, fast weights and per-member batch norm. The trainable
+    arrays (:meth:`arrays`) are views into the one vector ``flat``, laid out
+    in that order; BN running statistics are not trained and stay outside
+    it. Built without ``flat``, the trainable arrays are copied into a new
+    vector; given ``flat``, it is read as holding them."""
+
     slow: MlpParams
     fast: FastWeights
     bn: list[BatchNormState]
     n_members: int
     use_batchnorm: bool = True
+    flat: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        arrays = self.arrays()
+        if self.flat is None:
+            self.flat = _concat(arrays)
+        views = _split(self.flat, [a.shape for a in arrays])
+        n_slow = 2 * len(self.slow.layers)
+        n_fast = n_slow + 2 * len(self.fast.r)
+        self.slow = MlpParams.from_flat(self.flat[:self.slow.flat.size], self.slow.dims)
+        self.fast = FastWeights(views[n_slow:n_fast:2], views[n_slow + 1:n_fast:2])
+        self.bn = [BatchNormState(gamma, beta, b.running_mean, b.running_var)
+                   for b, gamma, beta in zip(self.bn, views[n_fast::2], views[n_fast + 1::2])]
 
     @property
     def dims(self) -> list[int]:
         return self.slow.dims
 
     def copy(self) -> "BatchEnsembleModel":
-        return BatchEnsembleModel(self.slow.copy(), self.fast.copy(),
-                                  [b.copy() for b in self.bn], self.n_members,
-                                  self.use_batchnorm)
+        bn = [BatchNormState(b.gamma, b.beta, b.running_mean.copy(), b.running_var.copy())
+              for b in self.bn]
+        return BatchEnsembleModel(self.slow, self.fast, bn, self.n_members,
+                                  self.use_batchnorm, self.flat.copy())
 
     def arrays(self) -> list[np.ndarray]:
         """Trainable arrays: slow weights/biases, fast r/s, BN gamma/beta."""
@@ -106,10 +121,11 @@ class BatchEnsembleModel:
             out.append(b.beta)
         return out
 
-    def decay_mask(self, decay_bias: bool = False) -> list[bool]:
-        """Only slow weight matrices decay; fast weights and BN never do."""
-        mask = self.slow.decay_mask(decay_bias)
-        mask += [False] * (2 * len(self.fast.r) + 2 * len(self.bn))
+    def decay_mask(self, decay_bias: bool = False) -> np.ndarray:
+        """1.0 where ``flat`` decays: only the slow weights (and their biases
+        if ``decay_bias``); fast weights and BN never do."""
+        mask = np.zeros_like(self.flat)
+        mask[:self.slow.flat.size] = self.slow.decay_mask(decay_bias)
         return mask
 
 
@@ -166,7 +182,7 @@ def _bn_forward(u: np.ndarray, state: BatchNormState, members, training: bool,
     return out, cache
 
 
-def _bn_backward(d_out: np.ndarray, cache, state: BatchNormState, members):
+def _bn_backward(d_out: np.ndarray, cache):
     """Gradient through batch norm; returns (d_u, d_gamma, d_beta)."""
     xhat, sd, gamma, var, training = cache
     d_gamma = (d_out * xhat).sum(axis=1)
@@ -260,7 +276,7 @@ def be_loss_and_grads(model: BatchEnsembleModel, xs: np.ndarray, ys: np.ndarray,
 
     ``xs`` is (M, B, in), ``ys`` is (M, B). Slow-weight and bias gradients sum
     over members; fast-weight and BN gradients are per member. Returns
-    (total_loss, grads) with grads ordered like :meth:`BatchEnsembleModel.arrays`.
+    (total_loss, grads) with grads one new vector laid out like ``model.flat``.
     """
     m_all = np.arange(model.n_members)
     xs = np.asarray(xs, dtype=np.float64)
@@ -271,50 +287,33 @@ def be_loss_and_grads(model: BatchEnsembleModel, xs: np.ndarray, ys: np.ndarray,
     n_members, batch, k = logits.shape
     ys = np.stack([_check_labels(np.asarray(ys[m]), k) for m in range(n_members)])
     logp = log_softmax(logits)
-    rows = np.arange(batch)
-    per_member = np.stack([-logp[m, rows, ys[m]].mean() for m in range(n_members)])
-    total = float(per_member.sum())
+    pick = (m_all[:, None], np.arange(batch), ys)
+    total = float((-logp[pick].mean(axis=1)).sum())
 
     delta = np.exp(logp)
-    for m in range(n_members):
-        delta[m, rows, ys[m]] -= 1.0
+    delta[pick] -= 1.0
     delta /= batch  # each member's loss is its own batch mean
 
-    g_slow_w = [np.zeros_like(l.weight) for l in model.slow.layers]
-    g_slow_b = [np.zeros_like(l.bias) for l in model.slow.layers]
-    g_r = [np.zeros_like(a) for a in model.fast.r]
-    g_s = [np.zeros_like(a) for a in model.fast.s]
-    g_gamma = [np.zeros_like(b.gamma) for b in model.bn]
-    g_beta = [np.zeros_like(b.beta) for b in model.bn]
-
+    grads = np.empty_like(model.flat)
+    views = _split(grads, [a.shape for a in model.arrays()])
     n_layers = len(model.slow.layers)
+    g_slow_w, g_slow_b = views[0:2 * n_layers:2], views[1:2 * n_layers:2]
+    g_r, g_s = views[2 * n_layers:4 * n_layers:2], views[2 * n_layers + 1:4 * n_layers:2]
+    g_gamma, g_beta = views[4 * n_layers::2], views[4 * n_layers + 1::2]
     for i in range(n_layers - 1, -1, -1):
         h, a_mod, c, s, r, bn_cache, pre_relu = caches[i]
         if i < n_layers - 1:
             delta = delta * (pre_relu > 0)
             if model.use_batchnorm:
-                delta, dg, db = _bn_backward(delta, bn_cache, model.bn[i], m_all)
-                g_gamma[i] += dg
-                g_beta[i] += db
-        g_s[i] += (delta * c).sum(axis=1)
-        g_slow_b[i] += delta.sum(axis=(0, 1))
+                delta, g_gamma[i][...], g_beta[i][...] = _bn_backward(delta, bn_cache)
+        np.sum(delta * c, axis=1, out=g_s[i])
+        np.sum(delta, axis=(0, 1), out=g_slow_b[i])
         d_c = delta * s
         w = model.slow.layers[i].weight
-        g_slow_w[i] += np.einsum("mbi,mbo->io", a_mod, d_c)
+        np.einsum("mbi,mbo->io", a_mod, d_c, out=g_slow_w[i])
         d_amod = np.matmul(d_c, w.T)
-        g_r[i] += (d_amod * h).sum(axis=1)
+        np.sum(d_amod * h, axis=1, out=g_r[i])
         delta = d_amod * r
-
-    grads = []
-    for gw, gb in zip(g_slow_w, g_slow_b):
-        grads.append(gw)
-        grads.append(gb)
-    for gr, gs in zip(g_r, g_s):
-        grads.append(gr)
-        grads.append(gs)
-    for gg, gb in zip(g_gamma, g_beta):
-        grads.append(gg)
-        grads.append(gb)
     return total, grads
 
 
@@ -336,7 +335,9 @@ def be_grad_check(model: BatchEnsembleModel, xs: np.ndarray, ys: np.ndarray,
         sig = np.concatenate(signs) if signs else None
         return loss, sig
 
-    return finite_difference_report(loss_fn, model.arrays(), grads, eps)
+    arrays = model.arrays()
+    return finite_difference_report(loss_fn, arrays,
+                                    _split(grads, [a.shape for a in arrays]), eps)
 
 
 class _IndexStream:
@@ -381,9 +382,11 @@ class _BeTrajectory:
 
     def __init__(self, x, y, plan: SplitPlan, model: BatchEnsembleModel,
                  opt_cfg: OptimizerConfig, batch_size: int, seed: int):
-        self.x, self.y = x, y
+        self.y = y
         self.params = model
         self.scalers = [Standardizer.fit(x[ms.train_idx]) for ms in plan.members]
+        self.xs = np.stack([scaler(x) for scaler in self.scalers])  # (M, N, in)
+        self.member_col = np.arange(plan.n_members)[:, None]
         self.streams = [_IndexStream(ms.train_idx, member_rng(seed, m, _BATCH))
                         for m, ms in enumerate(plan.members)]
         self.opt = opt_cfg.build(model)
@@ -395,19 +398,18 @@ class _BeTrajectory:
 
     def run_epoch(self) -> None:
         for _ in range(self.steps_per_epoch):
-            idx = [stream.next_batch(self.batch) for stream in self.streams]
-            xs = np.stack([scaler(self.x[i]) for scaler, i in zip(self.scalers, idx)])
-            ys = np.stack([self.y[i] for i in idx])
+            idx = np.stack([stream.next_batch(self.batch) for stream in self.streams])
             lr_now = self.lr_at(self.steps)
-            _, grads = be_loss_and_grads(self.params, xs, ys)
-            self.opt.step(self.params.arrays(), grads, lr_now)
+            _, grads = be_loss_and_grads(self.params, self.xs[self.member_col, idx],
+                                         self.y[idx])
+            self.opt.step(self.params.flat, grads, lr_now)
             self.steps += 1
 
     def snapshot(self) -> BatchEnsembleModel:
         return self.params.copy()
 
     def probs(self, m: int, idx: np.ndarray) -> np.ndarray:
-        return softmax(be_forward(self.params, self.scalers[m](self.x[idx]), m))
+        return softmax(be_forward(self.params, self.xs[m, idx], m))
 
 
 def be_train(x, y, plan: SplitPlan, dims: list[int], scheme: str,

@@ -1,8 +1,12 @@
 """Minimal feed-forward network engine: MLP forward/backward, SGD+momentum,
 Adam, cosine annealing and finite-difference gradient checking.
 
-Everything is float64 and pure numpy. Parameters and optimizer state are
-plain mutable containers owned by a single training job at a time.
+Everything is float64 and pure numpy. A trajectory keeps its trainable
+parameters in one contiguous vector (``MlpParams.flat``; a stack of
+trajectories keeps one row each), and the weight and bias arrays that code
+reads are views into it. The optimizer keeps its state in vectors of the
+same shape and updates a whole vector with a few in-place calls. Each
+vector is owned by a single training job at a time.
 """
 
 from __future__ import annotations
@@ -35,9 +39,17 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax, log-sum-exp stabilized.
+
+    The row maximum is taken over an F-ordered copy: numpy then takes
+    elementwise maxima across the columns, several times faster than a
+    reduction along each short row. The maxima are the same numbers; only
+    the sign of a zero maximum may differ, which changes ``shifted`` at most
+    from 0.0 to -0.0, so every exp, and thus every gradient, is unchanged.
+    """
     z = np.asarray(z, dtype=np.float64)
     with np.errstate(invalid="ignore"):
-        shifted = z - z.max(axis=-1, keepdims=True)
+        shifted = z - np.maximum.reduce(np.asfortranarray(z), axis=-1, keepdims=True)
         return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
@@ -48,17 +60,60 @@ class DenseLayer:
     weight: np.ndarray
     bias: np.ndarray
 
-    def copy(self) -> "DenseLayer":
-        return DenseLayer(self.weight.copy(), self.bias.copy())
+
+def _concat(arrays) -> np.ndarray:
+    """A new float64 vector holding ``arrays`` raveled one after another."""
+    if not arrays:
+        return np.zeros(0)
+    return np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+
+
+def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of consecutive pieces of the vector ``flat``, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _layer_views(flat: np.ndarray, dims) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) views per layer into the last axis of ``flat``: weights
+    ``lead + (in, out)`` and biases ``lead + (out,)``."""
+    lead = flat.shape[:-1]
+    views, start = [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        mid = start + fan_in * fan_out
+        stop = mid + fan_out
+        views.append((flat[..., start:mid].reshape(lead + (fan_in, fan_out)),
+                      flat[..., mid:stop]))
+        start = stop
+    return views
 
 
 @dataclass
 class MlpParams:
     """Stack of dense layers with ReLU between hidden layers and identity
     (logit) output.  An empty layer list is the degenerate identity network.
+
+    Every weight and bias is a view into the one vector ``flat``, laid out
+    like :meth:`arrays`. Built from layers alone, the parameters are copied
+    into a new vector; given ``flat``, the layers must already view it.
     """
 
     layers: list[DenseLayer] = field(default_factory=list)
+    flat: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.flat is None:
+            self.flat = _concat(self.arrays())
+            self.layers = [DenseLayer(w, b) for w, b in _layer_views(self.flat, self.dims)]
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, dims) -> "MlpParams":
+        """Parameters viewing the vector ``flat`` (not copied)."""
+        return cls([DenseLayer(w, b) for w, b in _layer_views(flat, dims)], flat)
 
     @classmethod
     def random(cls, dims: list[int], rng: np.random.Generator) -> "MlpParams":
@@ -76,23 +131,21 @@ class MlpParams:
         return [self.layers[0].weight.shape[0]] + [l.weight.shape[1] for l in self.layers]
 
     def copy(self) -> "MlpParams":
-        return MlpParams([l.copy() for l in self.layers])
+        return MlpParams.from_flat(self.flat.copy(), self.dims)
 
     def arrays(self) -> list[np.ndarray]:
-        """Flat list of parameter arrays, weights and biases interleaved."""
+        """The parameter arrays, weights and biases interleaved."""
         out = []
         for l in self.layers:
             out.append(l.weight)
             out.append(l.bias)
         return out
 
-    def decay_mask(self, decay_bias: bool = False) -> list[bool]:
-        """Which arrays of :meth:`arrays` receive weight decay."""
-        mask = []
-        for _ in self.layers:
-            mask.append(True)
-            mask.append(decay_bias)
-        return mask
+    def decay_mask(self, decay_bias: bool = False) -> np.ndarray:
+        """1.0 where ``flat`` receives weight decay (weights, and biases if
+        ``decay_bias``), else 0.0."""
+        return _concat([np.full(a.shape, 1.0 if i % 2 == 0 else float(decay_bias))
+                        for i, a in enumerate(self.arrays())])
 
 
 def _forward_cached(params: MlpParams, x: np.ndarray):
@@ -150,43 +203,44 @@ def loss_and_grad(params: MlpParams, x: np.ndarray, y: np.ndarray):
     n, k = logits.shape
     y = _check_labels(y, k)
     logp = log_softmax(logits)
-    per_sample = -logp[np.arange(n), y]
+    pick = (np.arange(n), y)
+    per_sample = -logp[pick]
     if not np.isfinite(per_sample).all():
         bad = int(np.argmax(~np.isfinite(per_sample)))
         raise NonFiniteLossError(f"non-finite loss at sample {bad}")
-    nll = float(per_sample.mean())
+    nll = float(np.add.reduce(per_sample) / n)  # the mean, without its wrapper
 
     probs = np.exp(logp)
     delta = probs
-    delta[np.arange(n), y] -= 1.0
+    delta[pick] -= 1.0
     delta /= n
 
-    grads = MlpParams([DenseLayer(np.empty_like(l.weight), np.empty_like(l.bias))
-                       for l in params.layers])
+    grads = MlpParams.from_flat(np.empty_like(params.flat), params.dims)
     for i in range(len(params.layers) - 1, -1, -1):
-        grads.layers[i].weight[...] = acts[i].T @ delta
-        grads.layers[i].bias[...] = delta.sum(axis=0)
+        np.matmul(acts[i].T, delta, out=grads.layers[i].weight)
+        np.add.reduce(delta, axis=0, out=grads.layers[i].bias)
         if i > 0:
             delta = (delta @ params.layers[i].weight.T) * (preacts[i - 1] > 0)
     return nll, grads
 
 
-def _stacked_loss_and_grad(params: list[np.ndarray], x: np.ndarray, y: np.ndarray,
+def _stacked_loss_and_grad(params: np.ndarray, dims, x: np.ndarray, y: np.ndarray,
                            bufs: dict):
     """:func:`loss_and_grad` over stacked parameter rows, with the same
     operations per row, so each row's gradients are bit-identical to its own
     call's.
 
-    ``params`` interleaves weights ``(D, M, in, out)`` and biases
-    ``(D, M, 1, out)``; the batch ``x`` is ``(1, M, n, in)``, one minibatch
-    per member broadcast across the D rows of every member, with intp labels
-    ``y`` ``(M, n)`` already checked. Activations, deltas and gradients live
-    in ``bufs``, flat arrays the caller keeps across calls and this function
-    grows as needed. Returns ``(None, grads)``, the gradients shaped like
-    ``params``, or, when some row's loss is non-finite, ``(mask, None)`` with
-    the ``(D, M, n)`` mask of its non-finite samples.
+    ``params`` is ``(D, M, P)``: row (d, m) is the ``flat`` vector of an MLP
+    with layer widths ``dims``. The batch ``x`` is ``(1, M, n, in)``, one
+    minibatch per member broadcast across the D rows of every member, with
+    intp labels ``y`` ``(M, n)`` already checked. Activations, deltas and
+    gradients live in ``bufs``, flat arrays the caller keeps across calls and
+    this function grows as needed. Returns ``(None, grads)``, the gradients
+    as one ``(D, M, P)`` array laid out like ``params``, or, when some row's
+    loss is non-finite, ``(mask, None)`` with the ``(D, M, n)`` mask of its
+    non-finite samples.
     """
-    weights, biases = params[0::2], params[1::2]
+    layers = _layer_views(params, dims)
     n = x.shape[-2]
 
     def buf(key, shape):
@@ -196,10 +250,10 @@ def _stacked_loss_and_grad(params: list[np.ndarray], x: np.ndarray, y: np.ndarra
         return bufs[key][:size].reshape(shape)
 
     acts = [x]
-    for i, (w, b) in enumerate(zip(weights, biases)):
+    for i, (w, b) in enumerate(layers):
         z = np.matmul(acts[-1], w, out=buf(i, w.shape[:2] + (n, w.shape[3])))
-        z += b
-        if i < len(weights) - 1:
+        z += b[..., None, :]
+        if i < len(layers) - 1:
             np.maximum(z, 0.0, out=z)  # positive exactly where the pre-activation is
         acts.append(z)
     logp = log_softmax(acts.pop())
@@ -210,13 +264,13 @@ def _stacked_loss_and_grad(params: list[np.ndarray], x: np.ndarray, y: np.ndarra
     delta = np.exp(logp)
     delta[pick] -= 1.0
     delta /= n
-    grads = [buf(("grad", j), p.shape) for j, p in enumerate(params)]
-    for i in range(len(weights) - 1, -1, -1):
-        np.matmul(acts[i].swapaxes(-1, -2), delta, out=grads[2 * i])
-        np.sum(delta, axis=-2, keepdims=True, out=grads[2 * i + 1])
+    grads = buf("grad", params.shape)
+    for i, (gw, gb) in reversed(list(enumerate(_layer_views(grads, dims)))):
+        np.matmul(acts[i].swapaxes(-1, -2), delta, out=gw)
+        np.sum(delta, axis=-2, keepdims=True, out=gb[..., None, :])
         if i > 0:  # the activation's last read: its buffer takes the delta
             active = acts[i] > 0
-            delta = np.matmul(delta, weights[i].swapaxes(-1, -2), out=acts[i])
+            delta = np.matmul(delta, layers[i][0].swapaxes(-1, -2), out=acts[i])
             delta *= active
     return None, grads
 
@@ -237,22 +291,28 @@ _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam moment decays, denominator 
 
 
 class Optimizer:
-    """SGD with momentum or Adam over a flat list of parameter arrays.
+    """SGD with momentum or Adam over one parameter vector.
 
-    Weight decay is decoupled: arrays selected by ``decay_mask`` are shrunk by
-    ``lr_now * weight_decay`` before the gradient update, for both kinds.
-    Biases are excluded from decay unless the mask says otherwise. Stacked
-    parameters (a leading row axis on every array) may take one decay per
-    row, as an array broadcasting against each decayed array; a row with
-    decay 0 is multiplied by exactly 1.0, which leaves it as a skipped decay
-    would.
+    ``params`` is a trajectory's ``flat`` vector ``(P,)``, or a stack of
+    them with leading row axes (``(D, M, P)`` for a weight-decay grid); the
+    optimizer state has the same shape, and :meth:`step` updates the whole
+    array with a few in-place ufunc calls, in the order of the textbook
+    per-array update, so every element comes out as that update gives it.
+
+    Weight decay is decoupled: each element is shrunk by ``lr_now`` times
+    its decay before the gradient update, for both kinds. The decay is
+    ``decay_mask * weight_decay``: ``decay_mask`` (default all ones) is 1.0
+    on the elements that decay and 0.0 elsewhere (biases, unless asked),
+    over the last axis; ``weight_decay`` is a float, or one decay per row as
+    an array broadcasting against ``params``. An element with decay 0 is
+    multiplied by exactly 1.0, which leaves it as a skipped decay would.
     """
 
     KINDS = ("sgd_momentum", "adam")
 
-    def __init__(self, kind: str, params: list[np.ndarray], base_lr: float,
+    def __init__(self, kind: str, params: np.ndarray, base_lr: float,
                  weight_decay: float = 0.0, momentum: float = 0.9,
-                 decay_mask: list[bool] | None = None):
+                 decay_mask: np.ndarray | None = None):
         if kind not in self.KINDS:
             raise ValueError(f"unknown optimizer kind {kind!r}")
         if base_lr < 0:
@@ -262,59 +322,64 @@ class Optimizer:
             raise ValueError("weight_decay must be >= 0")
         self.kind = kind
         self.base_lr = float(base_lr)
-        self.weight_decay = decays if decays.ndim else float(weight_decay)
         self._decays = bool((decays > 0).any())
         self.momentum = float(momentum)
         self.step_count = 0
-        self._shapes = [p.shape for p in params]
-        self.decay_mask = list(decay_mask) if decay_mask is not None else [True] * len(params)
-        if len(self.decay_mask) != len(params):
-            raise ShapeError("decay_mask length does not match parameter count")
-        if kind == "sgd_momentum":
-            self.velocity = [np.zeros_like(p) for p in params]
-        else:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
+        self.shape = params.shape
+        mask = np.ones(params.shape[-1:]) if decay_mask is None else decay_mask
+        self.decay = np.broadcast_to(mask * decays, params.shape).copy()
+        # moments, then scratch for the update: every array shaped like params
+        self._state = ["velocity", "_buf"] if kind == "sgd_momentum" else ["m", "v", "_buf",
+                                                                          "_buf2"]
+        for name in self._state:
+            setattr(self, name, np.zeros(params.shape))
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray],
+    def step(self, params: np.ndarray, grads: np.ndarray,
              lr_now: float | None = None) -> None:
         """One in-place update; ``lr_now`` defaults to ``base_lr``."""
         lr = self.base_lr if lr_now is None else float(lr_now)
         if lr < 0:
             raise ValueError("lr_now must be >= 0")
-        if len(params) != len(self._shapes) or len(grads) != len(self._shapes):
-            raise ShapeError("parameter/gradient count does not match optimizer state")
-        for i, (p, g) in enumerate(zip(params, grads)):
-            if p.shape != self._shapes[i] or g.shape != self._shapes[i]:
-                raise ShapeError(f"array {i}: shape {p.shape}/{g.shape} does not match "
-                                 f"optimizer state {self._shapes[i]}")
+        if params.shape != self.shape or grads.shape != self.shape:
+            raise ShapeError(f"parameters {params.shape} / gradients {grads.shape} do not "
+                             f"match optimizer state {self.shape}")
         self.step_count += 1
+        buf = self._buf
         if self._decays and lr > 0.0:
-            shrink = 1.0 - lr * self.weight_decay
-            for p, decays in zip(params, self.decay_mask):
-                if decays:
-                    p *= shrink
+            np.multiply(self.decay, lr, out=buf)
+            np.subtract(1.0, buf, out=buf)
+            params *= buf
         if self.kind == "sgd_momentum":
-            for i, (p, g) in enumerate(zip(params, grads)):
-                self.velocity[i] = self.momentum * self.velocity[i] + g
-                p -= lr * self.velocity[i]
+            self.velocity *= self.momentum
+            self.velocity += grads
+            np.multiply(self.velocity, lr, out=buf)
+            params -= buf
         else:
             t = self.step_count
             bc1 = 1.0 - _BETA1 ** t
             bc2 = 1.0 - _BETA2 ** t
-            for i, (p, g) in enumerate(zip(params, grads)):
-                self.m[i] = _BETA1 * self.m[i] + (1.0 - _BETA1) * g
-                self.v[i] = _BETA2 * self.v[i] + (1.0 - _BETA2) * (g * g)
-                p -= lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + _ADAM_EPS)
+            m, v, step = self.m, self.v, self._buf2
+            m *= _BETA1
+            np.multiply(grads, 1.0 - _BETA1, out=buf)
+            m += buf
+            v *= _BETA2
+            np.multiply(grads, grads, out=buf)
+            buf *= 1.0 - _BETA2
+            v += buf
+            np.divide(v, bc2, out=buf)  # the denominator sqrt(v / bc2) + eps
+            np.sqrt(buf, out=buf)
+            buf += _ADAM_EPS
+            np.divide(m, bc1, out=step)  # lr * (m / bc1) / denominator
+            step *= lr
+            step /= buf
+            params -= step
 
     def keep_rows(self, rows: np.ndarray) -> None:
-        """Keep only ``rows`` of the leading row axis of stacked state and of a
-        per-row weight decay, as when those rows are dropped from the stack."""
-        for state in ([self.velocity] if self.kind == "sgd_momentum" else [self.m, self.v]):
-            state[:] = [a[rows] for a in state]
-        if not isinstance(self.weight_decay, float):
-            self.weight_decay = self.weight_decay[rows]
-        self._shapes = [(len(rows),) + shape[1:] for shape in self._shapes]
+        """Keep only ``rows`` of the leading row axis of stacked state and of
+        the per-element decay, as when those rows are dropped from the stack."""
+        for name in self._state + ["decay"]:
+            setattr(self, name, getattr(self, name)[rows])
+        self.shape = self.decay.shape
 
 
 @dataclass

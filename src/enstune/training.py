@@ -23,7 +23,6 @@ import numpy as np
 from . import metrics
 from .data import Standardizer
 from .netcore import (
-    DenseLayer,
     MlpParams,
     NonFiniteLossError,
     Optimizer,
@@ -140,8 +139,10 @@ class OptimizerConfig:
     decay_bias: bool = False
     cosine_epochs: int | None = None  # anneal to 0 over this many epochs
 
-    def build(self, params: MlpParams) -> Optimizer:
-        return Optimizer(self.kind, params.arrays(), self.lr,
+    def build(self, params) -> Optimizer:
+        """An optimizer over ``params.flat`` (an :class:`MlpParams` or a
+        BatchEnsemble), decaying what ``params.decay_mask`` selects."""
+        return Optimizer(self.kind, params.flat, self.lr,
                          weight_decay=self.weight_decay, momentum=self.momentum,
                          decay_mask=params.decay_mask(self.decay_bias))
 
@@ -161,11 +162,6 @@ def member_probs(member: TrainedMember, x: np.ndarray) -> np.ndarray:
 
 def member_logits(member: TrainedMember, x: np.ndarray) -> np.ndarray:
     return mlp_forward(member.params, member.scaler(x))
-
-
-def _batches(order: np.ndarray, batch_size: int):
-    for start in range(0, len(order), batch_size):
-        yield order[start:start + batch_size]
 
 
 def _member_start(x, y, ms: MemberSplit, dims, seed: int, member_index: int,
@@ -198,10 +194,12 @@ class _MemberState:
 
     def run_epoch(self) -> None:
         order = self.batch_rng.permutation(len(self.y_train))
-        for batch in _batches(order, self.batch_size):
+        xs, ys = self.x_train[order], self.y_train[order]  # each minibatch a slice
+        for start in range(0, len(order), self.batch_size):
+            stop = start + self.batch_size
             lr_now = self.lr_at(self.steps)
-            _, grads = loss_and_grad(self.params, self.x_train[batch], self.y_train[batch])
-            self.opt.step(self.params.arrays(), grads.arrays(), lr_now)
+            _, grads = loss_and_grad(self.params, xs[start:stop], ys[start:stop])
+            self.opt.step(self.params.flat, grads.flat, lr_now)
             self.steps += 1
 
     def snapshot(self) -> MlpParams:
@@ -408,14 +406,9 @@ def train_grid(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig, weight_dec
         for m, ms in enumerate(plan.members)))
     x_train, y_train = xs[0], _check_labels(ys[0], dims[-1])
     n_rows = len(weight_decays)
-    params = []
-    for layers in zip(*(p.layers for p in inits)):
-        params.append(np.repeat(np.stack([l.weight for l in layers])[None], n_rows, axis=0))
-        params.append(np.repeat(np.stack([l.bias[None] for l in layers])[None], n_rows,
-                                axis=0))
+    params = np.repeat(np.stack([p.flat for p in inits])[None], n_rows, axis=0)
     opt = Optimizer(opt_cfg.kind, params, opt_cfg.lr,
-                    weight_decay=np.asarray(weight_decays, dtype=np.float64)[:, None, None,
-                                                                             None],
+                    weight_decay=np.asarray(weight_decays, dtype=np.float64)[:, None, None],
                     momentum=opt_cfg.momentum,
                     decay_mask=inits[0].decay_mask(opt_cfg.decay_bias))
     n_train, batch_size = len(y_train), stop_cfg.batch_size
@@ -431,7 +424,7 @@ def train_grid(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig, weight_dec
         for start in range(0, n_train, batch_size):
             idx = orders[:, start:start + batch_size]
             xb, yb = x_train[idx][None], y_train[idx]
-            bad, grads = _stacked_loss_and_grad(params, xb, yb, bufs)
+            bad, grads = _stacked_loss_and_grad(params, dims, xb, yb, bufs)
             while bad is not None:
                 bad_rows = bad.any(axis=-1)
                 for r in np.flatnonzero(bad_rows.any(axis=1)):
@@ -439,16 +432,14 @@ def train_grid(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig, weight_dec
                     outcomes[live[r]] = NonFiniteLossError(
                         f"non-finite loss at sample {int(np.argmax(bad[r, m]))}")
                 keep = np.flatnonzero(~bad_rows.any(axis=1))
-                params = [p[keep] for p in params]
+                params = params[keep]
                 opt.keep_rows(keep)
                 live = [live[r] for r in keep]
-                bad, grads = _stacked_loss_and_grad(params, xb, yb, bufs)
+                bad, grads = _stacked_loss_and_grad(params, dims, xb, yb, bufs)
             opt.step(params, grads, lr_at(steps))
             steps += 1
     for r, entry in enumerate(live):
-        outcomes[entry] = [
-            TrainedMember(MlpParams([DenseLayer(w[r, m].copy(), b[r, m, 0].copy())
-                                     for w, b in zip(params[0::2], params[1::2])]),
-                          scaler, None, steps)
-            for m, scaler in enumerate(scalers)]
+        outcomes[entry] = [TrainedMember(MlpParams.from_flat(params[r, m].copy(), dims),
+                                         scaler, None, steps)
+                           for m, scaler in enumerate(scalers)]
     return outcomes

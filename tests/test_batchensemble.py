@@ -133,12 +133,12 @@ class TestGradients:
         model = small_model()
         xs = rng.normal(size=(4, 32, 3))
         ys = rng.integers(0, 4, size=(4, 32))
-        opt = Optimizer("adam", model.arrays(), 1e-2,
+        opt = Optimizer("adam", model.flat, 1e-2,
                         decay_mask=model.decay_mask())
         first, _ = be_loss_and_grads(model, xs, ys, update_stats=False)
         for _ in range(60):
             _, grads = be_loss_and_grads(model, xs, ys)
-            opt.step(model.arrays(), grads)
+            opt.step(model.flat, grads)
         last, _ = be_loss_and_grads(model, xs, ys, update_stats=False)
         assert last < first
 

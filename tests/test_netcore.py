@@ -14,9 +14,11 @@ from enstune.netcore import (
     NonFiniteLossError,
     Optimizer,
     ShapeError,
+    _layer_views,
     _stacked_loss_and_grad,
     cosine_lr,
     grad_check,
+    log_softmax,
     loss_and_grad,
     mlp_forward,
     softmax,
@@ -126,25 +128,24 @@ class TestLossAndGrad:
 
 class TestOptimizer:
     def test_vanilla_sgd_exact(self):
-        p = [np.array([1.0, 2.0])]
-        g = [np.array([0.5, -0.5])]
+        p = np.array([1.0, 2.0])
+        g = np.array([0.5, -0.5])
         opt = Optimizer("sgd_momentum", p, base_lr=0.1, momentum=0.0)
         opt.step(p, g)
-        assert np.allclose(p[0], [1.0 - 0.05, 2.0 + 0.05], atol=1e-15)
+        assert np.allclose(p, [1.0 - 0.05, 2.0 + 0.05], atol=1e-15)
 
     def test_pure_decay_shrinkage(self):
-        p = [np.array([2.0, -4.0])]
-        g = [np.zeros(2)]
+        p = np.array([2.0, -4.0])
+        g = np.zeros(2)
         opt = Optimizer("sgd_momentum", p, base_lr=0.1, weight_decay=0.5, momentum=0.0)
         opt.step(p, g)
-        assert np.allclose(p[0], np.array([2.0, -4.0]) * (1 - 0.1 * 0.5), atol=1e-15)
+        assert np.allclose(p, np.array([2.0, -4.0]) * (1 - 0.1 * 0.5), atol=1e-15)
 
     def test_bias_excluded_from_decay(self):
         params = MlpParams([DenseLayer(np.ones((1, 1)), np.ones(1))])
-        arrays = params.arrays()
-        opt = Optimizer("sgd_momentum", arrays, base_lr=0.1, weight_decay=1.0,
+        opt = Optimizer("sgd_momentum", params.flat, base_lr=0.1, weight_decay=1.0,
                         momentum=0.0, decay_mask=params.decay_mask())
-        opt.step(arrays, [np.zeros((1, 1)), np.zeros(1)])
+        opt.step(params.flat, np.zeros(2))
         assert params.layers[0].weight[0, 0] == pytest.approx(0.9)
         assert params.layers[0].bias[0] == 1.0
 
@@ -152,46 +153,149 @@ class TestOptimizer:
         # Three Adam steps on f(w) = w^2/2 (grad = w), checked against the
         # moment recursions written out by hand.
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-        p = [np.array([1.0])]
+        p = np.array([1.0])
         opt = Optimizer("adam", p, base_lr=lr)
         w = 1.0
         m = v = 0.0
         for t in range(1, 4):
             g = w  # analytic gradient of the quadratic at current w
-            opt.step(p, [np.array([g])])
+            opt.step(p, np.array([g]))
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             w = w - lr * (m / (1 - b1 ** t)) / (math.sqrt(v / (1 - b2 ** t)) + eps)
-            assert abs(p[0][0] - w) < 1e-12
+            assert abs(p[0] - w) < 1e-12
             # keep the library and hand versions marching in lockstep
-            w = float(p[0][0])
+            w = float(p[0])
 
     def test_lr_zero_is_identity(self):
         rng = np.random.default_rng(5)
         for kind in Optimizer.KINDS:
-            p = [rng.normal(size=(3, 2)), rng.normal(size=2)]
-            before = [a.copy() for a in p]
+            p = np.concatenate([rng.normal(size=(3, 2)).ravel(), rng.normal(size=2)])
+            before = p.copy()
             opt = Optimizer(kind, p, base_lr=1.0, weight_decay=0.1)
-            opt.step(p, [rng.normal(size=(3, 2)), rng.normal(size=2)], lr_now=0.0)
-            assert all(np.array_equal(a, b) for a, b in zip(p, before))
+            g = np.concatenate([rng.normal(size=(3, 2)).ravel(), rng.normal(size=2)])
+            opt.step(p, g, lr_now=0.0)
+            assert np.array_equal(p, before)
 
     def test_shape_mismatch(self):
-        p = [np.zeros(3)]
+        p = np.zeros(3)
         opt = Optimizer("adam", p, base_lr=0.1)
         with pytest.raises(ShapeError):
-            opt.step(p, [np.zeros(4)])
+            opt.step(p, np.zeros(4))
+
+
+class ReferenceOptimizer:
+    """The per-array optimizer the flat one replaces, kept as its oracle:
+    decoupled decay on the arrays ``decay_mask`` selects (one decay per row
+    of stacked arrays, too), then SGD with momentum or Adam with bias
+    correction, one array at a time."""
+
+    def __init__(self, kind, params, base_lr, weight_decay=0.0, momentum=0.9,
+                 decay_mask=None):
+        self.kind, self.base_lr, self.momentum = kind, base_lr, momentum
+        self.weight_decay = weight_decay
+        self.decays = bool((np.asarray(weight_decay) > 0).any())
+        self.decay_mask = decay_mask if decay_mask is not None else [True] * len(params)
+        self.step_count = 0
+        if kind == "sgd_momentum":
+            self.velocity = [np.zeros_like(p) for p in params]
+        else:
+            self.m = [np.zeros_like(p) for p in params]
+            self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, params, grads, lr):
+        self.step_count += 1
+        if self.decays and lr > 0.0:
+            shrink = 1.0 - lr * self.weight_decay
+            for p, decays in zip(params, self.decay_mask):
+                if decays:
+                    p *= shrink
+        if self.kind == "sgd_momentum":
+            for i, (p, g) in enumerate(zip(params, grads)):
+                self.velocity[i] = self.momentum * self.velocity[i] + g
+                p -= lr * self.velocity[i]
+        else:
+            t = self.step_count
+            bc1 = 1.0 - 0.9 ** t
+            bc2 = 1.0 - 0.999 ** t
+            for i, (p, g) in enumerate(zip(params, grads)):
+                self.m[i] = 0.9 * self.m[i] + (1.0 - 0.9) * g
+                self.v[i] = 0.999 * self.v[i] + (1.0 - 0.999) * (g * g)
+                p -= lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + 1e-8)
+
+    def keep_rows(self, rows):
+        for state in ([self.velocity] if self.kind == "sgd_momentum" else [self.m, self.v]):
+            state[:] = [a[rows] for a in state]
+        if not isinstance(self.weight_decay, float):
+            self.weight_decay = self.weight_decay[rows]
+
+
+def per_array(flat, dims):
+    """Stacked per-array copies of ``(..., P)`` rows: weights (..., in, out)
+    and biases (..., 1, out), interleaved like ``MlpParams.arrays``."""
+    out = []
+    for w, b in _layer_views(flat, dims):
+        out += [w.copy(), b[..., None, :].copy()]
+    return out
+
+
+def flatten(arrays, lead):
+    return np.concatenate([a.reshape(lead + (-1,)) for a in arrays], axis=-1)
+
+
+class TestOptimizerOracle:
+    DIMS = [3, 5, 4]
+
+    @pytest.mark.parametrize("kind", Optimizer.KINDS)
+    @pytest.mark.parametrize("decay", [0.0, 0.3])
+    @pytest.mark.parametrize("decay_bias", [False, True])
+    def test_flat_step_matches_per_array_step(self, kind, decay, decay_bias):
+        rng = np.random.default_rng(21)
+        params = MlpParams.random(self.DIMS, rng)
+        ref = [a.copy() for a in params.arrays()]
+        opt = Optimizer(kind, params.flat, 0.05, weight_decay=decay,
+                        decay_mask=params.decay_mask(decay_bias))
+        ref_opt = ReferenceOptimizer(kind, ref, 0.05, weight_decay=decay,
+                                     decay_mask=[True, decay_bias] * 2)
+        for step in range(10):
+            grads = rng.normal(size=params.flat.shape)
+            lr = cosine_lr(0.05, step, 10)
+            opt.step(params.flat, grads, lr)
+            ref_opt.step(ref, [g.copy() for g in MlpParams.from_flat(grads, self.DIMS)
+                               .arrays()], lr)
+            assert np.array_equal(params.flat, flatten(ref, ()))
+
+    @pytest.mark.parametrize("kind", Optimizer.KINDS)
+    @pytest.mark.parametrize("decay_bias", [False, True])
+    def test_per_row_decays_and_keep_rows(self, kind, decay_bias):
+        rng = np.random.default_rng(22)
+        decays = np.array([0.0, 0.3, 0.05, 0.1])
+        rows = np.stack([np.stack([MlpParams.random(self.DIMS, rng).flat for _ in range(2)])
+                         for _ in decays])  # (D, M, P)
+        ref = per_array(rows, self.DIMS)
+        mask = MlpParams.from_flat(rows[0, 0], self.DIMS).decay_mask(decay_bias)
+        opt = Optimizer(kind, rows, 0.05, weight_decay=decays[:, None, None],
+                        decay_mask=mask)
+        ref_opt = ReferenceOptimizer(kind, ref, 0.05,
+                                     weight_decay=decays[:, None, None, None],
+                                     decay_mask=[True, decay_bias] * 2)
+        for step in range(10):
+            if step == 5:  # drop rows 1 and 2 with their state
+                keep = np.array([0, 3])
+                opt.keep_rows(keep)
+                ref_opt.keep_rows(keep)
+                rows, ref = rows[keep], [a[keep] for a in ref]
+            grads = rng.normal(size=rows.shape)
+            lr = cosine_lr(0.05, step, 10)
+            opt.step(rows, grads, lr)
+            ref_opt.step(ref, per_array(grads, self.DIMS), lr)
+            assert np.array_equal(rows, flatten(ref, rows.shape[:2]))
 
 
 def stack_rows(rows):
-    """Stacked arrays of a grid of MLPs, ``rows[d][m]``: weights (D, M, in,
-    out) and biases (D, M, 1, out), interleaved like ``MlpParams.arrays``."""
-    out = []
-    for layers in zip(*(p.layers for row in rows for p in row)):
-        shape = (len(rows), len(rows[0]))
-        out.append(np.stack([l.weight for l in layers]).reshape(shape + layers[0].weight.shape))
-        out.append(np.stack([l.bias[None] for l in layers]).reshape(
-            shape + (1,) + layers[0].bias.shape))
-    return out
+    """The ``(D, M, P)`` stack of a grid of MLPs ``rows[d][m]``, one ``flat``
+    vector per row."""
+    return np.stack([np.stack([p.flat for p in row]) for row in rows])
 
 
 class TestStackedKernel:
@@ -202,12 +306,12 @@ class TestStackedKernel:
         rows = [[random_mlp(dims, seed=10 * d + m) for m in range(2)] for d in range(3)]
         x = rng.normal(size=(2, n, 3))
         y = rng.integers(0, 4, size=(2, n))
-        bad, grads = _stacked_loss_and_grad(stack_rows(rows), x[None], y, {})
+        bad, grads = _stacked_loss_and_grad(stack_rows(rows), dims, x[None], y, {})
         assert bad is None
         for d, row in enumerate(rows):
             for m, params in enumerate(row):
                 _, want = loss_and_grad(params, x[m], y[m])
-                got = [g[d, m] for g in grads]
+                got = MlpParams.from_flat(grads[d, m], dims).arrays()
                 for a, b in zip(got, want.arrays(), strict=True):
                     assert np.array_equal(a.reshape(b.shape), b)
 
@@ -218,7 +322,7 @@ class TestStackedKernel:
         x = rng.normal(size=(2, 5, 2))
         y = rng.integers(0, 3, size=(2, 5))
         with np.errstate(invalid="ignore"):
-            bad, grads = _stacked_loss_and_grad(stack_rows(rows), x[None], y, {})
+            bad, grads = _stacked_loss_and_grad(stack_rows(rows), [2, 4, 3], x[None], y, {})
         assert grads is None
         assert bad.shape == (2, 2, 5)
         assert bad[1, 0].any() and not bad[0].any() and not bad[1, 1].any()
@@ -231,28 +335,29 @@ class TestStackedOptimizer:
     def test_per_row_decay_matches_one_optimizer_per_row(self, kind):
         rng = np.random.default_rng(6)
         decays = [0.0, 0.3, 0.05]
-        stacked = [rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 1, 4))]
-        single = [[a[d].copy() for a in stacked] for d in range(3)]
-        mask = [True, False]
-        opt = Optimizer(kind, stacked, 0.1, weight_decay=np.array(decays)[:, None, None],
+        stacked = flatten([rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 1, 4))], (3,))
+        single = [stacked[d].copy() for d in range(3)]
+        mask = np.repeat([1.0, 0.0], [8, 4])  # the (2, 4) array decays, the (1, 4) not
+        opt = Optimizer(kind, stacked, 0.1, weight_decay=np.array(decays)[:, None],
                         decay_mask=mask)
         singles = [Optimizer(kind, p, 0.1, weight_decay=wd, decay_mask=mask)
                    for p, wd in zip(single, decays)]
         for step in range(4):
             if step == 2:  # drop the middle row, with its state
                 opt.keep_rows(np.array([0, 2]))
-                stacked = [a[[0, 2]] for a in stacked]
+                stacked = stacked[[0, 2]]
                 del single[1], singles[1]
-            grads = [rng.normal(size=a.shape) for a in stacked]
+            grads = flatten([rng.normal(size=(len(stacked), 2, 4)),
+                             rng.normal(size=(len(stacked), 1, 4))], (len(stacked),))
             opt.step(stacked, grads, lr_now=0.1 / (step + 1))
             for d, (p, o) in enumerate(zip(single, singles)):
-                o.step(p, [g[d] for g in grads], lr_now=0.1 / (step + 1))
+                o.step(p, grads[d], lr_now=0.1 / (step + 1))
         for d, p in enumerate(single):
-            assert all(np.array_equal(a[d], b) for a, b in zip(stacked, p))
+            assert np.array_equal(stacked[d], p)
 
     def test_negative_row_decay_rejected(self):
         with pytest.raises(ValueError, match="weight_decay"):
-            Optimizer("adam", [np.zeros((2, 3))], 0.1,
+            Optimizer("adam", np.zeros((2, 3)), 0.1,
                       weight_decay=np.array([[0.0], [-1.0]]))
 
 
@@ -303,6 +408,21 @@ class TestGradCheck:
 
 
 class TestSoftmaxInvariants:
+    def test_log_softmax_matches_the_row_reduction_formula(self):
+        # ties at +-0, -inf and NaN entries; equal up to the sign of a zero
+        rng = np.random.default_rng(13)
+        z = rng.choice([0.0, -0.0, 1.5, -2.0, -np.inf], size=(200, 5))
+        z[rng.random(z.shape) < 0.01] = np.nan
+        z = np.concatenate([z, rng.normal(size=(50, 5)) * 30])
+        with np.errstate(invalid="ignore"):
+            shifted = z - z.max(axis=-1, keepdims=True)
+            want = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+            got = log_softmax(z)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.exp(got), np.exp(want), equal_nan=True)
+        stacked = log_softmax(z.reshape(5, 10, 5, 5))
+        assert np.array_equal(stacked.reshape(z.shape), got, equal_nan=True)
+
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 12), st.integers(1, 32))
     @settings(max_examples=60, deadline=None)
     def test_rows_sum_to_one_and_positive(self, seed, k, n):

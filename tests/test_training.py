@@ -338,3 +338,103 @@ class TestStopDecisionInvariants:
             d = stop_controller(list(map(float, history)), patience=2)
             assert d.best_epoch <= d.stop_epoch
             assert d.best_score == min(d.history[:d.best_epoch + 1])
+
+
+def views_one_vector(obj) -> bool:
+    """Every trainable array of ``obj`` is a view into ``obj.flat``, and the
+    arrays tile it exactly."""
+    arrays = obj.arrays()
+    return (all(np.shares_memory(a, obj.flat) for a in arrays)
+            and sum(a.size for a in arrays) == obj.flat.size)
+
+
+class TestFlatStorage:
+    """One contiguous parameter vector per trajectory: MLP members, grid rows
+    and BatchEnsembles."""
+
+    def models(self):
+        from enstune.batchensemble import make_batch_ensemble
+
+        ds = blob_task()
+        plan = make_shared(len(ds), 0.2, 2, rng_seed=3, labels=ds.y)
+        grid = training.train_grid(ds.x, ds.y, plan, [2, 6, 3], OptimizerConfig(),
+                                   [0.0, 0.01], StoppingConfig(mode="none", max_epochs=1),
+                                   5)
+        return {"mlp": training.MlpParams.random([2, 6, 5, 3], np.random.default_rng(0)),
+                "grid_member": grid[1][0].params,
+                "batch_ensemble": make_batch_ensemble([2, 6, 3], 3, "gaussian",
+                                                      np.random.default_rng(1))}
+
+    def test_arrays_are_views_of_one_vector(self):
+        models = self.models()
+        for name, obj in models.items():
+            assert views_one_vector(obj), name
+        be = models["batch_ensemble"]
+        assert not any(np.shares_memory(a, be.flat) for b in be.bn
+                       for a in (b.running_mean, b.running_var))
+        assert views_one_vector(be.slow)
+        assert np.shares_memory(be.slow.flat, be.flat)
+
+    def test_copies_share_nothing(self):
+        for name, obj in self.models().items():
+            twin = obj.copy()
+            assert views_one_vector(twin), name
+            assert not np.shares_memory(twin.flat, obj.flat), name
+            assert np.array_equal(twin.flat, obj.flat), name
+        be = self.models()["batch_ensemble"]
+        twin = be.copy()
+        for a, b in zip(twin.bn, be.bn):
+            assert not np.shares_memory(a.running_mean, b.running_mean)
+            assert not np.shares_memory(a.running_var, b.running_var)
+
+    def test_snapshots_share_nothing_with_the_trajectory(self):
+        from enstune.batchensemble import _BeTrajectory, make_batch_ensemble
+
+        ds = blob_task()
+        plan = make_shared(len(ds), 0.2, 2, rng_seed=3, labels=ds.y)
+        opt = OptimizerConfig(lr=0.01)
+        member = training._MemberState(ds.x, ds.y, plan.members[0], [2, 6, 3], opt, 7, 0,
+                                       True, 32, lambda step: opt.lr)
+        be = _BeTrajectory(ds.x, ds.y, plan,
+                           make_batch_ensemble([2, 6, 3], 2, "gaussian",
+                                               np.random.default_rng(2)),
+                           opt, 32, 7)
+        for traj in (member, be):
+            snap = traj.snapshot()
+            before = snap.flat.copy()
+            assert not np.shares_memory(snap.flat, traj.params.flat)
+            traj.run_epoch()
+            assert np.array_equal(snap.flat, before)
+            assert not np.array_equal(traj.params.flat, before)
+
+    def test_a_dropped_grid_row_leaves_the_others_unchanged(self):
+        ds = blob_task()
+        plan = make_shared(len(ds), 0.2, 2, rng_seed=3, labels=ds.y)
+        opt = OptimizerConfig(kind="sgd_momentum", lr=0.05)
+        stop = StoppingConfig(mode="none", max_epochs=3, batch_size=32)
+        dims = [2, 16, 8, 3]
+        with np.errstate(all="ignore"):
+            with_bad = training.train_grid(ds.x, ds.y, plan, dims, opt, [0.0, 1e9, 0.01],
+                                           stop, 5)
+        without = training.train_grid(ds.x, ds.y, plan, dims, opt, [0.0, 0.01], stop, 5)
+        assert isinstance(with_bad[1], training.NonFiniteLossError)
+        for got, want in zip([with_bad[0], with_bad[2]], without):
+            for a, b in zip(got, want):
+                assert np.array_equal(a.params.flat, b.params.flat)
+
+    @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+    def test_keep_rows_keeps_the_surviving_state(self, kind):
+        rng = np.random.default_rng(9)
+        rows = rng.normal(size=(4, 2, 7))
+        opt = training.Optimizer(kind, rows, 0.1,
+                                 weight_decay=np.array([0.0, 0.1, 0.2, 0.3])[:, None, None])
+        for _ in range(3):
+            opt.step(rows, rng.normal(size=rows.shape))
+        keep = np.array([0, 2, 3])
+        state = {name: getattr(opt, name)[keep].copy()
+                 for name in ("velocity", "m", "v", "decay") if hasattr(opt, name)}
+        opt.keep_rows(keep)
+        for name, want in state.items():
+            assert np.array_equal(getattr(opt, name), want), name
+        grads = rng.normal(size=(3, 2, 7))
+        opt.step(rows[keep], grads)  # the state fits the kept rows
