@@ -21,6 +21,8 @@ from .netcore import (
     GradCheckReport,
     MlpParams,
     ShapeError,
+    _buffer,
+    _check_label_count,
     _check_labels,
     _concat,
     _split,
@@ -156,52 +158,70 @@ def make_batch_ensemble(dims: list[int], n_members: int, scheme: str,
     return BatchEnsembleModel(slow, fast, bn, n_members, use_batchnorm)
 
 
-def _bn_forward(u: np.ndarray, state: BatchNormState, members, training: bool,
-                update_stats: bool):
-    """Batch norm over the sample axis for (n_sel, N, width) activations.
+def _bn_forward(u: np.ndarray, state: BatchNormState, sel: slice, training: bool,
+                update_stats: bool, bufs: dict, i: int):
+    """Batch norm over the sample axis of the (n_sel, N, width) activations
+    ``u`` of layer ``i``, in place: ``u`` is centered once and ends as xhat.
 
-    Returns (out, cache) where cache holds what the backward pass needs.
+    In training the batch mean and variance are the ufunc sequence of
+    ``u.mean`` and ``u.var`` with one sum for the mean and the one centered
+    array shared by the variance and xhat, so they are bit-identical to
+    those calls. Returns (out, cache): ``out`` is a kept buffer, which also
+    holds the squares before the output and is the backward pass's scratch
+    after the output's last read; cache holds what that pass needs.
     """
-    gamma = state.gamma[members][:, None, :]
-    beta = state.beta[members][:, None, :]
+    gamma = state.gamma[sel][:, None, :]
+    beta = state.beta[sel][:, None, :]
+    out = _buffer(bufs, ("h", i), u.shape)
     if training:
-        mean = u.mean(axis=1, keepdims=True)
-        var = u.var(axis=1, keepdims=True)
+        n = u.shape[1]
+        mean = np.add.reduce(u, axis=1, keepdims=True)
+        mean /= n
+        np.subtract(u, mean, out=u)
+        var = np.add.reduce(np.square(u, out=out), axis=1, keepdims=True)
+        var /= n
         if update_stats:
-            state.running_mean[members] = (_BN_MOMENTUM * state.running_mean[members]
-                                           + (1 - _BN_MOMENTUM) * mean[:, 0, :])
-            state.running_var[members] = (_BN_MOMENTUM * state.running_var[members]
-                                          + (1 - _BN_MOMENTUM) * var[:, 0, :])
+            state.running_mean[sel] = (_BN_MOMENTUM * state.running_mean[sel]
+                                       + (1 - _BN_MOMENTUM) * mean[:, 0, :])
+            state.running_var[sel] = (_BN_MOMENTUM * state.running_var[sel]
+                                      + (1 - _BN_MOMENTUM) * var[:, 0, :])
     else:
-        mean = state.running_mean[members][:, None, :]
-        var = state.running_var[members][:, None, :]
+        var = state.running_var[sel][:, None, :]
+        np.subtract(u, state.running_mean[sel][:, None, :], out=u)
     sd = np.sqrt(np.maximum(var, _VAR_FLOOR))
-    xhat = (u - mean) / sd
-    out = gamma * xhat + beta
-    cache = (xhat, sd, gamma, var, training)
-    return out, cache
+    u /= sd
+    np.multiply(u, gamma, out=out)
+    out += beta
+    return out, (u, sd, gamma, var, out)
 
 
-def _bn_backward(d_out: np.ndarray, cache):
-    """Gradient through batch norm; returns (d_u, d_gamma, d_beta)."""
-    xhat, sd, gamma, var, training = cache
-    d_gamma = (d_out * xhat).sum(axis=1)
-    d_beta = d_out.sum(axis=1)
-    d_xhat = d_out * gamma
-    if not training:
-        return d_xhat / sd, d_gamma, d_beta
+def _bn_backward(d: np.ndarray, cache, g_gamma: np.ndarray, g_beta: np.ndarray) -> None:
+    """Gradient through training-mode batch norm, in place: ``d`` turns from
+    the output's delta into the input's; d_gamma and d_beta are written
+    into ``g_gamma`` and ``g_beta``."""
+    xhat, sd, gamma, var, scratch = cache
+    np.add.reduce(np.multiply(d, xhat, out=scratch), axis=1, out=g_gamma)
+    np.add.reduce(d, axis=1, out=g_beta)
+    d *= gamma  # d_xhat
     n = xhat.shape[1]
     # batch statistics depend on u; clamp kills the var gradient where active
     live = (var >= _VAR_FLOOR).astype(np.float64)
-    d_var_term = live * (d_xhat * xhat).sum(axis=1, keepdims=True) / n
-    d_mean_term = d_xhat.sum(axis=1, keepdims=True) / n
-    d_u = (d_xhat - d_mean_term - xhat * d_var_term) / sd
-    return d_u, d_gamma, d_beta
+    d_var_term = live * np.add.reduce(np.multiply(d, xhat, out=scratch), axis=1,
+                                      keepdims=True) / n
+    d_mean_term = np.add.reduce(d, axis=1, keepdims=True) / n
+    d -= d_mean_term
+    d -= np.multiply(xhat, d_var_term, out=scratch)
+    d /= sd
 
 
-def _forward(model: BatchEnsembleModel, xs: np.ndarray, members,
-             training: bool, update_stats: bool, with_cache: bool):
-    """Shared forward core over (n_sel, N, in) inputs for selected members."""
+def _forward(model: BatchEnsembleModel, xs: np.ndarray, sel: slice,
+             training: bool, update_stats: bool, bufs: dict):
+    """Shared forward core over (n_sel, N, in) inputs for the members ``sel``,
+    a slice, so every member array read is a view. Activations are written
+    into the kept buffers ``bufs``. Returns (logits, caches): per layer its
+    input, its modulated input, its pre-modulation output, its fast weights
+    and its batch-norm cache; a hidden layer's output is the next input.
+    """
     n_layers = len(model.slow.layers)
     h = xs
     caches = []
@@ -209,23 +229,21 @@ def _forward(model: BatchEnsembleModel, xs: np.ndarray, members,
         if h.shape[-1] != layer.weight.shape[0]:
             raise ShapeError(f"layer {i}: input width {h.shape[-1]} does not match "
                              f"slow weight in-dim {layer.weight.shape[0]}")
-        r = model.fast.r[i][members][:, None, :]
-        s = model.fast.s[i][members][:, None, :]
-        a_mod = h * r
-        c = np.matmul(a_mod, layer.weight)
-        u = c * s + layer.bias
+        r = model.fast.r[i][sel][:, None, :]
+        s = model.fast.s[i][sel][:, None, :]
+        a_mod = np.multiply(h, r, out=_buffer(bufs, ("a", i), h.shape))
+        c = np.matmul(a_mod, layer.weight,
+                      out=_buffer(bufs, ("c", i), h.shape[:2] + layer.weight.shape[1:]))
+        u = np.multiply(c, s, out=_buffer(bufs, ("u", i), c.shape))
+        u += layer.bias
         bn_cache = None
-        pre_relu = u
         if i < n_layers - 1:
             if model.use_batchnorm:
-                pre_relu, bn_cache = _bn_forward(u, model.bn[i], members,
-                                                 training, update_stats)
-            out = np.maximum(pre_relu, 0.0)
-        else:
-            out = u
-        if with_cache:
-            caches.append((h, a_mod, c, s, r, bn_cache, pre_relu))
-        h = out
+                u, bn_cache = _bn_forward(u, model.bn[i], sel, training, update_stats,
+                                          bufs, i)
+            np.maximum(u, 0.0, out=u)  # positive exactly where the pre-activation is
+        caches.append((h, a_mod, c, s, r, bn_cache))
+        h = u
     return h, caches
 
 
@@ -235,8 +253,8 @@ def be_forward(model: BatchEnsembleModel, x: np.ndarray, member: int,
     if not 0 <= member < model.n_members:
         raise ShapeError(f"member index {member} outside [0, {model.n_members})")
     x = np.asarray(x, dtype=np.float64)
-    logits, _ = _forward(model, x[None, :, :], np.asarray([member]),
-                         training, update_stats=False, with_cache=False)
+    logits, _ = _forward(model, x[None, :, :], slice(member, member + 1),
+                         training, update_stats=False, bufs={})
     return logits[0]
 
 
@@ -254,9 +272,7 @@ def be_forward_all(model: BatchEnsembleModel, x: np.ndarray,
         xs = x
     else:
         raise ShapeError(f"expected (N, in) or ({model.n_members}, N, in), got {x.shape}")
-    members = np.arange(model.n_members)
-    logits, _ = _forward(model, xs, members, training, update_stats=False,
-                         with_cache=False)
+    logits, _ = _forward(model, xs, slice(None), training, update_stats=False, bufs={})
     return logits
 
 
@@ -270,24 +286,37 @@ def materialized_member_params(model: BatchEnsembleModel, member: int) -> MlpPar
     return MlpParams(layers)
 
 
-def be_loss_and_grads(model: BatchEnsembleModel, xs: np.ndarray, ys: np.ndarray,
-                      update_stats: bool = True):
-    """Summed per-member NLL on per-member batches, with exact gradients.
-
-    ``xs`` is (M, B, in), ``ys`` is (M, B). Slow-weight and bias gradients sum
-    over members; fast-weight and BN gradients are per member. Returns
-    (total_loss, grads) with grads one new vector laid out like ``model.flat``.
-    """
-    m_all = np.arange(model.n_members)
+def _checked_batch(model: BatchEnsembleModel, xs: np.ndarray, ys: np.ndarray):
+    """The per-member batches as float64 (M, B, in) and intp (M, B) labels,
+    checked before any work: shapes first, then every label in one test."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3 or xs.shape[0] != model.n_members:
         raise ShapeError(f"xs must be ({model.n_members}, B, in), got {xs.shape}")
-    logits, caches = _forward(model, xs, m_all, training=True,
-                              update_stats=update_stats, with_cache=True)
-    n_members, batch, k = logits.shape
-    ys = np.stack([_check_labels(np.asarray(ys[m]), k) for m in range(n_members)])
+    _check_label_count(ys, xs, 2)
+    return xs, _check_labels(ys, model.dims[-1], ("member", "sample"))
+
+
+def be_loss_and_grads(model: BatchEnsembleModel, xs: np.ndarray, ys: np.ndarray,
+                      update_stats: bool = True, bufs: dict | None = None):
+    """Summed per-member NLL on per-member batches, with exact gradients.
+
+    ``xs`` is (M, B, in), ``ys`` is (M, B); a label array of another shape
+    raises ``ShapeError`` and a label outside the classes ``LabelError``
+    naming its member and sample, both before any work. Slow-weight and
+    bias gradients sum over members; fast-weight and BN gradients are per
+    member. Activations and backward temporaries are written in place into
+    ``bufs``, flat arrays that a caller keeps across calls (a training
+    trajectory passes the same dict every step); without it, each call
+    allocates its own. Returns (total_loss, grads) with grads one new
+    vector laid out like ``model.flat``, which later calls leave alone.
+    """
+    xs, ys = _checked_batch(model, xs, ys)
+    bufs = {} if bufs is None else bufs
+    logits, caches = _forward(model, xs, slice(None), training=True,
+                              update_stats=update_stats, bufs=bufs)
+    n_members, batch, _ = logits.shape
     logp = log_softmax(logits)
-    pick = (m_all[:, None], np.arange(batch), ys)
+    pick = (np.arange(n_members)[:, None], np.arange(batch), ys)
     total = float((-logp[pick].mean(axis=1)).sum())
 
     delta = np.exp(logp)
@@ -301,19 +330,23 @@ def be_loss_and_grads(model: BatchEnsembleModel, xs: np.ndarray, ys: np.ndarray,
     g_r, g_s = views[2 * n_layers:4 * n_layers:2], views[2 * n_layers + 1:4 * n_layers:2]
     g_gamma, g_beta = views[4 * n_layers::2], views[4 * n_layers + 1::2]
     for i in range(n_layers - 1, -1, -1):
-        h, a_mod, c, s, r, bn_cache, pre_relu = caches[i]
-        if i < n_layers - 1:
-            delta = delta * (pre_relu > 0)
-            if model.use_batchnorm:
-                delta, g_gamma[i][...], g_beta[i][...] = _bn_backward(delta, bn_cache)
-        np.sum(delta * c, axis=1, out=g_s[i])
-        np.sum(delta, axis=(0, 1), out=g_slow_b[i])
-        d_c = delta * s
-        w = model.slow.layers[i].weight
-        np.einsum("mbi,mbo->io", a_mod, d_c, out=g_slow_w[i])
-        d_amod = np.matmul(d_c, w.T)
-        np.sum(d_amod * h, axis=1, out=g_r[i])
-        delta = d_amod * r
+        h, a_mod, c, s, r, bn_cache = caches[i]
+        if bn_cache is not None:
+            _bn_backward(delta, bn_cache, g_gamma[i], g_beta[i])
+        # each buffer below takes a product after its own last read
+        np.add.reduce(np.multiply(delta, c, out=c), axis=1, out=g_s[i])
+        np.add.reduce(delta, axis=(0, 1), out=g_slow_b[i])
+        delta *= s  # d_c
+        np.einsum("mbi,mbo->io", a_mod, delta, out=g_slow_w[i])
+        d_amod = np.matmul(delta, model.slow.layers[i].weight.T, out=a_mod)
+        if i == 0:  # the first layer's input delta is not needed
+            np.add.reduce(np.multiply(d_amod, h, out=d_amod), axis=1, out=g_r[i])
+            break
+        active = np.greater(h, 0.0, out=_buffer(bufs, ("relu", i), h.shape, bool))
+        np.add.reduce(np.multiply(d_amod, h, out=h), axis=1, out=g_r[i])
+        d_amod *= r
+        d_amod *= active  # the previous layer's ReLU
+        delta = d_amod
     return total, grads
 
 
@@ -321,17 +354,17 @@ def be_grad_check(model: BatchEnsembleModel, xs: np.ndarray, ys: np.ndarray,
                   eps: float = 1e-5) -> GradCheckReport:
     """Finite-difference check of the joint (slow, fast, BN) gradient."""
     _, grads = be_loss_and_grads(model, xs, ys, update_stats=False)
+    xs, ys = _checked_batch(model, xs, ys)
+    bufs = {}
 
     def loss_fn(arrays):
-        m_all = np.arange(model.n_members)
-        logits, caches = _forward(model, np.asarray(xs, dtype=np.float64), m_all,
-                                  training=True, update_stats=False, with_cache=True)
-        n_members, batch, k = logits.shape
+        logits, caches = _forward(model, xs, slice(None), training=True,
+                                  update_stats=False, bufs=bufs)
+        n_members, batch, _ = logits.shape
         logp = log_softmax(logits)
         rows = np.arange(batch)
-        loss = float(sum(-logp[m, rows, np.asarray(ys[m])].mean()
-                         for m in range(n_members)))
-        signs = [(cache[6] > 0).reshape(-1) for cache in caches[:-1]]
+        loss = float(sum(-logp[m, rows, ys[m]].mean() for m in range(n_members)))
+        signs = [(cache[0] > 0).reshape(-1) for cache in caches[1:]]
         sig = np.concatenate(signs) if signs else None
         return loss, sig
 
@@ -378,7 +411,9 @@ class BeTrainResult:
 
 class _BeTrajectory:
     """A BatchEnsemble's one trajectory: every step draws one mini-batch per
-    member from that member's own indices and updates all weights together."""
+    member from that member's own indices and updates all weights together.
+    It keeps the kernel's activation and backward buffers (``bufs``) for its
+    whole run, so a step allocates none of them."""
 
     def __init__(self, x, y, plan: SplitPlan, model: BatchEnsembleModel,
                  opt_cfg: OptimizerConfig, batch_size: int, seed: int):
@@ -395,13 +430,14 @@ class _BeTrajectory:
         self.batch = min(batch_size, min(len(ms.train_idx) for ms in plan.members))
         self.lr_at = _cosine_schedule(opt_cfg, self.steps_per_epoch)
         self.steps = 0
+        self.bufs = {}
 
     def run_epoch(self) -> None:
         for _ in range(self.steps_per_epoch):
             idx = np.stack([stream.next_batch(self.batch) for stream in self.streams])
             lr_now = self.lr_at(self.steps)
             _, grads = be_loss_and_grads(self.params, self.xs[self.member_col, idx],
-                                         self.y[idx])
+                                         self.y[idx], bufs=self.bufs)
             self.opt.step(self.params.flat, grads, lr_now)
             self.steps += 1
 

@@ -183,14 +183,35 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _check_labels(y: np.ndarray, n_classes: int) -> np.ndarray:
+def _check_labels(y: np.ndarray, n_classes: int, axes=("sample",)) -> np.ndarray:
+    """Labels as intp, checked in one pass over the array: it must have one
+    axis per name in ``axes``, and a label outside [0, n_classes) raises
+    ``LabelError`` naming its index along each axis."""
     y = np.asarray(y)
-    if y.ndim != 1:
-        raise LabelError("labels must be a 1-d integer array")
+    if y.ndim != len(axes):
+        raise LabelError(f"labels must be a {len(axes)}-d integer array")
     if y.size and (y.min() < 0 or y.max() >= n_classes):
-        bad = int(np.argmax((y < 0) | (y >= n_classes)))
-        raise LabelError(f"label {y[bad]} at sample {bad} outside [0, {n_classes})")
+        bad = np.unravel_index(np.argmax((y < 0) | (y >= n_classes)), y.shape)
+        where = ", ".join(f"{axis} {int(i)}" for axis, i in zip(axes, bad))
+        raise LabelError(f"label {y[bad]} at {where} outside [0, {n_classes})")
     return y.astype(np.intp)
+
+
+def _check_label_count(y: np.ndarray, x: np.ndarray, axes: int) -> None:
+    """``ShapeError`` unless the labels ``y`` cover the leading ``axes`` axes
+    of the inputs ``x``: one label per input row."""
+    if np.shape(y)[:axes] != np.shape(x)[:axes]:
+        raise ShapeError(f"labels of shape {np.shape(y)} do not match inputs of shape "
+                         f"{np.shape(x)}")
+
+
+def _buffer(bufs: dict, key, shape, dtype=np.float64) -> np.ndarray:
+    """A C-ordered ``shape`` array in ``bufs[key]``, a flat array that the
+    caller keeps across calls and that grows when a call needs more."""
+    size = math.prod(shape)
+    if key not in bufs or bufs[key].size < size:
+        bufs[key] = np.empty(size, dtype)
+    return bufs[key][:size].reshape(shape)
 
 
 def loss_and_grad(params: MlpParams, x: np.ndarray, y: np.ndarray):
@@ -199,6 +220,7 @@ def loss_and_grad(params: MlpParams, x: np.ndarray, y: np.ndarray):
     The softmax and log are fused through log-sum-exp for stability. Returns
     ``(nll, grads)`` with ``grads`` shaped like ``params``.
     """
+    _check_label_count(y, x, 1)
     logits, acts, preacts = _forward_cached(params, x)
     n, k = logits.shape
     y = _check_labels(y, k)
@@ -242,16 +264,9 @@ def _stacked_loss_and_grad(params: np.ndarray, dims, x: np.ndarray, y: np.ndarra
     """
     layers = _layer_views(params, dims)
     n = x.shape[-2]
-
-    def buf(key, shape):
-        size = math.prod(shape)
-        if key not in bufs or bufs[key].size < size:
-            bufs[key] = np.empty(size)
-        return bufs[key][:size].reshape(shape)
-
     acts = [x]
     for i, (w, b) in enumerate(layers):
-        z = np.matmul(acts[-1], w, out=buf(i, w.shape[:2] + (n, w.shape[3])))
+        z = np.matmul(acts[-1], w, out=_buffer(bufs, i, w.shape[:2] + (n, w.shape[3])))
         z += b[..., None, :]
         if i < len(layers) - 1:
             np.maximum(z, 0.0, out=z)  # positive exactly where the pre-activation is
@@ -264,7 +279,7 @@ def _stacked_loss_and_grad(params: np.ndarray, dims, x: np.ndarray, y: np.ndarra
     delta = np.exp(logp)
     delta[pick] -= 1.0
     delta /= n
-    grads = buf("grad", params.shape)
+    grads = _buffer(bufs, "grad", params.shape)
     for i, (gw, gb) in reversed(list(enumerate(_layer_views(grads, dims)))):
         np.matmul(acts[i].swapaxes(-1, -2), delta, out=gw)
         np.sum(delta, axis=-2, keepdims=True, out=gb[..., None, :])

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from enstune.batchensemble import (
+    _BN_MOMENTUM,
+    _VAR_FLOOR,
     be_forward,
     be_forward_all,
     be_grad_check,
@@ -14,7 +16,8 @@ from enstune.batchensemble import (
     materialized_member_params,
 )
 from enstune.data import make_blobs
-from enstune.netcore import mlp_forward
+from enstune.netcore import (LabelError, ShapeError, _check_labels, _split,
+                              log_softmax, mlp_forward)
 from enstune.splits import make_disjoint, make_overlapping, make_shared
 from enstune.training import OptimizerConfig, StoppingConfig
 
@@ -141,6 +144,165 @@ class TestGradients:
             opt.step(model.flat, grads)
         last, _ = be_loss_and_grads(model, xs, ys, update_stats=False)
         assert last < first
+
+
+# -- the allocating kernel that the buffered one replaced, kept as its oracle --
+
+def _ref_bn_forward(u, state, members, training, update_stats):
+    gamma = state.gamma[members][:, None, :]
+    beta = state.beta[members][:, None, :]
+    if training:
+        mean = u.mean(axis=1, keepdims=True)
+        var = u.var(axis=1, keepdims=True)
+        if update_stats:
+            state.running_mean[members] = (_BN_MOMENTUM * state.running_mean[members]
+                                           + (1 - _BN_MOMENTUM) * mean[:, 0, :])
+            state.running_var[members] = (_BN_MOMENTUM * state.running_var[members]
+                                          + (1 - _BN_MOMENTUM) * var[:, 0, :])
+    else:
+        mean = state.running_mean[members][:, None, :]
+        var = state.running_var[members][:, None, :]
+    sd = np.sqrt(np.maximum(var, _VAR_FLOOR))
+    xhat = (u - mean) / sd
+    return gamma * xhat + beta, (xhat, sd, gamma, var)
+
+
+def _ref_bn_backward(d_out, cache):
+    xhat, sd, gamma, var = cache
+    d_gamma = (d_out * xhat).sum(axis=1)
+    d_beta = d_out.sum(axis=1)
+    d_xhat = d_out * gamma
+    n = xhat.shape[1]
+    live = (var >= _VAR_FLOOR).astype(np.float64)
+    d_var_term = live * (d_xhat * xhat).sum(axis=1, keepdims=True) / n
+    d_mean_term = d_xhat.sum(axis=1, keepdims=True) / n
+    d_u = (d_xhat - d_mean_term - xhat * d_var_term) / sd
+    return d_u, d_gamma, d_beta
+
+
+def reference_be_loss_and_grads(model, xs, ys, update_stats=True):
+    """Every activation a new array, members picked by fancy index and one
+    label check per member: the kernel before kept buffers."""
+    m_all = np.arange(model.n_members)
+    xs = np.asarray(xs, dtype=np.float64)
+    n_layers = len(model.slow.layers)
+    h, caches = xs, []
+    for i, layer in enumerate(model.slow.layers):
+        r = model.fast.r[i][m_all][:, None, :]
+        s = model.fast.s[i][m_all][:, None, :]
+        a_mod = h * r
+        c = np.matmul(a_mod, layer.weight)
+        u = c * s + layer.bias
+        bn_cache, pre_relu = None, u
+        if i < n_layers - 1:
+            if model.use_batchnorm:
+                pre_relu, bn_cache = _ref_bn_forward(u, model.bn[i], m_all, True,
+                                                     update_stats)
+            out = np.maximum(pre_relu, 0.0)
+        else:
+            out = u
+        caches.append((h, a_mod, c, s, r, bn_cache, pre_relu))
+        h = out
+    n_members, batch, k = h.shape
+    ys = np.stack([_check_labels(np.asarray(ys[m]), k) for m in range(n_members)])
+    logp = log_softmax(h)
+    pick = (m_all[:, None], np.arange(batch), ys)
+    total = float((-logp[pick].mean(axis=1)).sum())
+    delta = np.exp(logp)
+    delta[pick] -= 1.0
+    delta /= batch
+    grads = np.empty_like(model.flat)
+    views = _split(grads, [a.shape for a in model.arrays()])
+    g_slow_w, g_slow_b = views[0:2 * n_layers:2], views[1:2 * n_layers:2]
+    g_r, g_s = views[2 * n_layers:4 * n_layers:2], views[2 * n_layers + 1:4 * n_layers:2]
+    g_gamma, g_beta = views[4 * n_layers::2], views[4 * n_layers + 1::2]
+    for i in range(n_layers - 1, -1, -1):
+        h, a_mod, c, s, r, bn_cache, pre_relu = caches[i]
+        if i < n_layers - 1:
+            delta = delta * (pre_relu > 0)
+            if model.use_batchnorm:
+                delta, g_gamma[i][...], g_beta[i][...] = _ref_bn_backward(delta, bn_cache)
+        np.sum(delta * c, axis=1, out=g_s[i])
+        np.sum(delta, axis=(0, 1), out=g_slow_b[i])
+        d_c = delta * s
+        np.einsum("mbi,mbo->io", a_mod, d_c, out=g_slow_w[i])
+        d_amod = np.matmul(d_c, model.slow.layers[i].weight.T)
+        np.sum(d_amod * h, axis=1, out=g_r[i])
+        delta = d_amod * r
+    return total, grads
+
+
+def running_stats(model):
+    return [a.tobytes() for b in model.bn for a in (b.running_mean, b.running_var)]
+
+
+class TestBufferedKernel:
+    @pytest.mark.parametrize("update_stats", [True, False])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("dims", [(2, 8, 3), (3, 16, 16, 5)])
+    @pytest.mark.parametrize("use_batchnorm", [True, False])
+    def test_bit_identical_to_the_allocating_kernel(self, use_batchnorm, dims, m,
+                                                    update_stats):
+        rng = np.random.default_rng(sum(dims) + 10 * m)
+        model = small_model(seed=m, dims=dims, m=m, use_batchnorm=use_batchnorm)
+        oracle = model.copy()
+        bufs = {}
+        for step in range(8):
+            xs = rng.normal(size=(m, 9, dims[0])) * (1 + step)
+            ys = rng.integers(0, dims[-1], size=(m, 9))
+            loss, grads = be_loss_and_grads(model, xs, ys, update_stats, bufs=bufs)
+            want_loss, want = reference_be_loss_and_grads(oracle, xs, ys, update_stats)
+            assert loss == want_loss, f"step {step}"
+            assert grads.tobytes() == want.tobytes(), f"step {step}"
+            assert running_stats(model) == running_stats(oracle), f"step {step}"
+            model.flat -= 0.1 * grads
+            oracle.flat -= 0.1 * want
+
+    def test_kept_buffers_across_batch_sizes_match_fresh_ones(self):
+        rng = np.random.default_rng(12)
+        kept_model = small_model(dims=(3, 16, 16, 5), m=3)
+        fresh_model = kept_model.copy()
+        bufs = {}
+        for batch in (7, 5, 7):
+            xs = rng.normal(size=(3, batch, 3))
+            ys = rng.integers(0, 5, size=(3, batch))
+            loss, grads = be_loss_and_grads(kept_model, xs, ys, bufs=bufs)
+            want_loss, want = be_loss_and_grads(fresh_model, xs, ys, bufs={})
+            assert loss == want_loss, f"batch {batch}"
+            assert grads.tobytes() == want.tobytes(), f"batch {batch}"
+            assert running_stats(kept_model) == running_stats(fresh_model)
+
+    def test_returned_gradients_survive_the_next_call(self):
+        rng = np.random.default_rng(13)
+        model = small_model(dims=(3, 16, 16, 5), m=3)
+        bufs = {}
+        xs, ys = rng.normal(size=(3, 7, 3)), rng.integers(0, 5, size=(3, 7))
+        _, grads = be_loss_and_grads(model, xs, ys, bufs=bufs)
+        kept = grads.copy()
+        be_loss_and_grads(model, 2 * xs, (ys + 1) % 5, bufs=bufs)
+        assert grads.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_label_error_names_member_and_sample(self, bad):
+        rng = np.random.default_rng(14)
+        model = small_model()
+        xs = rng.normal(size=(4, 8, 3))
+        ys = rng.integers(0, 4, size=(4, 8))
+        ys[2, 5] = bad
+        with pytest.raises(LabelError, match=f"label {bad} at member 2, sample 5 "):
+            be_loss_and_grads(model, xs, ys)
+
+    @pytest.mark.parametrize("n_labels", [7, 9])
+    def test_label_count_mismatch_is_a_shape_error(self, n_labels):
+        rng = np.random.default_rng(15)
+        model = small_model()
+        before = model.flat.copy(), running_stats(model)
+        xs = rng.normal(size=(4, 8, 3))
+        ys = rng.integers(0, 4, size=(4, n_labels))
+        with pytest.raises(ShapeError, match=rf"\(4, {n_labels}\).*\(4, 8, 3\)"):
+            be_loss_and_grads(model, xs, ys)
+        assert model.flat.tobytes() == before[0].tobytes()
+        assert running_stats(model) == before[1]
 
 
 class TestTraining:

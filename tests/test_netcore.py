@@ -110,6 +110,12 @@ class TestLossAndGrad:
         with pytest.raises(LabelError, match="sample 1"):
             loss_and_grad(params, np.zeros((2, 2)), np.array([0, 3]))
 
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_label_count_mismatch_is_a_shape_error(self, n_labels):
+        params = random_mlp([2, 3])
+        with pytest.raises(ShapeError, match=rf"\({n_labels},\).*\(2, 2\)"):
+            loss_and_grad(params, np.zeros((2, 2)), np.zeros(n_labels, dtype=int))
+
     def test_non_finite_reports_sample(self):
         params = MlpParams([DenseLayer(np.array([[np.inf]]), np.zeros(1))])
         with pytest.raises(NonFiniteLossError, match="sample 0"):
