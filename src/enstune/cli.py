@@ -11,13 +11,12 @@ same thing and can be repeated. Exit code is 0 only when all seeds complete;
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 
 from . import experiments
-from .config import ConfigError, ExperimentConfig, TaskSection, load_config
+from .config import DOTTED_KEYS, ConfigError, ExperimentConfig, TaskSection, load_config
 from .data import make_task, save_csv
 
 EXPERIMENT_COMMANDS = {
@@ -29,15 +28,6 @@ EXPERIMENT_COMMANDS = {
 }
 
 
-def _dotted_keys() -> list[str]:
-    keys = []
-    for section_field in dataclasses.fields(ExperimentConfig):
-        section = section_field.default_factory()
-        for f in dataclasses.fields(section):
-            keys.append(f"{section_field.name}.{f.name}")
-    return keys
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", default=None,
                         help="TOML config file")
@@ -45,7 +35,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         metavar="KEY=VALUE", help="override a config key")
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="output directory (overrides experiment.out_dir)")
-    for key in _dotted_keys():
+    for key in DOTTED_KEYS:
         parser.add_argument(f"--{key}", dest=f"dot:{key}", default=None,
                             metavar="V", help=argparse.SUPPRESS)
 
@@ -54,7 +44,7 @@ def _resolve_config(args, forced_kind: str) -> ExperimentConfig:
     """``load_config`` over the ``--set`` items, then the dotted flags, then
     the subcommand's kind; ``--out`` replaces experiment.out_dir verbatim."""
     overrides = list(args.overrides)
-    for key in _dotted_keys():
+    for key in DOTTED_KEYS:
         value = getattr(args, f"dot:{key}", None)
         if value is not None:
             overrides.append(f"{key}={value}")
@@ -79,11 +69,12 @@ def _cmd_experiment(args, kind: str) -> int:
 
 
 def _cmd_gen_data(args) -> int:
+    task = TaskSection(kind=args.kind, n=args.n, classes=args.classes, noise=args.noise,
+                       radius=args.radius, label_noise=args.label_noise, data_seed=args.seed)
     try:
-        ds = make_task(TaskSection(kind=args.kind, n=args.n, classes=args.classes,
-                                   noise=args.noise, radius=args.radius,
-                                   label_noise=args.label_noise, data_seed=args.seed))
-    except ValueError as err:  # a task the generator refuses
+        ExperimentConfig(task=task).validate()
+        ds = make_task(task)
+    except ValueError as err:  # an unread task key, or a task the generator refuses
         raise ConfigError(str(err)) from err
     save_csv(ds, args.out, label_col=args.label_col)
     print(f"wrote {args.out} ({len(ds)} rows, {ds.n_classes} classes)")

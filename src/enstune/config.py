@@ -13,8 +13,38 @@ import tomllib
 import typing
 from dataclasses import dataclass, field
 
-EXPERIMENT_KINDS = ("wd_sweep", "temp_scale", "early_stop", "batch_ensemble",
-                    "stop_then_scale")
+# The dotted keys a run reads: all of _ALWAYS_READ, the keys in the _READS rows of its
+# task, optimizer and experiment kinds, and each _READ_WHEN key whose condition holds.
+# validate() rejects any other key set away from its default: it would take no effect.
+_ALWAYS_READ = ("task.kind", "task.data_seed", "task.test_fraction", "model.hidden",
+                "ensemble.members", "optimizer.kind", "optimizer.lr",
+                "stopping.max_epochs", "stopping.batch_size", "experiment.kind",
+                "experiment.seeds", "experiment.out_dir", "experiment.strategies",
+                "experiment.val_pcts", "experiment.ece_bins")
+_READS = {
+    "task.kind": {"blobs": ("task.n", "task.classes", "task.noise", "task.radius",
+                            "task.label_noise"),
+                  "spirals": ("task.n", "task.noise"),
+                  "csv": ("task.path", "task.label_col")},
+    "optimizer.kind": {"sgd_momentum": ("optimizer.momentum",), "adam": ()},
+    "experiment.kind": {
+        "wd_sweep": ("experiment.weight_decays", "experiment.ensemble_sizes"),
+        "temp_scale": ("optimizer.weight_decay", "experiment.modes"),
+        "early_stop": ("optimizer.weight_decay", "stopping.patience", "experiment.modes"),
+        "batch_ensemble": ("optimizer.weight_decay", "stopping.patience",
+                           "experiment.schemes"),
+        "stop_then_scale": ("optimizer.weight_decay", "stopping.patience"),
+    },
+}
+_READ_WHEN = {
+    "ensemble.val_pct": ("experiment.val_pcts is empty",
+                         lambda cfg: not cfg.experiment.val_pcts),
+    "optimizer.decay_bias": ("a weight decay is > 0", lambda cfg: max(
+        cfg.experiment.weight_decays if cfg.experiment.kind == "wd_sweep"
+        else [cfg.optimizer.weight_decay], default=0.0) > 0),
+}
+# bench/workloads.py's TINY sets these two for every kind; check them once it does not
+_UNCHECKED = ("experiment.weight_decays", "stopping.patience")
 
 
 class ConfigError(ValueError):
@@ -87,9 +117,6 @@ class ExperimentConfig:
     experiment: ExperimentSection = field(default_factory=ExperimentSection)
 
     def validate(self) -> None:
-        if self.experiment.kind not in EXPERIMENT_KINDS:
-            raise ConfigError(f"unknown experiment kind {self.experiment.kind!r}; "
-                              f"expected one of {EXPERIMENT_KINDS}")
         if not self.experiment.seeds:
             raise ConfigError("experiment.seeds must be non-empty")
         if any(seed < 0 for seed in self.experiment.seeds):
@@ -98,11 +125,9 @@ class ExperimentConfig:
             raise ConfigError("model.hidden widths must be >= 1")
         if self.experiment.ece_bins < 1:
             raise ConfigError("experiment.ece_bins must be >= 1")
-        if not 0.0 < self.ensemble.val_pct < 1.0:
-            raise ConfigError("ensemble.val_pct must be in (0, 1)")
-        for p in self.experiment.val_pcts:
-            if not 0.0 < p < 1.0:
-                raise ConfigError("experiment.val_pcts entries must be in (0, 1)")
+        if not all(0.0 < p < 1.0 for p in self.val_pcts()):  # the fractions the run reads
+            raise ConfigError(f"validation fractions {self.val_pcts()} must be in (0, 1): "
+                              "ensemble.val_pct, or each experiment.val_pcts entry")
         for key in ("seeds", "strategies", "modes", "schemes", "val_pcts",
                     "ensemble_sizes"):
             values = getattr(self.experiment, key)
@@ -110,10 +135,24 @@ class ExperimentConfig:
                 raise ConfigError(f"experiment.{key} repeats an entry ({values}): the "
                                   "repeat would write the same cells again, which "
                                   "aggregate.csv counts as more seeds")
-        if self.task.kind not in ("blobs", "spirals", "csv"):
-            raise ConfigError(f"unknown task kind {self.task.kind!r}")
         if self.task.kind == "csv" and not self.task.path:
             raise ConfigError("csv task needs task.path")
+        read, default = self.reads(), ExperimentConfig()
+        unread = [f"{key} (default {_value(default, key)!r}; {_readers(key)})"
+                  for key in DOTTED_KEYS if key not in read and key not in _UNCHECKED
+                  and _value(self, key) != _value(default, key)]
+        if unread:
+            raise ConfigError(f"this run does not read {', '.join(unread)}; leave them unset")
+
+    def reads(self) -> set[str]:
+        """The dotted keys this run reads; an unknown kind is an error."""
+        read = set(_ALWAYS_READ)
+        for selector, rows in _READS.items():
+            if (value := _value(self, selector)) not in rows:
+                raise ConfigError(f"unknown {selector.replace('.', ' ')} {value!r}; "
+                                  f"expected one of {tuple(rows)}")
+            read.update(rows[value])
+        return read | {key for key, (_, holds) in _READ_WHEN.items() if holds(self)}
 
     def val_pcts(self) -> list[float]:
         return self.experiment.val_pcts or [self.ensemble.val_pct]
@@ -125,6 +164,23 @@ class ExperimentConfig:
 # Declared field types, section name -> {key -> type}, for _coerce.
 _FIELD_TYPES = {name: typing.get_type_hints(section)
                 for name, section in typing.get_type_hints(ExperimentConfig).items()}
+DOTTED_KEYS = [f"{section}.{key}" for section, types in _FIELD_TYPES.items()
+               for key in types]
+
+
+def _value(cfg: ExperimentConfig, key: str):
+    section, _, name = key.partition(".")
+    return getattr(getattr(cfg, section), name)
+
+
+def _readers(key: str) -> str:
+    """Which runs read a key that not every run reads."""
+    if key in _READ_WHEN:
+        return f"read only when {_READ_WHEN[key][0]}"
+    for selector, rows in _READS.items():
+        if readers := [value for value, keys in rows.items() if key in keys]:
+            return f"read only when {selector} is {' or '.join(readers)}"
+    return "read by no run"
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -378,37 +378,23 @@ _KINDS = {
     "stop_then_scale": (_stop_then_scale_cells, None),
 }
 
-# the experiment.modes entries each kind reads; the other kinds read none
+# the experiment.modes entries of each kind that reads modes
 _MODES = {"early_stop": (INDIVIDUAL, JOINT, NONE),
           "temp_scale": ("none", "individual", "joint", "pool")}
-
-# the kinds that read each experiment list; any other kind must leave it at
-# its default. weight_decays stays unchecked: the benchmark's tiny configs
-# set it for every kind
-_READERS = {"modes": tuple(_MODES), "schemes": ("batch_ensemble",),
-            "ensemble_sizes": ("wd_sweep",)}
-
-# the experiment lists each kind loops over; an empty one yields no cell
-_LISTS = {"early_stop": ("strategies", "modes"),
-          "temp_scale": ("strategies", "modes"),
-          "batch_ensemble": ("strategies", "schemes"),
-          "stop_then_scale": ("strategies",)}
 
 
 def _check_config(cfg: ExperimentConfig):
     """Build the dataset, then return it after rejecting, before any
     training, what would fail every seed or write no cell: a task the
     generator, the CSV reader or the test split refuses, stopping and
-    optimizer settings the trainers refuse, a momentum adam does not read,
-    empty strategy, mode or scheme lists, an early_stop whose only cells are
-    disjoint x joint, unknown modes and schemes, modes, schemes or ensemble
-    sizes set for a kind that reads none, joint evaluation on disjoint
-    holdouts, a wd_sweep with more than its one shared holdout or with an
-    optimizer.weight_decay it would ignore, holdout plans that cannot be
-    built, invalid sweep grids and sweep ensemble sizes beyond the members."""
+    optimizer settings the trainers refuse, an empty strategy, mode or scheme
+    list the kind reads, an early_stop whose only cells are disjoint x joint,
+    unknown modes and schemes, joint evaluation on disjoint holdouts, a
+    wd_sweep with more than its one shared holdout, holdout plans that cannot
+    be built, invalid sweep grids and sweep ensemble sizes beyond the members."""
     ex = cfg.experiment
-    for key in _LISTS.get(ex.kind, ()):
-        if not getattr(ex, key):
+    for key in ("strategies", "modes", "schemes"):  # the lists a kind loops over
+        if f"experiment.{key}" in cfg.reads() and not getattr(ex, key):
             raise ConfigError(f"experiment.{key} is empty: {ex.kind} would write no cell")
     if ex.kind == "early_stop" and all(s == DISJOINT and m == JOINT
                                        for s in ex.strategies for m in ex.modes):
@@ -424,16 +410,6 @@ def _check_config(cfg: ExperimentConfig):
             if mode not in _MODES[ex.kind]:
                 raise ConfigError(f"unknown {ex.kind} mode {mode!r}; expected one "
                                   f"of {_MODES[ex.kind]}")
-        defaults = ExperimentConfig()
-        momentum = defaults.optimizer.momentum
-        if cfg.optimizer.kind == "adam" and cfg.optimizer.momentum != momentum:
-            raise ConfigError("adam reads no optimizer.momentum; leave it at its "
-                              f"default {momentum}")
-        for key, readers in _READERS.items():
-            default = getattr(defaults.experiment, key)
-            if ex.kind not in readers and getattr(ex, key) != default:
-                raise ConfigError(f"{ex.kind} reads no experiment.{key}; leave it "
-                                  f"at its default {default}")
         joint_like = {"joint", "pool"} & set(ex.modes)
         if ex.kind == "temp_scale" and joint_like and DISJOINT in ex.strategies:
             raise ConfigError(
@@ -453,11 +429,6 @@ def _check_config(cfg: ExperimentConfig):
                     "it runs one shared holdout at one val_pct; got "
                     f"experiment.strategies={ex.strategies} and val_pcts "
                     f"{cfg.val_pcts()}")
-            if cfg.optimizer.weight_decay != defaults.optimizer.weight_decay:
-                raise ConfigError("wd_sweep takes every weight decay from "
-                                  "experiment.weight_decays and reads no "
-                                  "optimizer.weight_decay; leave it at its default "
-                                  f"{defaults.optimizer.weight_decay}")
             HyperGrid(ex.weight_decays, cfg.ensemble_sizes(), ex.seeds)
             if max(cfg.ensemble_sizes()) > cfg.ensemble.members:
                 raise ConfigError("experiment.ensemble_sizes exceed ensemble.members")
@@ -465,8 +436,6 @@ def _check_config(cfg: ExperimentConfig):
         for strategy, val_pct in plans:  # each distinct plan once, in job order
             make_plan(strategy, len(dprime), val_pct, cfg.ensemble.members,
                       ex.seeds[0], dprime.y)
-    except ConfigError:
-        raise
     except (OSError, ValueError) as err:  # unreadable CSV, SplitError, DataFormatError
         raise ConfigError(str(err)) from err
     return dprime, test

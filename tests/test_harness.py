@@ -4,14 +4,18 @@ import csv
 import glob
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from enstune import experiments, metrics
+from enstune import config, experiments, metrics
+from enstune.cli import EXPERIMENT_COMMANDS
 from enstune.cli import main as cli_main
 from enstune.config import (
+    DOTTED_KEYS,
     ConfigError,
+    ExperimentConfig,
     TaskSection,
     load_config,
     parse_scalar,
@@ -35,13 +39,14 @@ from enstune.experiments import (
     parse_scheme,
     run_experiment,
 )
-from enstune.netcore import NonFiniteLossError
+from enstune.netcore import NonFiniteLossError, Optimizer
 from enstune.splits import SHARED, MemberSplit, SplitPlan
 from enstune.training import OptimizerConfig, StoppingConfig, train_ensemble
 
 
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
                                         "configs", "*.toml")))
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 BASE = ["task.n=360", "task.classes=3", "task.noise=0.8", "task.label_noise=0.1",
         "model.hidden=[8]", "ensemble.members=3", "ensemble.val_pct=0.1",
@@ -49,8 +54,114 @@ BASE = ["task.n=360", "task.classes=3", "task.noise=0.8", "task.label_noise=0.1"
         "stopping.batch_size=64"]
 
 
+# The bad configs TestCli rejects: (command, extra settings, text that stderr
+# must hold, naming the case's own key or reason). A case's test id is
+# <command>-extra<index>, so new cases are appended to keep the old ids.
+BAD_CONFIGS = [
+    ("early-stop", ['experiment.modes=["individual","sometimes"]'], "sometimes"),
+    ("temp-scale", ['experiment.modes=["none","sometimes"]'], "sometimes"),
+    ("batch-ensemble", ['experiment.schemes=["random_sign","uniform_0.1"]'],
+     "uniform_0.1"),
+    ("early-stop", ['experiment.strategies=["shared","disjoint"]', "ensemble.members=4",
+                    "ensemble.val_pct=0.3"], "disjoint validation sets"),
+    ("sweep-wd", ["experiment.weight_decays=[0.001,0.01]"], "must include 0"),
+    ("early-stop", ["stopping.patience=0"], "patience"),
+    ("early-stop", ["stopping.batch_size=0"], "batch_size"),
+    ("early-stop", ["stopping.max_epochs=0"], "max_epochs"),
+    ("early-stop", ["optimizer.kind=rmsprop"], "rmsprop"),
+    ("sweep-wd", ["optimizer.kind=rmsprop"], "rmsprop"),
+    ("batch-ensemble", ["optimizer.kind=rmsprop"], "rmsprop"),
+    ("early-stop", ["optimizer.weight_decay=-0.1"], "weight_decay must be >= 0"),
+    ("sweep-wd", ["stopping.patience=0"], "patience"),
+    ("early-stop", ["task.n=3", "task.classes=4"], "one sample per class"),
+    ("early-stop", ["task.test_fraction=0"], "test fraction 0.0"),
+    ("early-stop", ["optimizer.lr=-0.1"], "base_lr must be >= 0"),
+    ("early-stop", ["experiment.ece_bins=0"], "experiment.ece_bins"),
+    ("sweep-wd", ["experiment.ensemble_sizes=[5]", "ensemble.members=4"],
+     "exceed ensemble.members"),
+    ("sweep-wd", ["experiment.ensemble_sizes=[0,2]"], "ensemble sizes must be >= 1"),
+    ("early-stop", ["task.test_fraction=1.5"], "test fraction 1.5"),
+    ("early-stop", ["task.test_fraction=-0.2"], "test fraction -0.2"),
+    ("sweep-wd", ["experiment.seeds=[0.5]"], "experiment.seeds[0]"),
+    ("sweep-wd", ['experiment.seeds=["a"]'], "experiment.seeds[0]"),
+    ("sweep-wd", ["experiment.seeds=[true]"], "experiment.seeds[0]"),
+    ("sweep-wd", ['experiment.weight_decays=["x"]'], "experiment.weight_decays[0]"),
+    ("sweep-wd", ['experiment.val_pcts=["x"]'], "experiment.val_pcts[0]"),
+    ("sweep-wd", ["model.hidden=[1.5]"], "model.hidden[0]"),
+    ("sweep-wd", ["experiment.ensemble_sizes=[1.5]"], "experiment.ensemble_sizes[0]"),
+    ("early-stop", ["model.hidden=[0]"], "model.hidden widths"),
+    ("early-stop", ["model.hidden=[-1]"], "model.hidden widths"),
+    ("early-stop", ["experiment.seeds=[0,-1]"], "experiment.seeds must be >= 0"),
+    ("early-stop", ["optimizer.lr=.5"], "optimizer.lr"),
+    ("early-stop", ["experiment.strategies=[]"], "experiment.strategies is empty"),
+    ("temp-scale", ["experiment.modes=[]"], "experiment.modes is empty"),
+    ("batch-ensemble", ["experiment.schemes=[]"], "experiment.schemes is empty"),
+    ("early-stop", ['experiment.strategies=["disjoint"]', 'experiment.modes=["joint"]'],
+     "pair only disjoint with joint"),
+    ("early-stop", ["task.label_noise=2"], "got 2.0"),
+    ("early-stop", ["task.label_noise=1"], "got 1.0"),
+    ("early-stop", ["task.label_noise=-0.1"], "got -0.1"),
+    ("early-stop", ["ensemble.strategy=disjoint"], "ensemble.strategy"),
+    ("stop-then-scale", ['experiment.strategies=["disjoint"]',
+                         "experiment.val_pcts=[0.1,0.3]"], "disjoint strategy precludes"),
+    ("stop-then-scale", ['experiment.strategies=["shared","disjoint"]'],
+     "disjoint strategy precludes"),
+    ("stop-then-scale", ["experiment.strategies=[]"], "experiment.strategies is empty"),
+    ("sweep-wd", ['experiment.strategies=["overlapping"]', "experiment.val_pcts=[0.3]",
+                  'experiment.modes=["joint"]'], "experiment.modes"),
+    ("sweep-wd", ['experiment.strategies=["overlapping"]'],
+     "one shared holdout at one val_pct"),
+    ("sweep-wd", ['experiment.strategies=["shared","overlapping"]'],
+     "one shared holdout at one val_pct"),
+    ("sweep-wd", ["experiment.val_pcts=[0.1,0.3]"], "one shared holdout at one val_pct"),
+    ("sweep-wd", ['experiment.modes=["joint"]'], "experiment.modes"),
+    ("batch-ensemble", ['experiment.modes=["individual"]'], "experiment.modes"),
+    ("stop-then-scale", ['experiment.modes=["joint"]'], "experiment.modes"),
+    ("early-stop", ["task.kind=spirals", "task.classes=4", "task.label_noise=0.4",
+                    "task.radius=9"], "task.radius"),
+    ("early-stop", ["task.kind=spirals", "task.classes=4", "task.label_noise=0",
+                    "task.radius=9"], "task.radius"),
+    ("early-stop", ["optimizer.momentum=0.1"], "optimizer.momentum"),
+    ("batch-ensemble", ["optimizer.kind=adam", "optimizer.momentum=0.5"],
+     "optimizer.momentum"),
+    ("early-stop", ['experiment.schemes=["bogus"]'], "experiment.schemes"),
+    ("temp-scale", ['experiment.schemes=["random_sign"]'], "experiment.schemes"),
+    ("early-stop", ["experiment.ensemble_sizes=[1,2]"], "experiment.ensemble_sizes"),
+    ("batch-ensemble", ["experiment.ensemble_sizes=[2]"], "experiment.ensemble_sizes"),
+    ("stop-then-scale", ["experiment.ensemble_sizes=[1]"], "experiment.ensemble_sizes"),
+    ("early-stop", ["experiment.seeds=[0,0]"], "experiment.seeds repeats"),
+    ("sweep-wd", ["experiment.seeds=[1,0,1]"], "experiment.seeds repeats"),
+    ("early-stop", ['experiment.modes=["joint","individual","joint"]'],
+     "experiment.modes repeats"),
+    ("temp-scale", ['experiment.modes=["none","pool","none"]'],
+     "experiment.modes repeats"),
+    ("early-stop", ['experiment.strategies=["shared","overlapping","shared"]'],
+     "experiment.strategies repeats"),
+    ("batch-ensemble", ['experiment.schemes=["random_sign","random_sign"]'],
+     "experiment.schemes repeats"),
+    ("temp-scale", ["experiment.val_pcts=[0.1,0.2,0.1]"], "experiment.val_pcts repeats"),
+    ("sweep-wd", ["experiment.ensemble_sizes=[1,3,3]"],
+     "experiment.ensemble_sizes repeats"),
+    ("sweep-wd", ["optimizer.weight_decay=0.5"], "optimizer.weight_decay"),
+    ("early-stop", ["ensemble.val_pct=0.3", "experiment.val_pcts=[0.1]"],
+     "ensemble.val_pct"),
+    ("early-stop", ["optimizer.decay_bias=true"], "optimizer.decay_bias"),
+    ("batch-ensemble", ["optimizer.decay_bias=true"], "optimizer.decay_bias"),
+    ("sweep-wd", ["experiment.weight_decays=[0.0]", "optimizer.decay_bias=true"],
+     "optimizer.decay_bias"),
+]
+
+
+def base_for(extra):
+    """BASE for a run that adds ``extra``: an experiment.val_pcts there replaces
+    BASE's ensemble.val_pct, which a run with val_pcts does not read."""
+    if any(item.startswith("experiment.val_pcts=") for item in extra):
+        return [item for item in BASE if not item.startswith("ensemble.val_pct=")]
+    return BASE
+
+
 def quick_config(out_dir, extra):
-    return load_config(None, BASE + [f"experiment.out_dir={out_dir}"] + extra)
+    return load_config(None, base_for(extra) + [f"experiment.out_dir={out_dir}"] + extra)
 
 
 class TestConfig:
@@ -95,6 +206,28 @@ class TestConfig:
     def test_unknown_experiment_kind_fails_before_training(self):
         with pytest.raises(ConfigError, match="unknown experiment kind"):
             load_config(None, ["experiment.kind=mystery"])
+
+    def test_reads_table_classifies_every_key_and_kind(self, tmp_path):
+        # a new key or kind must take a place in the table before a run can
+        # set it, so the unread-key check cannot be bypassed
+        places = {}  # key -> the parts of the table that classify it
+        for part, keys in [("always", config._ALWAYS_READ), ("when", config._READ_WHEN)] + [
+                (selector, {k for keys in rows.values() for k in keys})
+                for selector, rows in config._READS.items()]:
+            for key in keys:
+                places.setdefault(key, []).append(part)
+        assert sorted(places) == sorted(DOTTED_KEYS)
+        assert {key: p for key, p in places.items() if len(p) > 1} == {}
+        assert set(config._UNCHECKED) <= set(places)
+        kinds = config._READS
+        assert set(kinds["experiment.kind"]) == set(experiments._KINDS)
+        assert set(kinds["experiment.kind"]) == set(EXPERIMENT_COMMANDS.values())
+        assert set(kinds["optimizer.kind"]) == set(Optimizer.KINDS)
+        save_csv(make_blobs(20, 2, 1.0, np.random.default_rng(0)), str(tmp_path / "d.csv"))
+        for kind in kinds["task.kind"]:
+            assert len(make_task(TaskSection(kind=kind, n=20, path=str(tmp_path / "d.csv"))))
+        with pytest.raises(ConfigError, match="unknown task kind"):
+            make_task(TaskSection(kind="moons"))
 
     def test_method_names_are_not_sections(self):
         with pytest.raises(ConfigError, match="unknown config section"):
@@ -174,7 +307,7 @@ class TestData:
     ])
     def test_task_key_the_kind_ignores_rejected(self, task, key):
         with pytest.raises(ConfigError, match=key):
-            make_task(task)
+            ExperimentConfig(task=task).validate()
 
     def test_stratified_split_counts(self):
         ds = make_blobs(1000, 4, 2.0, np.random.default_rng(4))
@@ -668,83 +801,10 @@ class TestCli:
         assert rows[0][0] == "experiment"
         assert len(rows) > 1
 
-    @pytest.mark.parametrize("command, extra", [
-        ("early-stop", ['experiment.modes=["individual","sometimes"]']),
-        ("temp-scale", ['experiment.modes=["none","sometimes"]']),
-        ("batch-ensemble", ['experiment.schemes=["random_sign","uniform_0.1"]']),
-        ("early-stop", ['experiment.strategies=["shared","disjoint"]',
-                        "ensemble.members=4", "ensemble.val_pct=0.3"]),
-        ("sweep-wd", ["experiment.weight_decays=[0.001,0.01]"]),
-        ("early-stop", ["stopping.patience=0"]),
-        ("early-stop", ["stopping.batch_size=0"]),
-        ("early-stop", ["stopping.max_epochs=0"]),
-        ("early-stop", ["optimizer.kind=rmsprop"]),
-        ("sweep-wd", ["optimizer.kind=rmsprop"]),
-        ("batch-ensemble", ["optimizer.kind=rmsprop"]),
-        ("early-stop", ["optimizer.weight_decay=-0.1"]),
-        ("sweep-wd", ["stopping.patience=0"]),
-        ("early-stop", ["task.n=3", "task.classes=4"]),
-        ("early-stop", ["task.test_fraction=0"]),
-        ("early-stop", ["optimizer.lr=-0.1"]),
-        ("early-stop", ["experiment.ece_bins=0"]),
-        ("sweep-wd", ["experiment.ensemble_sizes=[5]", "ensemble.members=4"]),
-        ("sweep-wd", ["experiment.ensemble_sizes=[0,2]"]),
-        ("early-stop", ["task.test_fraction=1.5"]),
-        ("early-stop", ["task.test_fraction=-0.2"]),
-        ("sweep-wd", ["experiment.seeds=[0.5]"]),
-        ("sweep-wd", ['experiment.seeds=["a"]']),
-        ("sweep-wd", ["experiment.seeds=[true]"]),
-        ("sweep-wd", ['experiment.weight_decays=["x"]']),
-        ("sweep-wd", ['experiment.val_pcts=["x"]']),
-        ("sweep-wd", ["model.hidden=[1.5]"]),
-        ("sweep-wd", ["experiment.ensemble_sizes=[1.5]"]),
-        ("early-stop", ["model.hidden=[0]"]),
-        ("early-stop", ["model.hidden=[-1]"]),
-        ("early-stop", ["experiment.seeds=[0,-1]"]),
-        ("early-stop", ["optimizer.lr=.5"]),
-        ("early-stop", ["experiment.strategies=[]"]),
-        ("temp-scale", ["experiment.modes=[]"]),
-        ("batch-ensemble", ["experiment.schemes=[]"]),
-        ("early-stop", ['experiment.strategies=["disjoint"]', 'experiment.modes=["joint"]']),
-        ("early-stop", ["task.label_noise=2"]),
-        ("early-stop", ["task.label_noise=1"]),
-        ("early-stop", ["task.label_noise=-0.1"]),
-        ("early-stop", ["ensemble.strategy=disjoint"]),
-        ("stop-then-scale", ['experiment.strategies=["disjoint"]',
-                             "experiment.val_pcts=[0.1,0.3]"]),
-        ("stop-then-scale", ['experiment.strategies=["shared","disjoint"]']),
-        ("stop-then-scale", ["experiment.strategies=[]"]),
-        ("sweep-wd", ['experiment.strategies=["overlapping"]',
-                      "experiment.val_pcts=[0.3]", 'experiment.modes=["joint"]']),
-        ("sweep-wd", ['experiment.strategies=["overlapping"]']),
-        ("sweep-wd", ['experiment.strategies=["shared","overlapping"]']),
-        ("sweep-wd", ["experiment.val_pcts=[0.1,0.3]"]),
-        ("sweep-wd", ['experiment.modes=["joint"]']),
-        ("batch-ensemble", ['experiment.modes=["individual"]']),
-        ("stop-then-scale", ['experiment.modes=["joint"]']),
-        ("early-stop", ["task.kind=spirals", "task.classes=4", "task.label_noise=0.4",
-                        "task.radius=9"]),
-        ("early-stop", ["task.kind=spirals", "task.classes=4", "task.label_noise=0",
-                        "task.radius=9"]),
-        ("early-stop", ["optimizer.momentum=0.1"]),
-        ("batch-ensemble", ["optimizer.kind=adam", "optimizer.momentum=0.5"]),
-        ("early-stop", ['experiment.schemes=["bogus"]']),
-        ("temp-scale", ['experiment.schemes=["random_sign"]']),
-        ("early-stop", ["experiment.ensemble_sizes=[1,2]"]),
-        ("batch-ensemble", ["experiment.ensemble_sizes=[2]"]),
-        ("stop-then-scale", ["experiment.ensemble_sizes=[1]"]),
-        ("early-stop", ["experiment.seeds=[0,0]"]),
-        ("sweep-wd", ["experiment.seeds=[1,0,1]"]),
-        ("early-stop", ['experiment.modes=["joint","individual","joint"]']),
-        ("temp-scale", ['experiment.modes=["none","pool","none"]']),
-        ("early-stop", ['experiment.strategies=["shared","overlapping","shared"]']),
-        ("batch-ensemble", ['experiment.schemes=["random_sign","random_sign"]']),
-        ("temp-scale", ["experiment.val_pcts=[0.1,0.2,0.1]"]),
-        ("sweep-wd", ["experiment.ensemble_sizes=[1,3,3]"]),
-        ("sweep-wd", ["optimizer.weight_decay=0.5"]),
-    ])
-    def test_bad_config_rejected_before_training(self, tmp_path, monkeypatch,
-                                                 command, extra):
+    @pytest.mark.parametrize("command, extra, reason", [
+        pytest.param(*case, id=f"{case[0]}-extra{i}") for i, case in enumerate(BAD_CONFIGS)])
+    def test_bad_config_rejected_before_training(self, tmp_path, monkeypatch, capsys,
+                                                 command, extra, reason):
         def no_training(*args, **kwargs):
             raise AssertionError("trained before the config was checked")
 
@@ -753,9 +813,10 @@ class TestCli:
         monkeypatch.setattr(experiments, "train_grid", no_training)
         out = tmp_path / "run"
         argv = [command, "--out", str(out)]
-        for item in BASE + extra:
+        for item in base_for(extra) + extra:
             argv += ["--set", item]
         assert cli_main(argv) == 2
+        assert reason in capsys.readouterr().err
         assert not (out / "cells.csv").exists()
 
     def test_bad_config_exit_code(self, tmp_path):
@@ -808,5 +869,14 @@ class TestCli:
     @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
     def test_study_config_passes_checks(self, path):
         cfg = load_config(path)
+        dprime, test = experiments._check_config(cfg)
+        assert len(dprime) + len(test) == cfg.task.n
+
+    def test_readme_config_example_passes_checks(self, tmp_path):
+        with open(README, encoding="utf-8") as f:
+            (example,) = re.findall(r"```toml\n(.*?)```", f.read(), flags=re.S)
+        path = tmp_path / "readme.toml"
+        path.write_text(example)
+        cfg = load_config(str(path))
         dprime, test = experiments._check_config(cfg)
         assert len(dprime) + len(test) == cfg.task.n
