@@ -5,6 +5,14 @@ Every fit is a 1-d minimization of validation NLL over log-temperature in
 [0.01, 100], done by golden-section search (tolerance 1e-6 in log T, at most
 100 objective evaluations). Boundary minima are returned as the bracket end
 with ``at_boundary`` set.
+
+A fit prepares each validation set once (float64 logits, a joint set's
+members stacked, row maxima, checked labels, a scratch buffer, and in pool
+mode log p-bar); a candidate T then costs one divide, ``exp``, row sum and
+label pick, and scores the same floats as ``metrics.nll`` of
+:func:`apply_temperature` (or of the ensemble mean, or of
+:func:`pool_apply_temperature`). A validation set whose label count differs
+from its row count raises ``ShapeError`` when the fit prepares it.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import metrics
-from .netcore import softmax
+from .netcore import _check_label_count, _check_labels, softmax
 from .splits import JointEvalUnavailableError
 
 BRACKET = (0.01, 100.0)  # temperature search range
@@ -56,8 +64,49 @@ def pool_apply_temperature(mean_probs: np.ndarray, temperature: float) -> np.nda
     """softmax(log p-bar / T): tempering after pooling, prediction-preserving."""
     if temperature <= 0:
         raise TemperatureError(f"temperature must be > 0, got {temperature}")
-    logp = np.log(np.maximum(np.asarray(mean_probs, dtype=np.float64), metrics.PROB_FLOOR))
-    return softmax(logp / temperature)
+    return softmax(_pool_logits(mean_probs) / temperature)
+
+
+def _pool_logits(mean_probs: np.ndarray) -> np.ndarray:
+    """log p-bar, floored as ``metrics`` floors probabilities before a log."""
+    return np.log(np.maximum(np.asarray(mean_probs, dtype=np.float64), metrics.PROB_FLOOR))
+
+
+class _PreparedSet:
+    """One validation set, prepared once per fit and scored at any T.
+
+    ``logits`` is (N, K), or (M, N, K) for the members of a joint set. The
+    float64 logits, their row maxima, the checked labels (as flat indices of
+    each row's label entry) and a scratch buffer are kept across
+    evaluations. At T the buffer holds exp(z / T - max z / T), the same
+    floats ``softmax(z / T)`` exponentiates: division by T > 0 is monotone,
+    so fl(max z / T) = max fl(z / T).
+    """
+
+    def __init__(self, logits: np.ndarray, labels: np.ndarray):
+        z = np.asarray(logits, dtype=np.float64)
+        _check_label_count(labels, z[0] if z.ndim == 3 else z, 1)
+        y = _check_labels(labels, z.shape[-1])
+        self.z = z
+        self.rowmax = np.maximum.reduce(np.asfortranarray(z), axis=-1, keepdims=True)
+        rows = np.arange(z.size // z.shape[-1]).reshape(z.shape[:-1])
+        self.pick = rows * z.shape[-1] + y
+        self.buf = np.empty_like(z)
+
+    def nll(self, t: float) -> float:
+        """``metrics.nll`` of softmax(z / T), or for a joint set of the mean
+        of the members' softmax(z / T), computed on the label column alone."""
+        if t <= 0:
+            raise TemperatureError(f"temperature must be > 0, got {t}")
+        e = np.divide(self.z, t, out=self.buf)
+        e -= self.rowmax / t
+        np.exp(e, out=e)
+        p = np.take(e, self.pick) / e.sum(axis=-1)
+        if p.ndim == 2:  # a joint set: each row's ensemble-mean label probability,
+            # summed in member order as ``ensemble_mean`` sums; ``mean(axis=0)``
+            # would sum a single row's members pairwise from 8 members on
+            p = sum(p[1:], p[0]) / len(p)
+        return float(-np.log(np.maximum(p, metrics.PROB_FLOOR)).mean())
 
 
 def fit_temperature(objective: Callable[[float], float],
@@ -108,12 +157,11 @@ def fit_temperature(objective: Callable[[float], float],
 
 
 def nll_at_temperature(logits: np.ndarray, labels: np.ndarray) -> Callable[[float], float]:
-    """Validation-NLL objective for a single model's logits."""
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
+    """Validation-NLL objective for a single model's logits: at each T, the
+    ``metrics.nll`` of ``apply_temperature(logits, T)``."""
     if len(labels) == 0:
         raise TemperatureError("empty validation set")
-    return lambda t: metrics.nll(apply_temperature(logits, t), labels)
+    return _PreparedSet(logits, labels).nll
 
 
 def ensemble_nll_at_temperature(eval_sets: Sequence[tuple[Sequence[np.ndarray], np.ndarray]],
@@ -129,20 +177,30 @@ def ensemble_nll_at_temperature(eval_sets: Sequence[tuple[Sequence[np.ndarray], 
         raise JointEvalUnavailableError(
             "no jointly evaluable validation set: disjoint holdouts preclude "
             "joint evaluation")
-    frozen = [([np.asarray(z, dtype=np.float64) for z in zs], np.asarray(y))
-              for zs, y in eval_sets]
-    for zs, y in frozen:
-        if len(y) == 0 or not zs:
+    for zs, y in eval_sets:
+        if len(y) == 0 or len(zs) == 0:
             raise TemperatureError("empty joint validation set")
+    return _mean_nll([_PreparedSet(metrics._stack_members(zs), y) for zs, y in eval_sets])
 
-    def objective(t: float) -> float:
-        vals = []
-        for zs, y in frozen:
-            mean_p = metrics.ensemble_mean([apply_temperature(z, t) for z in zs])
-            vals.append(metrics.nll(mean_p, y))
-        return float(np.mean(vals))
 
-    return objective
+def pool_nll_at_temperature(eval_sets: Sequence[tuple[Sequence[np.ndarray], np.ndarray]],
+                            ) -> Callable[[float], float]:
+    """Pool objective: mean over eval sets of the ``metrics.nll`` of
+    ``pool_apply_temperature`` on the members' mean probabilities."""
+    if len(eval_sets) == 0:
+        raise JointEvalUnavailableError(
+            "no jointly evaluable validation set: disjoint holdouts preclude "
+            "pooled evaluation")
+    for probs, y in eval_sets:
+        if len(y) == 0 or len(probs) == 0:
+            raise TemperatureError("empty pooled validation set")
+    return _mean_nll([_PreparedSet(_pool_logits(metrics.ensemble_mean(probs)), y)
+                      for probs, y in eval_sets])
+
+
+def _mean_nll(sets: list[_PreparedSet]) -> Callable[[float], float]:
+    """The objective T -> mean over ``sets`` of their NLL at T."""
+    return lambda t: float(np.mean([s.nll(t) for s in sets]))
 
 
 def calibrate_individual(member_vals: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -178,18 +236,5 @@ def calibrate_pool(eval_sets: Sequence[tuple[Sequence[np.ndarray], np.ndarray]],
     :func:`ensemble_nll_at_temperature`; the objective is the mean over sets
     of the pooled-tempered NLL.
     """
-    if len(eval_sets) == 0:
-        raise JointEvalUnavailableError(
-            "no jointly evaluable validation set: disjoint holdouts preclude "
-            "pooled evaluation")
-    pooled = []
-    for probs, y in eval_sets:
-        if len(y) == 0 or len(probs) == 0:
-            raise TemperatureError("empty pooled validation set")
-        pooled.append((metrics.ensemble_mean(probs), np.asarray(y)))
+    return fit_temperature(pool_nll_at_temperature(eval_sets), mode="pool")
 
-    def objective(t: float) -> float:
-        return float(np.mean([metrics.nll(pool_apply_temperature(mean_p, t), y)
-                              for mean_p, y in pooled]))
-
-    return fit_temperature(objective, mode="pool")

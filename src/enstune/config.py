@@ -43,6 +43,9 @@ _READ_WHEN = {
         cfg.experiment.weight_decays if cfg.experiment.kind == "wd_sweep"
         else [cfg.optimizer.weight_decay], default=0.0) > 0),
 }
+# the least value each of these keys accepts (the trainers and scorers refuse less)
+_AT_LEAST = {"optimizer.lr": 0, "optimizer.weight_decay": 0, "stopping.patience": 1,
+             "stopping.max_epochs": 1, "stopping.batch_size": 1, "experiment.ece_bins": 1}
 # bench/workloads.py's TINY sets these two for every kind; check them once it does not
 _UNCHECKED = ("experiment.weight_decays", "stopping.patience")
 
@@ -123,8 +126,6 @@ class ExperimentConfig:
             raise ConfigError("experiment.seeds must be >= 0")
         if any(width < 1 for width in self.model.hidden):
             raise ConfigError("model.hidden widths must be >= 1")
-        if self.experiment.ece_bins < 1:
-            raise ConfigError("experiment.ece_bins must be >= 1")
         if not all(0.0 < p < 1.0 for p in self.val_pcts()):  # the fractions the run reads
             raise ConfigError(f"validation fractions {self.val_pcts()} must be in (0, 1): "
                               "ensemble.val_pct, or each experiment.val_pcts entry")
@@ -143,6 +144,23 @@ class ExperimentConfig:
                   and _value(self, key) != _value(default, key)]
         if unread:
             raise ConfigError(f"this run does not read {', '.join(unread)}; leave them unset")
+        for key, least in _AT_LEAST.items():
+            if not _value(self, key) >= least:
+                raise ConfigError(f"{key}={_value(self, key)!r} must be >= {least}")
+        self._check_task()
+
+    def _check_task(self) -> None:
+        """What the task generators and the test split refuse, by dotted key."""
+        task = self.task
+        if not 0.0 < task.test_fraction < 1.0:
+            raise ConfigError(f"task.test_fraction={task.test_fraction!r} must be in (0, 1)")
+        if task.kind == "blobs" and not 2 <= task.classes <= task.n:
+            raise ConfigError(f"task.classes={task.classes} with task.n={task.n}: blobs "
+                              "need at least 2 classes and one sample per class")
+        if task.kind == "blobs" and not 0.0 <= task.label_noise < 1.0:
+            raise ConfigError(f"task.label_noise={task.label_noise!r} must be in [0, 1)")
+        if task.kind == "spirals" and task.n < 2:
+            raise ConfigError(f"task.n={task.n}: spirals need at least 2 samples")
 
     def reads(self) -> set[str]:
         """The dotted keys this run reads; an unknown kind is an error."""

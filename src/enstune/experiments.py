@@ -27,7 +27,7 @@ from . import calibration, metrics
 from .batchensemble import GAUSSIAN, RANDOM_SIGN, be_train
 from .config import ConfigError, ExperimentConfig, config_from_dict, config_to_dict
 from .data import make_task, train_test_split
-from .netcore import MlpParams, NonFiniteLossError, softmax
+from .netcore import NonFiniteLossError, softmax
 from .splits import (
     DISJOINT,
     OVERLAPPING,
@@ -386,12 +386,13 @@ _MODES = {"early_stop": (INDIVIDUAL, JOINT, NONE),
 def _check_config(cfg: ExperimentConfig):
     """Build the dataset, then return it after rejecting, before any
     training, what would fail every seed or write no cell: a task the
-    generator, the CSV reader or the test split refuses, stopping and
-    optimizer settings the trainers refuse, an empty strategy, mode or scheme
-    list the kind reads, an early_stop whose only cells are disjoint x joint,
-    unknown modes and schemes, joint evaluation on disjoint holdouts, a
-    wd_sweep with more than its one shared holdout, holdout plans that cannot
-    be built, invalid sweep grids and sweep ensemble sizes beyond the members."""
+    generator, the CSV reader or the test split refuses (``cfg.validate``
+    has checked the ranges of the stopping, optimizer and task keys), an
+    empty strategy, mode or scheme list the kind reads, an early_stop whose
+    only cells are disjoint x joint, unknown modes and schemes, joint
+    evaluation on disjoint holdouts, a wd_sweep with more than its one shared
+    holdout, holdout plans that cannot be built, invalid sweep grids and
+    sweep ensemble sizes beyond the members."""
     ex = cfg.experiment
     for key in ("strategies", "modes", "schemes"):  # the lists a kind loops over
         if f"experiment.{key}" in cfg.reads() and not getattr(ex, key):
@@ -404,8 +405,6 @@ def _check_config(cfg: ExperimentConfig):
     jobs = _jobs(cfg)
     try:
         dprime, test = build_dataset(cfg)
-        _stopping(cfg, NONE)
-        _optimizer_config(cfg, cosine=False).build(MlpParams())
         for mode in ex.modes if ex.kind in _MODES else ():
             if mode not in _MODES[ex.kind]:
                 raise ConfigError(f"unknown {ex.kind} mode {mode!r}; expected one "

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .netcore import ShapeError, _check_labels
+from .netcore import ShapeError, _check_label_count, _check_labels
 
 PROB_FLOOR = 1e-300
 
@@ -38,10 +38,17 @@ def ensemble_mean(members: Sequence[np.ndarray]) -> np.ndarray:
     return _stack_members(members).mean(axis=0)
 
 
+def _scored(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float64 probabilities and their checked labels: ``ShapeError`` unless
+    there is one label per row, ``LabelError`` for a label outside [0, K)."""
+    probs = np.asarray(probs, dtype=np.float64)
+    _check_label_count(labels, probs, 1)
+    return probs, _check_labels(labels, probs.shape[1])
+
+
 def nll(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-likelihood of the true classes."""
-    probs = np.asarray(probs, dtype=np.float64)
-    y = _check_labels(labels, probs.shape[1])
+    probs, y = _scored(probs, labels)
     picked = np.maximum(probs[np.arange(len(y)), y], PROB_FLOOR)
     return float(-np.log(picked).mean())
 
@@ -51,8 +58,7 @@ def classification_error(probs: np.ndarray, labels: np.ndarray) -> float:
 
     Ties break toward the lowest class index.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    y = _check_labels(labels, probs.shape[1])
+    probs, y = _scored(probs, labels)
     pred = probs.argmax(axis=1)
     return float(100.0 * (pred != y).mean())
 
@@ -65,8 +71,7 @@ def ece(probs: np.ndarray, labels: np.ndarray, n_bins: int = 15) -> float:
     """
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
-    probs = np.asarray(probs, dtype=np.float64)
-    y = _check_labels(labels, probs.shape[1])
+    probs, y = _scored(probs, labels)
     conf = probs.max(axis=1)
     correct = (probs.argmax(axis=1) == y).astype(np.float64)
     edges = np.linspace(0.0, 1.0, n_bins + 1)

@@ -45,12 +45,22 @@ class SplitPlan:
         return len(self.members)
 
     def validate(self) -> None:
-        full = np.arange(self.n_total)
+        """``SplitError`` unless each member's train and val indices are
+        disjoint and together hold every index in [0, n_total) once."""
+        n = self.n_total
         for m, ms in enumerate(self.members):
             both = np.concatenate([ms.train_idx, ms.val_idx])
-            if np.intersect1d(ms.train_idx, ms.val_idx).size:
+            if both.size and (both.min() < 0 or both.max() >= n):
+                # indices outside [0, n) are no partition, but may still overlap
+                overlap, partition = np.intersect1d(ms.train_idx, ms.val_idx).size, False
+            else:
+                in_train = np.zeros(n, dtype=bool)
+                in_train[ms.train_idx] = True
+                overlap = in_train[ms.val_idx].any()
+                partition = both.size == n and (np.bincount(both, minlength=n) == 1).all()
+            if overlap:
                 raise SplitError(f"member {m}: train and val overlap")
-            if not np.array_equal(np.sort(both), full):
+            if not partition:
                 raise SplitError(f"member {m}: train+val is not a partition of indices")
 
 

@@ -18,8 +18,9 @@ from enstune.calibration import (
     fit_temperature,
     nll_at_temperature,
     pool_apply_temperature,
+    pool_nll_at_temperature,
 )
-from enstune.netcore import softmax
+from enstune.netcore import ShapeError, softmax
 from enstune.splits import JointEvalUnavailableError
 
 
@@ -234,3 +235,121 @@ class TestPool:
             calibrate_pool([])
         with pytest.raises(TemperatureError):
             calibrate_pool([([np.full((0, 3), 1 / 3)], np.zeros(0, dtype=int))])
+
+
+def logit_problem(k, m, n, seed, kind):
+    """M members' (n, k) logits and labels: normal, rounded to many ties
+    (whole rows tied, some at -0.0), or of magnitude up to about 1e100."""
+    rng = np.random.default_rng(seed)
+    zs = [rng.normal(0.0, 3.0, size=(n, k)) for _ in range(m)]
+    if kind == "tied":
+        for z in zs:
+            z[:] = np.round(z)
+            z[::3] = 0.0
+            z[1::4] = -0.0
+    elif kind == "large":
+        zs = [z * 10.0 ** rng.uniform(0, 100, size=(n, 1)) for z in zs]
+    return zs, rng.integers(0, k, size=n)
+
+
+PROBLEMS = st.tuples(st.sampled_from([2, 3, 4, 10]), st.sampled_from([1, 2, 4]),
+                     st.integers(1, 60), st.integers(0, 2 ** 32 - 1),
+                     st.sampled_from(["normal", "tied", "large"]))
+TEMPERATURES = st.one_of(st.sampled_from([0.01, 1.0, 100.0]),
+                         st.floats(min_value=0.01, max_value=100.0))
+
+
+def joint_reference(zs, y, t):
+    return metrics.nll(metrics.ensemble_mean([apply_temperature(z, t) for z in zs]), y)
+
+
+def pool_reference(probs, y, t):
+    return metrics.nll(pool_apply_temperature(metrics.ensemble_mean(probs), t), y)
+
+
+class TestPreparedObjectivesExact:
+    """A fit prepares each validation set once; every objective value must
+    still be, float for float, the composition of the public functions."""
+
+    @given(PROBLEMS, TEMPERATURES)
+    @settings(max_examples=150, deadline=None)
+    def test_individual(self, problem, t):
+        zs, y = logit_problem(*problem)
+        for z in zs:
+            assert nll_at_temperature(z, y)(t) == metrics.nll(apply_temperature(z, t), y)
+
+    @given(PROBLEMS, TEMPERATURES)
+    @settings(max_examples=150, deadline=None)
+    def test_joint(self, problem, t):
+        zs, y = logit_problem(*problem)
+        assert ensemble_nll_at_temperature([(zs, y)])(t) == joint_reference(zs, y, t)
+
+    @given(PROBLEMS, TEMPERATURES)
+    @settings(max_examples=150, deadline=None)
+    def test_pool(self, problem, t):
+        zs, y = logit_problem(*problem)
+        probs = [softmax(z) for z in zs]
+        assert pool_nll_at_temperature([(probs, y)])(t) == pool_reference(probs, y, t)
+
+    @pytest.mark.parametrize("m", [8, 9, 16, 33])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_joint_many_members(self, m, n):
+        # numpy sums a lone row's members pairwise from 8 of them on, a stack's
+        # rows in member order; the objective must sum as ``ensemble_mean``
+        for seed in range(20):
+            zs, y = logit_problem(4, m, n, seed, "normal")
+            for t in (0.01, 0.3, 1.0, 7.0, 100.0):
+                assert ensemble_nll_at_temperature([(zs, y)])(t) == joint_reference(zs, y, t)
+
+    @given(PROBLEMS, st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_mean_over_eval_sets(self, problem, n_second):
+        zs, y = logit_problem(*problem)
+        zs2, y2 = logit_problem(problem[0], problem[1], n_second, problem[3] + 1, "normal")
+        sets = [(zs, y), (zs2, y2)]
+        for t in (0.01, 1.0, 100.0):
+            assert ensemble_nll_at_temperature(sets)(t) == float(np.mean(
+                [joint_reference(z, yy, t) for z, yy in sets]))
+
+    @given(PROBLEMS)
+    @settings(max_examples=25, deadline=None)
+    def test_fits_match_reference_fits(self, problem):
+        zs, y = logit_problem(*problem)
+        probs = [softmax(z) for z in zs]
+        pairs = [(nll_at_temperature(zs[0], y),
+                  lambda t: metrics.nll(apply_temperature(zs[0], t), y)),
+                 (ensemble_nll_at_temperature([(zs, y)]),
+                  lambda t: joint_reference(zs, y, t)),
+                 (pool_nll_at_temperature([(probs, y)]),
+                  lambda t: pool_reference(probs, y, t))]
+        for prepared, reference in pairs:
+            a, b = fit_temperature(prepared), fit_temperature(reference)
+            assert (a.temperature, a.val_nll, a.iterations, a.converged, a.at_boundary) == (
+                b.temperature, b.val_nll, b.iterations, b.converged, b.at_boundary)
+
+    def test_overflow_raises_the_same_error(self):
+        z = np.array([[1e307, 0.0], [0.0, 1.0]])  # z / 0.01 overflows
+        y = np.array([0, 1])
+        messages = []
+        for objective in (nll_at_temperature(z, y),
+                          lambda t: metrics.nll(apply_temperature(z, t), y)):
+            with pytest.raises(TemperatureError) as err, np.errstate(all="ignore"):
+                fit_temperature(objective)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == "objective is not finite at T=0.01"
+
+    def test_nonpositive_temperature(self):
+        obj = nll_at_temperature(np.zeros((2, 3)), np.array([0, 2]))
+        for t in (0.0, -1.0):
+            with pytest.raises(TemperatureError, match="must be > 0"):
+                obj(t)
+
+    def test_label_count_mismatch_is_checked_at_preparation(self):
+        z = np.zeros((10, 4))
+        for labels in (np.zeros(5, dtype=int), np.zeros(11, dtype=int)):
+            with pytest.raises(ShapeError):
+                nll_at_temperature(z, labels)
+            with pytest.raises(ShapeError):
+                ensemble_nll_at_temperature([([z, z], labels)])
+            with pytest.raises(ShapeError):
+                pool_nll_at_temperature([([softmax(z)], labels)])

@@ -65,23 +65,25 @@ BAD_CONFIGS = [
     ("early-stop", ['experiment.strategies=["shared","disjoint"]', "ensemble.members=4",
                     "ensemble.val_pct=0.3"], "disjoint validation sets"),
     ("sweep-wd", ["experiment.weight_decays=[0.001,0.01]"], "must include 0"),
-    ("early-stop", ["stopping.patience=0"], "patience"),
-    ("early-stop", ["stopping.batch_size=0"], "batch_size"),
-    ("early-stop", ["stopping.max_epochs=0"], "max_epochs"),
+    ("early-stop", ["stopping.patience=0"], "stopping.patience=0 must be >= 1"),
+    ("early-stop", ["stopping.batch_size=0"], "stopping.batch_size=0 must be >= 1"),
+    ("early-stop", ["stopping.max_epochs=0"], "stopping.max_epochs=0 must be >= 1"),
     ("early-stop", ["optimizer.kind=rmsprop"], "rmsprop"),
     ("sweep-wd", ["optimizer.kind=rmsprop"], "rmsprop"),
     ("batch-ensemble", ["optimizer.kind=rmsprop"], "rmsprop"),
-    ("early-stop", ["optimizer.weight_decay=-0.1"], "weight_decay must be >= 0"),
-    ("sweep-wd", ["stopping.patience=0"], "patience"),
-    ("early-stop", ["task.n=3", "task.classes=4"], "one sample per class"),
-    ("early-stop", ["task.test_fraction=0"], "test fraction 0.0"),
-    ("early-stop", ["optimizer.lr=-0.1"], "base_lr must be >= 0"),
-    ("early-stop", ["experiment.ece_bins=0"], "experiment.ece_bins"),
+    ("early-stop", ["optimizer.weight_decay=-0.1"],
+     "optimizer.weight_decay=-0.1 must be >= 0"),
+    ("sweep-wd", ["stopping.patience=0"], "stopping.patience=0 must be >= 1"),
+    ("early-stop", ["task.n=3", "task.classes=4"],
+     "task.classes=4 with task.n=3: blobs need at least 2 classes and one sample per class"),
+    ("early-stop", ["task.test_fraction=0"], "task.test_fraction=0.0 must be in (0, 1)"),
+    ("early-stop", ["optimizer.lr=-0.1"], "optimizer.lr=-0.1 must be >= 0"),
+    ("early-stop", ["experiment.ece_bins=0"], "experiment.ece_bins=0 must be >= 1"),
     ("sweep-wd", ["experiment.ensemble_sizes=[5]", "ensemble.members=4"],
      "exceed ensemble.members"),
     ("sweep-wd", ["experiment.ensemble_sizes=[0,2]"], "ensemble sizes must be >= 1"),
-    ("early-stop", ["task.test_fraction=1.5"], "test fraction 1.5"),
-    ("early-stop", ["task.test_fraction=-0.2"], "test fraction -0.2"),
+    ("early-stop", ["task.test_fraction=1.5"], "task.test_fraction=1.5 must be in (0, 1)"),
+    ("early-stop", ["task.test_fraction=-0.2"], "task.test_fraction=-0.2 must be in (0, 1)"),
     ("sweep-wd", ["experiment.seeds=[0.5]"], "experiment.seeds[0]"),
     ("sweep-wd", ['experiment.seeds=["a"]'], "experiment.seeds[0]"),
     ("sweep-wd", ["experiment.seeds=[true]"], "experiment.seeds[0]"),
@@ -98,9 +100,9 @@ BAD_CONFIGS = [
     ("batch-ensemble", ["experiment.schemes=[]"], "experiment.schemes is empty"),
     ("early-stop", ['experiment.strategies=["disjoint"]', 'experiment.modes=["joint"]'],
      "pair only disjoint with joint"),
-    ("early-stop", ["task.label_noise=2"], "got 2.0"),
-    ("early-stop", ["task.label_noise=1"], "got 1.0"),
-    ("early-stop", ["task.label_noise=-0.1"], "got -0.1"),
+    ("early-stop", ["task.label_noise=2"], "task.label_noise=2.0 must be in [0, 1)"),
+    ("early-stop", ["task.label_noise=1"], "task.label_noise=1.0 must be in [0, 1)"),
+    ("early-stop", ["task.label_noise=-0.1"], "task.label_noise=-0.1 must be in [0, 1)"),
     ("early-stop", ["ensemble.strategy=disjoint"], "ensemble.strategy"),
     ("stop-then-scale", ['experiment.strategies=["disjoint"]',
                          "experiment.val_pcts=[0.1,0.3]"], "disjoint strategy precludes"),
@@ -149,6 +151,11 @@ BAD_CONFIGS = [
     ("batch-ensemble", ["optimizer.decay_bias=true"], "optimizer.decay_bias"),
     ("sweep-wd", ["experiment.weight_decays=[0.0]", "optimizer.decay_bias=true"],
      "optimizer.decay_bias"),
+    ("early-stop", ["task.classes=1"], "task.classes=1 with task.n="),
+    ("early-stop", ["task.kind=spirals", "task.classes=4", "task.label_noise=0",
+                    "task.n=1"],
+     "task.n=1: spirals need at least 2 samples"),
+    ("temp-scale", ["optimizer.lr=nan"], "optimizer.lr=nan must be >= 0"),
 ]
 
 

@@ -69,6 +69,17 @@ class TestNll:
         assert np.isfinite(nll(np.array([[1.0, 0.0]]), np.array([1])))
 
 
+class TestLabelCount:
+    """Each scorer wants one label per probability row."""
+
+    @pytest.mark.parametrize("score", [nll, classification_error, ece])
+    @pytest.mark.parametrize("n_labels", [5, 11])
+    def test_count_mismatch(self, score, n_labels):
+        probs = np.full((10, 4), 0.25)
+        with pytest.raises(ShapeError, match=r"labels of shape \(%d,\)" % n_labels):
+            score(probs, np.zeros(n_labels, dtype=int))
+
+
 class TestClassificationError:
     def test_all_correct(self):
         p = np.eye(4)

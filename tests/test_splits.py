@@ -6,7 +6,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from enstune.splits import (
+    MemberSplit,
     SplitError,
+    SplitPlan,
     joint_eval_sets,
     make_disjoint,
     make_overlapping,
@@ -201,3 +203,39 @@ class TestInvariantsAndDeterminism:
         val, train = membership_counts(plan)
         assert (val == 2).all()
         assert (train == m - 2).all()
+
+
+class TestValidate:
+    """``SplitPlan.validate`` names the member and the first broken rule."""
+
+    @staticmethod
+    def check(train, val, n_total=5):
+        plan = SplitPlan("shared", n_total, [
+            MemberSplit(np.arange(n_total - 1), np.array([n_total - 1])),
+            MemberSplit(np.array(train, dtype=np.intp), np.array(val, dtype=np.intp))])
+        plan.validate()
+
+    def test_valid_partition(self):
+        self.check([4, 0, 2], [3, 1])
+
+    def test_overlap(self):
+        with pytest.raises(SplitError, match="^member 1: train and val overlap$"):
+            self.check([0, 1, 2], [2, 3, 4])
+
+    @pytest.mark.parametrize("train, val", [
+        ([0, 1, 1, 2], [3, 4]),    # duplicate in train
+        ([0, 1, 2], [3, 3, 4]),    # duplicate in val
+        ([-1, 0, 1, 2], [3, 4]),   # negative
+        ([0, 1, 2], [3, 4, 5]),    # out of range
+        ([0, 1, 2], [3]),          # an index missing
+    ])
+    def test_not_a_partition(self, train, val):
+        with pytest.raises(SplitError,
+                           match=r"^member 1: train\+val is not a partition of indices$"):
+            self.check(train, val)
+
+    @pytest.mark.parametrize("train, val", [([-1, 0, 1, 2], [-1, 3, 4]),
+                                            ([0, 1, 2, 7], [3, 4, 7])])
+    def test_overlap_outside_range_is_reported_as_overlap(self, train, val):
+        with pytest.raises(SplitError, match="^member 1: train and val overlap$"):
+            self.check(train, val)
