@@ -171,6 +171,18 @@ def quick_config(out_dir, extra):
     return load_config(None, base_for(extra) + [f"experiment.out_dir={out_dir}"] + extra)
 
 
+def comparable_manifest(path) -> dict:
+    """A manifest without its wall clock and with its paths reduced to
+    basenames: what two runs of one config into different directories share."""
+    with open(path) as f:
+        manifest = json.load(f)
+    del manifest["wall_clock_s"]
+    experiment = manifest["config"]["experiment"]
+    experiment["out_dir"] = os.path.basename(experiment["out_dir"])
+    manifest["outputs"] = {k: os.path.basename(v) for k, v in manifest["outputs"].items()}
+    return manifest
+
+
 class TestConfig:
     def test_scalar_parsing(self):
         assert parse_scalar("3") == 3
@@ -679,9 +691,10 @@ class TestExperiments:
         outputs = {}
         for workers in ("1", "2"):
             monkeypatch.setenv("ENSTUNE_WORKERS", workers)
-            out = tmp_path / f"workers{workers}"
+            out = tmp_path / f"workers{workers}" / "run"
             run_experiment(quick_config(str(out), extra))
             outputs[workers] = {name: (out / name).read_bytes() for name in files}
+            outputs[workers]["manifest.json"] = comparable_manifest(out / "manifest.json")
         assert outputs["1"] == outputs["2"]
         assert pools == [2]  # only the two-worker run used a pool
 
@@ -711,6 +724,7 @@ ROW_HEADER = ["experiment", "variant", "wd", "split", "scope", "strategy", "val_
               "entropy", "normalized_epochs"]
 CELL_KEY = ["experiment", "variant", "wd", "split", "scope", "strategy", "val_pct",
             "ensemble_size"]
+KINDS = ["early_stop", "wd_sweep", "temp_scale", "stop_then_scale", "batch_ensemble"]
 
 
 class TestOutputSchema:
@@ -723,10 +737,14 @@ class TestOutputSchema:
         for kind, extra in (("early_stop", []),
                             ("wd_sweep", ["experiment.weight_decays=[0.0,0.01]",
                                           "optimizer.kind=sgd_momentum",
-                                          "optimizer.lr=0.05"])):
+                                          "optimizer.lr=0.05"]),
+                            ("temp_scale", ['experiment.modes=["none","individual",'
+                                            '"joint","pool"]']),
+                            ("stop_then_scale", []),
+                            ("batch_ensemble", ["stopping.max_epochs=3"])):
             out_dir = tmp_path_factory.mktemp(kind)
             run_experiment(quick_config(str(out_dir), [f"experiment.kind={kind}",
-                                                       "experiment.seeds=[0]"] + extra))
+                                                       "experiment.seeds=[0,1]"] + extra))
             out[kind] = out_dir
         return out
 
@@ -738,7 +756,7 @@ class TestOutputSchema:
             "normalized_epochs_mean", "normalized_epochs_sem"]),
         ("plotdata.csv", CELL_KEY + ["metric", "mean", "sem", "n"]),
     ])
-    @pytest.mark.parametrize("kind", ["early_stop", "wd_sweep"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_csv_headers(self, outputs, kind, name, header):
         with open(outputs[kind] / name, newline="") as f:
             assert next(csv.reader(f)) == header
@@ -761,6 +779,66 @@ class TestOutputSchema:
             assert list(entry) == ["wd", "seed", "diverged", "member_val_nlls"]
         with open(outputs["wd_sweep"] / "summary.json") as f:
             assert list(json.load(f)) == ["h_ind", "h_ens", "gap", "gap_sem"]
+
+    @pytest.mark.parametrize("kind, keys", [
+        ("early_stop", ["strategy", "mode", "val_pct", "seed", "plan", "stops"]),
+        ("temp_scale", ["strategy", "val_pct", "seed", "plan", "fits"]),
+        ("stop_then_scale", ["strategy", "val_pct", "seed", "plan", "stops", "fits"]),
+        ("batch_ensemble", ["scheme", "strategy", "val_pct", "seed", "plan", "stops"]),
+        ("wd_sweep", ["wd", "seed", "diverged", "member_val_nlls"]),
+    ])
+    def test_run_entry_keys(self, outputs, kind, keys):
+        with open(outputs[kind] / "manifest.json") as f:
+            runs = json.load(f)["runs"]
+        assert runs
+        for entry in runs:
+            assert list(entry) == keys
+            if "plan" in entry:
+                assert list(entry["plan"]) == ["strategy", "n_total", "n_members",
+                                               "val_pct", "rng_seed"]
+            for stop in entry.get("stops", []):
+                assert list(stop) == ["stop_epoch", "best_epoch", "best_score",
+                                      "normalized_epochs", "stopped_early", "history"]
+            for fit in entry.get("fits", []):
+                assert list(fit) == ["mode", "T", "val_nll", "iterations", "converged",
+                                     "at_boundary"]
+
+    @pytest.mark.parametrize("kind, cells", [
+        ("early_stop", {(mode, "test", scope) for mode in ("individual", "joint")
+                        for scope in ("ensemble", "member_avg")}),
+        ("temp_scale", {(mode, "test", scope) for mode in ("none", "individual", "joint")
+                        for scope in ("ensemble", "member_avg")}
+         | {("pool", "test", "ensemble")}),
+        ("stop_then_scale", {("none", "test", "ensemble"),
+                             ("joint_scale", "test", "ensemble")}),
+        ("batch_ensemble", {(scheme, split, scope)
+                            for scheme in ("gaussian_0.1", "gaussian_0.5", "random_sign")
+                            for split, scope in (("test", "ensemble"),
+                                                 ("test", "member_avg"),
+                                                 ("train", "member_avg"),
+                                                 ("val", "member_avg"))}),
+        ("wd_sweep", {("", "val", "ensemble"), ("", "test", "ensemble")}),
+    ])
+    def test_cells_variant_split_scope(self, outputs, kind, cells):
+        with open(outputs[kind] / "cells.csv", newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        assert {(r[1], r[3], r[4]) for r in rows} == cells
+
+    def test_fixed_budget_kind_writes_no_normalized_epochs(self, outputs):
+        # temp_scale scales after an unmonitored run; the stopping kinds
+        # report the epochs their rules stopped at
+        for kind in KINDS:
+            with open(outputs[kind] / "cells.csv", newline="") as f:
+                epochs = {r[-1] for r in list(csv.reader(f))[1:]}
+            assert (epochs == {""}) == (kind == "temp_scale"), kind
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_report_reproduces_aggregate_and_plotdata(self, outputs, kind, tmp_path):
+        rep = tmp_path / "rep"
+        assert cli_main(["report", str(outputs[kind] / "cells.csv"),
+                         "--out", str(rep)]) == 0
+        for name in ("aggregate.csv", "plotdata.csv"):
+            assert (rep / name).read_bytes() == (outputs[kind] / name).read_bytes(), name
 
 
 class TestCli:
@@ -807,6 +885,10 @@ class TestCli:
             rows = list(csv.reader(f))
         assert rows[0][0] == "experiment"
         assert len(rows) > 1
+        for name in ("aggregate.csv", "plotdata.csv"):  # the run's own, byte for byte
+            with open(os.path.join(rep, name), "rb") as fr, \
+                 open(os.path.join(out, name), "rb") as fo:
+                assert fr.read() == fo.read(), name
 
     @pytest.mark.parametrize("command, extra, reason", [
         pytest.param(*case, id=f"{case[0]}-extra{i}") for i, case in enumerate(BAD_CONFIGS)])
