@@ -19,7 +19,7 @@ import time
 import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -129,25 +129,16 @@ def _stopping(cfg: ExperimentConfig, mode: str) -> StoppingConfig:
 
 
 def _test_rows(experiment: str, variant: str, member_probs, labels, ece_bins: int,
-               **tags) -> list[list]:
-    """Ensemble and member-average rows of one cell on the test set."""
+               member_avg: bool = True, **tags) -> list[list]:
+    """The ensemble row of one cell on the test set, then, with ``member_avg``,
+    its member-average row."""
     rec = metrics.compute_record(member_probs, labels, ece_bins=ece_bins, **tags)
-    avg = member_avg_record([(p, labels) for p in member_probs], ece_bins=ece_bins,
-                            **tags)
-    return [make_row(experiment, variant, None, "test", ENSEMBLE_SCOPE, rec),
-            make_row(experiment, variant, None, "test", MEMBER_AVG_SCOPE, avg)]
-
-
-def _joint_logits(result, plan: SplitPlan, ds) -> list:
-    """Member logits and labels on each of the plan's jointly evaluable sets."""
-    return [([member_logits(result.members[m], ds.x[idx]) for m in ids], ds.y[idx])
-            for ids, idx in joint_eval_sets(plan)]
-
-
-def _fit_to_dict(fit: calibration.TempFitResult) -> dict:
-    return {"mode": fit.mode, "T": fit.temperature, "val_nll": fit.val_nll,
-            "iterations": fit.iterations, "converged": fit.converged,
-            "at_boundary": fit.at_boundary}
+    rows = [make_row(experiment, variant, None, "test", ENSEMBLE_SCOPE, rec)]
+    if member_avg:
+        avg = member_avg_record([(p, labels) for p in member_probs], ece_bins=ece_bins,
+                                **tags)
+        rows.append(make_row(experiment, variant, None, "test", MEMBER_AVG_SCOPE, avg))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -225,77 +216,112 @@ def _wd_sweep_summary(cfg: ExperimentConfig, seed_results) -> dict:
     return {"h_ind": h_ind, "h_ens": h_ens, "gap": gap, "gap_sem": gap_sem}
 
 
-def _temp_scale_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan, job: Job):
-    opt = _optimizer_config(cfg, cosine=cfg.optimizer.kind == "sgd_momentum")
-    ece_bins = cfg.experiment.ece_bins
-    result = train_ensemble(dprime.x, dprime.y, plan, _dims(cfg, dprime), opt,
-                            _stopping(cfg, NONE), seed)
-    test_logits = [member_logits(m, test.x) for m in result.members]
-    test_probs = [softmax(z) for z in test_logits]
-    tags = dict(strategy=job.strategy, val_pct=job.val_pct, seed=seed,
-                ensemble_size=cfg.ensemble.members)
-    entry = {"strategy": job.strategy, "val_pct": job.val_pct, "seed": seed,
-             "plan": plan_reference(plan, job.val_pct), "fits": []}
-    if {"joint", "pool"} & set(cfg.experiment.modes):
-        joint_sets = _joint_logits(result, plan, dprime)
-    rows = []
-    for mode in cfg.experiment.modes:
-        if mode == "none":
-            rows += _test_rows("temp_scale", mode, test_probs, test.y, ece_bins, **tags)
-            continue
-        if mode == "individual":
-            member_vals = [(member_logits(mem, dprime.x[ms.val_idx]),
-                            dprime.y[ms.val_idx])
-                           for mem, ms in zip(result.members, plan.members)]
-            fit = calibration.calibrate_individual(member_vals)
-            tempered = [calibration.apply_temperature(z, t)
-                        for z, t in zip(test_logits, fit.temperature)]
-            rows += _test_rows("temp_scale", mode, tempered, test.y, ece_bins, **tags)
-        elif mode == "joint":
-            fit = calibration.calibrate_joint(joint_sets)
-            tempered = [calibration.apply_temperature(z, fit.temperature)
-                        for z in test_logits]
-            rows += _test_rows("temp_scale", mode, tempered, test.y, ece_bins, **tags)
-        else:  # pool
-            fit = calibration.calibrate_pool(
-                [([softmax(z) for z in zs], y) for zs, y in joint_sets])
-            mean_test = metrics.ensemble_mean(test_probs)
-            pooled = calibration.pool_apply_temperature(mean_test, fit.temperature)
-            rec = metrics.MetricsRecord(
-                error_pct=metrics.classification_error(pooled, test.y),
-                nll=metrics.nll(pooled, test.y),
-                ece=metrics.ece(pooled, test.y, n_bins=ece_bins),
-                diversity=metrics.diversity(test_probs).mean,
-                entropy=metrics.entropy(pooled).mean, **tags)
-            rows.append(make_row("temp_scale", mode, None, "test", ENSEMBLE_SCOPE, rec))
-        entry["fits"].append(_fit_to_dict(fit))
-    return rows, [entry]
+# The MLP kinds train each plan once and score it as variants (name, stopping
+# mode, temperature mode or None) drawn from experiment.modes. Each distinct
+# stopping mode among a job's variants writes one run entry of ``entry_keys``.
+class _MlpKind(NamedTuple):
+    modes: tuple              # the experiment.modes entries it accepts
+    variants: Callable        # experiment.modes -> [(name, stopping, temperature)]
+    entry_keys: tuple
+    member_avg: bool          # a member_avg row beside each ensemble row (not pool's)
+    epochs: Callable | None   # a stopping mode's result -> normalized_epochs; None:
+                              # a fixed budget, cosine-annealed under sgd_momentum
 
 
-def _early_stop_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan, job: Job):
-    """Every stopping mode, all observing one training of the job's plan."""
-    # disjoint x joint has no jointly evaluable set; not a valid cell
-    modes = [mode for mode in cfg.experiment.modes
-             if not (job.strategy == DISJOINT and mode == JOINT)]
-    if not modes:
+# early_stop averages its members' normalized epochs, and stop_then_scale takes
+# its one joint decision's: the mean of M equal floats can differ from them in
+# the last bit (M=3), so each keeps its own.
+POOL = "pool"
+_MLP_KINDS = {
+    "early_stop": _MlpKind(
+        (INDIVIDUAL, JOINT, NONE), lambda modes: [(m, m, None) for m in modes],
+        ("strategy", "mode", "val_pct", "seed", "plan", "stops"), True,
+        lambda result: float(np.mean([m.stop.normalized_epochs for m in result.members]))),
+    "temp_scale": _MlpKind(
+        (NONE, INDIVIDUAL, JOINT, POOL), lambda modes: [(m, NONE, m) for m in modes],
+        ("strategy", "val_pct", "seed", "plan", "fits"), True, None),
+    "stop_then_scale": _MlpKind(
+        (), lambda modes: [(NONE, JOINT, NONE), ("joint_scale", JOINT, JOINT)],
+        ("strategy", "val_pct", "seed", "plan", "stops", "fits"), False,
+        lambda result: result.decisions[0].normalized_epochs),
+}
+
+
+def _variants(cfg: ExperimentConfig, strategy: str) -> list[tuple]:
+    """The kind's variants on one strategy's plans. A disjoint plan has no
+    jointly evaluable set, so a jointly stopped variant writes no cell there;
+    :func:`_check_config` refuses joint temperatures on it."""
+    return [v for v in _MLP_KINDS[cfg.experiment.kind].variants(cfg.experiment.modes)
+            if not (strategy == DISJOINT and v[1] == JOINT)]
+
+
+def _tempered(mode, result, plan, dprime, logits, probs, joint_sets):
+    """A temperature mode's fit (None for no temperature) and the test
+    probabilities it gives: one matrix per member, or pool's pooled one."""
+    if mode in (None, NONE):
+        return None, probs
+    if mode == INDIVIDUAL:
+        fit = calibration.calibrate_individual(
+            [(member_logits(mem, dprime.x[ms.val_idx]), dprime.y[ms.val_idx])
+             for mem, ms in zip(result.members, plan.members)])
+        return fit, [calibration.apply_temperature(z, t)
+                     for z, t in zip(logits, fit.temperature)]
+    if mode == JOINT:
+        fit = calibration.calibrate_joint(joint_sets)
+        return fit, [calibration.apply_temperature(z, fit.temperature) for z in logits]
+    fit = calibration.calibrate_pool([([softmax(z) for z in zs], y) for zs, y in joint_sets])
+    return fit, calibration.pool_apply_temperature(metrics.ensemble_mean(probs),
+                                                   fit.temperature)
+
+
+def _mlp_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan, job: Job):
+    """Train the job's plan once, observed by the stopping modes of the kind's
+    variants, then score each variant on the test set under its temperature."""
+    kind, ece_bins = cfg.experiment.kind, cfg.experiment.ece_bins
+    spec, variants = _MLP_KINDS[kind], _variants(cfg, job.strategy)
+    stops = list(dict.fromkeys(stop for _, stop, _ in variants))
+    if not stops:
         return [], []
+    cosine = spec.epochs is None and cfg.optimizer.kind == "sgd_momentum"
     trained = train_ensemble(dprime.x, dprime.y, plan, _dims(cfg, dprime),
-                             _optimizer_config(cfg, cosine=False),
-                             _stopping(cfg, modes[0]), seed, modes=modes)
-    m_total = cfg.ensemble.members
-    ece_bins = cfg.experiment.ece_bins
+                             _optimizer_config(cfg, cosine), _stopping(cfg, stops[0]),
+                             seed, modes=stops)
     rows, runs = [], []
-    for mode in modes:
-        result = trained.by_mode[mode]
-        norm = float(np.mean([m.stop.normalized_epochs for m in result.members]))
-        test_probs = [member_probs(m, test.x) for m in result.members]
-        rows += _test_rows("early_stop", mode, test_probs, test.y, ece_bins,
-                           normalized_epochs=norm, strategy=job.strategy,
-                           val_pct=job.val_pct, seed=seed, ensemble_size=m_total)
-        runs.append({
-            "strategy": job.strategy, "mode": mode, "val_pct": job.val_pct,
-            "seed": seed, "plan": plan_reference(plan, job.val_pct),
-            "stops": [d.to_dict() for d in result.decisions]})
+    for stop in stops:
+        result = trained.by_mode[stop]
+        temps = [(name, temp) for name, s, temp in variants if s == stop]
+        tags = dict(strategy=job.strategy, val_pct=job.val_pct, seed=seed,
+                    ensemble_size=cfg.ensemble.members)
+        if spec.epochs:
+            tags["normalized_epochs"] = spec.epochs(result)
+        logits = [member_logits(m, test.x) for m in result.members]
+        probs = [softmax(z) for z in logits]
+        joint_sets = ([([member_logits(result.members[m], dprime.x[idx]) for m in ids],
+                        dprime.y[idx]) for ids, idx in joint_eval_sets(plan)]
+                      if {JOINT, POOL} & {temp for _, temp in temps} else None)
+        fits = []
+        for name, temp in temps:
+            fit, tempered = _tempered(temp, result, plan, dprime, logits, probs,
+                                      joint_sets)
+            if temp == POOL:  # one pooled matrix; diversity of the untempered members
+                rec = metrics.MetricsRecord(
+                    error_pct=metrics.classification_error(tempered, test.y),
+                    nll=metrics.nll(tempered, test.y),
+                    ece=metrics.ece(tempered, test.y, n_bins=ece_bins),
+                    diversity=metrics.diversity(probs).mean,
+                    entropy=metrics.entropy(tempered).mean, **tags)
+                rows.append(make_row(kind, name, None, "test", ENSEMBLE_SCOPE, rec))
+            else:
+                rows += _test_rows(kind, name, tempered, test.y, ece_bins,
+                                   spec.member_avg, **tags)
+            if fit is not None:
+                fits.append({"mode": fit.mode, "T": fit.temperature, "val_nll": fit.val_nll,
+                             "iterations": fit.iterations, "converged": fit.converged,
+                             "at_boundary": fit.at_boundary})
+        entry = dict(strategy=job.strategy, mode=stop, val_pct=job.val_pct, seed=seed,
+                     plan=plan_reference(plan, job.val_pct),
+                     stops=[d.to_dict() for d in result.decisions], fits=fits)
+        runs.append({key: entry[key] for key in spec.entry_keys})
     return rows, runs
 
 
@@ -339,48 +365,16 @@ def _batch_ensemble_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan,
     return rows, [entry]
 
 
-def _stop_then_scale_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan,
-                           job: Job):
-    """Joint stopping, then joint temperature scaling on the same holdout."""
-    result = train_ensemble(dprime.x, dprime.y, plan, _dims(cfg, dprime),
-                            _optimizer_config(cfg, cosine=False),
-                            _stopping(cfg, JOINT), seed)
-    (decision,) = result.decisions
-    ece_bins = cfg.experiment.ece_bins
-    tags = dict(strategy=job.strategy, val_pct=job.val_pct, seed=seed,
-                ensemble_size=cfg.ensemble.members,
-                normalized_epochs=decision.normalized_epochs)
-    test_logits = [member_logits(m, test.x) for m in result.members]
-    rows = [make_row("stop_then_scale", "none", None, "test", ENSEMBLE_SCOPE,
-                     metrics.compute_record([softmax(z) for z in test_logits],
-                                            test.y, ece_bins=ece_bins, **tags))]
-    fit = calibration.calibrate_joint(_joint_logits(result, plan, dprime))
-    tempered = [calibration.apply_temperature(z, fit.temperature)
-                for z in test_logits]
-    rows.append(make_row("stop_then_scale", "joint_scale", None, "test",
-                         ENSEMBLE_SCOPE,
-                         metrics.compute_record(tempered, test.y, ece_bins=ece_bins,
-                                                **tags)))
-    entry = {"strategy": job.strategy, "val_pct": job.val_pct, "seed": seed,
-             "plan": plan_reference(plan, job.val_pct),
-             "stops": [decision.to_dict()], "fits": [_fit_to_dict(fit)]}
-    return rows, [entry]
-
-
 # kind -> (per-plan cell function, finish step over the completed seeds'
 # results, or None). A cell function returns (rows, runs, ...), joined per
 # seed in job order; the finish step gets those tuples, in seed order.
 _KINDS = {
     "wd_sweep": (_wd_sweep_cells, _wd_sweep_summary),
-    "temp_scale": (_temp_scale_cells, None),
-    "early_stop": (_early_stop_cells, None),
+    "temp_scale": (_mlp_cells, None),
+    "early_stop": (_mlp_cells, None),
     "batch_ensemble": (_batch_ensemble_cells, None),
-    "stop_then_scale": (_stop_then_scale_cells, None),
+    "stop_then_scale": (_mlp_cells, None),
 }
-
-# the experiment.modes entries of each kind that reads modes
-_MODES = {"early_stop": (INDIVIDUAL, JOINT, NONE),
-          "temp_scale": ("none", "individual", "joint", "pool")}
 
 
 def _check_config(cfg: ExperimentConfig):
@@ -388,36 +382,33 @@ def _check_config(cfg: ExperimentConfig):
     training, what would fail every seed or write no cell: a task the
     generator, the CSV reader or the test split refuses (``cfg.validate``
     has checked the ranges of the stopping, optimizer and task keys), an
-    empty strategy, mode or scheme list the kind reads, an early_stop whose
-    only cells are disjoint x joint, unknown modes and schemes, joint
-    evaluation on disjoint holdouts, a wd_sweep with more than its one shared
-    holdout, holdout plans that cannot be built, invalid sweep grids and
-    sweep ensemble sizes beyond the members."""
+    empty strategy, mode or scheme list the kind reads, unknown modes and
+    schemes, temperatures fitted on a joint holdout that a disjoint strategy
+    lacks, an MLP kind whose variants all stop jointly on disjoint holdouts,
+    a wd_sweep with more than its one shared holdout, holdout plans that
+    cannot be built, invalid sweep grids and sweep ensemble sizes beyond the
+    members."""
     ex = cfg.experiment
     for key in ("strategies", "modes", "schemes"):  # the lists a kind loops over
         if f"experiment.{key}" in cfg.reads() and not getattr(ex, key):
             raise ConfigError(f"experiment.{key} is empty: {ex.kind} would write no cell")
-    if ex.kind == "early_stop" and all(s == DISJOINT and m == JOINT
-                                       for s in ex.strategies for m in ex.modes):
-        raise ConfigError("experiment.strategies and experiment.modes pair only "
-                          "disjoint with joint, a cell early_stop skips: it would "
-                          "write no cell")
+    if spec := _MLP_KINDS.get(ex.kind):
+        for mode in ex.modes if "experiment.modes" in cfg.reads() else ():
+            if mode not in spec.modes:
+                raise ConfigError(f"unknown {ex.kind} mode {mode!r}; expected one "
+                                  f"of {spec.modes}")
+        joint = sorted({temp for _, _, temp in spec.variants(ex.modes)} & {JOINT, POOL})
+        if joint and DISJOINT in ex.strategies:
+            raise ConfigError(
+                f"{ex.kind} temperature modes {joint} need a jointly evaluable "
+                "holdout; the disjoint strategy precludes joint evaluation")
+        if not any(_variants(cfg, strategy) for strategy in ex.strategies):
+            raise ConfigError("experiment.strategies and experiment.modes pair only "
+                              f"disjoint with joint, a cell {ex.kind} skips: it would "
+                              "write no cell")
     jobs = _jobs(cfg)
     try:
         dprime, test = build_dataset(cfg)
-        for mode in ex.modes if ex.kind in _MODES else ():
-            if mode not in _MODES[ex.kind]:
-                raise ConfigError(f"unknown {ex.kind} mode {mode!r}; expected one "
-                                  f"of {_MODES[ex.kind]}")
-        joint_like = {"joint", "pool"} & set(ex.modes)
-        if ex.kind == "temp_scale" and joint_like and DISJOINT in ex.strategies:
-            raise ConfigError(
-                f"modes {sorted(joint_like)} need a jointly evaluable holdout; "
-                "the disjoint strategy precludes joint evaluation")
-        if ex.kind == "stop_then_scale" and DISJOINT in ex.strategies:
-            raise ConfigError("stop_then_scale stops and scales on a jointly "
-                              "evaluable holdout; the disjoint strategy precludes "
-                              "joint evaluation")
         if ex.kind == "batch_ensemble":
             for name in ex.schemes:
                 parse_scheme(name)

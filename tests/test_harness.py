@@ -461,6 +461,20 @@ class TestExperiments:
                             for v in variants}
         assert seeds_by_variant["none"] == seeds_by_variant["joint_scale"]
 
+    def test_early_stop_cells_do_not_depend_on_the_other_modes(self, tmp_path):
+        # every mode observes one trajectory per member at a constant learning
+        # rate, so a mode alone (even "none" under sgd_momentum) must not anneal
+        rows = {}
+        for name, modes in (("alone", '["none"]'), ("with_joint", '["none","joint"]')):
+            out = tmp_path / name
+            run_experiment(quick_config(str(out), [
+                "experiment.kind=early_stop", f"experiment.modes={modes}",
+                'experiment.strategies=["shared","overlapping"]',
+                "optimizer.kind=sgd_momentum", "optimizer.lr=0.05"]))
+            with open(out / "cells.csv") as f:
+                rows[name] = [r for r in csv.reader(f) if r[1] == "none"]
+        assert rows["alone"] and rows["alone"] == rows["with_joint"]
+
     def test_wd_sweep_summary_and_definitional_check(self, tmp_path):
         out = str(tmp_path / "wd")
         cfg = quick_config(out, [
