@@ -899,10 +899,6 @@ class TestCli:
             rows = list(csv.reader(f))
         assert rows[0][0] == "experiment"
         assert len(rows) > 1
-        for name in ("aggregate.csv", "plotdata.csv"):  # the run's own, byte for byte
-            with open(os.path.join(rep, name), "rb") as fr, \
-                 open(os.path.join(out, name), "rb") as fo:
-                assert fr.read() == fo.read(), name
 
     @pytest.mark.parametrize("command, extra, reason", [
         pytest.param(*case, id=f"{case[0]}-extra{i}") for i, case in enumerate(BAD_CONFIGS)])
