@@ -8,8 +8,9 @@ A change that claims "outputs byte-identical" runs this before and after:
 
 ``--compare`` names each file whose digest differs from the given file, or
 that only one side has, and exits 1 if there is one. The committed
-``reference_digests.json`` records the numpy version and BLAS it was taken
-on; numpy's reduction order can move the last bits on another build.
+``reference_digests.json`` records the numpy version, BLAS and CPU SIMD
+features it was taken on; numpy's reduction order and the SIMD loops and
+BLAS kernels the CPU selects can move the last bits on another machine.
 
 Manifests are hashed without ``wall_clock_s`` and with ``out_dir`` and the
 ``outputs`` paths reduced to basenames, so the digests do not depend on
@@ -76,9 +77,13 @@ WORKERS = ("1", "2")
 
 
 def environment() -> dict:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    """What can move the last bits of a digest: the versions, the thread
+    count and the CPU features that pick numpy's SIMD loops and BLAS kernels."""
+    build = np.show_config(mode="dicts")
+    blas = build["Build Dependencies"]["blas"]
     return {"python": sys.version.split()[0], "numpy": np.__version__,
             "blas": f"{blas.get('name')} {blas.get('version')}",
+            "cpu_simd": build["SIMD Extensions"]["found"],
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 

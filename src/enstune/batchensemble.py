@@ -22,10 +22,9 @@ from .netcore import (
     MlpParams,
     ShapeError,
     _buffer,
-    _check_label_count,
     _check_labels,
     _concat,
-    _split,
+    _views,
     finite_difference_report,
     log_softmax,
     softmax,
@@ -91,16 +90,23 @@ class BatchEnsembleModel:
     flat: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        arrays = self.arrays()
         if self.flat is None:
-            self.flat = _concat(arrays)
-        views = _split(self.flat, [a.shape for a in arrays])
+            self.flat = _concat(self.arrays())
+        w, b, r, s, gamma, beta = self._groups(self.flat)
+        self.slow = MlpParams([DenseLayer(*wb) for wb in zip(w, b)],
+                              self.flat[:self.slow.flat.size])
+        self.fast = FastWeights(r, s)
+        self.bn = [BatchNormState(g, bt, st.running_mean, st.running_var)
+                   for st, g, bt in zip(self.bn, gamma, beta)]
+
+    def _groups(self, flat: np.ndarray) -> tuple[list[np.ndarray], ...]:
+        """Views into ``flat``, a vector laid out like :meth:`arrays`, as
+        per-layer lists: (slow weights, slow biases, r, s, BN gamma, BN beta)."""
+        views = _views(flat, [a.shape for a in self.arrays()])
         n_slow = 2 * len(self.slow.layers)
         n_fast = n_slow + 2 * len(self.fast.r)
-        self.slow = MlpParams.from_flat(self.flat[:self.slow.flat.size], self.slow.dims)
-        self.fast = FastWeights(views[n_slow:n_fast:2], views[n_slow + 1:n_fast:2])
-        self.bn = [BatchNormState(gamma, beta, b.running_mean, b.running_var)
-                   for b, gamma, beta in zip(self.bn, views[n_fast::2], views[n_fast + 1::2])]
+        return (views[0:n_slow:2], views[1:n_slow:2], views[n_slow:n_fast:2],
+                views[n_slow + 1:n_fast:2], views[n_fast::2], views[n_fast + 1::2])
 
     @property
     def dims(self) -> list[int]:
@@ -292,8 +298,7 @@ def _checked_batch(model: BatchEnsembleModel, xs: np.ndarray, ys: np.ndarray):
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3 or xs.shape[0] != model.n_members:
         raise ShapeError(f"xs must be ({model.n_members}, B, in), got {xs.shape}")
-    _check_label_count(ys, xs, 2)
-    return xs, _check_labels(ys, model.dims[-1], ("member", "sample"))
+    return xs, _check_labels(ys, model.dims[-1], xs, ("member", "sample"))
 
 
 def be_loss_and_grads(model: BatchEnsembleModel, xs: np.ndarray, ys: np.ndarray,
@@ -324,12 +329,8 @@ def be_loss_and_grads(model: BatchEnsembleModel, xs: np.ndarray, ys: np.ndarray,
     delta /= batch  # each member's loss is its own batch mean
 
     grads = np.empty_like(model.flat)
-    views = _split(grads, [a.shape for a in model.arrays()])
-    n_layers = len(model.slow.layers)
-    g_slow_w, g_slow_b = views[0:2 * n_layers:2], views[1:2 * n_layers:2]
-    g_r, g_s = views[2 * n_layers:4 * n_layers:2], views[2 * n_layers + 1:4 * n_layers:2]
-    g_gamma, g_beta = views[4 * n_layers::2], views[4 * n_layers + 1::2]
-    for i in range(n_layers - 1, -1, -1):
+    g_slow_w, g_slow_b, g_r, g_s, g_gamma, g_beta = model._groups(grads)
+    for i in reversed(range(len(caches))):
         h, a_mod, c, s, r, bn_cache = caches[i]
         if bn_cache is not None:
             _bn_backward(delta, bn_cache, g_gamma[i], g_beta[i])
@@ -370,7 +371,7 @@ def be_grad_check(model: BatchEnsembleModel, xs: np.ndarray, ys: np.ndarray,
 
     arrays = model.arrays()
     return finite_difference_report(loss_fn, arrays,
-                                    _split(grads, [a.shape for a in arrays]), eps)
+                                    _views(grads, [a.shape for a in arrays]), eps)
 
 
 class _IndexStream:

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import metrics
-from .netcore import _check_label_count, _check_labels, softmax
+from .netcore import _check_labels, softmax
 from .splits import JointEvalUnavailableError
 
 BRACKET = (0.01, 100.0)  # temperature search range
@@ -85,8 +85,7 @@ class _PreparedSet:
 
     def __init__(self, logits: np.ndarray, labels: np.ndarray):
         z = np.asarray(logits, dtype=np.float64)
-        _check_label_count(labels, z[0] if z.ndim == 3 else z, 1)
-        y = _check_labels(labels, z.shape[-1])
+        y = _check_labels(labels, z.shape[-1], z[0] if z.ndim == 3 else z)
         self.z = z
         self.rowmax = np.maximum.reduce(np.asfortranarray(z), axis=-1, keepdims=True)
         rows = np.arange(z.size // z.shape[-1]).reshape(z.shape[:-1])

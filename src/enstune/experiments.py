@@ -242,7 +242,7 @@ _MLP_KINDS = {
         ("strategy", "val_pct", "seed", "plan", "fits"), True, None),
     "stop_then_scale": _MlpKind(
         (), lambda modes: [(NONE, JOINT, NONE), ("joint_scale", JOINT, JOINT)],
-        ("strategy", "val_pct", "seed", "plan", "stops", "fits"), False,
+        ("strategy", "mode", "val_pct", "seed", "plan", "stops", "fits"), False,
         lambda result: result.decisions[0].normalized_epochs),
 }
 

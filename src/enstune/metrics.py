@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .netcore import ShapeError, _check_label_count, _check_labels
+from .netcore import ShapeError, _check_labels
 
 PROB_FLOOR = 1e-300
 
@@ -42,8 +42,7 @@ def _scored(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """float64 probabilities and their checked labels: ``ShapeError`` unless
     there is one label per row, ``LabelError`` for a label outside [0, K)."""
     probs = np.asarray(probs, dtype=np.float64)
-    _check_label_count(labels, probs, 1)
-    return probs, _check_labels(labels, probs.shape[1])
+    return probs, _check_labels(labels, probs.shape[-1], probs)
 
 
 def nll(probs: np.ndarray, labels: np.ndarray) -> float:

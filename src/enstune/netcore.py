@@ -68,28 +68,25 @@ def _concat(arrays) -> np.ndarray:
     return np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
 
 
-def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Views of consecutive pieces of the vector ``flat``, one per shape."""
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of consecutive pieces of the last axis of ``flat``, one per
+    shape tuple; each keeps ``flat``'s leading (stack) axes: ``lead + shape``."""
+    lead = flat.shape[:-1]
     views, start = [], 0
     for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[start:start + size].reshape(shape))
-        start += size
+        stop = start + math.prod(shape)
+        piece = flat[..., start:stop]  # already lead + shape for a 1-d shape
+        views.append(piece if len(shape) == 1 else piece.reshape(lead + shape))
+        start = stop
     return views
 
 
 def _layer_views(flat: np.ndarray, dims) -> list[tuple[np.ndarray, np.ndarray]]:
     """(weight, bias) views per layer into the last axis of ``flat``: weights
     ``lead + (in, out)`` and biases ``lead + (out,)``."""
-    lead = flat.shape[:-1]
-    views, start = [], 0
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        mid = start + fan_in * fan_out
-        stop = mid + fan_out
-        views.append((flat[..., start:mid].reshape(lead + (fan_in, fan_out)),
-                      flat[..., mid:stop]))
-        start = stop
-    return views
+    views = iter(_views(flat, [shape for fan_in, fan_out in zip(dims[:-1], dims[1:])
+                               for shape in ((fan_in, fan_out), (fan_out,))]))
+    return list(zip(views, views))
 
 
 @dataclass
@@ -183,11 +180,16 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _check_labels(y: np.ndarray, n_classes: int, axes=("sample",)) -> np.ndarray:
-    """Labels as intp, checked in one pass over the array: it must have one
-    axis per name in ``axes``, and a label outside [0, n_classes) raises
-    ``LabelError`` naming its index along each axis."""
+def _check_labels(y: np.ndarray, n_classes: int, rows_of, axes=("sample",)) -> np.ndarray:
+    """Labels as intp, checked in one pass over the array: ``ShapeError``
+    unless there is one label per row of ``rows_of`` (its leading axes, one
+    per name in ``axes``), ``LabelError`` unless ``y`` has one axis per name,
+    and ``LabelError`` naming its index along each axis for a label outside
+    [0, n_classes)."""
     y = np.asarray(y)
+    if y.shape[:len(axes)] != np.shape(rows_of)[:len(axes)]:
+        raise ShapeError(f"labels of shape {y.shape} do not match inputs of shape "
+                         f"{np.shape(rows_of)}")
     if y.ndim != len(axes):
         raise LabelError(f"labels must be a {len(axes)}-d integer array")
     if y.size and (y.min() < 0 or y.max() >= n_classes):
@@ -195,14 +197,6 @@ def _check_labels(y: np.ndarray, n_classes: int, axes=("sample",)) -> np.ndarray
         where = ", ".join(f"{axis} {int(i)}" for axis, i in zip(axes, bad))
         raise LabelError(f"label {y[bad]} at {where} outside [0, {n_classes})")
     return y.astype(np.intp)
-
-
-def _check_label_count(y: np.ndarray, x: np.ndarray, axes: int) -> None:
-    """``ShapeError`` unless the labels ``y`` cover the leading ``axes`` axes
-    of the inputs ``x``: one label per input row."""
-    if np.shape(y)[:axes] != np.shape(x)[:axes]:
-        raise ShapeError(f"labels of shape {np.shape(y)} do not match inputs of shape "
-                         f"{np.shape(x)}")
 
 
 def _buffer(bufs: dict, key, shape, dtype=np.float64) -> np.ndarray:
@@ -220,10 +214,9 @@ def loss_and_grad(params: MlpParams, x: np.ndarray, y: np.ndarray):
     The softmax and log are fused through log-sum-exp for stability. Returns
     ``(nll, grads)`` with ``grads`` shaped like ``params``.
     """
-    _check_label_count(y, x, 1)
     logits, acts, preacts = _forward_cached(params, x)
     n, k = logits.shape
-    y = _check_labels(y, k)
+    y = _check_labels(y, k, x)
     logp = log_softmax(logits)
     pick = (np.arange(n), y)
     per_sample = -logp[pick]
@@ -465,7 +458,7 @@ def grad_check(params: MlpParams, x: np.ndarray, y: np.ndarray,
     def loss_fn(arrays):
         logits, _, preacts = _forward_cached(params, x)
         n, k = logits.shape
-        yy = _check_labels(y, k)
+        yy = _check_labels(y, k, x)
         logp = log_softmax(logits)
         loss = float(-logp[np.arange(n), yy].mean())
         sig = np.concatenate([(pa > 0).reshape(-1) for pa in preacts]) if preacts else None

@@ -404,7 +404,7 @@ def train_grid(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig, weight_dec
     scalers, xs, ys, inits, batch_rngs = zip(*(
         _member_start(x, y, ms, dims, base_seed, m, standardize=True)
         for m, ms in enumerate(plan.members)))
-    x_train, y_train = xs[0], _check_labels(ys[0], dims[-1])
+    x_train, y_train = xs[0], _check_labels(ys[0], dims[-1], xs[0])
     n_rows = len(weight_decays)
     params = np.repeat(np.stack([p.flat for p in inits])[None], n_rows, axis=0)
     opt = Optimizer(opt_cfg.kind, params, opt_cfg.lr,
@@ -417,27 +417,29 @@ def train_grid(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig, weight_dec
     live = list(range(n_rows))  # the grid entry of each stack row
     bufs: dict = {}
     steps = 0
-    for _ in range(stop_cfg.max_epochs):
-        if not live:
-            break
-        orders = np.stack([rng.permutation(n_train) for rng in batch_rngs])
-        for start in range(0, n_train, batch_size):
-            idx = orders[:, start:start + batch_size]
-            xb, yb = x_train[idx][None], y_train[idx]
-            bad, grads = _stacked_loss_and_grad(params, dims, xb, yb, bufs)
-            while bad is not None:
-                bad_rows = bad.any(axis=-1)
-                for r in np.flatnonzero(bad_rows.any(axis=1)):
-                    m = int(np.argmax(bad_rows[r]))
-                    outcomes[live[r]] = NonFiniteLossError(
-                        f"non-finite loss at sample {int(np.argmax(bad[r, m]))}")
-                keep = np.flatnonzero(~bad_rows.any(axis=1))
-                params = params[keep]
-                opt.keep_rows(keep)
-                live = [live[r] for r in keep]
+    # a diverging row overflows before its loss is non-finite, which is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(stop_cfg.max_epochs):
+            if not live:
+                break
+            orders = np.stack([rng.permutation(n_train) for rng in batch_rngs])
+            for start in range(0, n_train, batch_size):
+                idx = orders[:, start:start + batch_size]
+                xb, yb = x_train[idx][None], y_train[idx]
                 bad, grads = _stacked_loss_and_grad(params, dims, xb, yb, bufs)
-            opt.step(params, grads, lr_at(steps))
-            steps += 1
+                while bad is not None:
+                    bad_rows = bad.any(axis=-1)
+                    for r in np.flatnonzero(bad_rows.any(axis=1)):
+                        m = int(np.argmax(bad_rows[r]))
+                        outcomes[live[r]] = NonFiniteLossError(
+                            f"non-finite loss at sample {int(np.argmax(bad[r, m]))}")
+                    keep = np.flatnonzero(~bad_rows.any(axis=1))
+                    params = params[keep]
+                    opt.keep_rows(keep)
+                    live = [live[r] for r in keep]
+                    bad, grads = _stacked_loss_and_grad(params, dims, xb, yb, bufs)
+                opt.step(params, grads, lr_at(steps))
+                steps += 1
     for r, entry in enumerate(live):
         outcomes[entry] = [TrainedMember(MlpParams.from_flat(params[r, m].copy(), dims),
                                          scaler, None, steps)

@@ -16,7 +16,7 @@ from enstune.batchensemble import (
     materialized_member_params,
 )
 from enstune.data import make_blobs
-from enstune.netcore import (LabelError, ShapeError, _check_labels, _split,
+from enstune.netcore import (LabelError, ShapeError, _check_labels, _views,
                               log_softmax, mlp_forward)
 from enstune.splits import make_disjoint, make_overlapping, make_shared
 from enstune.training import OptimizerConfig, StoppingConfig
@@ -204,7 +204,7 @@ def reference_be_loss_and_grads(model, xs, ys, update_stats=True):
         caches.append((h, a_mod, c, s, r, bn_cache, pre_relu))
         h = out
     n_members, batch, k = h.shape
-    ys = np.stack([_check_labels(np.asarray(ys[m]), k) for m in range(n_members)])
+    ys = np.stack([_check_labels(ys[m], k, xs[m]) for m in range(n_members)])
     logp = log_softmax(h)
     pick = (m_all[:, None], np.arange(batch), ys)
     total = float((-logp[pick].mean(axis=1)).sum())
@@ -212,7 +212,7 @@ def reference_be_loss_and_grads(model, xs, ys, update_stats=True):
     delta[pick] -= 1.0
     delta /= batch
     grads = np.empty_like(model.flat)
-    views = _split(grads, [a.shape for a in model.arrays()])
+    views = _views(grads, [a.shape for a in model.arrays()])
     g_slow_w, g_slow_b = views[0:2 * n_layers:2], views[1:2 * n_layers:2]
     g_r, g_s = views[2 * n_layers:4 * n_layers:2], views[2 * n_layers + 1:4 * n_layers:2]
     g_gamma, g_beta = views[4 * n_layers::2], views[4 * n_layers + 1::2]

@@ -5,6 +5,7 @@ import glob
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -667,6 +668,19 @@ class TestExperiments:
         for name in ("aggregate.csv", "plotdata.csv"):
             assert os.path.exists(os.path.join(out, name))
 
+    def test_diverging_sweep_warns_only_of_its_cells(self, tmp_path, monkeypatch):
+        # the grid reports a diverged decay itself; numpy's overflow and
+        # invalid-value warnings from its rows would only repeat that
+        monkeypatch.delenv("ENSTUNE_WORKERS", raising=False)
+        cfg = quick_config(str(tmp_path / "wd"), [
+            "experiment.kind=wd_sweep", "experiment.weight_decays=[0.0,1e9]",
+            "optimizer.kind=sgd_momentum", "optimizer.lr=0.05"])
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            run_experiment(cfg)
+        assert [str(w.message) for w in rec if w.category is not UserWarning] == []
+        assert sum(str(w.message).startswith("sweep cell") for w in rec) == 2
+
     def test_wd_sweep_honours_decay_bias(self, tmp_path):
         cells = {}
         for flag in ("true", "false"):
@@ -775,6 +789,17 @@ class TestOutputSchema:
         with open(outputs[kind] / name, newline="") as f:
             assert next(csv.reader(f)) == header
 
+    def test_no_monitor_row_has_an_empty_variant(self, outputs):
+        # the variant is the stopping mode, or the scheme for batch_ensemble
+        written = []
+        for kind in KINDS:
+            if (outputs[kind] / "monitor.csv").exists():
+                with open(outputs[kind] / "monitor.csv", newline="") as f:
+                    variants = {r[1] for r in list(csv.reader(f))[1:]}
+                assert variants and "" not in variants, kind
+                written.append(kind)
+        assert written == ["early_stop", "stop_then_scale", "batch_ensemble"]
+
     def test_monitor_header(self, outputs):
         with open(outputs["early_stop"] / "monitor.csv", newline="") as f:
             assert next(csv.reader(f)) == [
@@ -797,7 +822,8 @@ class TestOutputSchema:
     @pytest.mark.parametrize("kind, keys", [
         ("early_stop", ["strategy", "mode", "val_pct", "seed", "plan", "stops"]),
         ("temp_scale", ["strategy", "val_pct", "seed", "plan", "fits"]),
-        ("stop_then_scale", ["strategy", "val_pct", "seed", "plan", "stops", "fits"]),
+        ("stop_then_scale", ["strategy", "mode", "val_pct", "seed", "plan", "stops",
+                             "fits"]),
         ("batch_ensemble", ["scheme", "strategy", "val_pct", "seed", "plan", "stops"]),
         ("wd_sweep", ["wd", "seed", "diverged", "member_val_nlls"]),
     ])
