@@ -20,6 +20,7 @@ from .netcore import (
     DenseLayer,
     GradCheckReport,
     MlpParams,
+    NonFiniteLossError,
     ShapeError,
     _buffer,
     _check_labels,
@@ -307,7 +308,8 @@ def be_loss_and_grads(model: BatchEnsembleModel, xs: np.ndarray, ys: np.ndarray,
 
     ``xs`` is (M, B, in), ``ys`` is (M, B); a label array of another shape
     raises ``ShapeError`` and a label outside the classes ``LabelError``
-    naming its member and sample, both before any work. Slow-weight and
+    naming its member and sample, both before any work; a non-finite loss
+    raises ``NonFiniteLossError`` naming them too. Slow-weight and
     bias gradients sum over members; fast-weight and BN gradients are per
     member. Activations and backward temporaries are written in place into
     ``bufs``, flat arrays that a caller keeps across calls (a training
@@ -322,7 +324,11 @@ def be_loss_and_grads(model: BatchEnsembleModel, xs: np.ndarray, ys: np.ndarray,
     n_members, batch, _ = logits.shape
     logp = log_softmax(logits)
     pick = (np.arange(n_members)[:, None], np.arange(batch), ys)
-    total = float((-logp[pick].mean(axis=1)).sum())
+    picked = logp[pick]
+    if not np.isfinite(picked).all():
+        m, b = np.unravel_index(np.argmax(~np.isfinite(picked)), picked.shape)
+        raise NonFiniteLossError(f"non-finite loss at member {m}, sample {b}")
+    total = float((-picked.mean(axis=1)).sum())
 
     delta = np.exp(logp)
     delta[pick] -= 1.0

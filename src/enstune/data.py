@@ -8,6 +8,7 @@ the normalization constants.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,13 +129,16 @@ def load_csv(path: str, label_col: str = "label") -> Dataset:
             except ValueError:
                 raise DataFormatError(
                     f"{path}:{lineno}: non-numeric feature value") from None
+            if not all(map(math.isfinite, xs[-1])):
+                raise DataFormatError(f"{path}:{lineno}: non-finite feature value")
             try:
-                label = int(float(row[label_idx]))
+                label = float(row[label_idx])
             except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: non-integer label") from None
-            if label < 0:
-                raise DataFormatError(f"{path}:{lineno}: negative label")
-            ys.append(label)
+                label = math.nan
+            if not (label >= 0 and label.is_integer()):  # 1 and 1.0, not 1.7 or inf
+                raise DataFormatError(f"{path}:{lineno}: label {row[label_idx]!r} is "
+                                      "not a non-negative integer")
+            ys.append(int(label))
     if not ys:
         raise DataFormatError(f"{path}: no data rows")
     y = np.asarray(ys, dtype=np.intp)

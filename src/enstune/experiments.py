@@ -55,7 +55,6 @@ from .tuning import HyperGrid, SweepCell, SweepResult, optimality_gap, select_h
 WORKERS_ENV = "ENSTUNE_WORKERS"
 
 ROW_COLUMNS = ["experiment", "variant", "wd", "split", "scope"] + metrics.CSV_COLUMNS
-METRIC_NAMES = ["error_pct", "nll", "ece", "diversity", "entropy", "normalized_epochs"]
 ENSEMBLE_SCOPE = "ensemble"
 MEMBER_AVG_SCOPE = "member_avg"
 
@@ -85,20 +84,6 @@ def plan_reference(plan: SplitPlan, val_pct: float) -> dict:
     return {"strategy": plan.strategy, "n_total": plan.n_total,
             "n_members": plan.n_members, "val_pct": val_pct,
             "rng_seed": plan.rng_seed}
-
-
-def member_avg_record(prob_label_pairs, ece_bins: int = 15, **tags) -> metrics.MetricsRecord:
-    """Average of per-member metrics; diversity is 0 for single members."""
-    errs, nlls, eces, ents = [], [], [], []
-    for probs, y in prob_label_pairs:
-        errs.append(metrics.classification_error(probs, y))
-        nlls.append(metrics.nll(probs, y))
-        eces.append(metrics.ece(probs, y, n_bins=ece_bins))
-        ents.append(metrics.entropy(probs).mean)
-    return metrics.MetricsRecord(
-        error_pct=float(np.mean(errs)), nll=float(np.mean(nlls)),
-        ece=float(np.mean(eces)), diversity=0.0, entropy=float(np.mean(ents)),
-        **tags)
 
 
 def make_row(experiment: str, variant: str, wd, split: str, scope: str,
@@ -135,8 +120,8 @@ def _test_rows(experiment: str, variant: str, member_probs, labels, ece_bins: in
     rec = metrics.compute_record(member_probs, labels, ece_bins=ece_bins, **tags)
     rows = [make_row(experiment, variant, None, "test", ENSEMBLE_SCOPE, rec)]
     if member_avg:
-        avg = member_avg_record([(p, labels) for p in member_probs], ece_bins=ece_bins,
-                                **tags)
+        avg = metrics.member_avg_record([(p, labels) for p in member_probs],
+                                        ece_bins=ece_bins, **tags)
         rows.append(make_row(experiment, variant, None, "test", MEMBER_AVG_SCOPE, avg))
     return rows
 
@@ -304,12 +289,8 @@ def _mlp_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan, job: Job):
             fit, tempered = _tempered(temp, result, plan, dprime, logits, probs,
                                       joint_sets)
             if temp == POOL:  # one pooled matrix; diversity of the untempered members
-                rec = metrics.MetricsRecord(
-                    error_pct=metrics.classification_error(tempered, test.y),
-                    nll=metrics.nll(tempered, test.y),
-                    ece=metrics.ece(tempered, test.y, n_bins=ece_bins),
-                    diversity=metrics.diversity(probs).mean,
-                    entropy=metrics.entropy(tempered).mean, **tags)
+                rec = metrics.MetricsRecord(**metrics._scores(tempered, test.y, ece_bins),
+                                            diversity=metrics.diversity(probs).mean, **tags)
                 rows.append(make_row(kind, name, None, "test", ENSEMBLE_SCOPE, rec))
             else:
                 rows += _test_rows(kind, name, tempered, test.y, ece_bins,
@@ -356,9 +337,9 @@ def _batch_ensemble_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan,
         pairs = [(result.member_probs(dprime.x[index_of(ms)], m),
                   dprime.y[index_of(ms)])
                  for m, ms in enumerate(plan.members)]
+        avg = metrics.member_avg_record(pairs, ece_bins=ece_bins, **tags)
         rows.append(make_row("batch_ensemble", job.scheme, None, split_name,
-                             MEMBER_AVG_SCOPE,
-                             member_avg_record(pairs, ece_bins=ece_bins, **tags)))
+                             MEMBER_AVG_SCOPE, avg))
     entry = {"scheme": job.scheme, "strategy": job.strategy, "val_pct": job.val_pct,
              "seed": seed, "plan": plan_reference(plan, job.val_pct),
              "stops": [result.stop.to_dict()]}
@@ -539,52 +520,34 @@ def monitor_rows_from_runs(experiment: str, runs) -> list[list]:
     return rows
 
 
-def _row_key(row) -> tuple:
-    # everything except seed and the metric values identifies an aggregate cell
-    head = row[:len(ROW_COLUMNS) - len(METRIC_NAMES)]
-    seed_free = head[:ROW_COLUMNS.index("seed")] + head[ROW_COLUMNS.index("seed") + 1:]
-    return tuple(seed_free)
+# A cell of aggregate.csv and plotdata.csv: every cells.csv column but the seed
+# and the metrics. Their rows sort by these columns as str, in this order.
+_CELL_COLUMNS = [c for c in ROW_COLUMNS if c != "seed" and c not in metrics.METRIC_COLUMNS]
+_SORT_COLUMNS = ["experiment", "strategy", "val_pct", "variant", "wd", "split", "scope",
+                 "ensemble_size"]
 
 
 def aggregate_rows(rows):
-    """Seed-mean and SEM per aggregate cell, plus long-format plot data."""
+    """Seed-mean and SEM per aggregate cell, plus long-format plot data, whose
+    rows of one cell sort by metric name."""
     groups: dict = {}
     for row in rows:
-        groups.setdefault(_row_key(row), []).append(row)
-    agg_header = ([c for c in ROW_COLUMNS[:len(ROW_COLUMNS) - len(METRIC_NAMES)]
-                   if c != "seed"] + ["n"]
-                  + [f"{m}_{s}" for m in METRIC_NAMES for s in ("mean", "sem")])
-    sort_cols = ["experiment", "strategy", "val_pct", "variant", "wd", "split",
-                 "scope", "ensemble_size"]
-    idx = {c: agg_header.index(c) for c in sort_cols}
+        named = dict(zip(ROW_COLUMNS, row))
+        groups.setdefault(tuple(named[c] for c in _CELL_COLUMNS), []).append(named)
+    order = [_CELL_COLUMNS.index(c) for c in _SORT_COLUMNS]
     agg_rows, plot_rows = [], []
-    metric_offset = len(ROW_COLUMNS) - len(METRIC_NAMES)
-    for key, members in groups.items():
-        n = len(members)
-        out = list(key) + [n]
-        stats = {}
-        for mi, name in enumerate(METRIC_NAMES):
-            vals = [r[metric_offset + mi] for r in members
-                    if r[metric_offset + mi] != "" and r[metric_offset + mi] is not None]
-            if vals:
-                mean, sem = metrics.mean_sem([float(v) for v in vals])
-            else:
-                mean, sem = "", ""
-            out += [mean, sem]
-            stats[name] = (mean, sem)
-        agg_rows.append(out)
-        for name in METRIC_NAMES:
-            mean, sem = stats[name]
-            if mean != "":
-                plot_rows.append(list(key) + [name, mean, sem, n])
-    sort_key = lambda r: tuple(str(r[idx[c]]) for c in sort_cols)
-    agg_rows.sort(key=sort_key)
-    plot_header = ([c for c in ROW_COLUMNS[:metric_offset] if c != "seed"]
-                   + ["metric", "mean", "sem", "n"])
-    pidx = {c: plot_header.index(c) for c in sort_cols if c in plot_header}
-    plot_rows.sort(key=lambda r: tuple(str(r[pidx[c]]) for c in sort_cols) +
-                                 (str(r[plot_header.index("metric")]),))
-    return agg_header, agg_rows, plot_header, plot_rows
+    for key in sorted(groups, key=lambda k: [str(k[i]) for i in order]):
+        members, stats = groups[key], {}
+        for name in metrics.METRIC_COLUMNS:
+            vals = [float(r[name]) for r in members if r[name] not in ("", None)]
+            stats[name] = metrics.mean_sem(vals) if vals else ("", "")
+        agg_rows.append([*key, len(members)] + [v for name in metrics.METRIC_COLUMNS
+                                                for v in stats[name]])
+        plot_rows += [[*key, name, *stats[name], len(members)]
+                      for name in sorted(stats) if stats[name][0] != ""]
+    agg_header = (_CELL_COLUMNS + ["n"] + [f"{m}_{s}" for m in metrics.METRIC_COLUMNS
+                                           for s in ("mean", "sem")])
+    return agg_header, agg_rows, _CELL_COLUMNS + ["metric", "mean", "sem", "n"], plot_rows
 
 
 def _format_cell(v) -> str:

@@ -18,9 +18,6 @@ from .netcore import ShapeError, _check_labels
 
 PROB_FLOOR = 1e-300
 
-CSV_COLUMNS = ["strategy", "val_pct", "seed", "ensemble_size", "error_pct",
-               "nll", "ece", "diversity", "entropy", "normalized_epochs"]
-
 
 def _stack_members(members: Sequence[np.ndarray]) -> np.ndarray:
     if len(members) == 0:
@@ -139,7 +136,8 @@ def ambiguity(members: Sequence[np.ndarray], labels: np.ndarray) -> AmbiguityRes
 
 @dataclass
 class MetricsRecord:
-    """One evaluation row; tags identify the experimental cell."""
+    """One evaluation row: the tags that identify the experimental cell, then
+    its metrics, from ``error_pct`` on."""
 
     strategy: str = ""
     val_pct: float = 0.0
@@ -157,18 +155,28 @@ class MetricsRecord:
         return ["" if v is None else v for v in vals]
 
 
+CSV_COLUMNS = [f.name for f in fields(MetricsRecord)]
+METRIC_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("error_pct"):]
+
+
+def _scores(probs: np.ndarray, labels: np.ndarray, ece_bins: int) -> dict:
+    """A probability matrix's error, NLL, ECE and mean entropy, by record field."""
+    return {"error_pct": classification_error(probs, labels), "nll": nll(probs, labels),
+            "ece": ece(probs, labels, n_bins=ece_bins), "entropy": entropy(probs).mean}
+
+
 def compute_record(member_probs: Sequence[np.ndarray], labels: np.ndarray,
                    ece_bins: int = 15, **tags) -> MetricsRecord:
     """Ensemble metrics for a list of member probability matrices."""
-    mean_p = ensemble_mean(member_probs)
-    return MetricsRecord(
-        error_pct=classification_error(mean_p, labels),
-        nll=nll(mean_p, labels),
-        ece=ece(mean_p, labels, n_bins=ece_bins),
-        diversity=diversity(member_probs).mean,
-        entropy=entropy(mean_p).mean,
-        **tags,
-    )
+    return MetricsRecord(**_scores(ensemble_mean(member_probs), labels, ece_bins),
+                         diversity=diversity(member_probs).mean, **tags)
+
+
+def member_avg_record(prob_label_pairs, ece_bins: int = 15, **tags) -> MetricsRecord:
+    """Average of per-member metrics; diversity is 0 for single members."""
+    scores = [_scores(probs, y, ece_bins) for probs, y in prob_label_pairs]
+    return MetricsRecord(**{name: float(np.mean([s[name] for s in scores]))
+                            for name in scores[0]}, **tags)
 
 
 def mean_sem(values: Sequence[float]) -> tuple[float, float]:

@@ -248,6 +248,8 @@ class _Rule:
                             self.history, self.stopped_early)
 
 
+# a diverging trajectory overflows before its loss is non-finite, which raises
+@np.errstate(over="ignore", invalid="ignore")
 def _patience_loop(trajectories, rules: list[_Rule], max_epochs: int) -> None:
     """The training protocol shared by every trainer. Each epoch advances
     every trajectory a live rule observes, then feeds each live rule its

@@ -19,6 +19,7 @@ ORACLES = {
     "be_grad_check": "finite-difference check of the BatchEnsemble gradients",
     "grad_check": "finite-difference check of the MLP gradients",
     "diversity_kl": "KL form of diversity, checked against the entropy-gap form",
+    "ambiguity": "acceptance criterion 1, the ambiguity decomposition",
     "stop_controller": "replays a score history through the patience rule",
     "rerun_from_manifest": "the reproducibility contract the README documents",
 }
@@ -30,9 +31,14 @@ def _parse(path):
 
 
 def _names(tree) -> Counter:
-    """How often the tree names each identifier: variables, attributes, imports."""
+    """How often the tree names each identifier: variables, attributes, imports.
+    A field a class body declares (``ambiguity: float``) names no function."""
+    fields = {id(stmt.target) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for stmt in cls.body if isinstance(stmt, ast.AnnAssign)}
     out = Counter()
     for node in ast.walk(tree):
+        if id(node) in fields:
+            continue
         if isinstance(node, ast.Name):
             out[node.id] += 1
         elif isinstance(node, ast.Attribute):

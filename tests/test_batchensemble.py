@@ -1,5 +1,7 @@
 """Tests for rank-1 fast-weight ensembles: algebra, gradients, training."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,8 @@ from enstune.batchensemble import (
     materialized_member_params,
 )
 from enstune.data import make_blobs
-from enstune.netcore import (LabelError, ShapeError, _check_labels, _views,
-                              log_softmax, mlp_forward)
+from enstune.netcore import (LabelError, NonFiniteLossError, ShapeError, _check_labels,
+                              _views, log_softmax, mlp_forward)
 from enstune.splits import make_disjoint, make_overlapping, make_shared
 from enstune.training import OptimizerConfig, StoppingConfig
 
@@ -353,6 +355,28 @@ class TestTraining:
                        StoppingConfig(mode="joint", patience=3, max_epochs=10,
                                       batch_size=64), seed=8)
         assert res.model.n_members == 1
+
+    def test_non_finite_loss_names_member_and_sample(self):
+        model = small_model()
+        model.fast.r[0][2] = np.nan  # member 2's every sample
+        rng = np.random.default_rng(1)
+        xs = rng.normal(size=(4, 8, 3))
+        ys = rng.integers(0, 4, size=(4, 8))
+        with pytest.raises(NonFiniteLossError, match="member 2, sample 0$"):
+            be_loss_and_grads(model, xs, ys)
+
+    def test_diverging_training_fails_without_numpy_warnings(self):
+        # the kernel reports the divergence itself; numpy's overflow and
+        # invalid-value warnings on the way there would only repeat it
+        ds = self.make_task()
+        plan = make_shared(len(ds), 0.1, 4, rng_seed=1, labels=ds.y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteLossError, match=r"member \d, sample \d+$"):
+                be_train(ds.x, ds.y, plan, [2, 16, 4], "gaussian",
+                         OptimizerConfig(kind="sgd_momentum", lr=1e8),
+                         StoppingConfig(mode="joint", patience=3, max_epochs=20,
+                                        batch_size=64), seed=0, sigma=0.5)
 
     def test_determinism(self):
         ds = self.make_task(n=200)

@@ -159,6 +159,11 @@ BAD_CONFIGS = [
     ("temp-scale", ["optimizer.lr=nan"], "optimizer.lr=nan must be >= 0"),
 ]
 
+# a row appended to a valid two-feature CSV task, by test id: what can be no
+# label or feature
+BAD_CSV_ROWS = {"csv-fractional-label": "0.1,0.2,1.7", "csv-inf-label": "0.1,0.2,inf",
+                "csv-nan-feature": "nan,0.2,1"}
+
 
 def base_for(extra):
     """BASE for a run that adds ``extra``: an experiment.val_pcts there replaces
@@ -358,6 +363,24 @@ class TestData:
         path.write_text("f0,label\nspam,0\n")
         with pytest.raises(DataFormatError, match="non-numeric"):
             load_csv(str(path))
+
+    @pytest.mark.parametrize("line, reason", [
+        ("0.1,1.7", "label '1.7' is not a non-negative integer"),
+        ("0.1,inf", "label 'inf' is not a non-negative integer"),
+        ("0.1,-1", "label '-1' is not a non-negative integer"),
+        ("0.1,x", "label 'x' is not a non-negative integer"),
+        ("nan,1", "non-finite feature value"),
+        ("-inf,1", "non-finite feature value")])
+    def test_csv_rejects_what_is_no_label_or_feature(self, tmp_path, line, reason):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,label\n0.5,0\n{line}\n")
+        with pytest.raises(DataFormatError, match=f":3: {re.escape(reason)}$"):
+            load_csv(str(path))
+
+    def test_csv_integer_labels_may_be_written_as_floats(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text("f0,label\n0.5,0\n0.1,1.0\n0.2,2\n")
+        assert load_csv(str(path)).y.tolist() == [0, 1, 2]
 
     def test_standardizer_fit_transform(self):
         rng = np.random.default_rng(7)
@@ -911,6 +934,26 @@ class TestCli:
             manifest = json.load(f)
         assert manifest["config"]["task"]["n"] == 200
 
+    def test_diverging_batch_ensemble_fails_its_seed(self, tmp_path):
+        out = tmp_path / "be"
+        assert cli_main(["batch-ensemble", "--task.n", "400", "--experiment.seeds", "[0]",
+                         "--experiment.schemes", '["gaussian_0.5"]',
+                         "--optimizer.kind", "sgd_momentum", "--optimizer.lr", "1e8",
+                         "--stopping.max_epochs", "20", "--stopping.patience", "3",
+                         "--out", str(out)]) == 1
+
+        def no_constant(name):
+            raise AssertionError(f"manifest.json holds {name}, which is not JSON")
+
+        manifest = json.loads((out / "manifest.json").read_text(),
+                              parse_constant=no_constant)
+        (failure,) = manifest["failures"]
+        assert failure["seed"] == 0
+        assert failure["error"].startswith("NonFiniteLossError: non-finite loss at member")
+        assert manifest["runs"] == []
+        with open(out / "cells.csv") as f:
+            assert len(list(csv.reader(f))) == 1  # the header alone
+
     def test_report_command(self, tmp_path):
         out = str(tmp_path / "run")
         cli_main(["early-stop", "--task.n", "200", "--task.classes", "3",
@@ -957,7 +1000,8 @@ class TestCli:
         assert exc.value.code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", ["config-dir", "config-not-utf8", "csv-dir"])
+    @pytest.mark.parametrize("case", ["config-dir", "config-not-utf8", "csv-dir",
+                                      *BAD_CSV_ROWS])
     def test_unreadable_config_input_exit_code(self, tmp_path, monkeypatch, case):
         monkeypatch.setattr(experiments, "train_ensemble", None)  # no training
         out = tmp_path / "run"
@@ -968,8 +1012,14 @@ class TestCli:
             path = tmp_path / "cfg.toml"
             path.write_bytes(b'[task]\nkind = "bl\xffobs"\n')
             argv += ["--config", str(path)]
-        else:
+        elif case == "csv-dir":
             argv += ["--task.kind", "csv", "--task.path", str(tmp_path)]
+        else:
+            path = tmp_path / "ds.csv"
+            save_csv(make_blobs(400, 4, 0.8, np.random.default_rng(0)), str(path))
+            with open(path, "a") as f:
+                f.write(BAD_CSV_ROWS[case] + "\n")
+            argv += ["--task.kind", "csv", "--task.path", str(path)]
         assert cli_main(argv) == 2
         assert not out.exists()
 

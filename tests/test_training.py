@@ -1,6 +1,7 @@
 """Tests for training loops, patience control and normalized epochs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,18 @@ class TestTrainMember:
 
 
 class TestTrainEnsemble:
+    def test_a_diverging_member_fails_without_numpy_warnings(self):
+        # loss_and_grad reports the divergence itself; numpy's overflow and
+        # invalid-value warnings on the way there would only repeat it
+        ds = blob_task()
+        plan = make_shared(len(ds), 0.2, 2, rng_seed=3, labels=ds.y)
+        opt = OptimizerConfig(kind="sgd_momentum", lr=0.05, weight_decay=1e9)
+        stop = StoppingConfig(mode="none", max_epochs=3, batch_size=32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(training.NonFiniteLossError, match="sample"):
+                train_ensemble(ds.x, ds.y, plan, [2, 16, 8, 3], opt, stop, 5)
+
     def test_identical_members_joint_equals_individual(self):
         ds = blob_task()
         plan = make_shared(len(ds), 0.2, 3, rng_seed=8, labels=ds.y)
