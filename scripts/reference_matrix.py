@@ -14,7 +14,9 @@ BLAS kernels the CPU selects can move the last bits on another machine.
 
 Manifests are hashed without ``wall_clock_s`` and with ``out_dir`` and the
 ``outputs`` paths reduced to basenames, so the digests do not depend on
-where the runs were written. Each run's exit code is recorded too.
+where the runs were written. Each run's exit code is recorded too, and its
+warnings, from the run and its worker processes, as sorted
+``Category: message`` lines, since at 2 workers the processes interleave them.
 """
 
 from __future__ import annotations
@@ -100,10 +102,28 @@ def file_digest(path: str) -> str:
     return hashlib.sha256(json.dumps(manifest, indent=1).encode()).hexdigest()
 
 
+def run_cli(argv: list[str], log_path: str) -> tuple[int, list[str]]:
+    """Run the CLI with its stdout discarded. Returns its exit code and every
+    warning that it or a worker process it forks raises, as sorted lines:
+    the worker processes inherit the recorder, which appends to ``log_path``."""
+    with open(log_path, "a") as log, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+
+        def record(message, category, filename, lineno, file=None, line=None):
+            log.write(f"{category.__name__}: {message}\n")
+            log.flush()
+
+        warnings.showwarning = record
+        code = cli_main(argv)
+    with open(log_path) as f:
+        return code, sorted(f.read().splitlines())
+
+
 def run_matrix(work_dir: str) -> dict:
     """Every run at every worker count: digests keyed
-    ``<workers>/<run>/<file>`` and exit codes keyed ``<workers>/<run>``."""
-    digests, exit_codes = {}, {}
+    ``<workers>/<run>/<file>``, exit codes and warnings keyed ``<workers>/<run>``."""
+    digests, exit_codes, warned = {}, {}, {}
     saved = os.environ.get("ENSTUNE_WORKERS")
     try:
         for workers in WORKERS:
@@ -116,9 +136,9 @@ def run_matrix(work_dir: str) -> dict:
                 argv = [command, "--out", out]
                 for item in settings + extra:
                     argv += ["--set", item]
-                with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
-                    warnings.simplefilter("ignore")  # wd_diverge's, by design
-                    exit_codes[f"{workers}/{name}"] = cli_main(argv)
+                key = f"{workers}/{name}"
+                exit_codes[key], warned[key] = run_cli(
+                    argv, os.path.join(work_dir, f"workers{workers}-{name}.warnings"))
                 for file in sorted(os.listdir(out)):
                     digests[f"{workers}/{name}/{file}"] = file_digest(
                         os.path.join(out, file))
@@ -128,20 +148,24 @@ def run_matrix(work_dir: str) -> dict:
         else:
             os.environ["ENSTUNE_WORKERS"] = saved
     return {"environment": environment(), "exit_codes": exit_codes,
-            "digests": digests}
+            "warnings": warned, "digests": digests}
+
+
+COMPARED = ("exit_codes", "warnings", "digests")
 
 
 def differences(ours: dict, theirs: dict) -> list[str]:
-    """Each file or run whose digest or exit code differs, or that one side lacks."""
-    return [f"{key}: {name}" for key in ("exit_codes", "digests")
+    """Each file or run whose digest, exit code or warnings differ, or that
+    one side lacks."""
+    return [f"{key}: {name}" for key in COMPARED
             for name in sorted(ours[key].keys() | theirs[key].keys())
             if ours[key].get(name) != theirs[key].get(name)]
 
 
 def at_workers(result: dict, workers: str) -> dict:
-    """The exit codes and digests of one worker count, keyed without it."""
+    """The exit codes, warnings and digests of one worker count, keyed without it."""
     return {key: {k.partition("/")[2]: v for k, v in result[key].items()
-                  if k.partition("/")[0] == workers} for key in ("exit_codes", "digests")}
+                  if k.partition("/")[0] == workers} for key in COMPARED}
 
 
 def main(argv=None) -> int:
@@ -170,8 +194,8 @@ def main(argv=None) -> int:
     for line in problems:
         print(line, file=sys.stderr)
     if args.compare and not problems:
-        print(f"all {len(result['digests'])} digests and "
-              f"{len(result['exit_codes'])} exit codes match {args.compare}",
+        print(f"all {len(result['digests'])} digests and the exit codes and "
+              f"warnings of {len(result['exit_codes'])} runs match {args.compare}",
               file=sys.stderr)
     return 1 if problems else 0
 

@@ -165,33 +165,55 @@ def make_batch_ensemble(dims: list[int], n_members: int, scheme: str,
     return BatchEnsembleModel(slow, fast, bn, n_members, use_batchnorm)
 
 
+def _ones(bufs: dict, size: int) -> np.ndarray:
+    """A kept vector of at least ``size`` ones in ``bufs``, which grows when
+    a call needs more."""
+    if "ones" not in bufs or bufs["ones"].size < size:
+        bufs["ones"] = np.ones(size)
+    return bufs["ones"]
+
+
+def _sample_sum(a: np.ndarray, ones: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The (M, B, W) array ``a`` summed over its sample axis as BLAS products
+    with ``ones``, a vector of at least M·B ones: ones(1, B) @ a[m] per member
+    into an (M, W) ``out``, or ones(M·B) @ a over the members too into a (W,)
+    ``out``. Returns ``out``."""
+    m, b, w = a.shape
+    if out.ndim == 1:
+        return np.matmul(ones[:m * b], a.reshape(m * b, w), out=out)
+    np.matmul(ones[:b].reshape(1, b), a, out=out.reshape(m, 1, w))
+    return out
+
+
 def _bn_forward(u: np.ndarray, state: BatchNormState, sel: slice, training: bool,
                 update_stats: bool, bufs: dict, i: int):
     """Batch norm over the sample axis of the (n_sel, N, width) activations
     ``u`` of layer ``i``, in place: ``u`` is centered once and ends as xhat.
 
-    In training the batch mean and variance are the ufunc sequence of
-    ``u.mean`` and ``u.var`` with one sum for the mean and the one centered
-    array shared by the variance and xhat, so they are bit-identical to
-    those calls. Returns (out, cache): ``out`` is a kept buffer, which also
-    holds the squares before the output and is the backward pass's scratch
-    after the output's last read; cache holds what that pass needs.
+    In training the batch mean and the (biased) variance of the one centered
+    array, shared with xhat, are :func:`_sample_sum` BLAS products, so they
+    agree with ``u.mean`` and ``u.var`` to rounding, not bit for bit.
+    Returns (out, cache): ``out`` is a kept buffer, which also holds the
+    squares before the output and is the backward pass's scratch after the
+    output's last read; cache holds what that pass needs.
     """
     gamma = state.gamma[sel][:, None, :]
     beta = state.beta[sel][:, None, :]
     out = _buffer(bufs, ("h", i), u.shape)
     if training:
-        n = u.shape[1]
-        mean = np.add.reduce(u, axis=1, keepdims=True)
+        n_sel, n, width = u.shape
+        ones = _ones(bufs, n)
+        mean = _sample_sum(u, ones, np.empty((n_sel, width)))
         mean /= n
-        np.subtract(u, mean, out=u)
-        var = np.add.reduce(np.square(u, out=out), axis=1, keepdims=True)
+        np.subtract(u, mean[:, None, :], out=u)
+        var = _sample_sum(np.square(u, out=out), ones, np.empty((n_sel, width)))
         var /= n
         if update_stats:
             state.running_mean[sel] = (_BN_MOMENTUM * state.running_mean[sel]
-                                       + (1 - _BN_MOMENTUM) * mean[:, 0, :])
+                                       + (1 - _BN_MOMENTUM) * mean)
             state.running_var[sel] = (_BN_MOMENTUM * state.running_var[sel]
-                                      + (1 - _BN_MOMENTUM) * var[:, 0, :])
+                                      + (1 - _BN_MOMENTUM) * var)
+        var = var[:, None, :]
     else:
         var = state.running_var[sel][:, None, :]
         np.subtract(u, state.running_mean[sel][:, None, :], out=u)
@@ -202,23 +224,21 @@ def _bn_forward(u: np.ndarray, state: BatchNormState, sel: slice, training: bool
     return out, (u, sd, gamma, var, out)
 
 
-def _bn_backward(d: np.ndarray, cache, g_gamma: np.ndarray, g_beta: np.ndarray) -> None:
+def _bn_backward(d: np.ndarray, cache, g_gamma: np.ndarray, g_beta: np.ndarray,
+                 ones: np.ndarray) -> None:
     """Gradient through training-mode batch norm, in place: ``d`` turns from
     the output's delta into the input's; d_gamma and d_beta are written
-    into ``g_gamma`` and ``g_beta``."""
+    into ``g_gamma`` and ``g_beta`` and give the input's delta,
+    gamma/sd · (d - d_beta/n - xhat · live · d_gamma/n), with no further sum."""
     xhat, sd, gamma, var, scratch = cache
-    np.add.reduce(np.multiply(d, xhat, out=scratch), axis=1, out=g_gamma)
-    np.add.reduce(d, axis=1, out=g_beta)
-    d *= gamma  # d_xhat
     n = xhat.shape[1]
+    _sample_sum(np.multiply(d, xhat, out=scratch), ones, g_gamma)
+    _sample_sum(d, ones, g_beta)
     # batch statistics depend on u; clamp kills the var gradient where active
-    live = (var >= _VAR_FLOOR).astype(np.float64)
-    d_var_term = live * np.add.reduce(np.multiply(d, xhat, out=scratch), axis=1,
-                                      keepdims=True) / n
-    d_mean_term = np.add.reduce(d, axis=1, keepdims=True) / n
-    d -= d_mean_term
-    d -= np.multiply(xhat, d_var_term, out=scratch)
-    d /= sd
+    live = var >= _VAR_FLOOR
+    d -= (g_beta / n)[:, None, :]
+    d -= np.multiply(xhat, live * g_gamma[:, None, :] / n, out=scratch)
+    d *= gamma / sd
 
 
 def _forward(model: BatchEnsembleModel, xs: np.ndarray, sel: slice,
@@ -336,21 +356,23 @@ def be_loss_and_grads(model: BatchEnsembleModel, xs: np.ndarray, ys: np.ndarray,
 
     grads = np.empty_like(model.flat)
     g_slow_w, g_slow_b, g_r, g_s, g_gamma, g_beta = model._groups(grads)
+    ones = _ones(bufs, n_members * batch)
     for i in reversed(range(len(caches))):
         h, a_mod, c, s, r, bn_cache = caches[i]
         if bn_cache is not None:
-            _bn_backward(delta, bn_cache, g_gamma[i], g_beta[i])
+            _bn_backward(delta, bn_cache, g_gamma[i], g_beta[i], ones)
         # each buffer below takes a product after its own last read
-        np.add.reduce(np.multiply(delta, c, out=c), axis=1, out=g_s[i])
-        np.add.reduce(delta, axis=(0, 1), out=g_slow_b[i])
+        _sample_sum(np.multiply(delta, c, out=c), ones, g_s[i])
+        _sample_sum(delta, ones, g_slow_b[i])
         delta *= s  # d_c
-        np.einsum("mbi,mbo->io", a_mod, delta, out=g_slow_w[i])
+        np.matmul(a_mod.reshape(-1, a_mod.shape[2]).T, delta.reshape(-1, delta.shape[2]),
+                  out=g_slow_w[i])
         d_amod = np.matmul(delta, model.slow.layers[i].weight.T, out=a_mod)
         if i == 0:  # the first layer's input delta is not needed
-            np.add.reduce(np.multiply(d_amod, h, out=d_amod), axis=1, out=g_r[i])
+            _sample_sum(np.multiply(d_amod, h, out=d_amod), ones, g_r[i])
             break
         active = np.greater(h, 0.0, out=_buffer(bufs, ("relu", i), h.shape, bool))
-        np.add.reduce(np.multiply(d_amod, h, out=h), axis=1, out=g_r[i])
+        _sample_sum(np.multiply(d_amod, h, out=h), ones, g_r[i])
         d_amod *= r
         d_amod *= active  # the previous layer's ReLU
         delta = d_amod

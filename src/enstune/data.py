@@ -118,6 +118,7 @@ def load_csv(path: str, label_col: str = "label") -> Dataset:
         label_idx = header.index(label_col)
         feat_idx = [i for i in range(len(header)) if i != label_idx]
         xs, ys = [], []
+        top = (-1, 0, "")  # the largest label, its line and its text
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -139,8 +140,13 @@ def load_csv(path: str, label_col: str = "label") -> Dataset:
                 raise DataFormatError(f"{path}:{lineno}: label {row[label_idx]!r} is "
                                       "not a non-negative integer")
             ys.append(int(label))
+            if ys[-1] > top[0]:
+                top = (ys[-1], lineno, row[label_idx])
     if not ys:
         raise DataFormatError(f"{path}: no data rows")
+    if top[0] >= len(ys):  # a task cannot have more classes than rows
+        raise DataFormatError(f"{path}:{top[1]}: label {top[2]!r} is not below the "
+                              f"number of data rows, {len(ys)}")
     y = np.asarray(ys, dtype=np.intp)
     return Dataset(np.asarray(xs, dtype=np.float64), y, int(y.max()) + 1)
 

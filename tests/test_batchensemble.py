@@ -8,6 +8,9 @@ import pytest
 from enstune.batchensemble import (
     _BN_MOMENTUM,
     _VAR_FLOOR,
+    BatchNormState,
+    _bn_forward,
+    _sample_sum,
     be_forward,
     be_forward_all,
     be_grad_check,
@@ -148,19 +151,29 @@ class TestGradients:
         assert last < first
 
 
-# -- the allocating kernel that the buffered one replaced, kept as its oracle --
+# -- the allocating kernel that the buffered one replaced, kept as its oracle:
+# every array new, with the kernel's formulas (sample sums as products with
+# ones, the slow-weight gradient as one matmul, BN backward from d_gamma and
+# d_beta), so kept buffers are the one thing the comparison tests --
+
+def _ref_sample_sum(a):
+    """(M, B, W) summed over samples as one product ones(1, B) @ a[m] per member."""
+    return np.matmul(np.ones((1, a.shape[1])), a)[:, 0, :]
+
 
 def _ref_bn_forward(u, state, members, training, update_stats):
     gamma = state.gamma[members][:, None, :]
     beta = state.beta[members][:, None, :]
     if training:
-        mean = u.mean(axis=1, keepdims=True)
-        var = u.var(axis=1, keepdims=True)
+        n = u.shape[1]
+        mean = _ref_sample_sum(u) / n
+        var = _ref_sample_sum((u - mean[:, None, :]) ** 2) / n
         if update_stats:
             state.running_mean[members] = (_BN_MOMENTUM * state.running_mean[members]
-                                           + (1 - _BN_MOMENTUM) * mean[:, 0, :])
+                                           + (1 - _BN_MOMENTUM) * mean)
             state.running_var[members] = (_BN_MOMENTUM * state.running_var[members]
-                                          + (1 - _BN_MOMENTUM) * var[:, 0, :])
+                                          + (1 - _BN_MOMENTUM) * var)
+        mean, var = mean[:, None, :], var[:, None, :]
     else:
         mean = state.running_mean[members][:, None, :]
         var = state.running_var[members][:, None, :]
@@ -171,14 +184,12 @@ def _ref_bn_forward(u, state, members, training, update_stats):
 
 def _ref_bn_backward(d_out, cache):
     xhat, sd, gamma, var = cache
-    d_gamma = (d_out * xhat).sum(axis=1)
-    d_beta = d_out.sum(axis=1)
-    d_xhat = d_out * gamma
+    d_gamma = _ref_sample_sum(d_out * xhat)
+    d_beta = _ref_sample_sum(d_out)
     n = xhat.shape[1]
-    live = (var >= _VAR_FLOOR).astype(np.float64)
-    d_var_term = live * (d_xhat * xhat).sum(axis=1, keepdims=True) / n
-    d_mean_term = d_xhat.sum(axis=1, keepdims=True) / n
-    d_u = (d_xhat - d_mean_term - xhat * d_var_term) / sd
+    live = var >= _VAR_FLOOR
+    d_u = gamma / sd * (d_out - d_beta[:, None, :] / n
+                        - xhat * (live * d_gamma[:, None, :] / n))
     return d_u, d_gamma, d_beta
 
 
@@ -224,12 +235,13 @@ def reference_be_loss_and_grads(model, xs, ys, update_stats=True):
             delta = delta * (pre_relu > 0)
             if model.use_batchnorm:
                 delta, g_gamma[i][...], g_beta[i][...] = _ref_bn_backward(delta, bn_cache)
-        np.sum(delta * c, axis=1, out=g_s[i])
-        np.sum(delta, axis=(0, 1), out=g_slow_b[i])
+        g_s[i][...] = _ref_sample_sum(delta * c)
+        g_slow_b[i][...] = np.ones(n_members * batch) @ delta.reshape(n_members * batch, -1)
         d_c = delta * s
-        np.einsum("mbi,mbo->io", a_mod, d_c, out=g_slow_w[i])
+        g_slow_w[i][...] = (a_mod.reshape(n_members * batch, -1).T
+                            @ d_c.reshape(n_members * batch, -1))
         d_amod = np.matmul(d_c, model.slow.layers[i].weight.T)
-        np.sum(d_amod * h, axis=1, out=g_r[i])
+        g_r[i][...] = _ref_sample_sum(d_amod * h)
         delta = d_amod * r
     return total, grads
 
@@ -305,6 +317,34 @@ class TestBufferedKernel:
             be_loss_and_grads(model, xs, ys)
         assert model.flat.tobytes() == before[0].tobytes()
         assert running_stats(model) == before[1]
+
+
+class TestSampleSums:
+    """Batch statistics and gradient sums are BLAS products with ones: they
+    agree with numpy's own reduction to rounding, not bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(4, 128, 2), (4, 128, 32), (4, 128, 4),
+                                       (1, 9, 16), (3, 7, 5)])
+    def test_matches_add_reduce(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.random(shape) + 0.1  # positive, so every sum is far from 0
+        ones = np.ones(shape[0] * shape[1])
+        per_member = _sample_sum(a, ones, np.empty((shape[0], shape[2])))
+        np.testing.assert_allclose(per_member, np.add.reduce(a, axis=1), rtol=1e-13, atol=0)
+        over_members = _sample_sum(a, ones, np.empty(shape[2]))
+        np.testing.assert_allclose(over_members, np.add.reduce(a, axis=(0, 1)),
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("m, n, width", [(4, 128, 32), (1, 9, 16), (3, 7, 5)])
+    def test_training_batch_norm_standardizes_each_member_and_unit(self, m, n, width):
+        rng = np.random.default_rng(n + width)
+        scale = rng.uniform(0.1, 10.0, size=width)
+        u = 3.0 + scale * rng.normal(size=(m, n, width))
+        state = BatchNormState.identity(m, width)  # gamma 1, beta 0
+        out, _ = _bn_forward(u, state, slice(None), training=True, update_stats=False,
+                             bufs={}, i=0)
+        assert np.abs(out.mean(axis=1)).max() <= 1e-12
+        assert np.abs(out.var(axis=1) - 1.0).max() <= 1e-12
 
 
 class TestTraining:

@@ -2,6 +2,7 @@
 
 import csv
 import glob
+import importlib.util
 import json
 import os
 import re
@@ -48,6 +49,8 @@ from enstune.training import OptimizerConfig, StoppingConfig, train_ensemble
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
                                         "configs", "*.toml")))
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+REFERENCE_MATRIX = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                                "reference_matrix.py")
 
 BASE = ["task.n=360", "task.classes=3", "task.noise=0.8", "task.label_noise=0.1",
         "model.hidden=[8]", "ensemble.members=3", "ensemble.val_pct=0.1",
@@ -162,7 +165,9 @@ BAD_CONFIGS = [
 # a row appended to a valid two-feature CSV task, by test id: what can be no
 # label or feature
 BAD_CSV_ROWS = {"csv-fractional-label": "0.1,0.2,1.7", "csv-inf-label": "0.1,0.2,inf",
-                "csv-nan-feature": "nan,0.2,1"}
+                "csv-nan-feature": "nan,0.2,1",
+                # the CSV holds 400 rows and the bad one: no label may reach 401
+                "csv-huge-label": "0.1,0.2,1e20", "csv-label-rows": "0.1,0.2,401"}
 
 
 def base_for(extra):
@@ -370,7 +375,9 @@ class TestData:
         ("0.1,-1", "label '-1' is not a non-negative integer"),
         ("0.1,x", "label 'x' is not a non-negative integer"),
         ("nan,1", "non-finite feature value"),
-        ("-inf,1", "non-finite feature value")])
+        ("-inf,1", "non-finite feature value"),
+        ("0.1,1e20", "label '1e20' is not below the number of data rows, 2"),
+        ("0.1,2", "label '2' is not below the number of data rows, 2")])
     def test_csv_rejects_what_is_no_label_or_feature(self, tmp_path, line, reason):
         path = tmp_path / "bad.csv"
         path.write_text(f"f0,label\n0.5,0\n{line}\n")
@@ -703,6 +710,29 @@ class TestExperiments:
             run_experiment(cfg)
         assert [str(w.message) for w in rec if w.category is not UserWarning] == []
         assert sum(str(w.message).startswith("sweep cell") for w in rec) == 2
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_reference_matrix_records_the_workers_warnings(self, tmp_path, monkeypatch,
+                                                           workers):
+        # at 2 workers the diverged cells warn in the worker processes, and
+        # the reference matrix compares each run's warnings between worker counts
+        spec = importlib.util.spec_from_file_location("reference_matrix",
+                                                      REFERENCE_MATRIX)
+        matrix = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(matrix)
+        monkeypatch.setenv("ENSTUNE_WORKERS", workers)
+        argv = ["sweep-wd", "--out", str(tmp_path / "wd")]
+        for item in BASE + ["experiment.weight_decays=[0.0,1e9]",
+                            "optimizer.kind=sgd_momentum", "optimizer.lr=0.05"]:
+            argv += ["--set", item]
+        code, lines = matrix.run_cli(argv, str(tmp_path / "warnings.log"))
+        assert code == 0
+        assert [line.partition(": non-finite")[0] for line in lines
+                if "sweep cell" in line] == [
+            "UserWarning: sweep cell wd=1000000000.0 seed=0 diverged",
+            "UserWarning: sweep cell wd=1000000000.0 seed=1 diverged"]
+        assert "UserWarning: weight decay 1000000000.0 excluded: all cells diverged" in lines
+        assert lines == sorted(lines)
 
     def test_wd_sweep_honours_decay_bias(self, tmp_path):
         cells = {}
