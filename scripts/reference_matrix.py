@@ -7,7 +7,9 @@ A change that claims "outputs byte-identical" runs this before and after:
     python3 scripts/reference_matrix.py --compare scripts/reference_digests.json
 
 ``--compare`` names each file whose digest differs from the given file, or
-that only one side has, and exits 1 if there is one. The committed
+that only one side has, and each run whose exit code or warnings differ,
+with the warning lines that only the file has (``-``) or only this run has
+(``+``); it exits 1 if there is one. The committed
 ``reference_digests.json`` records the numpy version, BLAS and CPU SIMD
 features it was taken on; numpy's reduction order and the SIMD loops and
 BLAS kernels the CPU selects can move the last bits on another machine.
@@ -30,6 +32,7 @@ import os
 import sys
 import tempfile
 import warnings
+from collections import Counter
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 sys.path.insert(0, SRC)
@@ -156,10 +159,22 @@ COMPARED = ("exit_codes", "warnings", "digests")
 
 def differences(ours: dict, theirs: dict) -> list[str]:
     """Each file or run whose digest, exit code or warnings differ, or that
-    one side lacks."""
-    return [f"{key}: {name}" for key in COMPARED
-            for name in sorted(ours[key].keys() | theirs[key].keys())
-            if ours[key].get(name) != theirs[key].get(name)]
+    one side lacks. A run whose warnings differ is followed by the lines
+    that only one side has, as often as it has them more: ``-`` for
+    ``theirs``, ``+`` for ``ours``."""
+    out = []
+    for key in COMPARED:
+        for name in sorted(ours[key].keys() | theirs[key].keys()):
+            mine, other = ours[key].get(name), theirs[key].get(name)
+            if mine == other:
+                continue
+            lines = [f"{key}: {name}"]
+            if key == "warnings":
+                mine, other = Counter(mine or []), Counter(other or [])
+                lines += [f"  - {line}" for line in sorted((other - mine).elements())]
+                lines += [f"  + {line}" for line in sorted((mine - other).elements())]
+            out.append("\n".join(lines))
+    return out
 
 
 def at_workers(result: dict, workers: str) -> dict:

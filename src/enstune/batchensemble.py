@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import metrics
 from .data import Standardizer
 from .netcore import (
     DenseLayer,
@@ -30,7 +31,7 @@ from .netcore import (
     log_softmax,
     softmax,
 )
-from .splits import SplitPlan
+from .splits import DISJOINT, SplitPlan
 from .training import (
     NONE,
     OptimizerConfig,
@@ -491,9 +492,16 @@ def be_train(x, y, plan: SplitPlan, dims: list[int], scheme: str,
     model = make_batch_ensemble(dims, plan.n_members, scheme,
                                 member_rng(seed, 0, _INIT), sigma)
     traj = _BeTrajectory(x, y, plan, model, opt_cfg, stop_cfg.batch_size, seed)
+
+    def member_nll() -> float:
+        """The mean member NLL, each member on its own validation set."""
+        return float(np.mean([metrics.nll(traj.probs(m, ms.val_idx), y[ms.val_idx])
+                              for m, ms in enumerate(plan.members)]))
+
     # disjoint plans monitor the average member NLL: there is no joint set,
     # and members that share slow weights cannot stop one by one
-    rule = _Rule([0], lambda: _joint_nll(plan, y, traj.probs),
+    rule = _Rule([0], member_nll if plan.strategy == DISJOINT
+                 else lambda: _joint_nll(plan, y, traj.probs),
                  stop_cfg.mode != NONE, stop_cfg.patience)
     _patience_loop([traj], [rule], stop_cfg.max_epochs)
     (model,) = rule.kept

@@ -148,6 +148,8 @@ class ExperimentConfig:
             if not _value(self, key) >= least:
                 raise ConfigError(f"{key}={_value(self, key)!r} must be >= {least}")
         self._check_task()
+        if "experiment.weight_decays" in read:
+            self._check_sweep()
 
     def _check_task(self) -> None:
         """What the task generators and the test split refuse, by dotted key."""
@@ -161,6 +163,27 @@ class ExperimentConfig:
             raise ConfigError(f"task.label_noise={task.label_noise!r} must be in [0, 1)")
         if task.kind == "spirals" and task.n < 2:
             raise ConfigError(f"task.n={task.n}: spirals need at least 2 samples")
+
+    def _check_sweep(self) -> None:
+        """What wd_sweep's grid and its one scoring holdout need, by dotted key."""
+        ex, sizes = self.experiment, self.ensemble_sizes()
+        if ex.strategies != ["shared"] or len(self.val_pcts()) != 1:
+            raise ConfigError("wd_sweep scores every member on member 0's validation "
+                              "rows, so it runs one shared holdout at one val_pct; got "
+                              f"experiment.strategies={ex.strategies} and "
+                              f"experiment.val_pcts={ex.val_pcts}")
+        wds = ex.weight_decays
+        if any(b <= a for a, b in zip(wds, wds[1:])):
+            raise ConfigError(f"experiment.weight_decays={wds} must be strictly increasing")
+        if wds[:1] != [0.0]:
+            raise ConfigError(f"experiment.weight_decays={wds} must start at 0: the "
+                              "weight-decay grid must include 0 and no decay below it")
+        if any(k < 1 for k in sizes):
+            raise ConfigError(f"experiment.ensemble_sizes={sizes}: ensemble sizes must "
+                              "be >= 1")
+        if max(sizes, default=0) > self.ensemble.members:
+            raise ConfigError(f"experiment.ensemble_sizes={sizes} exceed "
+                              f"ensemble.members={self.ensemble.members}")
 
     def reads(self) -> set[str]:
         """The dotted keys this run reads; an unknown kind is an error."""

@@ -50,7 +50,7 @@ from .training import (
     train_ensemble,
     train_grid,
 )
-from .tuning import HyperGrid, SweepCell, SweepResult, optimality_gap, select_h
+from .tuning import SweepCell, optimality_gap, select_h, usable_wds
 
 WORKERS_ENV = "ENSTUNE_WORKERS"
 
@@ -190,14 +190,14 @@ def _wd_sweep_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan, job: J
 
 def _wd_sweep_summary(cfg: ExperimentConfig, seed_results) -> dict:
     """Selection under both objectives and the optimality gap, over the
-    seeds that completed."""
+    seeds that completed, after a warning for each decay whose cells all
+    diverged."""
     cells = [c for _, _, seed_cells in seed_results for c in seed_cells]
-    completed = sorted({c.seed for c in cells})
-    grid = HyperGrid(cfg.experiment.weight_decays, cfg.ensemble_sizes(), completed)
-    sweep = SweepResult(grid, cells)
-    h_ind = select_h(sweep, "individual")
-    h_ens = select_h(sweep, "ensemble")
-    gap, gap_sem = optimality_gap(sweep, h_ind, h_ens)
+    for wd in sorted({c.wd for c in cells} - set(usable_wds(cells))):
+        warnings.warn(f"weight decay {wd} excluded: all cells diverged")
+    h_ind = select_h(cells, "individual")
+    h_ens = select_h(cells, "ensemble")
+    gap, gap_sem = optimality_gap(cells, h_ind, h_ens)
     return {"h_ind": h_ind, "h_ens": h_ens, "gap": gap, "gap_sem": gap_sem}
 
 
@@ -362,13 +362,12 @@ def _check_config(cfg: ExperimentConfig):
     """Build the dataset, then return it after rejecting, before any
     training, what would fail every seed or write no cell: a task the
     generator, the CSV reader or the test split refuses (``cfg.validate``
-    has checked the ranges of the stopping, optimizer and task keys), an
-    empty strategy, mode or scheme list the kind reads, unknown modes and
-    schemes, temperatures fitted on a joint holdout that a disjoint strategy
-    lacks, an MLP kind whose variants all stop jointly on disjoint holdouts,
-    a wd_sweep with more than its one shared holdout, holdout plans that
-    cannot be built, invalid sweep grids and sweep ensemble sizes beyond the
-    members."""
+    has checked the ranges of the stopping, optimizer and task keys, and
+    wd_sweep's grid and holdout), an empty strategy, mode or scheme list the
+    kind reads, unknown modes and schemes, temperatures fitted on a joint
+    holdout that a disjoint strategy lacks, an MLP kind whose variants all
+    stop jointly on disjoint holdouts, and holdout plans that cannot be
+    built."""
     ex = cfg.experiment
     for key in ("strategies", "modes", "schemes"):  # the lists a kind loops over
         if f"experiment.{key}" in cfg.reads() and not getattr(ex, key):
@@ -387,23 +386,12 @@ def _check_config(cfg: ExperimentConfig):
             raise ConfigError("experiment.strategies and experiment.modes pair only "
                               f"disjoint with joint, a cell {ex.kind} skips: it would "
                               "write no cell")
-    jobs = _jobs(cfg)
     try:
         dprime, test = build_dataset(cfg)
         if ex.kind == "batch_ensemble":
             for name in ex.schemes:
                 parse_scheme(name)
-        if ex.kind == "wd_sweep":
-            if jobs != [Job(SHARED, cfg.val_pcts()[0])]:
-                raise ConfigError(
-                    "wd_sweep scores every member on member 0's validation rows, so "
-                    "it runs one shared holdout at one val_pct; got "
-                    f"experiment.strategies={ex.strategies} and val_pcts "
-                    f"{cfg.val_pcts()}")
-            HyperGrid(ex.weight_decays, cfg.ensemble_sizes(), ex.seeds)
-            if max(cfg.ensemble_sizes()) > cfg.ensemble.members:
-                raise ConfigError("experiment.ensemble_sizes exceed ensemble.members")
-        plans = dict.fromkeys((job.strategy, job.val_pct) for job in jobs)
+        plans = dict.fromkeys((job.strategy, job.val_pct) for job in _jobs(cfg))
         for strategy, val_pct in plans:  # each distinct plan once, in job order
             make_plan(strategy, len(dprime), val_pct, cfg.ensemble.members,
                       ex.seeds[0], dprime.y)
@@ -575,12 +563,26 @@ def write_csv(path: str, header, rows) -> None:
 
 
 def read_rows_csv(path: str):
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ROW_COLUMNS:
-            raise ConfigError(f"{path}: unexpected cells.csv header")
-        return [row for row in reader]
+    """The rows of a cells.csv file. A file that cannot be read as UTF-8, is
+    empty, has another header or a row of another width is a
+    ``ConfigError`` naming ``path``, or ``path:line`` for the row."""
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.reader(f)
+            header = next(reader, None)
+            if header is None:
+                raise ConfigError(f"{path}: empty file, no cells.csv header")
+            if header != ROW_COLUMNS:
+                raise ConfigError(f"{path}: unexpected cells.csv header")
+            rows = []
+            for row in reader:
+                if len(row) != len(ROW_COLUMNS):
+                    raise ConfigError(f"{path}:{reader.line_num}: expected "
+                                      f"{len(ROW_COLUMNS)} fields, got {len(row)}")
+                rows.append(row)
+            return rows
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"{path}: {err}") from None
 
 
 def write_report(out_dir: str, rows) -> dict:

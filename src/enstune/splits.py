@@ -36,7 +36,6 @@ class SplitPlan:
     strategy: str
     n_total: int
     members: list[MemberSplit]
-    portions: list[np.ndarray] | None = None
     joint_pairs: list[tuple[int, int, np.ndarray]] | None = None
     rng_seed: int | None = None
 
@@ -213,8 +212,7 @@ def make_overlapping(n_total: int, n_members: int, rng_seed: int, labels=None,
         members.append(MemberSplit(_complement(n_total, val), val.astype(np.intp)))
     pairs = [(m, (m + 1) % n_members, portions[(m + 1) % n_members])
              for m in range(n_members)]
-    return SplitPlan(OVERLAPPING, n_total, members, portions=portions,
-                     joint_pairs=pairs, rng_seed=rng_seed)
+    return SplitPlan(OVERLAPPING, n_total, members, joint_pairs=pairs, rng_seed=rng_seed)
 
 
 def joint_eval_sets(plan: SplitPlan) -> list[tuple[tuple[int, ...], np.ndarray]]:

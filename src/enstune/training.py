@@ -292,15 +292,9 @@ def _patience_loop(trajectories, rules: list[_Rule], max_epochs: int) -> None:
 def _joint_nll(plan: SplitPlan, y: np.ndarray, probs_at) -> float:
     """Monitored score for joint stopping: the mean ensemble NLL over the
     plan's jointly evaluable sets, with ``probs_at(m, idx)`` giving member
-    m's class probabilities on rows ``idx``. Disjoint plans have no such
-    set and score the average member NLL on each member's own validation set
-    (BatchEnsemble only: joint MLP stopping refuses disjoint plans)."""
-    sets = joint_eval_sets(plan)
-    if not sets:
-        return float(np.mean([metrics.nll(probs_at(m, ms.val_idx), y[ms.val_idx])
-                              for m, ms in enumerate(plan.members)]))
+    m's class probabilities on rows ``idx``."""
     vals = []
-    for member_ids, idx in sets:
+    for member_ids, idx in joint_eval_sets(plan):
         probs = [probs_at(m, idx) for m in member_ids]
         vals.append(metrics.nll(metrics.ensemble_mean(probs), y[idx]))
     return float(np.mean(vals))

@@ -30,13 +30,7 @@ from enstune.training import (
     member_probs,
     train_ensemble,
 )
-from enstune.tuning import (
-    HyperGrid,
-    SweepResult,
-    optimality_gap,
-    select_h,
-    selection_score,
-)
+from enstune.tuning import optimality_gap, select_h, selection_score
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -363,21 +357,20 @@ def test_criterion_10_selection_definitional_check():
     from enstune.data import train_test_split
 
     dprime, test = train_test_split(ds, 0.2, seed=0)
-    grid = HyperGrid([0.0, 1e-3, 1e-1], [1, 2, 3], [0, 1])
+    seeds = [0, 1]
     # a [2, 16, 3] MLP, sgd_momentum at lr 0.05 with cosine annealing over
     # 10 epochs of batch 64, one shared plan per seed
     cfg = config_from_dict({
         "model": {"hidden": [16]}, "ensemble": {"members": 3, "val_pct": 0.15},
         "optimizer": {"kind": "sgd_momentum", "lr": 0.05},
         "stopping": {"max_epochs": 10, "batch_size": 64},
-        "experiment": {"kind": "wd_sweep", "seeds": grid.seeds,
-                       "weight_decays": grid.weight_decays,
-                       "ensemble_sizes": grid.ensemble_sizes}})
+        "experiment": {"kind": "wd_sweep", "seeds": seeds,
+                       "weight_decays": [0.0, 1e-3, 1e-1], "ensemble_sizes": [1, 2, 3]}})
     per_seed = [_wd_sweep_cells(cfg, dprime, test, seed,
                                 make_shared(len(dprime), 0.15, 3, rng_seed=seed,
                                             labels=dprime.y), Job(SHARED, 0.15))[2]
-                for seed in grid.seeds]
-    sweep = SweepResult(grid, [c for wd_cells in zip(*per_seed) for c in wd_cells])
+                for seed in seeds]
+    sweep = [c for wd_cells in zip(*per_seed) for c in wd_cells]
     h_ind = select_h(sweep, "individual")
     h_ens = select_h(sweep, "ensemble")
     lhs = selection_score(sweep, h_ens, "ensemble")

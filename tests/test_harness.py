@@ -68,7 +68,9 @@ BAD_CONFIGS = [
      "uniform_0.1"),
     ("early-stop", ['experiment.strategies=["shared","disjoint"]', "ensemble.members=4",
                     "ensemble.val_pct=0.3"], "disjoint validation sets"),
-    ("sweep-wd", ["experiment.weight_decays=[0.001,0.01]"], "must include 0"),
+    ("sweep-wd", ["experiment.weight_decays=[0.001,0.01]"],
+     "experiment.weight_decays=[0.001, 0.01] must start at 0: the weight-decay grid "
+     "must include 0"),
     ("early-stop", ["stopping.patience=0"], "stopping.patience=0 must be >= 1"),
     ("early-stop", ["stopping.batch_size=0"], "stopping.batch_size=0 must be >= 1"),
     ("early-stop", ["stopping.max_epochs=0"], "stopping.max_epochs=0 must be >= 1"),
@@ -84,8 +86,9 @@ BAD_CONFIGS = [
     ("early-stop", ["optimizer.lr=-0.1"], "optimizer.lr=-0.1 must be >= 0"),
     ("early-stop", ["experiment.ece_bins=0"], "experiment.ece_bins=0 must be >= 1"),
     ("sweep-wd", ["experiment.ensemble_sizes=[5]", "ensemble.members=4"],
-     "exceed ensemble.members"),
-    ("sweep-wd", ["experiment.ensemble_sizes=[0,2]"], "ensemble sizes must be >= 1"),
+     "experiment.ensemble_sizes=[5] exceed ensemble.members"),
+    ("sweep-wd", ["experiment.ensemble_sizes=[0,2]"],
+     "experiment.ensemble_sizes=[0, 2]: ensemble sizes must be >= 1"),
     ("early-stop", ["task.test_fraction=1.5"], "task.test_fraction=1.5 must be in (0, 1)"),
     ("early-stop", ["task.test_fraction=-0.2"], "task.test_fraction=-0.2 must be in (0, 1)"),
     ("sweep-wd", ["experiment.seeds=[0.5]"], "experiment.seeds[0]"),
@@ -160,6 +163,10 @@ BAD_CONFIGS = [
                     "task.n=1"],
      "task.n=1: spirals need at least 2 samples"),
     ("temp-scale", ["optimizer.lr=nan"], "optimizer.lr=nan must be >= 0"),
+    ("sweep-wd", ["experiment.weight_decays=[0.0,0.01,0.001]"],
+     "experiment.weight_decays=[0.0, 0.01, 0.001] must be strictly increasing"),
+    ("sweep-wd", ["experiment.weight_decays=[-0.1,0.0]"],
+     "experiment.weight_decays=[-0.1, 0.0] must start at 0"),
 ]
 
 # a row appended to a valid two-feature CSV task, by test id: what can be no
@@ -168,6 +175,14 @@ BAD_CSV_ROWS = {"csv-fractional-label": "0.1,0.2,1.7", "csv-inf-label": "0.1,0.2
                 "csv-nan-feature": "nan,0.2,1",
                 # the CSV holds 400 rows and the bad one: no label may reach 401
                 "csv-huge-label": "0.1,0.2,1e20", "csv-label-rows": "0.1,0.2,401"}
+
+
+def reference_matrix():
+    """scripts/reference_matrix.py, imported as a module."""
+    spec = importlib.util.spec_from_file_location("reference_matrix", REFERENCE_MATRIX)
+    matrix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(matrix)
+    return matrix
 
 
 def base_for(extra):
@@ -710,16 +725,15 @@ class TestExperiments:
             run_experiment(cfg)
         assert [str(w.message) for w in rec if w.category is not UserWarning] == []
         assert sum(str(w.message).startswith("sweep cell") for w in rec) == 2
+        assert [str(w.message) for w in rec if "excluded" in str(w.message)] == [
+            "weight decay 1000000000.0 excluded: all cells diverged"]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_reference_matrix_records_the_workers_warnings(self, tmp_path, monkeypatch,
                                                            workers):
         # at 2 workers the diverged cells warn in the worker processes, and
         # the reference matrix compares each run's warnings between worker counts
-        spec = importlib.util.spec_from_file_location("reference_matrix",
-                                                      REFERENCE_MATRIX)
-        matrix = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(matrix)
+        matrix = reference_matrix()
         monkeypatch.setenv("ENSTUNE_WORKERS", workers)
         argv = ["sweep-wd", "--out", str(tmp_path / "wd")]
         for item in BASE + ["experiment.weight_decays=[0.0,1e9]",
@@ -733,6 +747,15 @@ class TestExperiments:
             "UserWarning: sweep cell wd=1000000000.0 seed=1 diverged"]
         assert "UserWarning: weight decay 1000000000.0 excluded: all cells diverged" in lines
         assert lines == sorted(lines)
+
+    def test_reference_matrix_names_the_warning_lines_one_side_has(self):
+        matrix = reference_matrix()
+        theirs = {"exit_codes": {"1/a": 0}, "digests": {"1/a/cells.csv": "x"},
+                  "warnings": {"1/a": ["A", "B", "B"], "1/b": ["C"]}}
+        ours = {"exit_codes": {"1/a": 0}, "digests": {"1/a/cells.csv": "y"},
+                "warnings": {"1/a": ["B", "D"], "1/b": ["C"]}}
+        assert matrix.differences(ours, theirs) == [
+            "warnings: 1/a\n  - A\n  - B\n  + D", "digests: 1/a/cells.csv"]
 
     def test_wd_sweep_honours_decay_bias(self, tmp_path):
         cells = {}
@@ -998,6 +1021,25 @@ class TestCli:
             rows = list(csv.reader(f))
         assert rows[0][0] == "experiment"
         assert len(rows) > 1
+
+    @pytest.mark.parametrize("case", ["directory", "not-utf8", "empty", "short-row"])
+    def test_report_bad_cells_csv_exit_code(self, tmp_path, capsys, case):
+        path = tmp_path / "cells.csv"
+        header = ",".join(experiments.ROW_COLUMNS) + "\n"
+        where = str(path)
+        if case == "directory":
+            path.mkdir()
+        elif case == "not-utf8":
+            path.write_bytes(header.encode() + b"early_stop,jo\xffint\n")
+        elif case == "empty":
+            path.write_text("")
+        else:  # a row with fewer fields than the header
+            path.write_text(header + "early_stop,joint\n")
+            where += ":2"
+        rep = tmp_path / "rep"
+        assert cli_main(["report", str(path), "--out", str(rep)]) == 2
+        assert f"error: {where}: " in capsys.readouterr().err
+        assert not rep.exists()
 
     @pytest.mark.parametrize("command, extra, reason", [
         pytest.param(*case, id=f"{case[0]}-extra{i}") for i, case in enumerate(BAD_CONFIGS)])

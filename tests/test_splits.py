@@ -22,8 +22,11 @@ def pairs_as_lists(plan):
     return [(a, b, idx.tolist()) for a, b, idx in plan.joint_pairs]
 
 
-def portions_as_lists(plan):
-    return None if plan.portions is None else [p.tolist() for p in plan.portions]
+def portions(plan):
+    """An overlapping plan's portions S_0..S_{M-1}: S_m is the one that the
+    cyclic pair (m - 1, m) shares."""
+    pairs = plan.joint_pairs
+    return [pairs[m - 1][2] for m in range(len(pairs))]
 
 
 def membership_counts(plan):
@@ -111,15 +114,15 @@ class TestOverlapping:
 
     def test_n10_m4_portion_sizes(self):
         plan = make_overlapping(10, 4, rng_seed=2)
-        assert [len(p) for p in plan.portions] == [3, 3, 2, 2]
+        assert [len(p) for p in portions(plan)] == [3, 3, 2, 2]
         union = np.sort(np.concatenate([ms.val_idx for ms in plan.members]))
         assert np.array_equal(np.unique(union), np.arange(10))
 
     def test_val_sets_are_adjacent_portion_unions(self):
         plan = make_overlapping(20, 5, rng_seed=7)
+        parts = portions(plan)
         for m, ms in enumerate(plan.members):
-            expected = np.sort(np.concatenate([plan.portions[m],
-                                               plan.portions[(m + 1) % 5]]))
+            expected = np.sort(np.concatenate([parts[m], parts[(m + 1) % 5]]))
             assert np.array_equal(ms.val_idx, expected)
 
     def test_pair_shared_indices_clean_for_both(self):
@@ -131,7 +134,7 @@ class TestOverlapping:
     def test_subsampled_val_fraction(self):
         plan = make_overlapping(100, 4, rng_seed=1, val_fraction=0.1)
         # portions drawn from a 0.1 * 100 * 4 / 2 = 20-index subset
-        pool = np.sort(np.concatenate(plan.portions))
+        pool = np.sort(np.concatenate(portions(plan)))
         assert len(pool) == 20
         for ms in plan.members:
             assert len(ms.val_idx) == 10
@@ -157,8 +160,9 @@ class TestJointEvalSets:
         plan = make_overlapping(12, 4, rng_seed=0)
         sets = joint_eval_sets(plan)
         assert [mset for mset, _ in sets] == [(0, 1), (1, 2), (2, 3), (3, 0)]
-        for (a, b), idx in sets:
-            assert np.array_equal(idx, plan.portions[(a + 1) % 4])
+        for (a, b), idx in sets:  # the portion both validation sets hold
+            assert np.array_equal(np.sort(idx), np.intersect1d(plan.members[a].val_idx,
+                                                               plan.members[b].val_idx))
 
     def test_disjoint_empty(self):
         plan = make_disjoint(12, 0.25, 4, rng_seed=0)
@@ -184,7 +188,6 @@ class TestInvariantsAndDeterminism:
                 assert np.array_equal(ma.train_idx, mb.train_idx)
                 assert np.array_equal(ma.val_idx, mb.val_idx)
             assert pairs_as_lists(a) == pairs_as_lists(b)
-            assert portions_as_lists(a) == portions_as_lists(b)
 
     def test_stratified_counts_within_one(self):
         rng = np.random.default_rng(0)

@@ -1,5 +1,6 @@
 """Tests for the weight-decay sweep, selection rules and optimality gap."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,12 +21,11 @@ from enstune.training import (
     train_grid,
 )
 from enstune.tuning import (
-    HyperGrid,
     SweepCell,
-    SweepResult,
     optimality_gap,
     select_h,
     selection_score,
+    usable_wds,
 )
 
 
@@ -35,7 +35,7 @@ def record(nll, k, seed):
 
 
 def synthetic_sweep(table, seeds=(0,), k_full=4):
-    """Build a SweepResult from {wd: (member_nll, ensemble_val_nll, ensemble_test_nll)}."""
+    """Sweep cells from {wd: (member_nll, ensemble_val_nll, ensemble_test_nll)}."""
     cells = []
     for wd, (member_nll, val_nll, test_nll) in table.items():
         for seed in seeds:
@@ -44,18 +44,7 @@ def synthetic_sweep(table, seeds=(0,), k_full=4):
             cell.val_records = {k_full: record(val_nll, k_full, seed)}
             cell.test_records = {k_full: record(test_nll, k_full, seed)}
             cells.append(cell)
-    grid = HyperGrid(sorted(table.keys()), [k_full], list(seeds))
-    return SweepResult(grid, cells)
-
-
-class TestHyperGrid:
-    def test_requires_zero(self):
-        with pytest.raises(ValueError, match="include 0"):
-            HyperGrid([1e-4, 1e-3], [4], [0])
-
-    def test_requires_increasing(self):
-        with pytest.raises(ValueError, match="increasing"):
-            HyperGrid([0.0, 1e-3, 1e-4], [4], [0])
+    return cells
 
 
 class TestSelection:
@@ -90,7 +79,7 @@ class TestSelection:
     def test_selection_invariant_under_reordering(self):
         table = {0.0: (1.2, 0.5, 0.45), 1e-4: (1.0, 0.52, 0.5), 1e-3: (0.9, 0.6, 0.55)}
         sweep = synthetic_sweep(table, seeds=(0, 1, 2))
-        shuffled = SweepResult(sweep.grid, list(reversed(sweep.cells)))
+        shuffled = list(reversed(sweep))
         for objective in ("individual", "ensemble"):
             assert select_h(sweep, objective) == select_h(shuffled, objective)
 
@@ -102,6 +91,28 @@ class TestSelection:
         h_ens = select_h(sweep, "ensemble")
         assert (selection_score(sweep, h_ens, "ensemble")
                 <= selection_score(sweep, h_ind, "ensemble"))
+
+    def test_a_decay_whose_cells_all_diverged_is_skipped_silently(self):
+        # the wd_sweep summary warns of such a decay once; selection does not
+        sweep = synthetic_sweep({0.0: (1.2, 0.5, 0.45), 1e-3: (0.9, 0.6, 0.55)},
+                                seeds=(0, 1))
+        sweep += [SweepCell(wd=1e9, seed=s, diverged=True) for s in (0, 1)]
+        sweep.append(SweepCell(wd=1e-4, seed=0, diverged=True))
+        sweep += synthetic_sweep({1e-4: (1.0, 0.4, 0.5)}, seeds=(1,))
+        assert usable_wds(sweep) == [0.0, 1e-4, 1e-3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert select_h(sweep, "individual") == 1e-3
+            assert select_h(sweep, "ensemble") == 1e-4
+        assert optimality_gap(sweep, 1e-3, 0.0) == (pytest.approx(0.10), 0.0)
+        with pytest.raises(ValueError, match="seed 0: selected cell diverged"):
+            optimality_gap(sweep, 1e-3, 1e-4)
+
+    def test_every_cell_diverged(self):
+        sweep = [SweepCell(wd=0.0, seed=0, diverged=True)]
+        assert usable_wds(sweep) == []
+        with pytest.raises(ValueError, match="every sweep cell diverged"):
+            select_h(sweep, "ensemble")
 
 
 def small_sweep_data():
@@ -118,8 +129,12 @@ def shared_plans(dprime, seeds, n_members=3, val_fraction=0.15):
                         labels=dprime.y) for seed in seeds]
 
 
-def grid_sweep(dprime, test, grid, plans):
-    """The wd_sweep cell function once per seed of ``grid``, training a
+# the small sweep's grid: its weight decays, ensemble sizes and seeds
+DECAYS, SIZES, SEEDS = [0.0, 1e-3, 1e-1], [1, 2, 3], [0, 1]
+
+
+def grid_sweep(dprime, test, decays, seeds, plans):
+    """The wd_sweep cell function once per seed, over ``decays``, training a
     [2, 16, 3] MLP with SMALL_OPT's optimizer for SMALL_STOP's budget, cosine
     annealed over it as SMALL_OPT is, with its cells in grid order: every
     seed of the first decay, then the next decay. ``plans`` are shared_plans
@@ -130,28 +145,26 @@ def grid_sweep(dprime, test, grid, plans):
         "optimizer": {"kind": SMALL_OPT.kind, "lr": SMALL_OPT.lr},
         "stopping": {"max_epochs": SMALL_STOP.max_epochs,
                      "batch_size": SMALL_STOP.batch_size},
-        "experiment": {"kind": "wd_sweep", "seeds": grid.seeds,
-                       "weight_decays": grid.weight_decays,
-                       "ensemble_sizes": grid.ensemble_sizes}})
+        "experiment": {"kind": "wd_sweep", "seeds": seeds, "weight_decays": decays,
+                       "ensemble_sizes": SIZES}})
     per_seed = [_wd_sweep_cells(cfg, dprime, test, seed, plan,
                                 Job(SHARED, 0.15))[2]
-                for seed, plan in zip(grid.seeds, plans, strict=True)]
-    return SweepResult(grid, [cell for wd_cells in zip(*per_seed) for cell in wd_cells])
+                for seed, plan in zip(seeds, plans, strict=True)]
+    return [cell for wd_cells in zip(*per_seed) for cell in wd_cells]
 
 
 @pytest.fixture(scope="module")
 def small_sweep():
     dprime, test = small_sweep_data()
-    grid = HyperGrid([0.0, 1e-3, 1e-1], [1, 2, 3], [0, 1])
-    return grid_sweep(dprime, test, grid, shared_plans(dprime, grid.seeds))
+    return grid_sweep(dprime, test, DECAYS, SEEDS, shared_plans(dprime, SEEDS))
 
 
-def per_cell_sweep(dprime, test, grid, plans, dims, val_fraction, opt, stop):
+def per_cell_sweep(dprime, test, decays, seeds, plans, dims, val_fraction, opt, stop):
     """The sweep cell by cell, one train_ensemble call per (weight decay,
     seed): the oracle for the stacked grid trajectory."""
     cells = {}
-    for wd in grid.weight_decays:
-        for seed, plan in zip(grid.seeds, plans):
+    for wd in decays:
+        for seed, plan in zip(seeds, plans):
             cell = cells[wd, seed] = SweepCell(wd=wd, seed=seed)
             try:
                 result = train_ensemble(dprime.x, dprime.y, plan, dims,
@@ -165,7 +178,7 @@ def per_cell_sweep(dprime, test, grid, plans, dims, val_fraction, opt, stop):
             norm = float(np.mean([m.stop.normalized_epochs for m in result.members]))
             tags = dict(strategy=plan.strategy, val_pct=val_fraction, seed=seed,
                         normalized_epochs=norm)
-            for k in grid.ensemble_sizes:
+            for k in SIZES:
                 cell.val_records[k] = metrics.compute_record(
                     val_probs[:k], dprime.y[val_idx], ensemble_size=k, **tags)
                 cell.test_records[k] = metrics.compute_record(
@@ -177,14 +190,14 @@ def per_cell_sweep(dprime, test, grid, plans, dims, val_fraction, opt, stop):
 class TestRunSweep:
 
     def test_all_cells_populated(self, small_sweep):
-        assert len(small_sweep.cells) == 6
-        for cell in small_sweep.cells:
+        assert len(small_sweep) == 6
+        for cell in small_sweep:
             assert not cell.diverged
             assert set(cell.val_records) == {1, 2, 3}
             assert len(cell.member_val_nlls) == 3
 
     def test_per_seed_rows_differ_and_aggregate_is_mean(self, small_sweep):
-        by_seed = {c.seed: c for c in small_sweep.cells if c.wd == 0.0}
+        by_seed = {c.seed: c for c in small_sweep if c.wd == 0.0}
         a, b = by_seed[0].val_records[3].nll, by_seed[1].val_records[3].nll
         assert a != b
         mean, sem = metrics.mean_sem([a, b])
@@ -193,8 +206,8 @@ class TestRunSweep:
 
     def test_ensemble_nll_never_exceeds_mean_member_nll(self, small_sweep):
         # ambiguity non-negativity flowing through every populated cell
-        for cell in small_sweep.cells:
-            k_full = max(small_sweep.grid.ensemble_sizes)
+        for cell in small_sweep:
+            k_full = max(SIZES)
             assert (cell.val_records[k_full].nll
                     <= float(np.mean(cell.member_val_nlls)) + 1e-12)
 
@@ -202,8 +215,8 @@ class TestRunSweep:
         h_ind = select_h(small_sweep, "individual")
         h_ens = select_h(small_sweep, "ensemble")
         gap, sem = optimality_gap(small_sweep, h_ind, h_ens)
-        assert h_ind in small_sweep.grid.weight_decays
-        assert h_ens in small_sweep.grid.weight_decays
+        assert h_ind in DECAYS
+        assert h_ens in DECAYS
         assert np.isfinite(gap) and np.isfinite(sem)
 
 
@@ -236,18 +249,18 @@ class TestGridTrajectory:
 
     def test_diverging_cells_are_flagged_and_the_rest_train_on(self):
         dprime, test = small_sweep_data()
-        grid = HyperGrid([0.0, 1e-3, 1e9], [1, 2, 3], [0, 1])
-        plans = shared_plans(dprime, grid.seeds)
-        oracle = per_cell_sweep(dprime, test, grid, plans, [2, 16, 3], 0.15,
+        decays = [0.0, 1e-3, 1e9]
+        plans = shared_plans(dprime, SEEDS)
+        oracle = per_cell_sweep(dprime, test, decays, SEEDS, plans, [2, 16, 3], 0.15,
                                 SMALL_OPT, SMALL_STOP)
         with pytest.warns(UserWarning, match="diverged: non-finite loss at sample") as rec:
-            sweep = grid_sweep(dprime, test, grid, plans)
-        diverged = sorted((c.wd, c.seed) for c in sweep.cells if c.diverged)
+            sweep = grid_sweep(dprime, test, decays, SEEDS, plans)
+        diverged = sorted((c.wd, c.seed) for c in sweep if c.diverged)
         assert diverged == [(1e9, 0), (1e9, 1)]
         assert diverged == sorted(key for key, c in oracle.items() if c.diverged)
         assert sum("diverged" in str(w.message) for w in rec) == 2
-        assert [(c.wd, c.seed) for c in sweep.cells] == list(oracle)
-        for cell in sweep.cells:
+        assert [(c.wd, c.seed) for c in sweep] == list(oracle)
+        for cell in sweep:
             want = oracle[cell.wd, cell.seed]
             assert cell.val_records == want.val_records
             assert cell.test_records == want.test_records
