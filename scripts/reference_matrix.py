@@ -62,6 +62,9 @@ RUNS = {
     "wd_sweep": ("sweep-wd", ["experiment.weight_decays=[0,0.001,0.01]",
                               "stopping.max_epochs=10", *SGD]),
     "batch_ensemble": ("batch-ensemble", [THREE, "stopping.max_epochs=15"]),
+    # a batch-normed hidden layer feeding another, as in configs/batchensemble.toml
+    "batch_ensemble_deep": ("batch-ensemble", [THREE, "model.hidden=[16,8]",
+                                               "stopping.max_epochs=15"]),
     "stop_then_scale": ("stop-then-scale", []),
     "es_multi": ("early-stop", [THREE, ALL_STOPS, "experiment.val_pcts=[0.05,0.2]"]),
     "es_sgd": ("early-stop", [TWO, 'experiment.modes=["none","joint"]', *SGD]),

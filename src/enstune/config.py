@@ -43,9 +43,10 @@ _READ_WHEN = {
         cfg.experiment.weight_decays if cfg.experiment.kind == "wd_sweep"
         else [cfg.optimizer.weight_decay], default=0.0) > 0),
 }
-# the least value each of these keys accepts (the trainers and scorers refuse less)
+# the least value each of these keys accepts; the code that reads it refuses less or inf
 _AT_LEAST = {"optimizer.lr": 0, "optimizer.weight_decay": 0, "stopping.patience": 1,
-             "stopping.max_epochs": 1, "stopping.batch_size": 1, "experiment.ece_bins": 1}
+             "stopping.max_epochs": 1, "stopping.batch_size": 1, "experiment.ece_bins": 1,
+             "ensemble.members": 1, "task.noise": 0}
 # bench/workloads.py's TINY sets these two for every kind; check them once it does not
 _UNCHECKED = ("experiment.weight_decays", "stopping.patience")
 
@@ -145,8 +146,8 @@ class ExperimentConfig:
         if unread:
             raise ConfigError(f"this run does not read {', '.join(unread)}; leave them unset")
         for key, least in _AT_LEAST.items():
-            if not _value(self, key) >= least:
-                raise ConfigError(f"{key}={_value(self, key)!r} must be >= {least}")
+            if not least <= _value(self, key) < float("inf"):
+                raise ConfigError(f"{key}={_value(self, key)!r} must be >= {least} and finite")
         self._check_task()
         if "experiment.weight_decays" in read:
             self._check_sweep()

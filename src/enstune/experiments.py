@@ -564,8 +564,8 @@ def write_csv(path: str, header, rows) -> None:
 
 def read_rows_csv(path: str):
     """The rows of a cells.csv file. A file that cannot be read as UTF-8, is
-    empty, has another header or a row of another width is a
-    ``ConfigError`` naming ``path``, or ``path:line`` for the row."""
+    empty, has another header, a row of another width or a metric field that
+    is no number is a ``ConfigError`` naming ``path``, or ``path:line``."""
     try:
         with open(path, newline="", encoding="utf-8") as f:
             reader = csv.reader(f)
@@ -579,6 +579,10 @@ def read_rows_csv(path: str):
                 if len(row) != len(ROW_COLUMNS):
                     raise ConfigError(f"{path}:{reader.line_num}: expected "
                                       f"{len(ROW_COLUMNS)} fields, got {len(row)}")
+                try:  # the metric fields, which aggregate_rows reads as floats
+                    [float(v) for v in row[-len(metrics.METRIC_COLUMNS):] if v]
+                except ValueError as err:
+                    raise ConfigError(f"{path}:{reader.line_num}: {err}") from None
                 rows.append(row)
             return rows
     except (OSError, UnicodeDecodeError) as err:

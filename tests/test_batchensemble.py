@@ -21,8 +21,8 @@ from enstune.batchensemble import (
     materialized_member_params,
 )
 from enstune.data import make_blobs
-from enstune.netcore import (LabelError, NonFiniteLossError, ShapeError, _check_labels,
-                              _views, log_softmax, mlp_forward)
+from enstune.netcore import (LabelError, MlpParams, NonFiniteLossError, ShapeError,
+                              _check_labels, _views, mlp_forward)
 from enstune.splits import make_disjoint, make_overlapping, make_shared
 from enstune.training import OptimizerConfig, StoppingConfig
 
@@ -74,6 +74,27 @@ class TestForward:
         for m in range(model.n_members):
             oracle = mlp_forward(materialized_member_params(model, m), x)
             assert np.abs(be_forward(model, x, m) - oracle).max() < 1e-10
+
+    def test_batch_norm_model_matches_materialized_oracle_in_eval_mode(self):
+        rng = np.random.default_rng(16)
+        model = small_model(dims=(3, 6, 5, 4))
+        for bn in model.bn:  # non-trivial eval statistics and affine maps
+            bn.running_mean += rng.normal(0, 0.3, size=bn.running_mean.shape)
+            bn.running_var *= rng.uniform(0.5, 2.0, size=bn.running_var.shape)
+            bn.gamma[...] = rng.uniform(0.5, 1.5, size=bn.gamma.shape)
+            bn.beta[...] = rng.normal(0, 0.2, size=bn.beta.shape)
+        x = rng.normal(size=(12, 3))
+        for m in range(model.n_members):
+            layers = materialized_member_params(model, m).layers
+            h = x
+            for i, layer in enumerate(layers):
+                h = mlp_forward(MlpParams([layer]), h)
+                if i < len(layers) - 1:  # eval batch norm by hand, then ReLU
+                    bn = model.bn[i]
+                    sd = np.sqrt(np.maximum(bn.running_var[m], _VAR_FLOOR))
+                    h = np.maximum((h - bn.running_mean[m]) / sd * bn.gamma[m] + bn.beta[m],
+                                   0.0)
+            assert np.abs(be_forward(model, x, m) - h).max() < 1e-10
 
     def test_sign_flipped_members_differ(self):
         model = small_model(m=2, scheme="random_sign", use_batchnorm=False)
@@ -135,6 +156,23 @@ class TestGradients:
         ys = rng.integers(0, 4, size=(4, 5))
         assert be_grad_check(model, xs, ys).max_rel_error < 1e-4
 
+    def test_hidden_slow_bias_gradient_is_zero_only_under_batch_norm(self):
+        # training batch norm subtracts the batch mean, which cancels a hidden
+        # slow bias; without batch norm the bias is a live parameter
+        rng = np.random.default_rng(17)
+        xs = rng.normal(size=(3, 9, 3))
+        ys = rng.integers(0, 4, size=(3, 9))
+        for use_batchnorm in (True, False):
+            model = small_model(dims=(3, 6, 5, 4), m=3, use_batchnorm=use_batchnorm)
+            _, grads = be_loss_and_grads(model, xs, ys)
+            *hidden, output = model._groups(grads)[1]
+            assert np.abs(output).max() > 1e-6
+            for g in hidden:
+                if use_batchnorm:
+                    assert not g.any()
+                else:
+                    assert np.abs(g).max() > 1e-6
+
     def test_loss_decreases_under_training_steps(self):
         from enstune.netcore import Optimizer
         rng = np.random.default_rng(11)
@@ -152,76 +190,80 @@ class TestGradients:
 
 
 # -- the allocating kernel that the buffered one replaced, kept as its oracle:
-# every array new, with the kernel's formulas (sample sums as products with
-# ones, the slow-weight gradient as one matmul, BN backward from d_gamma and
-# d_beta), so kept buffers are the one thing the comparison tests --
+# every array new, with the kernel's formulas (feature-major activations,
+# member weights W ∘ (r_m s_mᵀ) in one batched matmul per layer, sample sums
+# as products with ones, the batch-norm scale applied to the weight-shaped
+# arrays, no hidden slow bias under batch norm), so kept buffers and flat
+# label indices are what the comparison tests --
 
 def _ref_sample_sum(a):
-    """(M, B, W) summed over samples as one product ones(1, B) @ a[m] per member."""
-    return np.matmul(np.ones((1, a.shape[1])), a)[:, 0, :]
+    """Feature-major (M, W, N) summed over samples as one product a @ ones(N)."""
+    return np.matmul(a, np.ones(a.shape[2]))
 
 
 def _ref_bn_forward(u, state, members, training, update_stats):
-    gamma = state.gamma[members][:, None, :]
-    beta = state.beta[members][:, None, :]
     if training:
-        n = u.shape[1]
+        n = u.shape[2]
         mean = _ref_sample_sum(u) / n
-        var = _ref_sample_sum((u - mean[:, None, :]) ** 2) / n
+        centered = u - mean[:, :, None]
+        var = np.vecdot(centered, centered) / n
         if update_stats:
             state.running_mean[members] = (_BN_MOMENTUM * state.running_mean[members]
                                            + (1 - _BN_MOMENTUM) * mean)
             state.running_var[members] = (_BN_MOMENTUM * state.running_var[members]
                                           + (1 - _BN_MOMENTUM) * var)
-        mean, var = mean[:, None, :], var[:, None, :]
     else:
-        mean = state.running_mean[members][:, None, :]
-        var = state.running_var[members][:, None, :]
-    sd = np.sqrt(np.maximum(var, _VAR_FLOOR))
-    xhat = (u - mean) / sd
-    return gamma * xhat + beta, (xhat, sd, gamma, var)
+        var = state.running_var[members]
+        centered = u - state.running_mean[members][:, :, None]
+    inv_sd = 1.0 / np.sqrt(np.maximum(var, _VAR_FLOOR))
+    gamma = state.gamma[members]
+    out = centered * (gamma * inv_sd)[:, :, None] + state.beta[members][:, :, None]
+    return out, (centered, inv_sd, gamma, var)
 
 
 def _ref_bn_backward(d_out, cache):
-    xhat, sd, gamma, var = cache
-    d_gamma = _ref_sample_sum(d_out * xhat)
+    """(d, scale, d_gamma, d_beta): the input's delta is scale ∘ d, kept
+    apart as the kernel applies it."""
+    centered, inv_sd, gamma, var = cache
+    n = centered.shape[2]
+    d_gamma = np.vecdot(d_out, centered) * inv_sd
     d_beta = _ref_sample_sum(d_out)
-    n = xhat.shape[1]
     live = var >= _VAR_FLOOR
-    d_u = gamma / sd * (d_out - d_beta[:, None, :] / n
-                        - xhat * (live * d_gamma[:, None, :] / n))
-    return d_u, d_gamma, d_beta
+    d = (d_out - (d_beta / n)[:, :, None]
+         - centered * (live * d_gamma * inv_sd / n)[:, :, None])
+    return d, gamma * inv_sd, d_gamma, d_beta
 
 
 def reference_be_loss_and_grads(model, xs, ys, update_stats=True):
-    """Every activation a new array, members picked by fancy index and one
-    label check per member: the kernel before kept buffers."""
+    """Every activation a new array, members picked by fancy index, labels
+    by fancy index and one label check per member: the kernel without kept
+    buffers."""
     m_all = np.arange(model.n_members)
     xs = np.asarray(xs, dtype=np.float64)
     n_layers = len(model.slow.layers)
-    h, caches = xs, []
+    h, caches = xs.transpose(0, 2, 1), []
     for i, layer in enumerate(model.slow.layers):
-        r = model.fast.r[i][m_all][:, None, :]
-        s = model.fast.s[i][m_all][:, None, :]
-        a_mod = h * r
-        c = np.matmul(a_mod, layer.weight)
-        u = c * s + layer.bias
-        bn_cache, pre_relu = None, u
-        if i < n_layers - 1:
-            if model.use_batchnorm:
-                pre_relu, bn_cache = _ref_bn_forward(u, model.bn[i], m_all, True,
-                                                     update_stats)
-            out = np.maximum(pre_relu, 0.0)
+        r = model.fast.r[i][m_all]
+        s = model.fast.s[i][m_all]
+        rs = r[:, :, None] * s[:, None, :]
+        w_m = rs * layer.weight
+        u = np.matmul(w_m.swapaxes(1, 2), h)
+        hidden = i < n_layers - 1
+        bn_cache = None
+        if hidden and model.use_batchnorm:
+            u, bn_cache = _ref_bn_forward(u, model.bn[i], m_all, True, update_stats)
         else:
-            out = u
-        caches.append((h, a_mod, c, s, r, bn_cache, pre_relu))
+            u = u + layer.bias[:, None]
+        out = np.maximum(u, 0.0) if hidden else u
+        caches.append((h, r, s, rs, w_m, bn_cache, u))
         h = out
-    n_members, batch, k = h.shape
+    n_members, k, batch = h.shape
     ys = np.stack([_check_labels(ys[m], k, xs[m]) for m in range(n_members)])
-    logp = log_softmax(h)
-    pick = (m_all[:, None], np.arange(batch), ys)
-    total = float((-logp[pick].mean(axis=1)).sum())
-    delta = np.exp(logp)
+    shifted = h - h.max(axis=1, keepdims=True)
+    total_exp = np.exp(shifted).sum(axis=1, keepdims=True)
+    pick = (m_all[:, None], ys, np.arange(batch))
+    total = float((-(shifted[pick] - np.log(total_exp[:, 0, :])).mean(axis=1)).sum())
+    delta = np.exp(shifted) / total_exp
     delta[pick] -= 1.0
     delta /= batch
     grads = np.empty_like(model.flat)
@@ -230,19 +272,22 @@ def reference_be_loss_and_grads(model, xs, ys, update_stats=True):
     g_r, g_s = views[2 * n_layers:4 * n_layers:2], views[2 * n_layers + 1:4 * n_layers:2]
     g_gamma, g_beta = views[4 * n_layers::2], views[4 * n_layers + 1::2]
     for i in range(n_layers - 1, -1, -1):
-        h, a_mod, c, s, r, bn_cache, pre_relu = caches[i]
+        h, r, s, rs, w_m, bn_cache, pre_relu = caches[i]
         if i < n_layers - 1:
             delta = delta * (pre_relu > 0)
-            if model.use_batchnorm:
-                delta, g_gamma[i][...], g_beta[i][...] = _ref_bn_backward(delta, bn_cache)
-        g_s[i][...] = _ref_sample_sum(delta * c)
-        g_slow_b[i][...] = np.ones(n_members * batch) @ delta.reshape(n_members * batch, -1)
-        d_c = delta * s
-        g_slow_w[i][...] = (a_mod.reshape(n_members * batch, -1).T
-                            @ d_c.reshape(n_members * batch, -1))
-        d_amod = np.matmul(d_c, model.slow.layers[i].weight.T)
-        g_r[i][...] = _ref_sample_sum(d_amod * h)
-        delta = d_amod * r
+        scale = np.ones((n_members, 1, w_m.shape[2]))
+        if bn_cache is None:
+            g_slow_b[i][...] = _ref_sample_sum(delta).sum(axis=0)
+        else:
+            delta, scale, g_gamma[i][...], g_beta[i][...] = _ref_bn_backward(delta, bn_cache)
+            scale = scale[:, None, :]
+            g_slow_b[i][...] = 0.0
+        g_m = np.matmul(h, delta.swapaxes(1, 2)) * scale
+        g_slow_w[i][...] = (g_m * rs).sum(axis=0)
+        g_m_w = g_m * model.slow.layers[i].weight
+        g_r[i][...] = np.matmul(g_m_w, s[:, :, None])[:, :, 0]
+        g_s[i][...] = np.matmul(r[:, None, :], g_m_w)[:, 0, :]
+        delta = np.matmul(w_m * scale, delta)
     return total, grads
 
 
@@ -286,6 +331,24 @@ class TestBufferedKernel:
             assert grads.tobytes() == want.tobytes(), f"batch {batch}"
             assert running_stats(kept_model) == running_stats(fresh_model)
 
+    def test_steps_at_a_seen_batch_size_add_no_buffer(self):
+        rng = np.random.default_rng(18)
+        model = small_model(dims=(3, 16, 16, 5), m=3)
+        bufs = {}
+
+        def step(batch):
+            xs = rng.normal(size=(3, batch, 3))
+            ys = rng.integers(0, 5, size=(3, batch))
+            _, grads = be_loss_and_grads(model, xs, ys, bufs=bufs)
+            model.flat -= 0.1 * grads
+
+        step(9)
+        kept = dict(bufs)
+        for batch in (9, 5, 9):
+            step(batch)
+            assert bufs.keys() == kept.keys(), f"batch {batch}"
+            assert all(bufs[key] is buf for key, buf in kept.items()), f"batch {batch}"
+
     def test_returned_gradients_survive_the_next_call(self):
         rng = np.random.default_rng(13)
         model = small_model(dims=(3, 16, 16, 5), m=3)
@@ -320,31 +383,28 @@ class TestBufferedKernel:
 
 
 class TestSampleSums:
-    """Batch statistics and gradient sums are BLAS products with ones: they
+    """Batch statistics and gradient sums over the contiguous sample axis are
+    BLAS products, with ones or of a unit's samples with themselves: they
     agree with numpy's own reduction to rounding, not bit for bit."""
 
-    @pytest.mark.parametrize("shape", [(4, 128, 2), (4, 128, 32), (4, 128, 4),
-                                       (1, 9, 16), (3, 7, 5)])
+    @pytest.mark.parametrize("shape", [(4, 2, 128), (4, 32, 128), (4, 4, 128),
+                                       (1, 16, 9), (3, 5, 7)])
     def test_matches_add_reduce(self, shape):
         rng = np.random.default_rng(sum(shape))
         a = rng.random(shape) + 0.1  # positive, so every sum is far from 0
-        ones = np.ones(shape[0] * shape[1])
-        per_member = _sample_sum(a, ones, np.empty((shape[0], shape[2])))
-        np.testing.assert_allclose(per_member, np.add.reduce(a, axis=1), rtol=1e-13, atol=0)
-        over_members = _sample_sum(a, ones, np.empty(shape[2]))
-        np.testing.assert_allclose(over_members, np.add.reduce(a, axis=(0, 1)),
-                                   rtol=1e-13, atol=0)
+        per_member = _sample_sum(a, np.empty(shape[:2]))
+        np.testing.assert_allclose(per_member, np.add.reduce(a, axis=2), rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("m, n, width", [(4, 128, 32), (1, 9, 16), (3, 7, 5)])
     def test_training_batch_norm_standardizes_each_member_and_unit(self, m, n, width):
         rng = np.random.default_rng(n + width)
-        scale = rng.uniform(0.1, 10.0, size=width)
-        u = 3.0 + scale * rng.normal(size=(m, n, width))
+        scale = rng.uniform(0.1, 10.0, size=(width, 1))
+        u = 3.0 + scale * rng.normal(size=(m, width, n))
         state = BatchNormState.identity(m, width)  # gamma 1, beta 0
         out, _ = _bn_forward(u, state, slice(None), training=True, update_stats=False,
                              bufs={}, i=0)
-        assert np.abs(out.mean(axis=1)).max() <= 1e-12
-        assert np.abs(out.var(axis=1) - 1.0).max() <= 1e-12
+        assert np.abs(out.mean(axis=2)).max() <= 1e-12
+        assert np.abs(out.var(axis=2) - 1.0).max() <= 1e-12
 
 
 class TestTraining:
@@ -361,6 +421,17 @@ class TestTraining:
         assert res.stop.best_score == min(res.stop.history)
         probs = res.all_probs(ds.x)
         assert all(p.shape == (len(ds), 4) for p in probs)
+
+    def test_hidden_slow_biases_stay_zero_under_batch_norm(self):
+        ds = self.make_task(n=200)
+        plan = make_shared(len(ds), 0.2, 2, rng_seed=11, labels=ds.y)
+        res = be_train(ds.x, ds.y, plan, [2, 8, 6, 4], "gaussian",
+                       OptimizerConfig(lr=1e-2, weight_decay=1e-3, decay_bias=True),
+                       StoppingConfig(mode="joint", patience=2, max_epochs=5,
+                                      batch_size=64), seed=12)
+        *hidden, output = res.model.slow.layers
+        assert all(not layer.bias.any() for layer in hidden)
+        assert output.bias.any()
 
     def test_disjoint_plan_uses_average_member_nll(self):
         ds = self.make_task(n=300)

@@ -167,6 +167,15 @@ BAD_CONFIGS = [
      "experiment.weight_decays=[0.0, 0.01, 0.001] must be strictly increasing"),
     ("sweep-wd", ["experiment.weight_decays=[-0.1,0.0]"],
      "experiment.weight_decays=[-0.1, 0.0] must start at 0"),
+    ("early-stop", ["optimizer.lr=inf"], "optimizer.lr=inf must be >= 0 and finite"),
+    ("temp-scale", ["optimizer.weight_decay=inf"],
+     "optimizer.weight_decay=inf must be >= 0 and finite"),
+    ("sweep-wd", ["ensemble.members=0"], "ensemble.members=0 must be >= 1"),
+    ("early-stop", ["ensemble.members=-2"], "ensemble.members=-2 must be >= 1"),
+    ("early-stop", ["task.noise=-1"], "task.noise=-1.0 must be >= 0"),
+    ("early-stop", ["task.noise=inf"], "task.noise=inf must be >= 0 and finite"),
+    ("early-stop", ["task.kind=spirals", "task.classes=4", "task.label_noise=0",
+                    "task.noise=nan"], "task.noise=nan must be >= 0"),
 ]
 
 # a row appended to a valid two-feature CSV task, by test id: what can be no
@@ -1022,7 +1031,8 @@ class TestCli:
         assert rows[0][0] == "experiment"
         assert len(rows) > 1
 
-    @pytest.mark.parametrize("case", ["directory", "not-utf8", "empty", "short-row"])
+    @pytest.mark.parametrize("case", ["directory", "not-utf8", "empty", "short-row",
+                                      "not-a-number"])
     def test_report_bad_cells_csv_exit_code(self, tmp_path, capsys, case):
         path = tmp_path / "cells.csv"
         header = ",".join(experiments.ROW_COLUMNS) + "\n"
@@ -1033,8 +1043,13 @@ class TestCli:
             path.write_bytes(header.encode() + b"early_stop,jo\xffint\n")
         elif case == "empty":
             path.write_text("")
-        else:  # a row with fewer fields than the header
+        elif case == "short-row":  # a row with fewer fields than the header
             path.write_text(header + "early_stop,joint\n")
+            where += ":2"
+        else:  # a row of the right width whose nll is no number
+            row = ["1"] * len(experiments.ROW_COLUMNS)
+            row[experiments.ROW_COLUMNS.index("nll")] = "x"
+            path.write_text(header + ",".join(row) + "\n")
             where += ":2"
         rep = tmp_path / "rep"
         assert cli_main(["report", str(path), "--out", str(rep)]) == 2
