@@ -167,11 +167,15 @@ def make_batch_ensemble(dims: list[int], n_members: int, scheme: str,
     return BatchEnsembleModel(slow, fast, bn, n_members, use_batchnorm)
 
 
-def _sample_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _sample_sum(a: np.ndarray, out: np.ndarray, bufs: dict) -> np.ndarray:
     """The feature-major (M, W, N) array ``a`` summed over its contiguous
-    sample axis into the (M, W) ``out``, as one BLAS product with ones: about
-    twice as fast as ``np.add.reduce`` at (4, 32, 128). Returns ``out``."""
-    return np.matmul(a, np.ones(a.shape[2]), out=out)
+    sample axis into the (M, W) ``out``, as one BLAS product with ones kept
+    in ``bufs``: about twice as fast as ``np.add.reduce`` at (4, 32, 128).
+    Returns ``out``."""
+    n = a.shape[2]
+    if "ones" not in bufs or bufs["ones"].size < n:
+        bufs["ones"] = np.ones(n)
+    return np.matmul(a, bufs["ones"][:n], out=out)
 
 
 def _bn_forward(u: np.ndarray, state: BatchNormState, sel: slice, training: bool,
@@ -185,43 +189,43 @@ def _bn_forward(u: np.ndarray, state: BatchNormState, sel: slice, training: bool
     out = _buffer(bufs, ("h", i), u.shape)
     if training:
         n = u.shape[2]
-        mean = _sample_sum(u, np.empty(u.shape[:2]))
+        mean = _sample_sum(u, np.empty(u.shape[:2]), bufs)
         mean /= n
         u -= mean[:, :, None]
         var = np.vecdot(u, u)
         var /= n
-        if update_stats:
-            state.running_mean[sel] = (_BN_MOMENTUM * state.running_mean[sel]
-                                       + (1 - _BN_MOMENTUM) * mean)
-            state.running_var[sel] = (_BN_MOMENTUM * state.running_var[sel]
-                                      + (1 - _BN_MOMENTUM) * var)
+        if update_stats:  # in place: ``sel`` is a slice, so these are views
+            for running, batch in ((state.running_mean[sel], mean),
+                                   (state.running_var[sel], var)):
+                running *= _BN_MOMENTUM
+                running += (1 - _BN_MOMENTUM) * batch
     else:
         var = state.running_var[sel]
         u -= state.running_mean[sel][:, :, None]
     inv_sd = 1.0 / np.sqrt(np.maximum(var, _VAR_FLOOR))
-    gamma = state.gamma[sel]
-    np.multiply(u, (gamma * inv_sd)[:, :, None], out=out)
+    scale = state.gamma[sel] * inv_sd
+    np.multiply(u, scale[:, :, None], out=out)
     out += state.beta[sel][:, :, None]
-    return out, (u, inv_sd, gamma, var, out)
+    return out, (u, inv_sd, scale, var, out)
 
 
 def _bn_backward(d: np.ndarray, cache, g_gamma: np.ndarray,
-                 g_beta: np.ndarray) -> np.ndarray:
+                 g_beta: np.ndarray, bufs: dict) -> np.ndarray:
     """Gradient through training-mode batch norm: d_gamma and d_beta are
     written into ``g_gamma`` and ``g_beta``, and ``d`` turns in place from
     the output's delta into d - d_beta/n - xhat · live · d_gamma/n. The
     input's delta is that times gamma/sd, the (M, W) scale returned, which
     the caller applies to the smaller weight-shaped arrays instead."""
-    centered, inv_sd, gamma, var, scratch = cache
+    centered, inv_sd, scale, var, scratch = cache
     n = centered.shape[2]
     np.vecdot(d, centered, out=g_gamma)
     g_gamma *= inv_sd  # xhat = centered / sd
-    _sample_sum(d, g_beta)
+    _sample_sum(d, g_beta, bufs)
     # batch statistics depend on u; clamp kills the var gradient where active
     live = var >= _VAR_FLOOR
     d -= (g_beta / n)[:, :, None]
     d -= np.multiply(centered, (live * g_gamma * inv_sd / n)[:, :, None], out=scratch)
-    return gamma * inv_sd
+    return scale
 
 
 def _forward(model: BatchEnsembleModel, xs: np.ndarray, sel: slice,
@@ -262,14 +266,15 @@ def _forward(model: BatchEnsembleModel, xs: np.ndarray, sel: slice,
 
 
 def be_forward(model: BatchEnsembleModel, x: np.ndarray, member: int,
-               training: bool = False) -> np.ndarray:
-    """Logits for one member: x @ (W ∘ (r_m s_mᵀ)) per layer."""
+               training: bool = False, bufs: dict | None = None) -> np.ndarray:
+    """Logits for one member: x @ (W ∘ (r_m s_mᵀ)) per layer. Activations go
+    into the kept buffers ``bufs`` when given; the logits are a new array."""
     if not 0 <= member < model.n_members:
         raise ShapeError(f"member index {member} outside [0, {model.n_members})")
     x = np.asarray(x, dtype=np.float64)
     logits, _ = _forward(model, x.T[None], slice(member, member + 1),
-                         training, update_stats=False, bufs={})
-    return np.ascontiguousarray(logits[0].T)
+                         training, update_stats=False, bufs={} if bufs is None else bufs)
+    return logits[0].T.copy()
 
 
 def be_forward_all(model: BatchEnsembleModel, x: np.ndarray,
@@ -323,9 +328,10 @@ def be_loss_and_grads(model: BatchEnsembleModel, xs: np.ndarray, ys: np.ndarray,
     gets a zero gradient and stays at its initial 0. Activations and
     backward temporaries are written in place into ``bufs``, flat arrays
     that a caller keeps across calls (a training trajectory passes the same
-    dict every step); without it, each call allocates its own. Returns
-    (total_loss, grads) with grads one new vector laid out like
-    ``model.flat``, which later calls leave alone.
+    dict every step), along with the ones of the sample sums and a gradient
+    vector with its per-layer views, kept for the model's layout; without
+    it, each call allocates its own. Returns (total_loss, grads) with grads
+    a new vector laid out like ``model.flat``, which later calls leave alone.
     """
     xs, ys = _checked_batch(model, xs, ys)
     bufs = {} if bufs is None else bufs
@@ -339,24 +345,30 @@ def be_loss_and_grads(model: BatchEnsembleModel, xs: np.ndarray, ys: np.ndarray,
     # flat index of each sample's label logit
     label = (np.arange(n_members)[:, None] * n_classes + ys) * batch + np.arange(batch)
     picked = logits.reshape(-1)[label] - np.log(total_exp[:, 0, :])
-    if not np.isfinite(picked).all():
+    total = -float((np.add.reduce(picked, axis=1) / batch).sum())
+    # every picked log-probability is <= 0 or nan, so one that is not finite
+    # makes the total not finite: only then look for it
+    if not math.isfinite(total) and not np.isfinite(picked).all():
         m, b = np.unravel_index(np.argmax(~np.isfinite(picked)), picked.shape)
         raise NonFiniteLossError(f"non-finite loss at member {m}, sample {b}")
-    total = -float((np.add.reduce(picked, axis=1) / batch).sum())
 
     delta /= total_exp
     delta.reshape(-1)[label] -= 1.0
     delta /= batch  # each member's loss is its own batch mean
 
-    grads = np.empty_like(model.flat)
-    g_slow_w, g_slow_b, g_r, g_s, g_gamma, g_beta = model._groups(grads)
+    # the kept gradient vector's per-layer views hold for one layout only
+    layout = (n_members, len(model.bn), *(layer.weight.shape for layer in model.slow.layers))
+    if "grads" not in bufs or bufs["grads"][0] != layout:
+        flat = np.empty_like(model.flat)  # every element is written below
+        bufs["grads"] = layout, flat, model._groups(flat)
+    _, grads, (g_slow_w, g_slow_b, g_r, g_s, g_gamma, g_beta) = bufs["grads"]
     for i in reversed(range(len(caches))):
         h, rs, w_m, bn_cache = caches[i]
         if bn_cache is not None:
-            scale = _bn_backward(delta, bn_cache, g_gamma[i], g_beta[i])[:, None, :]
+            scale = _bn_backward(delta, bn_cache, g_gamma[i], g_beta[i], bufs)[:, None, :]
         g_m = np.matmul(h, delta.swapaxes(1, 2), out=_buffer(bufs, ("g", i), w_m.shape))
         if bn_cache is None:
-            np.add.reduce(_sample_sum(delta, np.empty(delta.shape[:2])), axis=0,
+            np.add.reduce(_sample_sum(delta, np.empty(delta.shape[:2]), bufs), axis=0,
                           out=g_slow_b[i])
         else:  # the input's delta is scale ∘ delta: scale the weight-shaped arrays
             g_m *= scale
@@ -371,7 +383,7 @@ def be_loss_and_grads(model: BatchEnsembleModel, xs: np.ndarray, ys: np.ndarray,
             active = np.greater(h, 0.0, out=_buffer(bufs, ("relu", i), h.shape, bool))
             delta = np.matmul(w_m, delta, out=_buffer(bufs, ("d", i), h.shape))
             delta *= active  # the previous layer's ReLU
-    return total, grads
+    return total, grads.copy()
 
 
 def be_grad_check(model: BatchEnsembleModel, xs: np.ndarray, ys: np.ndarray,
@@ -398,7 +410,8 @@ def be_grad_check(model: BatchEnsembleModel, xs: np.ndarray, ys: np.ndarray,
 
 
 class _IndexStream:
-    """Endless shuffled batches over a member's own training indices."""
+    """Endless shuffled indices over a member's own training indices: one
+    permutation after another, each drawn when the last runs out."""
 
     def __init__(self, indices: np.ndarray, rng: np.random.Generator):
         self.indices = np.asarray(indices)
@@ -406,15 +419,17 @@ class _IndexStream:
         self.order = rng.permutation(len(self.indices))
         self.pos = 0
 
-    def next_batch(self, size: int) -> np.ndarray:
-        need = min(size, len(self.indices))
-        take = self.order[self.pos:self.pos + need]
-        self.pos += len(take)
-        if len(take) < need:  # the order ran out: the rest opens a new one
+    def take(self, count: int) -> np.ndarray:
+        """The stream's next ``count`` training indices."""
+        parts = [self.order[self.pos:self.pos + count]]
+        self.pos += len(parts[0])
+        count -= len(parts[0])
+        while count > 0:  # the order ran out: the rest opens new ones
             self.order = self.rng.permutation(len(self.indices))
-            self.pos = need - len(take)
-            take = np.concatenate([take, self.order[:self.pos]])
-        return self.indices[take]
+            self.pos = min(count, len(self.order))
+            parts.append(self.order[:self.pos])
+            count -= self.pos
+        return self.indices[np.concatenate(parts)]
 
 
 @dataclass
@@ -431,10 +446,11 @@ class BeTrainResult:
 
 
 class _BeTrajectory:
-    """A BatchEnsemble's one trajectory: every step draws one mini-batch per
+    """A BatchEnsemble's one trajectory: every step takes one mini-batch per
     member from that member's own indices and updates all weights together.
-    It keeps the kernel's activation and backward buffers (``bufs``) for its
-    whole run, so a step allocates none of them."""
+    An epoch's batches are drawn and gathered at once. It keeps the kernel's
+    activation and backward buffers (``bufs``) and the monitoring forward's
+    (``eval_bufs``) for its whole run, so a step allocates none of them."""
 
     def __init__(self, x, y, plan: SplitPlan, model: BatchEnsembleModel,
                  opt_cfg: OptimizerConfig, batch_size: int, seed: int):
@@ -453,21 +469,33 @@ class _BeTrajectory:
         self.lr_at = _cosine_schedule(opt_cfg, self.steps_per_epoch)
         self.steps = 0
         self.bufs = {}
+        self.eval_bufs = {}
+        self.eval_inputs = {}  # members -> (rows, their standardized inputs)
 
     def run_epoch(self) -> None:
-        for _ in range(self.steps_per_epoch):
-            idx = np.stack([stream.next_batch(self.batch) for stream in self.streams])
-            lr_now = self.lr_at(self.steps)
-            xb = np.take(self.rows, idx + self.row_offset, axis=0)
-            _, grads = be_loss_and_grads(self.params, xb, self.y[idx], bufs=self.bufs)
-            self.opt.step(self.params.flat, grads, lr_now)
+        steps, batch = self.steps_per_epoch, self.batch
+        idx = np.stack([stream.take(steps * batch) for stream in self.streams])
+        idx = idx.reshape(len(idx), steps, batch).swapaxes(0, 1)  # (S, M, B)
+        xe = np.take(self.rows, idx + self.row_offset, axis=0)  # each step's slice contiguous
+        ye = self.y[idx]
+        for k in range(steps):
+            _, grads = be_loss_and_grads(self.params, xe[k], ye[k], bufs=self.bufs)
+            self.opt.step(self.params.flat, grads, self.lr_at(self.steps))
             self.steps += 1
 
     def snapshot(self) -> BatchEnsembleModel:
         return self.params.copy()
 
-    def probs(self, m: int, idx: np.ndarray) -> np.ndarray:
-        return softmax(be_forward(self.params, self.xs[m, idx], m))
+    def set_probs(self, members: tuple[int, ...], idx: np.ndarray) -> list[np.ndarray]:
+        """Each of ``members``' class probabilities on rows ``idx``, one
+        forward per member through the kept ``eval_bufs``. A monitored set
+        never changes over a run, so its inputs are gathered at its first
+        call and kept."""
+        kept = self.eval_inputs.get(members)
+        if kept is None or kept[0] is not idx:
+            kept = self.eval_inputs[members] = idx, self.xs[np.array(members)[:, None], idx]
+        return [softmax(be_forward(self.params, x, m, bufs=self.eval_bufs))
+                for m, x in zip(members, kept[1])]
 
 
 def be_train(x, y, plan: SplitPlan, dims: list[int], scheme: str,
@@ -487,13 +515,14 @@ def be_train(x, y, plan: SplitPlan, dims: list[int], scheme: str,
 
     def member_nll() -> float:
         """The mean member NLL, each member on its own validation set."""
-        return float(np.mean([metrics.nll(traj.probs(m, ms.val_idx), y[ms.val_idx])
+        return float(np.mean([metrics.nll(traj.set_probs((m,), ms.val_idx)[0],
+                                          y[ms.val_idx])
                               for m, ms in enumerate(plan.members)]))
 
     # disjoint plans monitor the average member NLL: there is no joint set,
     # and members that share slow weights cannot stop one by one
     rule = _Rule([0], member_nll if plan.strategy == DISJOINT
-                 else lambda: _joint_nll(plan, y, traj.probs),
+                 else lambda: _joint_nll(plan, y, traj.set_probs),
                  stop_cfg.mode != NONE, stop_cfg.patience)
     _patience_loop([traj], [rule], stop_cfg.max_epochs)
     (model,) = rule.kept

@@ -46,7 +46,7 @@ _READ_WHEN = {
 # the least value each of these keys accepts; the code that reads it refuses less or inf
 _AT_LEAST = {"optimizer.lr": 0, "optimizer.weight_decay": 0, "stopping.patience": 1,
              "stopping.max_epochs": 1, "stopping.batch_size": 1, "experiment.ece_bins": 1,
-             "ensemble.members": 1, "task.noise": 0}
+             "ensemble.members": 1, "task.noise": 0, "task.radius": 0}
 # bench/workloads.py's TINY sets these two for every kind; check them once it does not
 _UNCHECKED = ("experiment.weight_decays", "stopping.patience")
 

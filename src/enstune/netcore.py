@@ -201,11 +201,19 @@ def _check_labels(y: np.ndarray, n_classes: int, rows_of, axes=("sample",)) -> n
 
 def _buffer(bufs: dict, key, shape, dtype=np.float64) -> np.ndarray:
     """A C-ordered ``shape`` array in ``bufs[key]``, a flat array that the
-    caller keeps across calls and that grows when a call needs more."""
-    size = math.prod(shape)
-    if key not in bufs or bufs[key].size < size:
-        bufs[key] = np.empty(size, dtype)
-    return bufs[key][:size].reshape(shape)
+    caller keeps across calls and that grows when a call needs more. The
+    view at each shape is kept in ``bufs["views"]`` until its buffer grows,
+    so a call at a shape seen before is one lookup."""
+    views = bufs.setdefault("views", {})
+    view = views.get((key, shape))
+    if view is None:
+        size = math.prod(shape)
+        if key not in bufs or bufs[key].size < size:
+            bufs[key] = np.empty(size, dtype)
+            for stale in [k for k in views if k[0] == key]:
+                del views[stale]
+        view = views[key, shape] = bufs[key][:size].reshape(shape)
+    return view
 
 
 def loss_and_grad(params: MlpParams, x: np.ndarray, y: np.ndarray):

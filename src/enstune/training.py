@@ -289,13 +289,13 @@ def _patience_loop(trajectories, rules: list[_Rule], max_epochs: int) -> None:
             rule.kept = [trajectories[i].params for i in rule.ids]
 
 
-def _joint_nll(plan: SplitPlan, y: np.ndarray, probs_at) -> float:
+def _joint_nll(plan: SplitPlan, y: np.ndarray, set_probs) -> float:
     """Monitored score for joint stopping: the mean ensemble NLL over the
-    plan's jointly evaluable sets, with ``probs_at(m, idx)`` giving member
-    m's class probabilities on rows ``idx``."""
+    plan's jointly evaluable sets, with ``set_probs(member_ids, idx)``
+    giving each member's class probabilities on rows ``idx``."""
     vals = []
     for member_ids, idx in joint_eval_sets(plan):
-        probs = [probs_at(m, idx) for m in member_ids]
+        probs = set_probs(member_ids, idx)
         vals.append(metrics.nll(metrics.ensemble_mean(probs), y[idx]))
     return float(np.mean(vals))
 
@@ -354,7 +354,7 @@ def train_ensemble(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig,
     for mode in modes:
         if mode == JOINT:
             rules[mode] = [_Rule(range(len(states)), lambda: _joint_nll(
-                plan, y, lambda m, idx: states[m].probs(x[idx])), True,
+                plan, y, lambda ids, idx: [states[m].probs(x[idx]) for m in ids]), True,
                 stop_cfg.patience)]
         else:
             rules[mode] = [_Rule([m], s.val_nll, mode != NONE, stop_cfg.patience)

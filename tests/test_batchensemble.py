@@ -5,10 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
+from enstune import batchensemble
 from enstune.batchensemble import (
     _BN_MOMENTUM,
     _VAR_FLOOR,
     BatchNormState,
+    _BeTrajectory,
+    _IndexStream,
     _bn_forward,
     _sample_sum,
     be_forward,
@@ -22,9 +25,9 @@ from enstune.batchensemble import (
 )
 from enstune.data import make_blobs
 from enstune.netcore import (LabelError, MlpParams, NonFiniteLossError, ShapeError,
-                              _check_labels, _views, mlp_forward)
-from enstune.splits import make_disjoint, make_overlapping, make_shared
-from enstune.training import OptimizerConfig, StoppingConfig
+                              _check_labels, _views, mlp_forward, softmax)
+from enstune.splits import joint_eval_sets, make_disjoint, make_overlapping, make_shared
+from enstune.training import _BATCH, OptimizerConfig, StoppingConfig, member_rng
 
 
 def small_model(seed=0, dims=(3, 6, 4), m=4, scheme="gaussian", sigma=0.4,
@@ -349,6 +352,21 @@ class TestBufferedKernel:
             assert bufs.keys() == kept.keys(), f"batch {batch}"
             assert all(bufs[key] is buf for key, buf in kept.items()), f"batch {batch}"
 
+    @pytest.mark.parametrize("dims_a, dims_b", [((2, 8, 2), (2, 4, 4, 2)),
+                                                ((2, 3, 6, 2), (2, 6, 3, 2))])
+    def test_buffers_reused_by_an_equal_size_model_of_other_layout(self, dims_a, dims_b):
+        rng = np.random.default_rng(20)
+        model_a, model_b = small_model(dims=dims_a, m=3), small_model(dims=dims_b, m=3)
+        assert model_a.flat.size == model_b.flat.size
+        bufs = {}
+        for model in (model_a, model_b, model_a):
+            xs = rng.normal(size=(3, 6, 2))
+            ys = rng.integers(0, 2, size=(3, 6))
+            loss, grads = be_loss_and_grads(model, xs, ys, update_stats=False, bufs=bufs)
+            want_loss, want = be_loss_and_grads(model, xs, ys, update_stats=False)
+            assert loss == want_loss
+            assert grads.tobytes() == want.tobytes()
+
     def test_returned_gradients_survive_the_next_call(self):
         rng = np.random.default_rng(13)
         model = small_model(dims=(3, 16, 16, 5), m=3)
@@ -392,7 +410,7 @@ class TestSampleSums:
     def test_matches_add_reduce(self, shape):
         rng = np.random.default_rng(sum(shape))
         a = rng.random(shape) + 0.1  # positive, so every sum is far from 0
-        per_member = _sample_sum(a, np.empty(shape[:2]))
+        per_member = _sample_sum(a, np.empty(shape[:2]), {})
         np.testing.assert_allclose(per_member, np.add.reduce(a, axis=2), rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("m, n, width", [(4, 128, 32), (1, 9, 16), (3, 7, 5)])
@@ -405,6 +423,140 @@ class TestSampleSums:
                              bufs={}, i=0)
         assert np.abs(out.mean(axis=2)).max() <= 1e-12
         assert np.abs(out.var(axis=2) - 1.0).max() <= 1e-12
+
+
+class PerStepStream:
+    """The per-step draw that the epoch draw replaced, kept as its oracle:
+    ``size`` indices a call, a new permutation opened when the last runs out."""
+
+    def __init__(self, indices, rng):
+        self.indices, self.rng = np.asarray(indices), rng
+        self.order = rng.permutation(len(self.indices))
+        self.pos = 0
+
+    def next_batch(self, size):
+        need = min(size, len(self.indices))
+        take = self.order[self.pos:self.pos + need]
+        self.pos += len(take)
+        if len(take) < need:  # the order ran out: the rest opens a new one
+            self.order = self.rng.permutation(len(self.indices))
+            self.pos = need - len(take)
+            take = np.concatenate([take, self.order[:self.pos]])
+        return self.indices[take]
+
+
+def overlapping_task():
+    """A 4-member overlapping plan on 203 rows: portions of 51, 51, 51 and
+    50 rows, so member train sizes and pair set sizes differ."""
+    ds = make_blobs(203, 4, 0.8, np.random.default_rng(20), label_noise=0.1)
+    return ds, make_overlapping(len(ds), 4, rng_seed=21, labels=ds.y)
+
+
+def trajectory(ds, plan, epochs=2, seed=22):
+    traj = _BeTrajectory(ds.x, ds.y, plan,
+                         make_batch_ensemble([2, 6, 5, 4], plan.n_members, "gaussian",
+                                             np.random.default_rng(seed), 0.4),
+                         OptimizerConfig(lr=0.01), 32, seed)
+    for _ in range(epochs):
+        traj.run_epoch()
+    return traj
+
+
+class TestEpochDraw:
+    @pytest.mark.parametrize("n, batch, steps", [(50, 16, 4), (48, 16, 3), (20, 20, 1),
+                                                 (7, 3, 9)])
+    def test_matches_the_per_step_draw(self, n, batch, steps):
+        indices = np.random.default_rng(n).permutation(1000)[:n]
+        epoch = _IndexStream(indices, np.random.default_rng(23))
+        per_step = PerStepStream(indices, np.random.default_rng(23))
+        for e in range(5):
+            want = np.concatenate([per_step.next_batch(batch) for _ in range(steps)])
+            assert epoch.take(steps * batch).tobytes() == want.tobytes(), f"epoch {e}"
+
+    def test_trajectory_steps_on_the_per_step_batches(self, monkeypatch):
+        ds, plan = overlapping_task()
+        sizes = [len(ms.train_idx) for ms in plan.members]
+        assert len(set(sizes)) > 1
+        traj = trajectory(ds, plan, epochs=0)
+        # the epoch is longer than the smallest train set: an order wraps in a batch
+        assert traj.steps_per_epoch * traj.batch > min(sizes)
+        replay = [PerStepStream(ms.train_idx, member_rng(22, m, _BATCH))
+                  for m, ms in enumerate(plan.members)]
+        seen = []
+
+        def recording(model, xs, ys, update_stats=True, bufs=None):
+            seen.append((np.array(xs), np.array(ys)))
+            return be_loss_and_grads(model, xs, ys, update_stats, bufs)
+
+        monkeypatch.setattr(batchensemble, "be_loss_and_grads", recording)
+        for _ in range(3):
+            traj.run_epoch()
+        assert len(seen) == 3 * traj.steps_per_epoch
+        for step, (xs, ys) in enumerate(seen):
+            idx = [stream.next_batch(traj.batch) for stream in replay]
+            want_x = np.stack([traj.xs[m, i] for m, i in enumerate(idx)])
+            assert xs.tobytes() == want_x.tobytes(), f"step {step}"
+            assert ys.tobytes() == np.stack([ds.y[i] for i in idx]).tobytes(), f"step {step}"
+
+
+def buffer_bytes(bufs):
+    """The bytes of every kept array: the gradient entry is (layout, vector,
+    views), and ``bufs["views"]`` holds views of the others."""
+    return {key: (buf[1] if key == "grads" else buf).tobytes()
+            for key, buf in bufs.items() if key != "views"}
+
+
+class TestMonitoringForward:
+    """The monitoring pass reads kept buffers and inputs gathered once."""
+
+    def plans(self):
+        ds, overlapping = overlapping_task()
+        return ds, {"shared": make_shared(len(ds), 0.2, 4, rng_seed=24, labels=ds.y),
+                    "disjoint": make_disjoint(len(ds), 0.1, 4, rng_seed=25, labels=ds.y),
+                    "overlapping": overlapping}
+
+    @staticmethod
+    def monitored_sets(plan):
+        if plan.strategy == "disjoint":
+            return [((m,), ms.val_idx) for m, ms in enumerate(plan.members)]
+        return joint_eval_sets(plan)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("strategy", ["shared", "disjoint", "overlapping"])
+    def test_bit_identical_to_fresh_per_member_forwards(self, strategy, reverse):
+        ds, plans = self.plans()
+        plan = plans[strategy]
+        traj = trajectory(ds, plan)
+        sets = self.monitored_sets(plan)
+        if strategy == "overlapping":
+            assert len({len(idx) for _, idx in sets}) > 1
+        for _ in range(2):  # fresh inputs and buffers, then kept ones
+            for ids, idx in sets[::-1] if reverse else sets:
+                got = traj.set_probs(ids, idx)
+                assert len(got) == len(ids)
+                for m, p in zip(ids, got):
+                    want = softmax(be_forward(traj.params, traj.xs[m, idx], m))
+                    assert p.tobytes() == want.tobytes(), f"members {ids}, member {m}"
+            traj.run_epoch()
+
+    def test_other_rows_for_the_same_members_are_gathered_anew(self):
+        ds, plans = self.plans()
+        traj = trajectory(ds, plans["shared"])
+        members = tuple(range(4))
+        for idx in (np.arange(10), np.arange(10, 30), np.arange(10)):
+            for m, p in zip(members, traj.set_probs(members, idx)):
+                want = softmax(be_forward(traj.params, traj.xs[m, idx], m))
+                assert p.tobytes() == want.tobytes()
+
+    def test_leaves_training_buffers_and_running_statistics(self):
+        ds, plans = self.plans()
+        for plan in plans.values():
+            traj = trajectory(ds, plan)
+            bufs, stats = buffer_bytes(traj.bufs), running_stats(traj.params)
+            for ids, idx in self.monitored_sets(plan):
+                traj.set_probs(ids, idx)
+            assert buffer_bytes(traj.bufs) == bufs, plan.strategy
+            assert running_stats(traj.params) == stats, plan.strategy
 
 
 class TestTraining:

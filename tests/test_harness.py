@@ -176,6 +176,9 @@ BAD_CONFIGS = [
     ("early-stop", ["task.noise=inf"], "task.noise=inf must be >= 0 and finite"),
     ("early-stop", ["task.kind=spirals", "task.classes=4", "task.label_noise=0",
                     "task.noise=nan"], "task.noise=nan must be >= 0"),
+    ("early-stop", ["task.radius=inf"], "task.radius=inf must be >= 0 and finite"),
+    ("early-stop", ["task.radius=nan"], "task.radius=nan must be >= 0"),
+    ("early-stop", ["task.radius=-1"], "task.radius=-1.0 must be >= 0"),
 ]
 
 # a row appended to a valid two-feature CSV task, by test id: what can be no

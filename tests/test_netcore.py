@@ -14,6 +14,7 @@ from enstune.netcore import (
     NonFiniteLossError,
     Optimizer,
     ShapeError,
+    _buffer,
     _layer_views,
     _stacked_loss_and_grad,
     cosine_lr,
@@ -302,6 +303,19 @@ def stack_rows(rows):
     """The ``(D, M, P)`` stack of a grid of MLPs ``rows[d][m]``, one ``flat``
     vector per row."""
     return np.stack([np.stack([p.flat for p in row]) for row in rows])
+
+
+class TestBuffer:
+    def test_a_seen_shape_returns_its_kept_view_until_the_buffer_grows(self):
+        bufs = {}
+        small = _buffer(bufs, "a", (2, 3))
+        assert _buffer(bufs, "a", (2, 3)) is small
+        assert _buffer(bufs, "a", (6,)).base is small.base
+        large = _buffer(bufs, "a", (4, 5))  # grows: views of the old storage go
+        again = _buffer(bufs, "a", (2, 3))
+        assert again is not small and again.base is large.base is bufs["a"]
+        assert _buffer(bufs, "b", (2, 3)).base is bufs["b"]
+        assert sorted(bufs["views"]) == [("a", (2, 3)), ("a", (4, 5)), ("b", (2, 3))]
 
 
 class TestStackedKernel:
