@@ -486,15 +486,14 @@ class _BeTrajectory:
     def snapshot(self) -> BatchEnsembleModel:
         return self.params.copy()
 
-    def set_probs(self, members: tuple[int, ...], idx: np.ndarray) -> list[np.ndarray]:
-        """Each of ``members``' class probabilities on rows ``idx``, one
-        forward per member through the kept ``eval_bufs``. A monitored set
-        never changes over a run, so its inputs are gathered at its first
-        call and kept."""
+    def set_logits(self, members: tuple[int, ...], idx: np.ndarray) -> list[np.ndarray]:
+        """Each of ``members``' logits on rows ``idx``, one forward per
+        member through the kept ``eval_bufs``. A monitored set never changes
+        over a run, so its inputs are gathered at its first call and kept."""
         kept = self.eval_inputs.get(members)
         if kept is None or kept[0] is not idx:
             kept = self.eval_inputs[members] = idx, self.xs[np.array(members)[:, None], idx]
-        return [softmax(be_forward(self.params, x, m, bufs=self.eval_bufs))
+        return [be_forward(self.params, x, m, bufs=self.eval_bufs)
                 for m, x in zip(members, kept[1])]
 
 
@@ -515,14 +514,14 @@ def be_train(x, y, plan: SplitPlan, dims: list[int], scheme: str,
 
     def member_nll() -> float:
         """The mean member NLL, each member on its own validation set."""
-        return float(np.mean([metrics.nll(traj.set_probs((m,), ms.val_idx)[0],
+        return float(np.mean([metrics.nll(softmax(traj.set_logits((m,), ms.val_idx)[0]),
                                           y[ms.val_idx])
                               for m, ms in enumerate(plan.members)]))
 
     # disjoint plans monitor the average member NLL: there is no joint set,
     # and members that share slow weights cannot stop one by one
     rule = _Rule([0], member_nll if plan.strategy == DISJOINT
-                 else lambda: _joint_nll(plan, y, traj.set_probs),
+                 else lambda: _joint_nll(plan, y, traj.set_logits),
                  stop_cfg.mode != NONE, stop_cfg.patience)
     _patience_loop([traj], [rule], stop_cfg.max_epochs)
     (model,) = rule.kept

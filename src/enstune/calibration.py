@@ -1,18 +1,18 @@
 """Temperature scaling in three modes: per-member, joint on member logits,
 and pool-then-calibrate on the averaged probabilities.
 
-Every fit is a 1-d minimization of validation NLL over log-temperature in
+One objective, :func:`nll_at_temperature`, serves every fit and the joint
+stopping score (at T = 1); the modes differ only in the eval sets they give
+it. Every fit is a 1-d minimization of it over log-temperature in
 [0.01, 100], done by golden-section search (tolerance 1e-6 in log T, at most
 100 objective evaluations). Boundary minima are returned as the bracket end
 with ``at_boundary`` set.
 
-A fit prepares each validation set once (float64 logits, a joint set's
-members stacked, row maxima, checked labels, a scratch buffer, and in pool
-mode log p-bar); a candidate T then costs one divide, ``exp``, row sum and
-label pick, and scores the same floats as ``metrics.nll`` of
-:func:`apply_temperature` (or of the ensemble mean, or of
-:func:`pool_apply_temperature`). A validation set whose label count differs
-from its row count raises ``ShapeError`` when the fit prepares it.
+The objective prepares each eval set once; a candidate T then costs one
+divide, ``exp``, row sum and label pick, and scores the same floats as
+``metrics.nll`` of ``metrics.ensemble_mean`` of :func:`apply_temperature`.
+An eval set whose label count differs from its row count raises
+``ShapeError`` when it is prepared.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import metrics
-from .netcore import _check_labels, softmax
+from .netcore import _check_labels, _row_max, softmax
 from .splits import JointEvalUnavailableError
 
 BRACKET = (0.01, 100.0)  # temperature search range
@@ -60,50 +60,48 @@ def apply_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
     return softmax(np.asarray(logits, dtype=np.float64) / temperature)
 
 
-def pool_apply_temperature(mean_probs: np.ndarray, temperature: float) -> np.ndarray:
-    """softmax(log p-bar / T): tempering after pooling, prediction-preserving."""
-    if temperature <= 0:
-        raise TemperatureError(f"temperature must be > 0, got {temperature}")
-    return softmax(_pool_logits(mean_probs) / temperature)
-
-
-def _pool_logits(mean_probs: np.ndarray) -> np.ndarray:
-    """log p-bar, floored as ``metrics`` floors probabilities before a log."""
+def pool_logits(mean_probs: np.ndarray) -> np.ndarray:
+    """log p-bar, floored as ``metrics`` floors probabilities before a log:
+    pool mode tempers these logits, which preserves the pooled argmax."""
     return np.log(np.maximum(np.asarray(mean_probs, dtype=np.float64), metrics.PROB_FLOOR))
 
 
 class _PreparedSet:
-    """One validation set, prepared once per fit and scored at any T.
+    """One eval set, prepared once per objective and scored at any T.
 
-    ``logits`` is (N, K), or (M, N, K) for the members of a joint set. The
-    float64 logits, their row maxima, the checked labels (as flat indices of
-    each row's label entry) and a scratch buffer are kept across
-    evaluations. At T the buffer holds exp(z / T - max z / T), the same
-    floats ``softmax(z / T)`` exponentiates: division by T > 0 is monotone,
-    so fl(max z / T) = max fl(z / T).
+    The members' float64 logits are stacked as (M, N, K) and kept as M·N
+    rows of K, on which numpy broadcasts the row maxima faster. They, their
+    row maxima, the checked labels (as flat indices of each row's label
+    entry) and a scratch buffer are kept across evaluations. At T the buffer
+    holds exp(z / T - max z / T), the same floats ``softmax(z / T)``
+    exponentiates: division by T > 0 is monotone, so fl(max z / T) =
+    max fl(z / T).
     """
 
-    def __init__(self, logits: np.ndarray, labels: np.ndarray):
-        z = np.asarray(logits, dtype=np.float64)
-        y = _check_labels(labels, z.shape[-1], z[0] if z.ndim == 3 else z)
-        self.z = z
-        self.rowmax = np.maximum.reduce(np.asfortranarray(z), axis=-1, keepdims=True)
-        rows = np.arange(z.size // z.shape[-1]).reshape(z.shape[:-1])
-        self.pick = rows * z.shape[-1] + y
-        self.buf = np.empty_like(z)
+    def __init__(self, member_logits: Sequence[np.ndarray], labels: np.ndarray):
+        z = (np.asarray(member_logits[0], dtype=np.float64)[None]  # a lone member: no copy
+             if len(member_logits) == 1 else metrics._stack_members(member_logits))
+        y = _check_labels(labels, z.shape[-1], z[0])
+        n_members, n_rows, n_classes = z.shape
+        self.z = z.reshape(n_members * n_rows, n_classes)
+        self.rowmax = _row_max(self.z)
+        self.pick = np.arange(n_members * n_rows) * n_classes + np.tile(y, n_members)
+        self.buf = np.empty_like(self.z)
+        self.n_members = n_members
 
     def nll(self, t: float) -> float:
-        """``metrics.nll`` of softmax(z / T), or for a joint set of the mean
-        of the members' softmax(z / T), computed on the label column alone."""
+        """``metrics.nll`` of the mean of the members' softmax(z / T),
+        computed on the label column alone."""
         if t <= 0:
             raise TemperatureError(f"temperature must be > 0, got {t}")
         e = np.divide(self.z, t, out=self.buf)
         e -= self.rowmax / t
         np.exp(e, out=e)
         p = np.take(e, self.pick) / e.sum(axis=-1)
-        if p.ndim == 2:  # a joint set: each row's ensemble-mean label probability,
+        if self.n_members > 1:  # each row's ensemble-mean label probability,
             # summed in member order as ``ensemble_mean`` sums; ``mean(axis=0)``
             # would sum a single row's members pairwise from 8 members on
+            p = p.reshape(self.n_members, -1)
             p = sum(p[1:], p[0]) / len(p)
         return float(-np.log(np.maximum(p, metrics.PROB_FLOOR)).mean())
 
@@ -155,22 +153,15 @@ def fit_temperature(objective: Callable[[float], float],
                          at_boundary=at_boundary)
 
 
-def nll_at_temperature(logits: np.ndarray, labels: np.ndarray) -> Callable[[float], float]:
-    """Validation-NLL objective for a single model's logits: at each T, the
-    ``metrics.nll`` of ``apply_temperature(logits, T)``."""
-    if len(labels) == 0:
-        raise TemperatureError("empty validation set")
-    return _PreparedSet(logits, labels).nll
+def nll_at_temperature(eval_sets: Sequence[tuple[Sequence[np.ndarray], np.ndarray]],
+                       ) -> Callable[[float], float]:
+    """The validation-NLL objective: T -> the mean over ``eval_sets`` of the
+    ``metrics.nll`` of the members' mean of ``apply_temperature(z, T)``.
 
-
-def ensemble_nll_at_temperature(eval_sets: Sequence[tuple[Sequence[np.ndarray], np.ndarray]],
-                                ) -> Callable[[float], float]:
-    """Joint objective: mean over eval sets of the tempered-ensemble NLL.
-
-    Each eval set pairs the participating members' validation logits (all on
-    the same samples) with the labels. A shared holdout contributes one set
-    with every member; an overlapping holdout contributes one set per cyclic
-    pair, evaluated on the portion both members held out.
+    Each eval set pairs a list of member logits (all on the same rows) with
+    their labels. A shared holdout contributes one set with every member; an
+    overlapping holdout one set per cyclic pair, on the rows both members
+    held out; a fit of one member's temperature one set with that member.
     """
     if len(eval_sets) == 0:
         raise JointEvalUnavailableError(
@@ -178,27 +169,10 @@ def ensemble_nll_at_temperature(eval_sets: Sequence[tuple[Sequence[np.ndarray], 
             "joint evaluation")
     for zs, y in eval_sets:
         if len(y) == 0 or len(zs) == 0:
-            raise TemperatureError("empty joint validation set")
-    return _mean_nll([_PreparedSet(metrics._stack_members(zs), y) for zs, y in eval_sets])
-
-
-def pool_nll_at_temperature(eval_sets: Sequence[tuple[Sequence[np.ndarray], np.ndarray]],
-                            ) -> Callable[[float], float]:
-    """Pool objective: mean over eval sets of the ``metrics.nll`` of
-    ``pool_apply_temperature`` on the members' mean probabilities."""
-    if len(eval_sets) == 0:
-        raise JointEvalUnavailableError(
-            "no jointly evaluable validation set: disjoint holdouts preclude "
-            "pooled evaluation")
-    for probs, y in eval_sets:
-        if len(y) == 0 or len(probs) == 0:
-            raise TemperatureError("empty pooled validation set")
-    return _mean_nll([_PreparedSet(_pool_logits(metrics.ensemble_mean(probs)), y)
-                      for probs, y in eval_sets])
-
-
-def _mean_nll(sets: list[_PreparedSet]) -> Callable[[float], float]:
-    """The objective T -> mean over ``sets`` of their NLL at T."""
+            raise TemperatureError("empty validation set")
+    sets = [_PreparedSet(zs, y) for zs, y in eval_sets]
+    if len(sets) == 1:
+        return sets[0].nll
     return lambda t: float(np.mean([s.nll(t) for s in sets]))
 
 
@@ -208,7 +182,7 @@ def calibrate_individual(member_vals: Sequence[tuple[np.ndarray, np.ndarray]],
 
     The prediction path averages softmax(z_m / T_m) over members.
     """
-    fits = [fit_temperature(nll_at_temperature(z, y), mode="individual")
+    fits = [fit_temperature(nll_at_temperature([([z], y)]), mode="individual")
             for z, y in member_vals]
     return TempFitResult(
         temperature=[f.temperature for f in fits],
@@ -222,8 +196,9 @@ def calibrate_individual(member_vals: Sequence[tuple[np.ndarray, np.ndarray]],
 
 def calibrate_joint(eval_sets: Sequence[tuple[Sequence[np.ndarray], np.ndarray]],
                     ) -> TempFitResult:
-    """Fit a single shared temperature on the joint ensemble objective."""
-    return fit_temperature(ensemble_nll_at_temperature(eval_sets), mode="joint")
+    """Fit a single shared temperature on the members' logits over the
+    jointly evaluable eval sets."""
+    return fit_temperature(nll_at_temperature(eval_sets), mode="joint")
 
 
 def calibrate_pool(eval_sets: Sequence[tuple[Sequence[np.ndarray], np.ndarray]],
@@ -231,9 +206,10 @@ def calibrate_pool(eval_sets: Sequence[tuple[Sequence[np.ndarray], np.ndarray]],
     """Fit a temperature on the pooled probabilities, softmax(log p-bar / T).
 
     Each eval set pairs the participating members' validation probabilities
-    (all on the same samples) with the labels, as in
-    :func:`ensemble_nll_at_temperature`; the objective is the mean over sets
-    of the pooled-tempered NLL.
+    (all on the same samples) with the labels, as in :func:`calibrate_joint`;
+    the objective is the mean over sets of the pooled-tempered NLL, each set
+    scored as one member with logits :func:`pool_logits` of its mean.
     """
-    return fit_temperature(pool_nll_at_temperature(eval_sets), mode="pool")
-
+    return fit_temperature(nll_at_temperature(
+        [([pool_logits(metrics.ensemble_mean(probs))], y) for probs, y in eval_sets]),
+        mode="pool")

@@ -83,8 +83,8 @@ def _cmd_report(args) -> int:
     for path in args.cells:
         rows.extend(experiments.read_rows_csv(path))
     if not rows:
-        print("error: no rows to aggregate", file=sys.stderr)
-        return 1
+        raise ConfigError(f"{', '.join(args.cells)}: a cells.csv header without data rows; "
+                          "no rows to aggregate")
     os.makedirs(args.out, exist_ok=True)
     paths = experiments.write_report(args.out, rows)
     print(f"wrote {paths['aggregate']} and {paths['plotdata']}")

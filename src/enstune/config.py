@@ -148,6 +148,9 @@ class ExperimentConfig:
         for key, least in _AT_LEAST.items():
             if not least <= _value(self, key) < float("inf"):
                 raise ConfigError(f"{key}={_value(self, key)!r} must be >= {least} and finite")
+        if "optimizer.momentum" in read and not 0.0 <= self.optimizer.momentum < 1.0:
+            raise ConfigError(f"optimizer.momentum={self.optimizer.momentum!r} must be in "
+                              "[0, 1)")
         self._check_task()
         if "experiment.weight_decays" in read:
             self._check_sweep()

@@ -255,8 +255,8 @@ def _tempered(mode, result, plan, dprime, logits, probs, joint_sets):
         fit = calibration.calibrate_joint(joint_sets)
         return fit, [calibration.apply_temperature(z, fit.temperature) for z in logits]
     fit = calibration.calibrate_pool([([softmax(z) for z in zs], y) for zs, y in joint_sets])
-    return fit, calibration.pool_apply_temperature(metrics.ensemble_mean(probs),
-                                                   fit.temperature)
+    return fit, calibration.apply_temperature(
+        calibration.pool_logits(metrics.ensemble_mean(probs)), fit.temperature)
 
 
 def _mlp_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan, job: Job):

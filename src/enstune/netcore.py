@@ -30,26 +30,30 @@ class NonFiniteLossError(FloatingPointError):
     """Loss became NaN/inf; message names the first offending sample."""
 
 
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """Each row's maximum along the last axis, keeping that axis.
+
+    It is taken over an F-ordered copy: numpy then takes elementwise maxima
+    across the columns, several times faster than a reduction along each
+    short row. The maxima are the same numbers; only the sign of a zero
+    maximum may differ, which changes ``z - max`` at most from 0.0 to -0.0,
+    so every exp taken of it is unchanged.
+    """
+    return np.maximum.reduce(np.asfortranarray(z), axis=-1, keepdims=True)
+
+
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax, log-sum-exp stabilized."""
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    e = np.exp(z - _row_max(z))
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax, log-sum-exp stabilized.
-
-    The row maximum is taken over an F-ordered copy: numpy then takes
-    elementwise maxima across the columns, several times faster than a
-    reduction along each short row. The maxima are the same numbers; only
-    the sign of a zero maximum may differ, which changes ``shifted`` at most
-    from 0.0 to -0.0, so every exp, and thus every gradient, is unchanged.
-    """
+    """Row-wise log-softmax, log-sum-exp stabilized."""
     z = np.asarray(z, dtype=np.float64)
     with np.errstate(invalid="ignore"):
-        shifted = z - np.maximum.reduce(np.asfortranarray(z), axis=-1, keepdims=True)
+        shifted = z - _row_max(z)
         return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
+from .calibration import nll_at_temperature
 from .data import Standardizer
 from .netcore import (
     MlpParams,
@@ -205,8 +206,8 @@ class _MemberState:
     def snapshot(self) -> MlpParams:
         return self.params.copy()
 
-    def probs(self, x: np.ndarray) -> np.ndarray:
-        return softmax(mlp_forward(self.params, self.scaler(x)))
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        return mlp_forward(self.params, self.scaler(x))
 
     def val_nll(self) -> float:
         return metrics.nll(softmax(mlp_forward(self.params, self.x_val)), self.y_val)
@@ -289,15 +290,13 @@ def _patience_loop(trajectories, rules: list[_Rule], max_epochs: int) -> None:
             rule.kept = [trajectories[i].params for i in rule.ids]
 
 
-def _joint_nll(plan: SplitPlan, y: np.ndarray, set_probs) -> float:
-    """Monitored score for joint stopping: the mean ensemble NLL over the
-    plan's jointly evaluable sets, with ``set_probs(member_ids, idx)``
-    giving each member's class probabilities on rows ``idx``."""
-    vals = []
-    for member_ids, idx in joint_eval_sets(plan):
-        probs = set_probs(member_ids, idx)
-        vals.append(metrics.nll(metrics.ensemble_mean(probs), y[idx]))
-    return float(np.mean(vals))
+def _joint_nll(plan: SplitPlan, y: np.ndarray, set_logits) -> float:
+    """Monitored score for joint stopping: the joint temperature objective
+    at T = 1, the mean ensemble NLL over the plan's jointly evaluable sets,
+    with ``set_logits(member_ids, idx)`` giving each member's logits on
+    rows ``idx``."""
+    return nll_at_temperature([(set_logits(member_ids, idx), y[idx])
+                               for member_ids, idx in joint_eval_sets(plan)])(1.0)
 
 
 @dataclass
@@ -354,7 +353,7 @@ def train_ensemble(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig,
     for mode in modes:
         if mode == JOINT:
             rules[mode] = [_Rule(range(len(states)), lambda: _joint_nll(
-                plan, y, lambda ids, idx: [states[m].probs(x[idx]) for m in ids]), True,
+                plan, y, lambda ids, idx: [states[m].logits(x[idx]) for m in ids]), True,
                 stop_cfg.patience)]
         else:
             rules[mode] = [_Rule([m], s.val_nll, mode != NONE, stop_cfg.patience)

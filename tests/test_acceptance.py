@@ -195,7 +195,7 @@ def test_criterion_5_temperature_fit_oracle():
         p = softmax(true_logits)
         y = (rng.random(200)[:, None] > p.cumsum(axis=1)).sum(axis=1)
         z = true_logits * rng.uniform(0.3, 3.0) + rng.normal(0, 0.5, size=(200, 2))
-        fit = calibration.fit_temperature(calibration.nll_at_temperature(z, y))
+        fit = calibration.fit_temperature(calibration.nll_at_temperature([([z], y)]))
         t_grid = _grid_nll_minimizer(z, y)
         worst = max(worst, abs(fit.temperature - t_grid))
         assert abs(fit.temperature - t_grid) < 1e-3
@@ -203,7 +203,7 @@ def test_criterion_5_temperature_fit_oracle():
         z1 = rng.normal(0, 2.5, size=(80, 3))
         z2 = z1 + rng.normal(0, 1.5, size=(80, 3))
         y = rng.integers(0, 3, size=80)
-        obj = calibration.ensemble_nll_at_temperature([([z1, z2], y)])
+        obj = calibration.nll_at_temperature([([z1, z2], y)])
         fit = calibration.calibrate_joint([([z1, z2], y)])
         assert fit.val_nll <= obj(1.0) + 1e-12
     elapsed = time.monotonic() - start
@@ -224,7 +224,7 @@ def test_criterion_6_argmax_contracts():
         y = rng.integers(0, 5, size=30)
         fit = calibration.calibrate_pool([([p], y)])
         for t in (fit.temperature, 0.1, 7.3):
-            pooled = calibration.pool_apply_temperature(p, t)
+            pooled = calibration.apply_temperature(calibration.pool_logits(p), t)
             assert np.array_equal(pooled.argmax(axis=1), p.argmax(axis=1))
     # frozen witness: a shared temperature flips the averaged prediction
     z1 = np.array([[4.1, -1.0, 0.0]])

@@ -1,9 +1,14 @@
-"""The package keeps no public function or class that nothing reads.
+"""The package keeps no public function or class that nothing reads, and no
+defaulted parameter of a public function that nothing passes.
 
 Every module-level public function or class in ``src/enstune`` must be named
 somewhere in the package outside its own definition, or in ``bench/``. The
 only exceptions are the oracles below: tests need them to check the code
 that runs, so they stay although no run calls them.
+
+Likewise every defaulted parameter of a module-level public function must be
+passed by some call in ``src/enstune`` or ``bench/``, by keyword or by
+position, unless it is listed in ``UNPASSED`` with its reason.
 """
 
 import ast
@@ -22,6 +27,17 @@ ORACLES = {
     "ambiguity": "acceptance criterion 1, the ambiguity decomposition",
     "stop_controller": "replays a score history through the patience rule",
     "rerun_from_manifest": "the reproducibility contract the README documents",
+}
+
+UNPASSED = {
+    ("train_ensemble", "member_seeds"): "bench/spans.py reads it by name",
+    ("train_ensemble", "standardize"): "bench/spans.py reads it by name",
+    ("make_batch_ensemble", "use_batchnorm"): "acceptance criterion 4's oracle switch",
+    ("be_forward", "training"): "acceptance criterion 4's training-mode loop check",
+    ("be_forward_all", "training"): "acceptance criterion 4's training-mode loop check",
+    ("grad_check", "eps"): "a knob of the MLP gradient oracle",
+    ("be_grad_check", "eps"): "a knob of the BatchEnsemble gradient oracle",
+    ("main", "argv"): "the CLI entry point: the console script passes none, tests an argv",
 }
 
 
@@ -48,12 +64,14 @@ def _names(tree) -> Counter:
     return out
 
 
+def _trees(where: str) -> list:
+    return [_parse(p) for p in glob.glob(os.path.join(ROOT, where, "*.py"))]
+
+
 def _unread() -> set:
     """Public module-level names of the package that nothing else names."""
-    trees = [_parse(p) for p in glob.glob(os.path.join(ROOT, "src", "enstune", "*.py"))]
-    named = sum((_names(t) for t in trees), Counter())
-    for path in glob.glob(os.path.join(ROOT, "bench", "*.py")):
-        named += _names(_parse(path))
+    trees = _trees(os.path.join("src", "enstune"))
+    named = sum((_names(t) for t in trees + _trees("bench")), Counter())
     return {node.name for tree in trees for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_")
@@ -64,3 +82,61 @@ def test_every_public_name_is_read_or_an_oracle():
     unread = _unread()
     assert sorted(unread - set(ORACLES)) == [], "public names nothing reads"
     assert sorted(set(ORACLES) - unread) == [], "oracles now read need no exception"
+
+
+def _passed(trees) -> dict:
+    """Per called name (a function, or an attribute such as ``module.f``):
+    the keywords its calls pass and the most positional arguments one call
+    passes before any ``*args``. Neither ``*args`` nor ``**mapping`` passes
+    a parameter: what they hold is not known from the source."""
+    out = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            keywords, positional = out.get(name, (set(), 0))
+            plain = next((i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)),
+                         len(node.args))
+            out[name] = (keywords | {k.arg for k in node.keywords if k.arg},
+                         max(positional, plain))
+    return out
+
+
+def _unpassed(trees, callers) -> set:
+    """(function, parameter) for each defaulted parameter of a module-level
+    public function in ``trees`` that no call in ``callers`` passes."""
+    passed = _passed(callers)
+    out = set()
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            keywords, n_positional = passed.get(node.name, (set(), 0))
+            out |= {(node.name, name) for i, name in defaulted
+                    if name not in keywords and (i is None or i >= n_positional)}
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_or_listed():
+    package = _trees(os.path.join("src", "enstune"))
+    unpassed = _unpassed(package, package + _trees("bench"))
+    assert sorted(unpassed - set(UNPASSED)) == [], "defaulted parameters nothing passes"
+    assert sorted(set(UNPASSED) - unpassed) == [], "listed parameters now passed"
+
+
+def test_parameter_check_sees_keywords_positions_and_mappings():
+    module = ast.parse("def f(a, b=1, *, c=2):\n    pass\n")
+    for calls, unpassed in [("f(0)", {("f", "b"), ("f", "c")}),
+                            ("f(0, 1)", {("f", "c")}),
+                            ("m.f(0, c=3)", {("f", "b")}),
+                            ("f(*xs)", {("f", "b"), ("f", "c")}),
+                            ("f(0, **kw)", {("f", "b"), ("f", "c")})]:
+        assert _unpassed([module], [ast.parse(calls)]) == unpassed, calls

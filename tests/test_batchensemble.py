@@ -532,10 +532,10 @@ class TestMonitoringForward:
             assert len({len(idx) for _, idx in sets}) > 1
         for _ in range(2):  # fresh inputs and buffers, then kept ones
             for ids, idx in sets[::-1] if reverse else sets:
-                got = traj.set_probs(ids, idx)
+                got = traj.set_logits(ids, idx)
                 assert len(got) == len(ids)
                 for m, p in zip(ids, got):
-                    want = softmax(be_forward(traj.params, traj.xs[m, idx], m))
+                    want = be_forward(traj.params, traj.xs[m, idx], m)
                     assert p.tobytes() == want.tobytes(), f"members {ids}, member {m}"
             traj.run_epoch()
 
@@ -544,8 +544,8 @@ class TestMonitoringForward:
         traj = trajectory(ds, plans["shared"])
         members = tuple(range(4))
         for idx in (np.arange(10), np.arange(10, 30), np.arange(10)):
-            for m, p in zip(members, traj.set_probs(members, idx)):
-                want = softmax(be_forward(traj.params, traj.xs[m, idx], m))
+            for m, p in zip(members, traj.set_logits(members, idx)):
+                want = be_forward(traj.params, traj.xs[m, idx], m)
                 assert p.tobytes() == want.tobytes()
 
     def test_leaves_training_buffers_and_running_statistics(self):
@@ -554,7 +554,7 @@ class TestMonitoringForward:
             traj = trajectory(ds, plan)
             bufs, stats = buffer_bytes(traj.bufs), running_stats(traj.params)
             for ids, idx in self.monitored_sets(plan):
-                traj.set_probs(ids, idx)
+                traj.set_logits(ids, idx)
             assert buffer_bytes(traj.bufs) == bufs, plan.strategy
             assert running_stats(traj.params) == stats, plan.strategy
 

@@ -14,11 +14,9 @@ from enstune.calibration import (
     calibrate_individual,
     calibrate_joint,
     calibrate_pool,
-    ensemble_nll_at_temperature,
     fit_temperature,
     nll_at_temperature,
-    pool_apply_temperature,
-    pool_nll_at_temperature,
+    pool_logits,
 )
 from enstune.netcore import ShapeError, softmax
 from enstune.splits import JointEvalUnavailableError
@@ -29,6 +27,16 @@ def grid_minimizer(objective, n_points=100_000, lo=0.01, hi=100.0):
     ts = np.exp(np.linspace(math.log(lo), math.log(hi), n_points))
     vals = np.array([objective(t) for t in ts])
     return float(ts[vals.argmin()])
+
+
+def pooled_at(mean_probs, t):
+    """Pool mode's prediction: the pooled probabilities tempered as logits."""
+    return apply_temperature(pool_logits(mean_probs), t)
+
+
+def pool_sets(eval_sets):
+    """Pool mode's eval sets: one member per set, the logits of its pooled mean."""
+    return [([pool_logits(metrics.ensemble_mean(probs))], y) for probs, y in eval_sets]
 
 
 def sample_logit_problem(rng, n=200, k=2, scale_range=(0.3, 3.0)):
@@ -89,7 +97,7 @@ class TestFitTemperature:
         rng = np.random.default_rng(1)
         for _ in range(5):
             z, y = sample_logit_problem(rng)
-            obj = nll_at_temperature(z, y)
+            obj = nll_at_temperature([([z], y)])
             res = fit_temperature(obj)
             assert abs(res.temperature - grid_minimizer(obj, 20_000)) < 1e-3
 
@@ -103,7 +111,7 @@ class TestIndividual:
         # Rescale logits by the grid-optimal T first, so T=1 is optimal.
         rng = np.random.default_rng(2)
         z, y = sample_logit_problem(rng)
-        t_star = grid_minimizer(nll_at_temperature(z, y), 50_000)
+        t_star = grid_minimizer(nll_at_temperature([([z], y)]), 50_000)
         z_cal = z / t_star
         res = calibrate_individual([(z_cal, y)] * 3)
         for t in res.temperature:
@@ -113,7 +121,7 @@ class TestIndividual:
     def test_single_member_matches_plain_fit(self):
         rng = np.random.default_rng(3)
         z, y = sample_logit_problem(rng)
-        solo = fit_temperature(nll_at_temperature(z, y))
+        solo = fit_temperature(nll_at_temperature([([z], y)]))
         res = calibrate_individual([(z, y)])
         assert res.temperature == [solo.temperature]
 
@@ -141,14 +149,14 @@ class TestJoint:
         rng = np.random.default_rng(6)
         z, y = sample_logit_problem(rng)
         joint = calibrate_joint([([z, z, z], y)])
-        solo = fit_temperature(nll_at_temperature(z, y))
+        solo = fit_temperature(nll_at_temperature([([z], y)]))
         assert joint.temperature == pytest.approx(solo.temperature, abs=1e-9)
 
     def test_matches_grid_oracle_on_disagreeing_pair(self):
         rng = np.random.default_rng(7)
         z1, y = sample_logit_problem(rng, n=100)
         z2 = z1 + rng.normal(0, 1.5, size=z1.shape)
-        obj = ensemble_nll_at_temperature([([z1, z2], y)])
+        obj = nll_at_temperature([([z1, z2], y)])
         res = calibrate_joint([([z1, z2], y)])
         assert abs(res.temperature - grid_minimizer(obj, 20_000)) < 1e-3
 
@@ -157,7 +165,7 @@ class TestJoint:
         for _ in range(10):
             z1, y = sample_logit_problem(rng, n=60, k=3)
             z2, _ = sample_logit_problem(rng, n=60, k=3)
-            obj = ensemble_nll_at_temperature([([z1, z2], y)])
+            obj = nll_at_temperature([([z1, z2], y)])
             res = calibrate_joint([([z1, z2], y)])
             assert res.val_nll <= obj(1.0) + 1e-12
 
@@ -183,14 +191,14 @@ class TestPool:
         rng = np.random.default_rng(9)
         raw = rng.exponential(size=(6, 4))
         p = raw / raw.sum(axis=1, keepdims=True)
-        assert np.abs(pool_apply_temperature(p, 1.0) - p).max() < 1e-12
+        assert np.abs(pooled_at(p, 1.0) - p).max() < 1e-12
 
     def test_argmax_preserved_for_any_t(self):
         rng = np.random.default_rng(10)
         raw = rng.exponential(size=(20, 5))
         p = raw / raw.sum(axis=1, keepdims=True)
         for t in (0.2, 0.7, 1.0, 3.5, 40.0):
-            assert np.array_equal(pool_apply_temperature(p, t).argmax(axis=1),
+            assert np.array_equal(pooled_at(p, t).argmax(axis=1),
                                   p.argmax(axis=1))
 
     def test_pool_and_joint_land_close(self):
@@ -213,7 +221,7 @@ class TestPool:
         probs = [softmax(z) for z in members]
         mean_p = metrics.ensemble_mean(probs)
         res = calibrate_pool([(probs, y)])
-        out = pool_apply_temperature(mean_p, res.temperature)
+        out = pooled_at(mean_p, res.temperature)
         assert np.array_equal(out.argmax(axis=1), mean_p.argmax(axis=1))
 
     def test_objective_is_mean_over_eval_sets(self):
@@ -224,7 +232,7 @@ class TestPool:
             probs = [softmax(rng.normal(0, 2, size=(n, 3))) for _ in range(2)]
             sets.append((probs, rng.integers(0, 3, size=n)))
         res = calibrate_pool(sets)
-        per_set = [metrics.nll(pool_apply_temperature(metrics.ensemble_mean(p),
+        per_set = [metrics.nll(pooled_at(metrics.ensemble_mean(p),
                                                       res.temperature), y)
                    for p, y in sets]
         assert res.mode == "pool"
@@ -264,7 +272,7 @@ def joint_reference(zs, y, t):
 
 
 def pool_reference(probs, y, t):
-    return metrics.nll(pool_apply_temperature(metrics.ensemble_mean(probs), t), y)
+    return metrics.nll(pooled_at(metrics.ensemble_mean(probs), t), y)
 
 
 class TestPreparedObjectivesExact:
@@ -276,20 +284,20 @@ class TestPreparedObjectivesExact:
     def test_individual(self, problem, t):
         zs, y = logit_problem(*problem)
         for z in zs:
-            assert nll_at_temperature(z, y)(t) == metrics.nll(apply_temperature(z, t), y)
+            assert nll_at_temperature([([z], y)])(t) == metrics.nll(apply_temperature(z, t), y)
 
     @given(PROBLEMS, TEMPERATURES)
     @settings(max_examples=150, deadline=None)
     def test_joint(self, problem, t):
         zs, y = logit_problem(*problem)
-        assert ensemble_nll_at_temperature([(zs, y)])(t) == joint_reference(zs, y, t)
+        assert nll_at_temperature([(zs, y)])(t) == joint_reference(zs, y, t)
 
     @given(PROBLEMS, TEMPERATURES)
     @settings(max_examples=150, deadline=None)
     def test_pool(self, problem, t):
         zs, y = logit_problem(*problem)
         probs = [softmax(z) for z in zs]
-        assert pool_nll_at_temperature([(probs, y)])(t) == pool_reference(probs, y, t)
+        assert nll_at_temperature(pool_sets([(probs, y)]))(t) == pool_reference(probs, y, t)
 
     @pytest.mark.parametrize("m", [8, 9, 16, 33])
     @pytest.mark.parametrize("n", [1, 2])
@@ -299,7 +307,7 @@ class TestPreparedObjectivesExact:
         for seed in range(20):
             zs, y = logit_problem(4, m, n, seed, "normal")
             for t in (0.01, 0.3, 1.0, 7.0, 100.0):
-                assert ensemble_nll_at_temperature([(zs, y)])(t) == joint_reference(zs, y, t)
+                assert nll_at_temperature([(zs, y)])(t) == joint_reference(zs, y, t)
 
     @given(PROBLEMS, st.integers(1, 40))
     @settings(max_examples=40, deadline=None)
@@ -308,30 +316,31 @@ class TestPreparedObjectivesExact:
         zs2, y2 = logit_problem(problem[0], problem[1], n_second, problem[3] + 1, "normal")
         sets = [(zs, y), (zs2, y2)]
         for t in (0.01, 1.0, 100.0):
-            assert ensemble_nll_at_temperature(sets)(t) == float(np.mean(
+            assert nll_at_temperature(sets)(t) == float(np.mean(
                 [joint_reference(z, yy, t) for z, yy in sets]))
 
     @given(PROBLEMS)
     @settings(max_examples=25, deadline=None)
     def test_fits_match_reference_fits(self, problem):
+        # each mode's fit, its sets built by the mode, against a fit of the
+        # composed public functions
         zs, y = logit_problem(*problem)
         probs = [softmax(z) for z in zs]
-        pairs = [(nll_at_temperature(zs[0], y),
+        pairs = [(calibrate_individual([(zs[0], y)]),
                   lambda t: metrics.nll(apply_temperature(zs[0], t), y)),
-                 (ensemble_nll_at_temperature([(zs, y)]),
-                  lambda t: joint_reference(zs, y, t)),
-                 (pool_nll_at_temperature([(probs, y)]),
-                  lambda t: pool_reference(probs, y, t))]
-        for prepared, reference in pairs:
-            a, b = fit_temperature(prepared), fit_temperature(reference)
-            assert (a.temperature, a.val_nll, a.iterations, a.converged, a.at_boundary) == (
+                 (calibrate_joint([(zs, y)]), lambda t: joint_reference(zs, y, t)),
+                 (calibrate_pool([(probs, y)]), lambda t: pool_reference(probs, y, t))]
+        for a, reference in pairs:
+            b = fit_temperature(reference)
+            t = a.temperature[0] if a.mode == "individual" else a.temperature
+            assert (t, a.val_nll, a.iterations, a.converged, a.at_boundary) == (
                 b.temperature, b.val_nll, b.iterations, b.converged, b.at_boundary)
 
     def test_overflow_raises_the_same_error(self):
         z = np.array([[1e307, 0.0], [0.0, 1.0]])  # z / 0.01 overflows
         y = np.array([0, 1])
         messages = []
-        for objective in (nll_at_temperature(z, y),
+        for objective in (nll_at_temperature([([z], y)]),
                           lambda t: metrics.nll(apply_temperature(z, t), y)):
             with pytest.raises(TemperatureError) as err, np.errstate(all="ignore"):
                 fit_temperature(objective)
@@ -339,7 +348,7 @@ class TestPreparedObjectivesExact:
         assert messages[0] == messages[1] == "objective is not finite at T=0.01"
 
     def test_nonpositive_temperature(self):
-        obj = nll_at_temperature(np.zeros((2, 3)), np.array([0, 2]))
+        obj = nll_at_temperature([([np.zeros((2, 3))], np.array([0, 2]))])
         for t in (0.0, -1.0):
             with pytest.raises(TemperatureError, match="must be > 0"):
                 obj(t)
@@ -348,8 +357,8 @@ class TestPreparedObjectivesExact:
         z = np.zeros((10, 4))
         for labels in (np.zeros(5, dtype=int), np.zeros(11, dtype=int)):
             with pytest.raises(ShapeError):
-                nll_at_temperature(z, labels)
+                nll_at_temperature([([z], labels)])
             with pytest.raises(ShapeError):
-                ensemble_nll_at_temperature([([z, z], labels)])
+                nll_at_temperature([([z, z], labels)])
             with pytest.raises(ShapeError):
-                pool_nll_at_temperature([([softmax(z)], labels)])
+                nll_at_temperature(pool_sets([([softmax(z)], labels)]))

@@ -179,6 +179,14 @@ BAD_CONFIGS = [
     ("early-stop", ["task.radius=inf"], "task.radius=inf must be >= 0 and finite"),
     ("early-stop", ["task.radius=nan"], "task.radius=nan must be >= 0"),
     ("early-stop", ["task.radius=-1"], "task.radius=-1.0 must be >= 0"),
+    ("early-stop", ["optimizer.kind=sgd_momentum", "optimizer.momentum=nan"],
+     "optimizer.momentum=nan must be in [0, 1)"),
+    ("early-stop", ["optimizer.kind=sgd_momentum", "optimizer.momentum=inf"],
+     "optimizer.momentum=inf must be in [0, 1)"),
+    ("early-stop", ["optimizer.kind=sgd_momentum", "optimizer.momentum=-1"],
+     "optimizer.momentum=-1.0 must be in [0, 1)"),
+    ("sweep-wd", ["optimizer.kind=sgd_momentum", "optimizer.momentum=1.5"],
+     "optimizer.momentum=1.5 must be in [0, 1)"),
 ]
 
 # a row appended to a valid two-feature CSV task, by test id: what can be no
@@ -1034,8 +1042,8 @@ class TestCli:
         assert rows[0][0] == "experiment"
         assert len(rows) > 1
 
-    @pytest.mark.parametrize("case", ["directory", "not-utf8", "empty", "short-row",
-                                      "not-a-number"])
+    @pytest.mark.parametrize("case", ["directory", "not-utf8", "empty", "header-only",
+                                      "short-row", "not-a-number"])
     def test_report_bad_cells_csv_exit_code(self, tmp_path, capsys, case):
         path = tmp_path / "cells.csv"
         header = ",".join(experiments.ROW_COLUMNS) + "\n"
@@ -1046,6 +1054,8 @@ class TestCli:
             path.write_bytes(header.encode() + b"early_stop,jo\xffint\n")
         elif case == "empty":
             path.write_text("")
+        elif case == "header-only":
+            path.write_text(header)
         elif case == "short-row":  # a row with fewer fields than the header
             path.write_text(header + "early_stop,joint\n")
             where += ":2"

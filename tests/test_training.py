@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from enstune import metrics, training
+from enstune.batchensemble import _BeTrajectory, make_batch_ensemble
 from enstune.data import make_blobs
+from enstune.netcore import softmax
 from enstune.splits import (
     SHARED,
     JointEvalUnavailableError,
     MemberSplit,
     SplitPlan,
+    joint_eval_sets,
     make_disjoint,
     make_overlapping,
     make_shared,
@@ -343,6 +346,53 @@ class TestMonitorRows:
         assert {r[6] for r in rows} == {0, 1, 2}
         for m, member in enumerate(res.members):
             assert [r[8] for r in rows if r[6] == m] == member.stop.history
+
+
+def probability_joint_nll(plan, y, set_logits):
+    """The joint stopping score as it was first written, on probabilities:
+    the mean over the plan's joint sets of the NLL of the members' mean
+    softmax."""
+    return float(np.mean([
+        metrics.nll(metrics.ensemble_mean([softmax(z) for z in set_logits(ids, idx)]),
+                    y[idx])
+        for ids, idx in joint_eval_sets(plan)]))
+
+
+class TestJointScore:
+    """The joint stopping score, the temperature objective at T = 1, is
+    float for float the probability formula on every trajectory kind."""
+
+    @staticmethod
+    def plans(ds):
+        return [make_shared(len(ds), 0.2, 4, rng_seed=31, labels=ds.y),
+                make_overlapping(len(ds), 4, rng_seed=32, labels=ds.y)]
+
+    def test_mlp_states(self):
+        ds = blob_task(n=203, k=4)
+        for plan in self.plans(ds):
+            states = [training._MemberState(ds.x, ds.y, ms, [2, 8, 4], OptimizerConfig(),
+                                            33, m, True, 32, lambda step: 1e-2)
+                      for m, ms in enumerate(plan.members)]
+
+            def set_logits(ids, idx):
+                return [states[m].logits(ds.x[idx]) for m in ids]
+
+            for _ in range(3):
+                assert training._joint_nll(plan, ds.y, set_logits) == \
+                    probability_joint_nll(plan, ds.y, set_logits), plan.strategy
+                for state in states:
+                    state.run_epoch()
+
+    def test_batch_ensemble_trajectory(self):
+        ds = blob_task(n=203, k=4)
+        for plan in self.plans(ds):
+            model = make_batch_ensemble([2, 6, 4], plan.n_members, "random_sign",
+                                        np.random.default_rng(34), 0.3)
+            traj = _BeTrajectory(ds.x, ds.y, plan, model, OptimizerConfig(lr=1e-2), 32, 35)
+            for _ in range(3):
+                assert training._joint_nll(plan, ds.y, traj.set_logits) == \
+                    probability_joint_nll(plan, ds.y, traj.set_logits), plan.strategy
+                traj.run_epoch()
 
 
 class TestStopDecisionInvariants:
