@@ -9,8 +9,8 @@ of M·B·(in+out) activation elements. Activations are feature-major,
 
 Each hidden layer is linear -> per-member batch norm -> ReLU. All members
 share the slow weights, so training necessarily stops simultaneously; the
-monitored score follows the plan: joint ensemble NLL where the plan permits
-joint evaluation, the average of individual member NLLs on disjoint plans.
+monitored score is the NLL on ``calibration.validation_sets``: joint where the
+plan permits joint evaluation, the members' mean own NLL on disjoint plans.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics
+from .calibration import nll_at_temperature, validation_sets
 from .data import Standardizer
 from .netcore import (
     DenseLayer,
@@ -38,6 +38,8 @@ from .netcore import (
 )
 from .splits import DISJOINT, SplitPlan
 from .training import (
+    INDIVIDUAL,
+    JOINT,
     NONE,
     OptimizerConfig,
     StopDecision,
@@ -47,7 +49,6 @@ from .training import (
     _INIT,
     _Rule,
     _cosine_schedule,
-    _joint_nll,
     _patience_loop,
 )
 
@@ -512,16 +513,11 @@ def be_train(x, y, plan: SplitPlan, dims: list[int], scheme: str,
                                 member_rng(seed, 0, _INIT), sigma)
     traj = _BeTrajectory(x, y, plan, model, opt_cfg, stop_cfg.batch_size, seed)
 
-    def member_nll() -> float:
-        """The mean member NLL, each member on its own validation set."""
-        return float(np.mean([metrics.nll(softmax(traj.set_logits((m,), ms.val_idx)[0]),
-                                          y[ms.val_idx])
-                              for m, ms in enumerate(plan.members)]))
-
-    # disjoint plans monitor the average member NLL: there is no joint set,
-    # and members that share slow weights cannot stop one by one
-    rule = _Rule([0], member_nll if plan.strategy == DISJOINT
-                 else lambda: _joint_nll(plan, y, traj.set_logits),
+    # a disjoint plan has no joint set, and members that share slow weights
+    # cannot stop one by one: it monitors the mean of the members' own NLLs
+    scored = INDIVIDUAL if plan.strategy == DISJOINT else JOINT
+    rule = _Rule([0], lambda: nll_at_temperature(
+        validation_sets(scored, plan, y, traj.set_logits))(1.0),
                  stop_cfg.mode != NONE, stop_cfg.patience)
     _patience_loop([traj], [rule], stop_cfg.max_epochs)
     (model,) = rule.kept

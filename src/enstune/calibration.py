@@ -1,12 +1,13 @@
 """Temperature scaling in three modes: per-member, joint on member logits,
 and pool-then-calibrate on the averaged probabilities.
 
-One objective, :func:`nll_at_temperature`, serves every fit and the joint
-stopping score (at T = 1); the modes differ only in the eval sets they give
-it. Every fit is a 1-d minimization of it over log-temperature in
-[0.01, 100], done by golden-section search (tolerance 1e-6 in log T, at most
-100 objective evaluations). Boundary minima are returned as the bracket end
-with ``at_boundary`` set.
+:func:`validation_sets` alone decides which members are scored on which
+rows; one objective, :func:`nll_at_temperature`, scores them in every fit
+(:func:`calibrate`) and, at T = 1, in every ensemble stopping score. Every
+fit is a 1-d minimization of it over log-temperature in [0.01, 100], done by
+golden-section search (tolerance 1e-6 in log T, at most 100 objective
+evaluations). Boundary minima are returned as the bracket end with
+``at_boundary`` set.
 
 The objective prepares each eval set once; a candidate T then costs one
 divide, ``exp``, row sum and label pick, and scores the same floats as
@@ -24,8 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import metrics
-from .netcore import _check_labels, _row_max, softmax
-from .splits import JointEvalUnavailableError
+from .netcore import _check_labels, _row_max, _row_sum, softmax
+from .splits import JointEvalUnavailableError, SplitPlan, joint_eval_sets
 
 BRACKET = (0.01, 100.0)  # temperature search range
 TOL = 1e-6  # bracket width in log T at which the search stops
@@ -97,7 +98,7 @@ class _PreparedSet:
         e = np.divide(self.z, t, out=self.buf)
         e -= self.rowmax / t
         np.exp(e, out=e)
-        p = np.take(e, self.pick) / e.sum(axis=-1)
+        p = np.take(e, self.pick) / _row_sum(e)[:, 0]
         if self.n_members > 1:  # each row's ensemble-mean label probability,
             # summed in member order as ``ensemble_mean`` sums; ``mean(axis=0)``
             # would sum a single row's members pairwise from 8 members on
@@ -176,40 +177,39 @@ def nll_at_temperature(eval_sets: Sequence[tuple[Sequence[np.ndarray], np.ndarra
     return lambda t: float(np.mean([s.nll(t) for s in sets]))
 
 
-def calibrate_individual(member_vals: Sequence[tuple[np.ndarray, np.ndarray]],
-                         ) -> TempFitResult:
-    """Fit one temperature per member on its own validation set.
-
-    The prediction path averages softmax(z_m / T_m) over members.
-    """
-    fits = [fit_temperature(nll_at_temperature([([z], y)]), mode="individual")
-            for z, y in member_vals]
-    return TempFitResult(
-        temperature=[f.temperature for f in fits],
-        val_nll=float(np.mean([f.val_nll for f in fits])),
-        iterations=max(f.iterations for f in fits),
-        converged=all(f.converged for f in fits),
-        mode="individual",
-        at_boundary=any(f.at_boundary for f in fits),
-    )
+def validation_sets(mode: str, plan: SplitPlan, y: np.ndarray, set_logits) -> list:
+    """The (member logits, labels) eval sets a mode scores: "individual" one
+    per member on its own holdout, any other mode :func:`joint_eval_sets`.
+    ``set_logits(members, idx)`` gets the plan's own index arrays, the same
+    objects on every call, and returns each member's logits on rows ``idx``."""
+    pairs = ([((m,), ms.val_idx) for m, ms in enumerate(plan.members)]
+             if mode == "individual" else joint_eval_sets(plan))
+    return [(set_logits(ids, idx), y[idx]) for ids, idx in pairs]
 
 
-def calibrate_joint(eval_sets: Sequence[tuple[Sequence[np.ndarray], np.ndarray]],
-                    ) -> TempFitResult:
-    """Fit a single shared temperature on the members' logits over the
-    jointly evaluable eval sets."""
-    return fit_temperature(nll_at_temperature(eval_sets), mode="joint")
+def _pooled(member_logits: Sequence[np.ndarray]) -> np.ndarray:
+    return pool_logits(metrics.ensemble_mean([softmax(z) for z in member_logits]))
 
 
-def calibrate_pool(eval_sets: Sequence[tuple[Sequence[np.ndarray], np.ndarray]],
-                   ) -> TempFitResult:
-    """Fit a temperature on the pooled probabilities, softmax(log p-bar / T).
-
-    Each eval set pairs the participating members' validation probabilities
-    (all on the same samples) with the labels, as in :func:`calibrate_joint`;
-    the objective is the mean over sets of the pooled-tempered NLL, each set
-    scored as one member with logits :func:`pool_logits` of its mean.
-    """
-    return fit_temperature(nll_at_temperature(
-        [([pool_logits(metrics.ensemble_mean(probs))], y) for probs, y in eval_sets]),
-        mode="pool")
+def calibrate(mode: str, sets: Sequence, test_logits: Sequence[np.ndarray]):
+    """A mode's fit on its eval sets (:func:`validation_sets`) and the test
+    members' tempered probabilities. "individual" fits each set on its own
+    and tempers each member by its T; "joint" fits one T over all the sets;
+    "pool" first pools each set, and the test members, into
+    :func:`pool_logits` of their mean softmax, and returns one matrix."""
+    if mode == "individual":
+        fits = [fit_temperature(nll_at_temperature([s]), mode) for s in sets]
+        temps = [f.temperature for f in fits]
+        return (TempFitResult(temps, float(np.mean([f.val_nll for f in fits])),
+                              max(f.iterations for f in fits),
+                              all(f.converged for f in fits), mode,
+                              any(f.at_boundary for f in fits)),
+                [apply_temperature(z, t) for z, t in zip(test_logits, temps)])
+    if mode not in ("joint", "pool"):
+        raise ValueError(f"unknown temperature mode {mode!r}")
+    pool = mode == "pool"
+    fit = fit_temperature(nll_at_temperature(
+        [([_pooled(zs)], y) for zs, y in sets] if pool else sets), mode)
+    if pool:
+        return fit, apply_temperature(_pooled(test_logits), fit.temperature)
+    return fit, [apply_temperature(z, fit.temperature) for z in test_logits]

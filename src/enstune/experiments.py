@@ -33,7 +33,6 @@ from .splits import (
     OVERLAPPING,
     SHARED,
     SplitPlan,
-    joint_eval_sets,
     make_disjoint,
     make_overlapping,
     make_shared,
@@ -202,7 +201,7 @@ def _wd_sweep_summary(cfg: ExperimentConfig, seed_results) -> dict:
 
 
 # The MLP kinds train each plan once and score it as variants (name, stopping
-# mode, temperature mode or None) drawn from experiment.modes. Each distinct
+# mode, temperature mode) drawn from experiment.modes. Each distinct
 # stopping mode among a job's variants writes one run entry of ``entry_keys``.
 class _MlpKind(NamedTuple):
     modes: tuple              # the experiment.modes entries it accepts
@@ -219,7 +218,7 @@ class _MlpKind(NamedTuple):
 POOL = "pool"
 _MLP_KINDS = {
     "early_stop": _MlpKind(
-        (INDIVIDUAL, JOINT, NONE), lambda modes: [(m, m, None) for m in modes],
+        (INDIVIDUAL, JOINT, NONE), lambda modes: [(m, m, NONE) for m in modes],
         ("strategy", "mode", "val_pct", "seed", "plan", "stops"), True,
         lambda result: float(np.mean([m.stop.normalized_epochs for m in result.members]))),
     "temp_scale": _MlpKind(
@@ -238,25 +237,6 @@ def _variants(cfg: ExperimentConfig, strategy: str) -> list[tuple]:
     :func:`_check_config` refuses joint temperatures on it."""
     return [v for v in _MLP_KINDS[cfg.experiment.kind].variants(cfg.experiment.modes)
             if not (strategy == DISJOINT and v[1] == JOINT)]
-
-
-def _tempered(mode, result, plan, dprime, logits, probs, joint_sets):
-    """A temperature mode's fit (None for no temperature) and the test
-    probabilities it gives: one matrix per member, or pool's pooled one."""
-    if mode in (None, NONE):
-        return None, probs
-    if mode == INDIVIDUAL:
-        fit = calibration.calibrate_individual(
-            [(member_logits(mem, dprime.x[ms.val_idx]), dprime.y[ms.val_idx])
-             for mem, ms in zip(result.members, plan.members)])
-        return fit, [calibration.apply_temperature(z, t)
-                     for z, t in zip(logits, fit.temperature)]
-    if mode == JOINT:
-        fit = calibration.calibrate_joint(joint_sets)
-        return fit, [calibration.apply_temperature(z, fit.temperature) for z in logits]
-    fit = calibration.calibrate_pool([([softmax(z) for z in zs], y) for zs, y in joint_sets])
-    return fit, calibration.apply_temperature(
-        calibration.pool_logits(metrics.ensemble_mean(probs)), fit.temperature)
 
 
 def _mlp_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan, job: Job):
@@ -281,13 +261,15 @@ def _mlp_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan, job: Job):
             tags["normalized_epochs"] = spec.epochs(result)
         logits = [member_logits(m, test.x) for m in result.members]
         probs = [softmax(z) for z in logits]
-        joint_sets = ([([member_logits(result.members[m], dprime.x[idx]) for m in ids],
-                        dprime.y[idx]) for ids, idx in joint_eval_sets(plan)]
-                      if {JOINT, POOL} & {temp for _, temp in temps} else None)
+        scored = {temp: INDIVIDUAL if temp == INDIVIDUAL else JOINT  # pool scores joint sets
+                  for _, temp in temps if temp != NONE}
+        sets = {mode: calibration.validation_sets(mode, plan, dprime.y, lambda ids, idx: [
+                    member_logits(result.members[m], dprime.x[idx]) for m in ids])
+                for mode in dict.fromkeys(scored.values())}
         fits = []
         for name, temp in temps:
-            fit, tempered = _tempered(temp, result, plan, dprime, logits, probs,
-                                      joint_sets)
+            fit, tempered = ((None, probs) if temp == NONE
+                             else calibration.calibrate(temp, sets[scored[temp]], logits))
             if temp == POOL:  # one pooled matrix; diversity of the untempered members
                 rec = metrics.MetricsRecord(**metrics._scores(tempered, test.y, ece_bins),
                                             diversity=metrics.diversity(probs).mean, **tags)

@@ -42,11 +42,24 @@ def _row_max(z: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(np.asfortranarray(z), axis=-1, keepdims=True)
 
 
+def _row_sum(e: np.ndarray) -> np.ndarray:
+    """Each row's sum along the last axis, keeping that axis.
+
+    numpy adds a row shorter than 8 entries in order, so such rows are
+    summed over an F-ordered copy, as elementwise sums across the columns
+    in the same order: the same floats, several times faster. Longer rows
+    are summed pairwise, in another order, so they keep ``e.sum``.
+    """
+    if e.shape[-1] < 8:
+        return np.add.reduce(np.asfortranarray(e), axis=-1, keepdims=True)
+    return e.sum(axis=-1, keepdims=True)
+
+
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax, log-sum-exp stabilized."""
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(z - _row_max(z))
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / _row_sum(e)
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
@@ -54,7 +67,7 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     with np.errstate(invalid="ignore"):
         shifted = z - _row_max(z)
-        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        return shifted - np.log(_row_sum(np.exp(shifted)))
 
 
 @dataclass

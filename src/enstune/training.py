@@ -6,7 +6,7 @@ and feeds the stopping rules that observe it.
 An "improvement" is a strictly lower monitored score; ties burn patience.
 Stopping restores the parameters snapshotted at the best epoch. Members
 advance one epoch at a time in lockstep; a joint rule monitors the ensemble
-score on the plan's jointly evaluable sets and stops everyone together.
+NLL on ``calibration.validation_sets`` and stops everyone together.
 Under a constant learning rate the individual, joint and none runs of one
 plan are prefixes of one trajectory per member, so one call trains each
 member once and every mode observes it. A weight-decay grid, which no rule
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .calibration import nll_at_temperature
+from .calibration import nll_at_temperature, validation_sets
 from .data import Standardizer
 from .netcore import (
     MlpParams,
@@ -40,7 +40,6 @@ from .splits import (
     JointEvalUnavailableError,
     MemberSplit,
     SplitPlan,
-    joint_eval_sets,
 )
 
 # purposes for per-member RNG stream derivation
@@ -290,15 +289,6 @@ def _patience_loop(trajectories, rules: list[_Rule], max_epochs: int) -> None:
             rule.kept = [trajectories[i].params for i in rule.ids]
 
 
-def _joint_nll(plan: SplitPlan, y: np.ndarray, set_logits) -> float:
-    """Monitored score for joint stopping: the joint temperature objective
-    at T = 1, the mean ensemble NLL over the plan's jointly evaluable sets,
-    with ``set_logits(member_ids, idx)`` giving each member's logits on
-    rows ``idx``."""
-    return nll_at_temperature([(set_logits(member_ids, idx), y[idx])
-                               for member_ids, idx in joint_eval_sets(plan)])(1.0)
-
-
 @dataclass
 class EnsembleResult:
     members: list[TrainedMember]
@@ -352,9 +342,9 @@ def train_ensemble(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig,
     rules = {}
     for mode in modes:
         if mode == JOINT:
-            rules[mode] = [_Rule(range(len(states)), lambda: _joint_nll(
-                plan, y, lambda ids, idx: [states[m].logits(x[idx]) for m in ids]), True,
-                stop_cfg.patience)]
+            rules[mode] = [_Rule(range(len(states)), lambda: nll_at_temperature(
+                validation_sets(JOINT, plan, y, lambda ids, idx: [
+                    states[m].logits(x[idx]) for m in ids]))(1.0), True, stop_cfg.patience)]
         else:
             rules[mode] = [_Rule([m], s.val_nll, mode != NONE, stop_cfg.patience)
                            for m, s in enumerate(states)]

@@ -204,7 +204,7 @@ def test_criterion_5_temperature_fit_oracle():
         z2 = z1 + rng.normal(0, 1.5, size=(80, 3))
         y = rng.integers(0, 3, size=80)
         obj = calibration.nll_at_temperature([([z1, z2], y)])
-        fit = calibration.calibrate_joint([([z1, z2], y)])
+        fit, _ = calibration.calibrate("joint", [([z1, z2], y)], [z1, z2])
         assert fit.val_nll <= obj(1.0) + 1e-12
     elapsed = time.monotonic() - start
     report(5, True,
@@ -220,9 +220,11 @@ def test_criterion_6_argmax_contracts():
         assert np.array_equal(calibration.apply_temperature(z, t).argmax(axis=1),
                               z.argmax(axis=1))
     for _ in range(50):
-        p = random_prob_matrix(rng, 30, 5)
+        z = np.log(rng.exponential(size=(30, 5)))  # p uniform on the simplex
+        p = softmax(z)
         y = rng.integers(0, 5, size=30)
-        fit = calibration.calibrate_pool([([p], y)])
+        fit, pooled = calibration.calibrate("pool", [([z], y)], [z])
+        assert np.array_equal(pooled.argmax(axis=1), p.argmax(axis=1))
         for t in (fit.temperature, 0.1, 7.3):
             pooled = calibration.apply_temperature(calibration.pool_logits(p), t)
             assert np.array_equal(pooled.argmax(axis=1), p.argmax(axis=1))

@@ -8,7 +8,8 @@ that runs, so they stay although no run calls them.
 
 Likewise every defaulted parameter of a module-level public function must be
 passed by some call in ``src/enstune`` or ``bench/``, by keyword or by
-position, unless it is listed in ``UNPASSED`` with its reason.
+position, unless it is listed in ``UNPASSED`` with its reason. And every
+module-level import in ``src/enstune`` must be read in its module.
 """
 
 import ast
@@ -140,3 +141,27 @@ def test_parameter_check_sees_keywords_positions_and_mappings():
                             ("f(*xs)", {("f", "b"), ("f", "c")}),
                             ("f(0, **kw)", {("f", "b"), ("f", "c")})]:
         assert _unpassed([module], [ast.parse(calls)]) == unpassed, calls
+
+
+def _unused_imports(tree) -> set:
+    """The names a module's top-level imports bind that the module never
+    reads (``from __future__`` imports bind none)."""
+    bound = {alias.asname or alias.name.split(".")[0]
+             for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - read
+
+
+def test_every_import_is_used():
+    unused = {(os.path.basename(path), name)
+              for path in glob.glob(os.path.join(ROOT, "src", "enstune", "*.py"))
+              for name in _unused_imports(_parse(path))}
+    assert sorted(unused) == [], "imports their module never reads"
+
+
+def test_import_check_sees_aliases_and_dotted_modules():
+    module = ast.parse("from __future__ import annotations\nimport os.path\n"
+                       "import json\nfrom .a import b, c as d\nos.sep\nd()\n")
+    assert _unused_imports(module) == {"json", "b"}

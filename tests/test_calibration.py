@@ -1,4 +1,5 @@
-"""Tests for temperature scaling: apply, fit, and the three ensemble modes."""
+"""Tests for temperature scaling: apply, fit, the validation sets each mode
+scores, and the three ensemble modes."""
 
 import math
 
@@ -11,15 +12,19 @@ from enstune import metrics
 from enstune.calibration import (
     TemperatureError,
     apply_temperature,
-    calibrate_individual,
-    calibrate_joint,
-    calibrate_pool,
+    calibrate,
     fit_temperature,
     nll_at_temperature,
     pool_logits,
+    validation_sets,
 )
 from enstune.netcore import ShapeError, softmax
-from enstune.splits import JointEvalUnavailableError
+from enstune.splits import (
+    JointEvalUnavailableError,
+    make_disjoint,
+    make_overlapping,
+    make_shared,
+)
 
 
 def grid_minimizer(objective, n_points=100_000, lo=0.01, hi=100.0):
@@ -32,6 +37,12 @@ def grid_minimizer(objective, n_points=100_000, lo=0.01, hi=100.0):
 def pooled_at(mean_probs, t):
     """Pool mode's prediction: the pooled probabilities tempered as logits."""
     return apply_temperature(pool_logits(mean_probs), t)
+
+
+def fit_of(mode, sets):
+    """The fit alone of ``calibrate``; the first set's members stand in for
+    the test members."""
+    return calibrate(mode, sets, sets[0][0])[0]
 
 
 def pool_sets(eval_sets):
@@ -113,7 +124,7 @@ class TestIndividual:
         z, y = sample_logit_problem(rng)
         t_star = grid_minimizer(nll_at_temperature([([z], y)]), 50_000)
         z_cal = z / t_star
-        res = calibrate_individual([(z_cal, y)] * 3)
+        res = fit_of("individual", [([z_cal], y)] * 3)
         for t in res.temperature:
             assert abs(t - 1.0) < 5e-3
         assert res.mode == "individual"
@@ -122,33 +133,33 @@ class TestIndividual:
         rng = np.random.default_rng(3)
         z, y = sample_logit_problem(rng)
         solo = fit_temperature(nll_at_temperature([([z], y)]))
-        res = calibrate_individual([(z, y)])
+        res = fit_of("individual", [([z], y)])
         assert res.temperature == [solo.temperature]
 
     def test_scaling_covariance(self):
         rng = np.random.default_rng(4)
         z, y = sample_logit_problem(rng)
-        t_ref = calibrate_individual([(z, y)]).temperature[0]
-        t_doubled = calibrate_individual([(2.0 * z, y)]).temperature[0]
+        t_ref = fit_of("individual", [([z], y)]).temperature[0]
+        t_doubled = fit_of("individual", [([2.0 * z], y)]).temperature[0]
         assert t_doubled == pytest.approx(2.0 * t_ref, rel=1e-3)
 
     def test_empty_validation_set(self):
         with pytest.raises(TemperatureError, match="empty"):
-            calibrate_individual([(np.zeros((0, 2)), np.zeros(0, dtype=int))])
+            fit_of("individual", [([np.zeros((0, 2))], np.zeros(0, dtype=int))])
 
 
 class TestJoint:
     def test_single_member_equals_individual(self):
         rng = np.random.default_rng(5)
         z, y = sample_logit_problem(rng)
-        joint = calibrate_joint([([z], y)])
-        solo = calibrate_individual([(z, y)])
+        joint = fit_of("joint", [([z], y)])
+        solo = fit_of("individual", [([z], y)])
         assert joint.temperature == pytest.approx(solo.temperature[0], abs=1e-9)
 
     def test_identical_members_match_single_model_fit(self):
         rng = np.random.default_rng(6)
         z, y = sample_logit_problem(rng)
-        joint = calibrate_joint([([z, z, z], y)])
+        joint = fit_of("joint", [([z, z, z], y)])
         solo = fit_temperature(nll_at_temperature([([z], y)]))
         assert joint.temperature == pytest.approx(solo.temperature, abs=1e-9)
 
@@ -157,7 +168,7 @@ class TestJoint:
         z1, y = sample_logit_problem(rng, n=100)
         z2 = z1 + rng.normal(0, 1.5, size=z1.shape)
         obj = nll_at_temperature([([z1, z2], y)])
-        res = calibrate_joint([([z1, z2], y)])
+        res = fit_of("joint", [([z1, z2], y)])
         assert abs(res.temperature - grid_minimizer(obj, 20_000)) < 1e-3
 
     def test_never_worse_than_unscaled(self):
@@ -166,12 +177,12 @@ class TestJoint:
             z1, y = sample_logit_problem(rng, n=60, k=3)
             z2, _ = sample_logit_problem(rng, n=60, k=3)
             obj = nll_at_temperature([([z1, z2], y)])
-            res = calibrate_joint([([z1, z2], y)])
+            res = fit_of("joint", [([z1, z2], y)])
             assert res.val_nll <= obj(1.0) + 1e-12
 
     def test_disjoint_is_structured_error(self):
         with pytest.raises(JointEvalUnavailableError, match="disjoint"):
-            calibrate_joint([])
+            calibrate("joint", [], [])
 
     def test_joint_scaling_can_change_ensemble_argmax(self):
         # Frozen witness found by randomized search: the shared temperature
@@ -210,8 +221,8 @@ class TestPool:
         p = softmax(true_logits)
         y = (rng.random(n)[:, None] > p.cumsum(axis=1)).sum(axis=1)
         members = [1.8 * true_logits + rng.normal(0, 0.8, size=(n, k)) for _ in range(m)]
-        joint = calibrate_joint([(members, y)])
-        pool = calibrate_pool([([softmax(z) for z in members], y)])
+        joint = fit_of("joint", [(members, y)])
+        pool = fit_of("pool", [(members, y)])
         assert abs(joint.val_nll - pool.val_nll) < 0.01
 
     def test_fitted_pool_keeps_pooled_argmax(self):
@@ -220,8 +231,8 @@ class TestPool:
         y = rng.integers(0, 3, size=50)
         probs = [softmax(z) for z in members]
         mean_p = metrics.ensemble_mean(probs)
-        res = calibrate_pool([(probs, y)])
-        out = pooled_at(mean_p, res.temperature)
+        res, out = calibrate("pool", [(members, y)], members)
+        assert out.tobytes() == pooled_at(mean_p, res.temperature).tobytes()
         assert np.array_equal(out.argmax(axis=1), mean_p.argmax(axis=1))
 
     def test_objective_is_mean_over_eval_sets(self):
@@ -229,20 +240,149 @@ class TestPool:
         rng = np.random.default_rng(13)
         sets = []
         for n in (30, 45):
-            probs = [softmax(rng.normal(0, 2, size=(n, 3))) for _ in range(2)]
-            sets.append((probs, rng.integers(0, 3, size=n)))
-        res = calibrate_pool(sets)
-        per_set = [metrics.nll(pooled_at(metrics.ensemble_mean(p),
-                                                      res.temperature), y)
-                   for p, y in sets]
+            zs = [rng.normal(0, 2, size=(n, 3)) for _ in range(2)]
+            sets.append((zs, rng.integers(0, 3, size=n)))
+        res = fit_of("pool", sets)
+        per_set = [metrics.nll(pooled_at(metrics.ensemble_mean([softmax(z) for z in zs]),
+                                         res.temperature), y)
+                   for zs, y in sets]
         assert res.mode == "pool"
         assert res.val_nll == float(np.mean(per_set))
 
     def test_empty_input_is_structured_error(self):
         with pytest.raises(JointEvalUnavailableError, match="disjoint"):
-            calibrate_pool([])
+            calibrate("pool", [], [])
         with pytest.raises(TemperatureError):
-            calibrate_pool([([np.full((0, 3), 1 / 3)], np.zeros(0, dtype=int))])
+            fit_of("pool", [([np.zeros((0, 3))], np.zeros(0, dtype=int))])
+
+
+def three_plans():
+    """Labels, and a shared, an overlapping and a disjoint plan of 4 members."""
+    y = np.random.default_rng(50).integers(0, 3, size=120)
+    return y, {"shared": make_shared(len(y), 0.2, 4, rng_seed=51, labels=y),
+               "overlapping": make_overlapping(len(y), 4, rng_seed=52, labels=y),
+               "disjoint": make_disjoint(len(y), 0.1, 4, rng_seed=53, labels=y)}
+
+
+class Recorder:
+    """A ``set_logits`` that records each (members, rows) call and returns
+    each member's logits on those rows from fixed (M, N, K) logits."""
+
+    def __init__(self, logits):
+        self.logits = logits
+        self.calls = []
+
+    def __call__(self, ids, idx):
+        self.calls.append((ids, idx))
+        return [self.logits[m][idx] for m in ids]
+
+
+class TestValidationSets:
+    """Which members each mode scores, on which rows, with which labels."""
+
+    @pytest.mark.parametrize("strategy", ["shared", "overlapping", "disjoint"])
+    def test_individual_is_each_member_on_its_own_holdout(self, strategy):
+        y, plans = three_plans()
+        plan = plans[strategy]
+        logits = np.random.default_rng(54).normal(size=(4, len(y), 3))
+        record = Recorder(logits)
+        sets = validation_sets("individual", plan, y, record)
+        assert [ids for ids, _ in record.calls] == [(m,) for m in range(4)]
+        for m, ((zs, labels), (_, idx), ms) in enumerate(zip(sets, record.calls,
+                                                              plan.members)):
+            assert idx is ms.val_idx  # the plan's own array, so kept inputs hold
+            assert len(zs) == 1 and np.array_equal(zs[0], logits[m][idx])
+            assert np.array_equal(labels, y[ms.val_idx])
+
+    def test_joint_on_a_shared_plan_is_every_member_on_the_holdout(self):
+        y, plans = three_plans()
+        plan = plans["shared"]
+        for mode in ("joint", "pool"):
+            record = Recorder(np.zeros((4, len(y), 3)))
+            ((zs, labels),) = validation_sets(mode, plan, y, record)
+            ((ids, idx),) = record.calls
+            assert ids == (0, 1, 2, 3) and idx is plan.members[0].val_idx
+            assert all(np.array_equal(ms.val_idx, idx) for ms in plan.members)
+            assert len(zs) == 4 and np.array_equal(labels, y[idx])
+
+    def test_joint_on_an_overlapping_plan_is_each_cyclic_pair_on_its_common_rows(self):
+        y, plans = three_plans()
+        plan = plans["overlapping"]
+        for mode in ("joint", "pool"):
+            record = Recorder(np.zeros((4, len(y), 3)))
+            sets = validation_sets(mode, plan, y, record)
+            assert [ids for ids, _ in record.calls] == [(0, 1), (1, 2), (2, 3), (3, 0)]
+            for (zs, labels), ((a, b), idx) in zip(sets, record.calls):
+                common = np.intersect1d(plan.members[a].val_idx, plan.members[b].val_idx)
+                assert np.array_equal(np.sort(idx), common) and len(idx) > 0
+                assert len(zs) == 2 and np.array_equal(labels, y[idx])
+
+    def test_every_call_passes_the_same_index_objects(self):
+        y, plans = three_plans()
+        for plan in plans.values():
+            for mode in ("individual", "joint"):
+                first, second = (Recorder(np.zeros((4, len(y), 3))) for _ in range(2))
+                validation_sets(mode, plan, y, first)
+                validation_sets(mode, plan, y, second)
+                assert [(ids, id(idx)) for ids, idx in first.calls] == \
+                    [(ids, id(idx)) for ids, idx in second.calls]
+
+    def test_disjoint_joint_request_is_structured_error(self):
+        y, plans = three_plans()
+        test = [np.zeros((5, 3))] * 4
+        for mode in ("joint", "pool"):
+            sets = validation_sets(mode, plans["disjoint"], y,
+                                   Recorder(np.zeros((4, len(y), 3))))
+            assert sets == []
+            with pytest.raises(JointEvalUnavailableError, match="disjoint"):
+                calibrate(mode, sets, test)
+            with pytest.raises(JointEvalUnavailableError, match="disjoint"):
+                nll_at_temperature(sets)
+
+
+class TestCalibrate:
+    """Each mode's fit on the sets of :func:`validation_sets`, and the test
+    probabilities it returns."""
+
+    @staticmethod
+    def problem():
+        y, plans = three_plans()
+        rng = np.random.default_rng(55)
+        val = 2.0 * rng.normal(size=(4, len(y), 3))
+        test = [2.0 * rng.normal(size=(20, 3)) for _ in range(4)]
+        return y, plans["shared"], Recorder(val), test
+
+    def test_individual_returns_one_temperature_and_matrix_per_member(self):
+        y, plan, record, test = self.problem()
+        sets = validation_sets("individual", plan, y, record)
+        fit, tempered = calibrate("individual", sets, test)
+        assert fit.mode == "individual" and len(fit.temperature) == 4
+        for s, t in zip(sets, fit.temperature):
+            assert t == fit_temperature(nll_at_temperature([s])).temperature
+        assert len(tempered) == 4
+        for z, t, p in zip(test, fit.temperature, tempered):
+            assert p.tobytes() == apply_temperature(z, t).tobytes()
+
+    def test_joint_returns_one_temperature_and_a_matrix_per_member(self):
+        y, plan, record, test = self.problem()
+        sets = validation_sets("joint", plan, y, record)
+        fit, tempered = calibrate("joint", sets, test)
+        assert fit.temperature == fit_temperature(nll_at_temperature(sets)).temperature
+        assert len(tempered) == 4
+        for z, p in zip(test, tempered):
+            assert p.tobytes() == apply_temperature(z, fit.temperature).tobytes()
+
+    def test_pool_returns_one_matrix(self):
+        y, plan, record, test = self.problem()
+        fit, pooled = calibrate("pool", validation_sets("pool", plan, y, record), test)
+        assert isinstance(fit.temperature, float) and fit.mode == "pool"
+        assert isinstance(pooled, np.ndarray) and pooled.shape == (20, 3)
+        mean_p = metrics.ensemble_mean([softmax(z) for z in test])
+        assert pooled.tobytes() == pooled_at(mean_p, fit.temperature).tobytes()
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown temperature mode"):
+            calibrate("none", [], [])
 
 
 def logit_problem(k, m, n, seed, kind):
@@ -326,10 +466,10 @@ class TestPreparedObjectivesExact:
         # composed public functions
         zs, y = logit_problem(*problem)
         probs = [softmax(z) for z in zs]
-        pairs = [(calibrate_individual([(zs[0], y)]),
+        pairs = [(fit_of("individual", [([zs[0]], y)]),
                   lambda t: metrics.nll(apply_temperature(zs[0], t), y)),
-                 (calibrate_joint([(zs, y)]), lambda t: joint_reference(zs, y, t)),
-                 (calibrate_pool([(probs, y)]), lambda t: pool_reference(probs, y, t))]
+                 (fit_of("joint", [(zs, y)]), lambda t: joint_reference(zs, y, t)),
+                 (fit_of("pool", [(zs, y)]), lambda t: pool_reference(probs, y, t))]
         for a, reference in pairs:
             b = fit_temperature(reference)
             t = a.temperature[0] if a.mode == "individual" else a.temperature

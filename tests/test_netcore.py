@@ -16,6 +16,7 @@ from enstune.netcore import (
     ShapeError,
     _buffer,
     _layer_views,
+    _row_sum,
     _stacked_loss_and_grad,
     cosine_lr,
     grad_check,
@@ -442,6 +443,19 @@ class TestSoftmaxInvariants:
         assert np.array_equal(np.exp(got), np.exp(want), equal_nan=True)
         stacked = log_softmax(z.reshape(5, 10, 5, 5))
         assert np.array_equal(stacked.reshape(z.shape), got, equal_nan=True)
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_row_sum_is_the_row_reduction_bit_for_bit(self, k):
+        # rows shorter than 8 are summed over an F-ordered copy, longer ones
+        # by the reduction itself, which numpy sums pairwise from 8 entries on
+        rng = np.random.default_rng(k)
+        z = rng.normal(0.0, 3.0, size=(20_000, k))
+        e = np.exp(z)
+        for a in (e, e.reshape(4, 5_000, k), e[::2], e[:, ::-1], np.asfortranarray(e)):
+            assert _row_sum(a).tobytes() == a.sum(axis=-1, keepdims=True).tobytes()
+        shifted = np.exp(z - z.max(axis=-1, keepdims=True))
+        want = shifted / shifted.sum(axis=-1, keepdims=True)
+        assert softmax(z).tobytes() == want.tobytes()
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 12), st.integers(1, 32))
     @settings(max_examples=60, deadline=None)

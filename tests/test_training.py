@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from enstune import metrics, training
-from enstune.batchensemble import _BeTrajectory, make_batch_ensemble
+from enstune.batchensemble import _BeTrajectory, be_train, make_batch_ensemble
+from enstune.calibration import nll_at_temperature, validation_sets
 from enstune.data import make_blobs
 from enstune.netcore import softmax
 from enstune.splits import (
@@ -358,9 +359,24 @@ def probability_joint_nll(plan, y, set_logits):
         for ids, idx in joint_eval_sets(plan)]))
 
 
+def probability_member_nll(plan, y, set_logits):
+    """The disjoint BatchEnsemble score as it was first written: the mean of
+    each member's NLL of softmax on its own validation set."""
+    return float(np.mean([metrics.nll(softmax(set_logits((m,), ms.val_idx)[0]),
+                                      y[ms.val_idx])
+                          for m, ms in enumerate(plan.members)]))
+
+
+def rule_score(mode, plan, y, set_logits):
+    """A stopping rule's monitored score: the temperature objective at T = 1
+    on the validation sets of ``mode``."""
+    return nll_at_temperature(validation_sets(mode, plan, y, set_logits))(1.0)
+
+
 class TestJointScore:
-    """The joint stopping score, the temperature objective at T = 1, is
-    float for float the probability formula on every trajectory kind."""
+    """The monitored ensemble score, the temperature objective at T = 1, is
+    float for float the probability formula on every trajectory kind, and
+    it is what the stopping rules record."""
 
     @staticmethod
     def plans(ds):
@@ -369,30 +385,47 @@ class TestJointScore:
 
     def test_mlp_states(self):
         ds = blob_task(n=203, k=4)
+        opt = OptimizerConfig(lr=1e-2)
         for plan in self.plans(ds):
-            states = [training._MemberState(ds.x, ds.y, ms, [2, 8, 4], OptimizerConfig(),
+            states = [training._MemberState(ds.x, ds.y, ms, [2, 8, 4], opt,
                                             33, m, True, 32, lambda step: 1e-2)
                       for m, ms in enumerate(plan.members)]
 
             def set_logits(ids, idx):
                 return [states[m].logits(ds.x[idx]) for m in ids]
 
-            for _ in range(3):
-                assert training._joint_nll(plan, ds.y, set_logits) == \
-                    probability_joint_nll(plan, ds.y, set_logits), plan.strategy
+            scores = []
+            for _ in range(4):
+                scores.append(rule_score("joint", plan, ds.y, set_logits))
+                assert scores[-1] == probability_joint_nll(plan, ds.y, set_logits), \
+                    plan.strategy
                 for state in states:
                     state.run_epoch()
+            res = train_ensemble(ds.x, ds.y, plan, [2, 8, 4], opt,
+                                 StoppingConfig(mode="joint", patience=10, max_epochs=3,
+                                                batch_size=32), 33)
+            assert res.decisions[0].history == scores[1:], plan.strategy
 
     def test_batch_ensemble_trajectory(self):
         ds = blob_task(n=203, k=4)
-        for plan in self.plans(ds):
+        opt = OptimizerConfig(lr=1e-2)
+        plans = self.plans(ds) + [make_disjoint(len(ds), 0.1, 4, rng_seed=36, labels=ds.y)]
+        for plan in plans:
             model = make_batch_ensemble([2, 6, 4], plan.n_members, "random_sign",
-                                        np.random.default_rng(34), 0.3)
-            traj = _BeTrajectory(ds.x, ds.y, plan, model, OptimizerConfig(lr=1e-2), 32, 35)
-            for _ in range(3):
-                assert training._joint_nll(plan, ds.y, traj.set_logits) == \
-                    probability_joint_nll(plan, ds.y, traj.set_logits), plan.strategy
+                                        training.member_rng(35, 0, training._INIT), 0.3)
+            traj = _BeTrajectory(ds.x, ds.y, plan, model, opt, 32, 35)
+            mode, formula = (("individual", probability_member_nll)
+                             if plan.strategy == "disjoint"
+                             else ("joint", probability_joint_nll))
+            scores = []
+            for _ in range(4):
+                scores.append(rule_score(mode, plan, ds.y, traj.set_logits))
+                assert scores[-1] == formula(plan, ds.y, traj.set_logits), plan.strategy
                 traj.run_epoch()
+            res = be_train(ds.x, ds.y, plan, [2, 6, 4], "random_sign", opt,
+                           StoppingConfig(mode="joint", patience=10, max_epochs=3,
+                                          batch_size=32), 35, sigma=0.3)
+            assert res.stop.history == scores[1:], plan.strategy
 
 
 class TestStopDecisionInvariants:
