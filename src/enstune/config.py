@@ -47,6 +47,8 @@ _READ_WHEN = {
 _AT_LEAST = {"optimizer.lr": 0, "optimizer.weight_decay": 0, "stopping.patience": 1,
              "stopping.max_epochs": 1, "stopping.batch_size": 1, "experiment.ece_bins": 1,
              "ensemble.members": 1, "task.noise": 0, "task.radius": 0}
+# ece's bin edges are one float64 array: a bound keeps them at 8 MB
+_MAX_ECE_BINS = 10**6
 # bench/workloads.py's TINY sets these two for every kind; check them once it does not
 _UNCHECKED = ("experiment.weight_decays", "stopping.patience")
 
@@ -148,6 +150,9 @@ class ExperimentConfig:
         for key, least in _AT_LEAST.items():
             if not least <= _value(self, key) < float("inf"):
                 raise ConfigError(f"{key}={_value(self, key)!r} must be >= {least} and finite")
+        if self.experiment.ece_bins > _MAX_ECE_BINS:
+            raise ConfigError(f"experiment.ece_bins={self.experiment.ece_bins} must be <= "
+                              f"{_MAX_ECE_BINS}")
         if "optimizer.momentum" in read and not 0.0 <= self.optimizer.momentum < 1.0:
             raise ConfigError(f"optimizer.momentum={self.optimizer.momentum!r} must be in "
                               "[0, 1)")

@@ -74,11 +74,9 @@ def ece(probs: np.ndarray, labels: np.ndarray, n_bins: int = 15) -> float:
     which = np.clip(np.searchsorted(edges[1:], conf, side="left"), 0, n_bins - 1)
     total = 0.0
     n = len(y)
-    for b in range(n_bins):
+    for b in np.unique(which):  # the occupied bins, ascending
         mask = which == b
         cnt = int(mask.sum())
-        if cnt == 0:
-            continue
         total += (cnt / n) * abs(correct[mask].mean() - conf[mask].mean())
     return float(total)
 

@@ -62,12 +62,14 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / _row_sum(e)
 
 
-def log_softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax, log-sum-exp stabilized."""
+def log_softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise log-softmax, log-sum-exp stabilized, written into ``out``
+    if given (``z`` itself may be ``out``)."""
     z = np.asarray(z, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        shifted = z - _row_max(z)
-        return shifted - np.log(_row_sum(np.exp(shifted)))
+    with np.errstate(invalid="ignore"):  # an infinite logit gives inf - inf
+        shifted = np.subtract(z, _row_max(z), out=out)
+        shifted -= np.log(_row_sum(np.exp(shifted)))
+        return shifted
 
 
 @dataclass
@@ -162,39 +164,34 @@ class MlpParams:
                         for i, a in enumerate(self.arrays())])
 
 
-def _forward_cached(params: MlpParams, x: np.ndarray):
-    """Forward pass returning (logits, activations, hidden pre-activations).
-
-    ``activations[i]`` is the input to layer i; ``preacts[i]`` the hidden
-    pre-activation of layer i (last layer excluded, it stays linear).
-    """
+def _forward(params: MlpParams, x: np.ndarray, bufs: dict) -> list[np.ndarray]:
+    """The forward pass: ``[x, h1, ..., logits]``, each entry the input of
+    the next layer. Every layer's output is written into ``bufs`` (see
+    :func:`_buffer`), its bias added and its ReLU applied in place, so a
+    hidden output is positive exactly where its pre-activation is."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError("input must be a 2-d (samples, features) array")
     acts = [x]
-    preacts = []
     h = x
-    n_layers = len(params.layers)
+    last = len(params.layers) - 1
     for i, layer in enumerate(params.layers):
         if h.shape[1] != layer.weight.shape[0]:
             raise ShapeError(
                 f"layer {i}: input has {h.shape[1]} features, weight expects "
                 f"{layer.weight.shape[0]}"
             )
-        z = h @ layer.weight + layer.bias
-        if i < n_layers - 1:
-            preacts.append(z)
-            h = np.maximum(z, 0.0)
-        else:
-            h = z
+        h = np.matmul(h, layer.weight, out=_buffer(bufs, i, (len(x), layer.weight.shape[1])))
+        h += layer.bias
+        if i < last:
+            np.maximum(h, 0.0, out=h)
         acts.append(h)
-    return h, acts, preacts
+    return acts
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Logits of the MLP on ``x`` (rows are samples)."""
-    logits, _, _ = _forward_cached(params, x)
-    return logits
+    return _forward(params, x, {})[-1]
 
 
 def _check_labels(y: np.ndarray, n_classes: int, rows_of, axes=("sample",)) -> np.ndarray:
@@ -233,34 +230,53 @@ def _buffer(bufs: dict, key, shape, dtype=np.float64) -> np.ndarray:
     return view
 
 
-def loss_and_grad(params: MlpParams, x: np.ndarray, y: np.ndarray):
+def loss_and_grad(params: MlpParams, x: np.ndarray, y: np.ndarray,
+                  bufs: dict | None = None):
     """Mean softmax cross-entropy and its exact gradient.
 
     The softmax and log are fused through log-sum-exp for stability. Returns
-    ``(nll, grads)`` with ``grads`` shaped like ``params``.
+    ``(nll, grads)`` with ``grads`` shaped like ``params``. A training
+    trajectory passes the same ``bufs`` dict on every step: activations,
+    the log-softmax, then the delta, are written into its kept arrays
+    (see :func:`_buffer`), and ``grads`` is one kept :class:`MlpParams`
+    that the next call with that dict overwrites. Without ``bufs`` the call
+    allocates its own and ``grads`` is new.
     """
-    logits, acts, preacts = _forward_cached(params, x)
-    n, k = logits.shape
+    bufs = {} if bufs is None else bufs
+    acts = _forward(params, x, bufs)
+    n, k = acts[-1].shape
     y = _check_labels(y, k, x)
-    logp = log_softmax(logits)
-    pick = (np.arange(n), y)
-    per_sample = -logp[pick]
-    if not np.isfinite(per_sample).all():
-        bad = int(np.argmax(~np.isfinite(per_sample)))
-        raise NonFiniteLossError(f"non-finite loss at sample {bad}")
-    nll = float(np.add.reduce(per_sample) / n)  # the mean, without its wrapper
+    rows = bufs.get("rows")
+    if rows is None or len(rows) < n:
+        rows = bufs["rows"] = np.arange(n)
+    label = rows[:n] * k + y  # flat index of each sample's label logit
+    logp = log_softmax(acts[-1], out=_buffer(bufs, "logp", (n, k)))
+    picked = logp.reshape(-1)[label]
+    nll = float(-np.add.reduce(picked) / n)
+    # every picked log-probability is <= 0 or nan, so one that is not finite
+    # makes the mean not finite: only then look for it
+    if not math.isfinite(nll) and not np.isfinite(picked).all():
+        raise NonFiniteLossError(f"non-finite loss at sample "
+                                 f"{int(np.argmax(~np.isfinite(picked)))}")
 
-    probs = np.exp(logp)
-    delta = probs
-    delta[pick] -= 1.0
+    delta = np.exp(logp, out=logp)
+    delta.reshape(-1)[label] -= 1.0
     delta /= n
 
-    grads = MlpParams.from_flat(np.empty_like(params.flat), params.dims)
+    # the kept gradient's layer views hold for one layout only
+    layout = tuple(layer.weight.shape for layer in params.layers)
+    kept = bufs.get("grads")
+    if kept is None or kept[0] != layout:
+        kept = bufs["grads"] = layout, MlpParams.from_flat(np.empty_like(params.flat),
+                                                           params.dims)
+    grads = kept[1]
     for i in range(len(params.layers) - 1, -1, -1):
         np.matmul(acts[i].T, delta, out=grads.layers[i].weight)
         np.add.reduce(delta, axis=0, out=grads.layers[i].bias)
-        if i > 0:
-            delta = (delta @ params.layers[i].weight.T) * (preacts[i - 1] > 0)
+        if i > 0:  # the activation's last read: its buffer takes the delta
+            active = acts[i] > 0
+            delta = np.matmul(delta, params.layers[i].weight.T, out=acts[i])
+            delta *= active
     return nll, grads
 
 
@@ -481,12 +497,12 @@ def grad_check(params: MlpParams, x: np.ndarray, y: np.ndarray,
     _, grads = loss_and_grad(params, x, y)
 
     def loss_fn(arrays):
-        logits, _, preacts = _forward_cached(params, x)
+        *acts, logits = _forward(params, x, {})
         n, k = logits.shape
         yy = _check_labels(y, k, x)
         logp = log_softmax(logits)
         loss = float(-logp[np.arange(n), yy].mean())
-        sig = np.concatenate([(pa > 0).reshape(-1) for pa in preacts]) if preacts else None
+        sig = np.concatenate([(a > 0).reshape(-1) for a in acts[1:]]) if acts[1:] else None
         return loss, sig
 
     return finite_difference_report(loss_fn, params.arrays(), grads.arrays(), eps)

@@ -179,18 +179,23 @@ def _member_start(x, y, ms: MemberSplit, dims, seed: int, member_index: int,
 
 class _MemberState:
     """One member's trajectory: parameters, scaler, data views, RNG streams
-    and its learning-rate schedule ``lr_at(step)``."""
+    and its learning-rate schedule ``lr_at(step)``. It keeps the kernel's
+    buffers (``bufs``) for its whole run: each step's gradients view them
+    until the next step, and the optimizer has read them by then."""
 
     def __init__(self, x, y, ms: MemberSplit, dims, opt_cfg, seed, member_index,
                  standardize, batch_size, lr_at):
         (self.scaler, self.x_train, self.y_train, self.params,
          self.batch_rng) = _member_start(x, y, ms, dims, seed, member_index, standardize)
+        self.x = x
         self.x_val = self.scaler(x[ms.val_idx])
         self.y_val = y[ms.val_idx]
         self.opt = opt_cfg.build(self.params)
         self.batch_size = batch_size
         self.lr_at = lr_at
         self.steps = 0
+        self.bufs = {}
+        self.set_inputs = {}  # id(idx) -> (idx, its scaled rows)
 
     def run_epoch(self) -> None:
         order = self.batch_rng.permutation(len(self.y_train))
@@ -198,15 +203,20 @@ class _MemberState:
         for start in range(0, len(order), self.batch_size):
             stop = start + self.batch_size
             lr_now = self.lr_at(self.steps)
-            _, grads = loss_and_grad(self.params, xs[start:stop], ys[start:stop])
+            _, grads = loss_and_grad(self.params, xs[start:stop], ys[start:stop], self.bufs)
             self.opt.step(self.params.flat, grads.flat, lr_now)
             self.steps += 1
 
     def snapshot(self) -> MlpParams:
         return self.params.copy()
 
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        return mlp_forward(self.params, self.scaler(x))
+    def set_logits(self, idx: np.ndarray) -> np.ndarray:
+        """The member's logits on rows ``idx``. A monitored set never
+        changes over a run, so its scaled rows are kept at its first call."""
+        kept = self.set_inputs.get(id(idx))
+        if kept is None:  # kept holds idx, so its id is not reused
+            kept = self.set_inputs[id(idx)] = idx, self.scaler(self.x[idx])
+        return mlp_forward(self.params, kept[1])
 
     def val_nll(self) -> float:
         return metrics.nll(softmax(mlp_forward(self.params, self.x_val)), self.y_val)
@@ -344,7 +354,7 @@ def train_ensemble(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig,
         if mode == JOINT:
             rules[mode] = [_Rule(range(len(states)), lambda: nll_at_temperature(
                 validation_sets(JOINT, plan, y, lambda ids, idx: [
-                    states[m].logits(x[idx]) for m in ids]))(1.0), True, stop_cfg.patience)]
+                    states[m].set_logits(idx) for m in ids]))(1.0), True, stop_cfg.patience)]
         else:
             rules[mode] = [_Rule([m], s.val_nll, mode != NONE, stop_cfg.patience)
                            for m, s in enumerate(states)]

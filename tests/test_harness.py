@@ -187,6 +187,8 @@ BAD_CONFIGS = [
      "optimizer.momentum=-1.0 must be in [0, 1)"),
     ("sweep-wd", ["optimizer.kind=sgd_momentum", "optimizer.momentum=1.5"],
      "optimizer.momentum=1.5 must be in [0, 1)"),
+    ("early-stop", ["experiment.ece_bins=1000001"],
+     "experiment.ece_bins=1000001 must be <= 1000000"),
 ]
 
 # a row appended to a valid two-feature CSV task, by test id: what can be no

@@ -135,6 +135,23 @@ class TestEce:
         assert ece(p, y) == pytest.approx(ece(p[perm], y[perm]), abs=1e-12)
 
 
+    @pytest.mark.parametrize("n_bins", [1, 15, 1000])
+    def test_matches_a_loop_over_every_bin(self, n_bins):
+        # the sum over occupied bins is the sum over all bins, float for float
+        rng = np.random.default_rng(n_bins)
+        p = random_prob_matrix(rng, 200, 4)
+        y = rng.integers(0, 4, size=200)
+        conf, correct = p.max(axis=1), (p.argmax(axis=1) == y).astype(np.float64)
+        edges = np.linspace(0.0, 1.0, n_bins + 1)
+        which = np.clip(np.searchsorted(edges[1:], conf, side="left"), 0, n_bins - 1)
+        want = 0.0
+        for b in range(n_bins):
+            mask = which == b
+            if mask.any():
+                want += (mask.sum() / 200) * abs(correct[mask].mean() - conf[mask].mean())
+        assert ece(p, y, n_bins=n_bins) == want
+
+
 class TestEntropy:
     def test_one_hot_zero(self):
         assert entropy(np.array([[0.0, 1.0, 0.0]])).mean == 0.0

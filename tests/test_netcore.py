@@ -319,6 +319,55 @@ class TestBuffer:
         assert sorted(bufs["views"]) == [("a", (2, 3)), ("a", (4, 5)), ("b", (2, 3))]
 
 
+class TestKeptBuffers:
+    """``loss_and_grad`` with one ``bufs`` dict across calls, as a training
+    trajectory makes them, against fresh calls."""
+
+    @pytest.mark.parametrize("layouts", [[[2, 32, 4]], [[3, 7, 5, 4]], [[3, 4], []],
+                                         [[2, 32, 4], [3, 7, 5, 4]]])
+    def test_every_call_is_bit_identical_to_a_fresh_call(self, layouts):
+        rng = np.random.default_rng(8)
+        nets = [random_mlp(dims, seed=8) for dims in layouts]
+        bufs = {}  # one dict for every call, across the layouts too
+        for n in [32, 11, 1, 32, 1, 11, 32]:  # full, short last and one-row batches
+            for params, dims in zip(nets, layouts):
+                width, k = (dims[0], dims[-1]) if dims else (4, 4)
+                x = rng.normal(size=(n, width))
+                y = rng.integers(0, k, size=n)
+                x_in = x.copy()
+                nll, grads = loss_and_grad(params, x, y, bufs)
+                assert np.array_equal(x, x_in)  # the input is read, never written
+                want_nll, want = loss_and_grad(params, x, y)
+                assert nll == want_nll
+                for a, b in zip(grads.arrays(), want.arrays(), strict=True):
+                    assert np.array_equal(a, b)
+
+    def test_the_next_call_overwrites_the_returned_gradients(self):
+        rng = np.random.default_rng(9)
+        params = random_mlp([2, 6, 3], seed=9)
+        bufs = {}
+        _, first = loss_and_grad(params, rng.normal(size=(5, 2)), np.array([0, 1, 2, 0, 1]),
+                                 bufs)
+        kept = first.flat.copy()
+        _, second = loss_and_grad(params, rng.normal(size=(5, 2)), np.array([2, 2, 1, 0, 0]),
+                                  bufs)
+        assert second is first and not np.array_equal(first.flat, kept)
+
+    def test_a_non_finite_loss_names_its_sample(self):
+        params = MlpParams([DenseLayer(np.ones((1, 3)), np.zeros(3))])
+        x = np.random.default_rng(10).normal(size=(4, 1))
+        y = np.array([0, 1, 2, 0])
+        bufs = {}
+        loss_and_grad(params, x, y, bufs)
+        bad = x.copy()
+        bad[2, 0] = np.inf  # every logit of sample 2 is inf, its loss nan
+        with pytest.raises(NonFiniteLossError, match="sample 2"):
+            loss_and_grad(params, bad, y, bufs)
+        nll, grads = loss_and_grad(params, x, y, bufs)  # the buffers still serve
+        want_nll, want = loss_and_grad(params, x, y)
+        assert nll == want_nll and np.array_equal(grads.flat, want.flat)
+
+
 class TestStackedKernel:
     @pytest.mark.parametrize("n", [9, 1])
     def test_every_row_is_bit_identical_to_loss_and_grad(self, n):

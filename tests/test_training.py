@@ -278,9 +278,9 @@ class TestSharedTrajectory:
         calls = []
         real = training.loss_and_grad
 
-        def counting(params, x, y):
+        def counting(params, x, y, *rest):
             calls.append(len(x))
-            return real(params, x, y)
+            return real(params, x, y, *rest)
 
         monkeypatch.setattr(training, "loss_and_grad", counting)
         multi = _train(ds, plan, "joint", modes=("individual", "joint"))
@@ -392,7 +392,7 @@ class TestJointScore:
                       for m, ms in enumerate(plan.members)]
 
             def set_logits(ids, idx):
-                return [states[m].logits(ds.x[idx]) for m in ids]
+                return [states[m].set_logits(idx) for m in ids]
 
             scores = []
             for _ in range(4):
