@@ -127,6 +127,8 @@ class ExperimentConfig:
             raise ConfigError("experiment.seeds must be non-empty")
         if any(seed < 0 for seed in self.experiment.seeds):
             raise ConfigError("experiment.seeds must be >= 0")
+        if self.task.data_seed < 0:
+            raise ConfigError(f"task.data_seed={self.task.data_seed} must be >= 0")
         if any(width < 1 for width in self.model.hidden):
             raise ConfigError("model.hidden widths must be >= 1")
         if not all(0.0 < p < 1.0 for p in self.val_pcts()):  # the fractions the run reads

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import calibration, metrics
-from .batchensemble import GAUSSIAN, RANDOM_SIGN, be_train
+from .batchensemble import be_train, parse_scheme
 from .config import ConfigError, ExperimentConfig, config_from_dict, config_to_dict
 from .data import make_task, train_test_split
 from .netcore import NonFiniteLossError, softmax
@@ -32,6 +32,7 @@ from .splits import (
     DISJOINT,
     OVERLAPPING,
     SHARED,
+    SplitError,
     SplitPlan,
     make_disjoint,
     make_overlapping,
@@ -127,22 +128,19 @@ def _test_rows(experiment: str, variant: str, member_probs, labels, ece_bins: in
 
 # ---------------------------------------------------------------------------
 # the job table: one job per holdout plan of a seed, and per-plan cell
-# functions (cfg, dprime, test, seed, plan, job) -> (rows, runs, ...)
+# functions (cfg, dprime, test, seed, plan, job) -> (rows, runs, ...), each
+# part a list of groups: one per scheme for batch_ensemble, else one
 
 class Job(NamedTuple):
-    """One holdout plan of a seed; ``scheme`` is set for batch_ensemble only."""
+    """One holdout plan of a seed."""
     strategy: str
     val_pct: float
-    scheme: str | None = None
 
 
 def _jobs(cfg: ExperimentConfig) -> list[Job]:
-    """A seed's jobs in output order: every strategy x val_pct, with the
-    scheme as the outermost key for batch_ensemble."""
-    ex = cfg.experiment
-    schemes = ex.schemes if ex.kind == "batch_ensemble" else [None]
-    return [Job(strategy, val_pct, scheme) for scheme in schemes
-            for strategy in ex.strategies for val_pct in cfg.val_pcts()]
+    """A seed's jobs in order: every strategy x val_pct."""
+    return [Job(strategy, val_pct) for strategy in cfg.experiment.strategies
+            for val_pct in cfg.val_pcts()]
 
 
 def _wd_sweep_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan, job: Job):
@@ -184,7 +182,7 @@ def _wd_sweep_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan, job: J
         cell.member_val_nlls = [metrics.nll(p, dprime.y[val_idx]) for p in val_probs]
     runs = [{"wd": c.wd, "seed": c.seed, "diverged": c.diverged,
              "member_val_nlls": c.member_val_nlls} for c in cells]
-    return rows, runs, cells
+    return [rows], [runs], [cells]
 
 
 def _wd_sweep_summary(cfg: ExperimentConfig, seed_results) -> dict:
@@ -246,7 +244,7 @@ def _mlp_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan, job: Job):
     spec, variants = _MLP_KINDS[kind], _variants(cfg, job.strategy)
     stops = list(dict.fromkeys(stop for _, stop, _ in variants))
     if not stops:
-        return [], []
+        return [[]], [[]]
     cosine = spec.epochs is None and cfg.optimizer.kind == "sgd_momentum"
     trained = train_ensemble(dprime.x, dprime.y, plan, _dims(cfg, dprime),
                              _optimizer_config(cfg, cosine), _stopping(cfg, stops[0]),
@@ -285,52 +283,43 @@ def _mlp_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan, job: Job):
                      plan=plan_reference(plan, job.val_pct),
                      stops=[d.to_dict() for d in result.decisions], fits=fits)
         runs.append({key: entry[key] for key in spec.entry_keys})
-    return rows, runs
-
-
-def parse_scheme(name: str):
-    """'random_sign' or 'gaussian_<sigma>' into (kind, sigma)."""
-    if name == RANDOM_SIGN:
-        return RANDOM_SIGN, 0.0
-    if name.startswith(GAUSSIAN):
-        suffix = name[len(GAUSSIAN):].lstrip("_")
-        try:
-            return GAUSSIAN, float(suffix)
-        except ValueError:
-            pass
-    raise ConfigError(f"unknown fast-weight scheme {name!r}; expected "
-                      "'random_sign' or 'gaussian_<sigma>'")
+    return [rows], [runs]
 
 
 def _batch_ensemble_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan,
                           job: Job):
-    kind, sigma = parse_scheme(job.scheme)
-    ece_bins = cfg.experiment.ece_bins
-    result = be_train(dprime.x, dprime.y, plan, _dims(cfg, dprime), kind,
-                      _optimizer_config(cfg, cosine=False), _stopping(cfg, JOINT),
-                      seed, sigma=sigma)
-    tags = dict(strategy=job.strategy, val_pct=job.val_pct, seed=seed,
-                ensemble_size=cfg.ensemble.members,
-                normalized_epochs=result.stop.normalized_epochs)
-    rows = _test_rows("batch_ensemble", job.scheme, result.all_probs(test.x), test.y,
-                      ece_bins, **tags)
-    for split_name, index_of in (("train", lambda ms: ms.train_idx),
-                                 ("val", lambda ms: ms.val_idx)):
-        pairs = [(result.member_probs(dprime.x[index_of(ms)], m),
-                  dprime.y[index_of(ms)])
-                 for m, ms in enumerate(plan.members)]
-        avg = metrics.member_avg_record(pairs, ece_bins=ece_bins, **tags)
-        rows.append(make_row("batch_ensemble", job.scheme, None, split_name,
-                             MEMBER_AVG_SCOPE, avg))
-    entry = {"scheme": job.scheme, "strategy": job.strategy, "val_pct": job.val_pct,
-             "seed": seed, "plan": plan_reference(plan, job.val_pct),
-             "stops": [result.stop.to_dict()]}
-    return rows, [entry]
+    """Train the plan's schemes as one stacked trajectory, then score each
+    scheme's cells: one group of rows and run entries per scheme."""
+    schemes, ece_bins = cfg.experiment.schemes, cfg.experiment.ece_bins
+    results = be_train(dprime.x, dprime.y, plan, _dims(cfg, dprime), schemes,
+                       _optimizer_config(cfg, cosine=False), _stopping(cfg, JOINT), seed)
+    rows, runs = [], []
+    for scheme, result in zip(schemes, results):
+        tags = dict(strategy=job.strategy, val_pct=job.val_pct, seed=seed,
+                    ensemble_size=cfg.ensemble.members,
+                    normalized_epochs=result.stop.normalized_epochs)
+        scheme_rows = _test_rows("batch_ensemble", scheme, result.all_probs(test.x),
+                                 test.y, ece_bins, **tags)
+        for split_name, index_of in (("train", lambda ms: ms.train_idx),
+                                     ("val", lambda ms: ms.val_idx)):
+            pairs = [(result.member_probs(dprime.x[index_of(ms)], m),
+                      dprime.y[index_of(ms)])
+                     for m, ms in enumerate(plan.members)]
+            avg = metrics.member_avg_record(pairs, ece_bins=ece_bins, **tags)
+            scheme_rows.append(make_row("batch_ensemble", scheme, None, split_name,
+                                        MEMBER_AVG_SCOPE, avg))
+        rows.append(scheme_rows)
+        runs.append([{"scheme": scheme, "strategy": job.strategy, "val_pct": job.val_pct,
+                      "seed": seed, "plan": plan_reference(plan, job.val_pct),
+                      "stops": [result.stop.to_dict()]}])
+    return rows, runs
 
 
 # kind -> (per-plan cell function, finish step over the completed seeds'
-# results, or None). A cell function returns (rows, runs, ...), joined per
-# seed in job order; the finish step gets those tuples, in seed order.
+# results, or None). A cell function returns (rows, runs, ...), each a list
+# of groups, joined per seed group by group, each group in job order: so
+# batch_ensemble's outputs come scheme first. The finish step gets the
+# joined tuples, in seed order.
 _KINDS = {
     "wd_sweep": (_wd_sweep_cells, _wd_sweep_summary),
     "temp_scale": (_mlp_cells, None),
@@ -349,7 +338,8 @@ def _check_config(cfg: ExperimentConfig):
     kind reads, unknown modes and schemes, temperatures fitted on a joint
     holdout that a disjoint strategy lacks, an MLP kind whose variants all
     stop jointly on disjoint holdouts, and holdout plans that cannot be
-    built."""
+    built. A test split or a plan that cannot be built is named by the keys
+    that sized it."""
     ex = cfg.experiment
     for key in ("strategies", "modes", "schemes"):  # the lists a kind loops over
         if f"experiment.{key}" in cfg.reads() and not getattr(ex, key):
@@ -370,15 +360,27 @@ def _check_config(cfg: ExperimentConfig):
                               "write no cell")
     try:
         dprime, test = build_dataset(cfg)
-        if ex.kind == "batch_ensemble":
-            for name in ex.schemes:
-                parse_scheme(name)
-        plans = dict.fromkeys((job.strategy, job.val_pct) for job in _jobs(cfg))
-        for strategy, val_pct in plans:  # each distinct plan once, in job order
-            make_plan(strategy, len(dprime), val_pct, cfg.ensemble.members,
-                      ex.seeds[0], dprime.y)
-    except (OSError, ValueError) as err:  # unreadable CSV, SplitError, DataFormatError
+    except SplitError as err:  # the test split; cfg.validate checked the generators
+        raise ConfigError(f"task.test_fraction={cfg.task.test_fraction!r}: {err}") from err
+    except (OSError, ValueError) as err:  # unreadable CSV, DataFormatError
         raise ConfigError(str(err)) from err
+    if ex.kind == "batch_ensemble":
+        for name in ex.schemes:
+            parse_scheme(name)
+    members = cfg.ensemble.members
+    for job in _jobs(cfg):  # each plan once, in job order
+        try:
+            make_plan(job.strategy, len(dprime), job.val_pct, members, ex.seeds[0],
+                      dprime.y)
+        except SplitError as err:
+            key = (f"experiment.val_pcts entry {job.val_pct!r}" if ex.val_pcts
+                   else f"ensemble.val_pct={job.val_pct!r}")
+            if job.strategy == OVERLAPPING and not 3 <= members <= len(dprime):
+                key = f"ensemble.members={members}"
+            elif job.strategy == DISJOINT and round(job.val_pct * len(dprime)) > 0:
+                # each set is big enough, but the M sets together outgrow the rows
+                key = f"ensemble.members={members} with {key}"
+            raise ConfigError(f"{key} on the {job.strategy} holdout: {err}") from err
     return dprime, test
 
 
@@ -450,8 +452,8 @@ def _run_seeds(cfg: ExperimentConfig, dprime, test, workers: int):
             failures.append({"seed": seed, **errors[0]})
             continue
         payloads = [payload for _, payload in seed_outcomes]
-        results.append(tuple([x for part in parts for x in part]
-                             for parts in zip(*payloads)))
+        results.append(tuple([x for groups in zip(*parts) for group in groups
+                              for x in group] for parts in zip(*payloads)))
     rows = [r for result in results for r in result[0]]
     runs = [e for result in results for e in result[1]]
     summary = None

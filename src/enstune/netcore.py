@@ -144,7 +144,8 @@ class MlpParams:
     def dims(self) -> list[int]:
         if not self.layers:
             return []
-        return [self.layers[0].weight.shape[0]] + [l.weight.shape[1] for l in self.layers]
+        # the last two axes: a stack of schemes' slow weights leads with its own
+        return [self.layers[0].weight.shape[-2]] + [l.weight.shape[-1] for l in self.layers]
 
     def copy(self) -> "MlpParams":
         return MlpParams.from_flat(self.flat.copy(), self.dims)

@@ -260,7 +260,8 @@ class _Rule:
 
 # a diverging trajectory overflows before its loss is non-finite, which raises
 @np.errstate(over="ignore", invalid="ignore")
-def _patience_loop(trajectories, rules: list[_Rule], max_epochs: int) -> None:
+def _patience_loop(trajectories, rules: list[_Rule], max_epochs: int,
+                   advance=None) -> None:
     """The training protocol shared by every trainer. Each epoch advances
     every trajectory a live rule observes, then feeds each live rule its
     score: a monitored rule snapshots its trajectories on strict improvement
@@ -271,15 +272,22 @@ def _patience_loop(trajectories, rules: list[_Rule], max_epochs: int) -> None:
 
     A trajectory has ``run_epoch()``, ``snapshot()`` (a copy of its trained
     state), the live state ``params`` and its optimizer ``steps``. Rules
-    with the same ``score`` callable share one evaluation per epoch.
+    with the same ``score`` callable share one evaluation per epoch. Given
+    ``advance(ids)``, the loop calls it instead of ``run_epoch()`` to run
+    one epoch of the trajectories ``ids`` (sorted) together, as the schemes
+    of one stack train.
     """
     for rule in rules:
         if rule.monitored:
             rule.kept = [trajectories[i].snapshot() for i in rule.ids]
     live = list(rules)
     for _ in range(max_epochs):
-        for i in sorted({i for rule in live for i in rule.ids}):
-            trajectories[i].run_epoch()
+        ids = sorted({i for rule in live for i in rule.ids})
+        if advance is not None:
+            advance(ids)
+        else:
+            for i in ids:
+                trajectories[i].run_epoch()
         scores = {}
         for rule in live:
             if rule.score not in scores:

@@ -323,15 +323,16 @@ def test_criterion_9_batchensemble_init_trend():
     dims = [2, 64, 64, 4]
     opt = OptimizerConfig(kind="adam", lr=1e-3)
     stop = StoppingConfig(mode="joint", patience=10, max_epochs=100, batch_size=128)
-    divs, gaps = {}, {}
-    for scheme, sigma in (("gaussian", 0.1), ("random_sign", 0.0)):
-        d_list, g_list = [], []
-        for seed in range(10):
-            plan = make_overlapping(len(dprime), 4, rng_seed=seed,
-                                    labels=dprime.y, val_fraction=0.1)
-            res = be_train(dprime.x, dprime.y, plan, dims, scheme, opt, stop,
-                           seed, sigma=sigma)
-            d_list.append(metrics.diversity(res.all_probs(test.x)).mean)
+    schemes = {"gaussian": "gaussian_0.1", "random_sign": "random_sign"}
+    d_lists = {scheme: [] for scheme in schemes}
+    g_lists = {scheme: [] for scheme in schemes}
+    for seed in range(10):
+        plan = make_overlapping(len(dprime), 4, rng_seed=seed,
+                                labels=dprime.y, val_fraction=0.1)
+        results = be_train(dprime.x, dprime.y, plan, dims, list(schemes.values()), opt,
+                           stop, seed)
+        for scheme, res in zip(schemes, results):
+            d_lists[scheme].append(metrics.diversity(res.all_probs(test.x)).mean)
             member_gaps = []
             for m, ms in enumerate(plan.members):
                 v = metrics.nll(res.member_probs(dprime.x[ms.val_idx], m),
@@ -339,9 +340,9 @@ def test_criterion_9_batchensemble_init_trend():
                 t = metrics.nll(res.member_probs(dprime.x[ms.train_idx], m),
                                 dprime.y[ms.train_idx])
                 member_gaps.append(v - t)
-            g_list.append(float(np.mean(member_gaps)))
-        divs[scheme] = float(np.mean(d_list))
-        gaps[scheme] = float(np.mean(g_list))
+            g_lists[scheme].append(float(np.mean(member_gaps)))
+    divs = {scheme: float(np.mean(d)) for scheme, d in d_lists.items()}
+    gaps = {scheme: float(np.mean(g)) for scheme, g in g_lists.items()}
     elapsed = time.monotonic() - start
     ok = (divs["random_sign"] > divs["gaussian"]
           and gaps["gaussian"] < gaps["random_sign"]
@@ -370,7 +371,7 @@ def test_criterion_10_selection_definitional_check():
                        "weight_decays": [0.0, 1e-3, 1e-1], "ensemble_sizes": [1, 2, 3]}})
     per_seed = [_wd_sweep_cells(cfg, dprime, test, seed,
                                 make_shared(len(dprime), 0.15, 3, rng_seed=seed,
-                                            labels=dprime.y), Job(SHARED, 0.15))[2]
+                                            labels=dprime.y), Job(SHARED, 0.15))[2][0]
                 for seed in seeds]
     sweep = [c for wd_cells in zip(*per_seed) for c in wd_cells]
     h_ind = select_h(sweep, "individual")

@@ -9,6 +9,7 @@ from enstune import batchensemble
 from enstune.batchensemble import (
     _BN_MOMENTUM,
     _VAR_FLOOR,
+    BatchEnsembleModel,
     BatchNormState,
     _BeTrajectory,
     _IndexStream,
@@ -400,6 +401,71 @@ class TestBufferedKernel:
         assert running_stats(model) == before[1]
 
 
+def scheme_models(dims, m, use_batchnorm=True):
+    """Three schemes from the same slow weights, as be_train draws them."""
+    return [make_batch_ensemble(list(dims), m, kind, np.random.default_rng(30), sigma,
+                                use_batchnorm)
+            for kind, sigma in (("gaussian", 0.1), ("gaussian", 0.5), ("random_sign", 0.0))]
+
+
+class TestStackedKernel:
+    """A stack of schemes steps as each scheme would alone, bit for bit."""
+
+    @pytest.mark.parametrize("update_stats", [True, False])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("dims", [(2, 8, 3), (3, 16, 16, 5)])
+    @pytest.mark.parametrize("use_batchnorm", [True, False])
+    def test_bit_identical_to_one_call_per_scheme(self, use_batchnorm, dims, m,
+                                                  update_stats):
+        rng = np.random.default_rng(sum(dims) + m)
+        alone = scheme_models(dims, m, use_batchnorm)
+        stack = BatchEnsembleModel.stack(alone)
+        assert stack.flat.shape == (3, alone[0].flat.size)
+        bufs, alone_bufs = {}, [{} for _ in alone]
+        for step in range(6):
+            xs = rng.normal(size=(m, 9, dims[0])) * (1 + step)
+            ys = rng.integers(0, dims[-1], size=(m, 9))
+            losses, grads = be_loss_and_grads(stack, xs, ys, update_stats, bufs=bufs)
+            assert grads.shape == stack.flat.shape
+            for s, (model, own) in enumerate(zip(alone, alone_bufs)):
+                want_loss, want = be_loss_and_grads(model, xs, ys, update_stats, bufs=own)
+                assert losses[s] == want_loss, f"step {step}, scheme {s}"
+                # slow-weight, fast-weight and BN gradients alike
+                assert grads[s].tobytes() == want.tobytes(), f"step {step}, scheme {s}"
+                assert (running_stats(stack.scheme(s)) == running_stats(model)), \
+                    f"step {step}, scheme {s}"
+                model.flat -= 0.1 * want
+            stack.flat -= 0.1 * grads
+
+    def test_a_scheme_view_shares_the_stack(self):
+        stack = BatchEnsembleModel.stack(scheme_models((2, 8, 8, 3), 3))
+        view = stack.scheme(1)
+        assert view.flat.shape == stack.flat.shape[1:]
+        assert np.shares_memory(view.flat, stack.flat)
+        assert all(np.shares_memory(a, b.running_mean)
+                   for a, b in zip((v.running_mean for v in view.bn), stack.bn))
+        assert view.decay_mask().tobytes() == stack.decay_mask().tobytes()
+
+    def test_one_scheme_functions_refuse_a_stack(self):
+        stack = BatchEnsembleModel.stack(scheme_models((2, 8, 3), 3))
+        xs = np.zeros((3, 5, 2))
+        for call in (lambda: be_forward(stack, xs[0], 0), lambda: be_forward_all(stack, xs),
+                     lambda: be_grad_check(stack, xs, np.zeros((3, 5), int))):
+            with pytest.raises(ShapeError, match="model.scheme"):
+                call()
+        be_forward(stack.scheme(2), xs[0], 0)  # a scheme's view is one model
+
+    def test_non_finite_loss_names_the_schemes_own_member_and_sample(self):
+        stack = BatchEnsembleModel.stack(scheme_models((3, 6, 4), 4))
+        stack.fast.r[0][1, 2, 0] = np.nan  # scheme 1's member 2, every sample
+        rng = np.random.default_rng(31)
+        xs = rng.normal(size=(4, 8, 3))
+        ys = rng.integers(0, 4, size=(4, 8))
+        # member 2 of scheme 1, not the stack's member row 1·4 + 2 = 6
+        with pytest.raises(NonFiniteLossError, match="at member 2, sample 0$"):
+            be_loss_and_grads(stack, xs, ys)
+
+
 class TestSampleSums:
     """Batch statistics and gradient sums over the contiguous sample axis are
     BLAS products, with ones or of a unit's samples with themselves: they
@@ -453,9 +519,9 @@ def overlapping_task():
 
 
 def trajectory(ds, plan, epochs=2, seed=22):
-    traj = _BeTrajectory(ds.x, ds.y, plan,
-                         make_batch_ensemble([2, 6, 5, 4], plan.n_members, "gaussian",
-                                             np.random.default_rng(seed), 0.4),
+    model = make_batch_ensemble([2, 6, 5, 4], plan.n_members, "gaussian",
+                                np.random.default_rng(seed), 0.4)
+    traj = _BeTrajectory(ds.x, ds.y, plan, BatchEnsembleModel.stack([model]),
                          OptimizerConfig(lr=0.01), 32, seed)
     for _ in range(epochs):
         traj.run_epoch()
@@ -532,10 +598,10 @@ class TestMonitoringForward:
             assert len({len(idx) for _, idx in sets}) > 1
         for _ in range(2):  # fresh inputs and buffers, then kept ones
             for ids, idx in sets[::-1] if reverse else sets:
-                got = traj.set_logits(ids, idx)
+                got = traj.set_logits(ids, idx, 0)
                 assert len(got) == len(ids)
                 for m, p in zip(ids, got):
-                    want = be_forward(traj.params, traj.xs[m, idx], m)
+                    want = be_forward(traj.model(0), traj.xs[m, idx], m)
                     assert p.tobytes() == want.tobytes(), f"members {ids}, member {m}"
             traj.run_epoch()
 
@@ -544,8 +610,8 @@ class TestMonitoringForward:
         traj = trajectory(ds, plans["shared"])
         members = tuple(range(4))
         for idx in (np.arange(10), np.arange(10, 30), np.arange(10)):
-            for m, p in zip(members, traj.set_logits(members, idx)):
-                want = be_forward(traj.params, traj.xs[m, idx], m)
+            for m, p in zip(members, traj.set_logits(members, idx, 0)):
+                want = be_forward(traj.model(0), traj.xs[m, idx], m)
                 assert p.tobytes() == want.tobytes()
 
     def test_leaves_training_buffers_and_running_statistics(self):
@@ -554,7 +620,7 @@ class TestMonitoringForward:
             traj = trajectory(ds, plan)
             bufs, stats = buffer_bytes(traj.bufs), running_stats(traj.params)
             for ids, idx in self.monitored_sets(plan):
-                traj.set_logits(ids, idx)
+                traj.set_logits(ids, idx, 0)
             assert buffer_bytes(traj.bufs) == bufs, plan.strategy
             assert running_stats(traj.params) == stats, plan.strategy
 
@@ -566,10 +632,10 @@ class TestTraining:
     def test_trains_on_shared_plan(self):
         ds = self.make_task()
         plan = make_shared(len(ds), 0.1, 4, rng_seed=1, labels=ds.y)
-        res = be_train(ds.x, ds.y, plan, [2, 16, 4], "random_sign",
-                       OptimizerConfig(lr=3e-3),
-                       StoppingConfig(mode="joint", patience=5, max_epochs=30,
-                                      batch_size=64), seed=2)
+        (res,) = be_train(ds.x, ds.y, plan, [2, 16, 4], ["random_sign"],
+                          OptimizerConfig(lr=3e-3),
+                          StoppingConfig(mode="joint", patience=5, max_epochs=30,
+                                         batch_size=64), seed=2)
         assert res.stop.best_score == min(res.stop.history)
         probs = res.all_probs(ds.x)
         assert all(p.shape == (len(ds), 4) for p in probs)
@@ -577,10 +643,10 @@ class TestTraining:
     def test_hidden_slow_biases_stay_zero_under_batch_norm(self):
         ds = self.make_task(n=200)
         plan = make_shared(len(ds), 0.2, 2, rng_seed=11, labels=ds.y)
-        res = be_train(ds.x, ds.y, plan, [2, 8, 6, 4], "gaussian",
-                       OptimizerConfig(lr=1e-2, weight_decay=1e-3, decay_bias=True),
-                       StoppingConfig(mode="joint", patience=2, max_epochs=5,
-                                      batch_size=64), seed=12)
+        (res,) = be_train(ds.x, ds.y, plan, [2, 8, 6, 4], ["gaussian_0.1"],
+                          OptimizerConfig(lr=1e-2, weight_decay=1e-3, decay_bias=True),
+                          StoppingConfig(mode="joint", patience=2, max_epochs=5,
+                                         batch_size=64), seed=12)
         *hidden, output = res.model.slow.layers
         assert all(not layer.bias.any() for layer in hidden)
         assert output.bias.any()
@@ -588,10 +654,10 @@ class TestTraining:
     def test_disjoint_plan_uses_average_member_nll(self):
         ds = self.make_task(n=300)
         plan = make_disjoint(len(ds), 0.1, 3, rng_seed=3, labels=ds.y)
-        res = be_train(ds.x, ds.y, plan, [2, 8, 4], "random_sign",
-                       OptimizerConfig(lr=3e-3),
-                       StoppingConfig(mode="joint", patience=3, max_epochs=8,
-                                      batch_size=64), seed=4)
+        (res,) = be_train(ds.x, ds.y, plan, [2, 8, 4], ["random_sign"],
+                          OptimizerConfig(lr=3e-3),
+                          StoppingConfig(mode="joint", patience=3, max_epochs=8,
+                                         batch_size=64), seed=4)
         # recompute the monitored score from the restored model
         import enstune.metrics as metrics
         vals = []
@@ -604,19 +670,19 @@ class TestTraining:
         ds = self.make_task(n=300)
         plan = make_overlapping(len(ds), 4, rng_seed=5, labels=ds.y,
                                 val_fraction=0.1)
-        res = be_train(ds.x, ds.y, plan, [2, 8, 4], "gaussian",
-                       OptimizerConfig(lr=3e-3),
-                       StoppingConfig(mode="joint", patience=3, max_epochs=8,
-                                      batch_size=64), seed=6, sigma=0.1)
+        (res,) = be_train(ds.x, ds.y, plan, [2, 8, 4], ["gaussian_0.1"],
+                          OptimizerConfig(lr=3e-3),
+                          StoppingConfig(mode="joint", patience=3, max_epochs=8,
+                                         batch_size=64), seed=6)
         assert len(res.stop.history) <= 8
 
     def test_single_member_reduces_to_plain_training(self):
         ds = self.make_task(n=200)
         plan = make_shared(len(ds), 0.2, 1, rng_seed=7, labels=ds.y)
-        res = be_train(ds.x, ds.y, plan, [2, 8, 4], "random_sign",
-                       OptimizerConfig(lr=3e-3),
-                       StoppingConfig(mode="joint", patience=3, max_epochs=10,
-                                      batch_size=64), seed=8)
+        (res,) = be_train(ds.x, ds.y, plan, [2, 8, 4], ["random_sign"],
+                          OptimizerConfig(lr=3e-3),
+                          StoppingConfig(mode="joint", patience=3, max_epochs=10,
+                                         batch_size=64), seed=8)
         assert res.model.n_members == 1
 
     def test_non_finite_loss_names_member_and_sample(self):
@@ -636,18 +702,61 @@ class TestTraining:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NonFiniteLossError, match=r"member \d, sample \d+$"):
-                be_train(ds.x, ds.y, plan, [2, 16, 4], "gaussian",
+                be_train(ds.x, ds.y, plan, [2, 16, 4], ["gaussian_0.5"],
                          OptimizerConfig(kind="sgd_momentum", lr=1e8),
                          StoppingConfig(mode="joint", patience=3, max_epochs=20,
-                                        batch_size=64), seed=0, sigma=0.5)
+                                        batch_size=64), seed=0)
 
     def test_determinism(self):
         ds = self.make_task(n=200)
         plan = make_shared(len(ds), 0.2, 2, rng_seed=9, labels=ds.y)
-        kw = dict(dims=[2, 8, 4], scheme="random_sign",
+        kw = dict(dims=[2, 8, 4], schemes=["random_sign"],
                   opt_cfg=OptimizerConfig(lr=3e-3),
                   stop_cfg=StoppingConfig(mode="joint", patience=2, max_epochs=6,
                                           batch_size=64), seed=10)
-        a = be_train(ds.x, ds.y, plan, **kw)
-        b = be_train(ds.x, ds.y, plan, **kw)
+        (a,) = be_train(ds.x, ds.y, plan, **kw)
+        (b,) = be_train(ds.x, ds.y, plan, **kw)
         assert a.stop.history == b.stop.history
+
+
+class TestStackedTraining:
+    """be_train's stack of schemes gives each scheme the result it gets alone."""
+
+    SCHEMES = ["gaussian_0.1", "gaussian_0.5", "random_sign"]
+
+    @staticmethod
+    def plan(strategy, ds):
+        if strategy == "shared":
+            return make_shared(len(ds), 0.2, 4, rng_seed=1, labels=ds.y)
+        if strategy == "overlapping":
+            return make_overlapping(len(ds), 4, rng_seed=2, labels=ds.y, val_fraction=0.2)
+        return make_disjoint(len(ds), 0.1, 3, rng_seed=3, labels=ds.y)
+
+    # at 25 epochs every scheme stops early, at 12 one on shared and disjoint
+    # plans runs to the end
+    @pytest.mark.parametrize("strategy, mode, max_epochs", [
+        (strategy, "joint", 25) for strategy in ("shared", "overlapping", "disjoint")
+    ] + [("shared", "joint", 12), ("disjoint", "joint", 12)] + [
+        (strategy, "none", 4) for strategy in ("shared", "overlapping", "disjoint")])
+    def test_bit_identical_to_one_call_per_scheme(self, strategy, mode, max_epochs):
+        ds = make_blobs(300, 4, 0.8, np.random.default_rng(0), label_noise=0.1)
+        plan = self.plan(strategy, ds)
+        kw = dict(dims=[2, 8, 4], opt_cfg=OptimizerConfig(lr=5e-2),
+                  stop_cfg=StoppingConfig(mode=mode, patience=2, max_epochs=max_epochs,
+                                          batch_size=32), seed=4)
+        stacked = be_train(ds.x, ds.y, plan, schemes=self.SCHEMES, **kw)
+        assert len(stacked) == len(self.SCHEMES)
+        for scheme, got in zip(self.SCHEMES, stacked):
+            (want,) = be_train(ds.x, ds.y, plan, schemes=[scheme], **kw)
+            assert got.model.flat.tobytes() == want.model.flat.tobytes(), scheme
+            assert running_stats(got.model) == running_stats(want.model), scheme
+            assert got.stop.to_dict() == want.stop.to_dict(), scheme
+            for p, q in zip(got.all_probs(ds.x), want.all_probs(ds.x)):
+                assert p.tobytes() == q.tobytes(), scheme
+        stops = [len(r.stop.history) for r in stacked]
+        if mode == "none":
+            assert stops == [max_epochs] * 3
+        else:  # the schemes leave the stack at different epochs
+            assert len(set(stops)) == 3, stops
+            ran_out = [not r.stop.stopped_early for r in stacked]
+            assert any(ran_out) == (max_epochs == 12), ran_out

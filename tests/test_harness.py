@@ -189,6 +189,23 @@ BAD_CONFIGS = [
      "optimizer.momentum=1.5 must be in [0, 1)"),
     ("early-stop", ["experiment.ece_bins=1000001"],
      "experiment.ece_bins=1000001 must be <= 1000000"),
+    ("early-stop", ["task.data_seed=-1"], "task.data_seed=-1 must be >= 0"),
+    ("early-stop", ["task.test_fraction=1e-9"],
+     "task.test_fraction=1e-09: test fraction 1e-09 leaves an empty side"),
+    ("early-stop", ["ensemble.val_pct=0.001"],
+     "ensemble.val_pct=0.001 on the shared holdout: validation size 0"),
+    ("early-stop", ['experiment.strategies=["overlapping"]', "ensemble.members=1"],
+     "ensemble.members=1 on the overlapping holdout: n_members must be >= 2"),
+    ("early-stop", ['experiment.strategies=["disjoint"]', 'experiment.modes=["individual"]',
+                    "ensemble.val_pct=0.9"],
+     "ensemble.members=3 with ensemble.val_pct=0.9 on the disjoint holdout: "
+     "disjoint validation sets need"),
+    ("batch-ensemble", ["experiment.val_pcts=[0.2,0.001]"],
+     "experiment.val_pcts entry 0.001 on the shared holdout"),
+    ("early-stop", ['experiment.strategies=["disjoint"]', 'experiment.modes=["individual"]',
+                    "ensemble.members=50"],
+     "ensemble.members=50 with ensemble.val_pct=0.1 on the disjoint holdout: "
+     "disjoint validation sets need"),
 ]
 
 # a row appended to a valid two-feature CSV task, by test id: what can be no
@@ -686,6 +703,51 @@ class TestExperiments:
         run_experiment(cfg)
         assert built == [(seed, s) for seed in (0, 1)
                          for s in ("shared", "disjoint", "overlapping")]
+
+    def test_batch_ensemble_trains_each_plan_once_per_seed(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("ENSTUNE_WORKERS", raising=False)  # spies see every job
+        out = tmp_path / "be"
+        cfg = quick_config(str(out), [
+            "experiment.kind=batch_ensemble",
+            'experiment.strategies=["shared","overlapping"]',
+            "experiment.val_pcts=[0.1,0.3]", "stopping.max_epochs=3"])
+        schemes = cfg.experiment.schemes
+        assert len(schemes) == 3
+        built, trained = [], []
+        real_make_plan, real_check = experiments.make_plan, experiments._check_config
+        real_train = experiments.be_train
+
+        def spy(strategy, n_total, val_pct, n_members, seed, labels):
+            built.append((seed, strategy, val_pct))
+            return real_make_plan(strategy, n_total, val_pct, n_members, seed, labels)
+
+        def check_then_forget(cfg):
+            checked = real_check(cfg)
+            built.clear()  # count the plans built at run time only
+            return checked
+
+        def train_spy(x, y, plan, dims, schemes, opt_cfg, stop_cfg, seed):
+            trained.append((seed, plan.strategy, list(schemes)))
+            return real_train(x, y, plan, dims, schemes, opt_cfg, stop_cfg, seed)
+
+        monkeypatch.setattr(experiments, "make_plan", spy)
+        monkeypatch.setattr(experiments, "_check_config", check_then_forget)
+        monkeypatch.setattr(experiments, "be_train", train_spy)
+        run_experiment(cfg)
+        plans = [(seed, s, v) for seed in (0, 1) for s in ("shared", "overlapping")
+                 for v in (0.1, 0.3)]
+        assert built == plans
+        assert trained == [(seed, s, schemes) for seed, s, _ in plans]
+        # outputs come scheme first, then strategy, then val_pct, per seed
+        cells = [(seed, scheme, s, str(v)) for seed in (0, 1) for scheme in schemes
+                 for s in ("shared", "overlapping") for v in (0.1, 0.3)]
+        with open(out / "cells.csv") as f:
+            rows = list(csv.reader(f))[1:]
+        assert [(int(r[7]), r[1], r[5], r[6]) for r in rows] == [
+            cell for cell in cells for _ in range(4)]  # test x2, train, val
+        runs = json.loads((out / "manifest.json").read_text())["runs"]
+        assert [(e["seed"], e["scheme"], e["strategy"], str(e["val_pct"]))
+                for e in runs] == cells
 
     def test_stop_then_scale_runs_every_plan(self, tmp_path):
         out = tmp_path / "sts"

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from enstune import metrics, training
-from enstune.batchensemble import _BeTrajectory, be_train, make_batch_ensemble
+from enstune.batchensemble import (
+    BatchEnsembleModel,
+    _BeTrajectory,
+    _Scheme,
+    be_train,
+    make_batch_ensemble,
+)
 from enstune.calibration import nll_at_temperature, validation_sets
 from enstune.data import make_blobs
 from enstune.netcore import softmax
@@ -413,18 +419,20 @@ class TestJointScore:
         for plan in plans:
             model = make_batch_ensemble([2, 6, 4], plan.n_members, "random_sign",
                                         training.member_rng(35, 0, training._INIT), 0.3)
-            traj = _BeTrajectory(ds.x, ds.y, plan, model, opt, 32, 35)
+            traj = _BeTrajectory(ds.x, ds.y, plan, BatchEnsembleModel.stack([model]), opt,
+                                 32, 35)
+            logits = lambda ids, idx: traj.set_logits(ids, idx, 0)
             mode, formula = (("individual", probability_member_nll)
                              if plan.strategy == "disjoint"
                              else ("joint", probability_joint_nll))
             scores = []
             for _ in range(4):
-                scores.append(rule_score(mode, plan, ds.y, traj.set_logits))
-                assert scores[-1] == formula(plan, ds.y, traj.set_logits), plan.strategy
+                scores.append(rule_score(mode, plan, ds.y, logits))
+                assert scores[-1] == formula(plan, ds.y, logits), plan.strategy
                 traj.run_epoch()
-            res = be_train(ds.x, ds.y, plan, [2, 6, 4], "random_sign", opt,
-                           StoppingConfig(mode="joint", patience=10, max_epochs=3,
-                                          batch_size=32), 35, sigma=0.3)
+            (res,) = be_train(ds.x, ds.y, plan, [2, 6, 4], ["random_sign"], opt,
+                              StoppingConfig(mode="joint", patience=10, max_epochs=3,
+                                             batch_size=32), 35)
             assert res.stop.history == scores[1:], plan.strategy
 
 
@@ -484,24 +492,22 @@ class TestFlatStorage:
             assert not np.shares_memory(a.running_var, b.running_var)
 
     def test_snapshots_share_nothing_with_the_trajectory(self):
-        from enstune.batchensemble import _BeTrajectory, make_batch_ensemble
-
         ds = blob_task()
         plan = make_shared(len(ds), 0.2, 2, rng_seed=3, labels=ds.y)
         opt = OptimizerConfig(lr=0.01)
         member = training._MemberState(ds.x, ds.y, plan.members[0], [2, 6, 3], opt, 7, 0,
                                        True, 32, lambda step: opt.lr)
         be = _BeTrajectory(ds.x, ds.y, plan,
-                           make_batch_ensemble([2, 6, 3], 2, "gaussian",
-                                               np.random.default_rng(2)),
+                           BatchEnsembleModel.stack([make_batch_ensemble(
+                               [2, 6, 3], 2, "gaussian", np.random.default_rng(2))]),
                            opt, 32, 7)
-        for traj in (member, be):
-            snap = traj.snapshot()
+        for traj, view in ((member, member), (be, _Scheme(be, 0))):  # as the loop sees them
+            snap = view.snapshot()
             before = snap.flat.copy()
-            assert not np.shares_memory(snap.flat, traj.params.flat)
+            assert not np.shares_memory(snap.flat, view.params.flat)
             traj.run_epoch()
             assert np.array_equal(snap.flat, before)
-            assert not np.array_equal(traj.params.flat, before)
+            assert not np.array_equal(view.params.flat, before)
 
     def test_a_dropped_grid_row_leaves_the_others_unchanged(self):
         ds = blob_task()

@@ -148,7 +148,7 @@ def grid_sweep(dprime, test, decays, seeds, plans):
         "experiment": {"kind": "wd_sweep", "seeds": seeds, "weight_decays": decays,
                        "ensemble_sizes": SIZES}})
     per_seed = [_wd_sweep_cells(cfg, dprime, test, seed, plan,
-                                Job(SHARED, 0.15))[2]
+                                Job(SHARED, 0.15))[2][0]
                 for seed, plan in zip(seeds, plans, strict=True)]
     return [cell for wd_cells in zip(*per_seed) for cell in wd_cells]
 
