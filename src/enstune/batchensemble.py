@@ -23,6 +23,7 @@ keeps its own stopping rule and leaves the stack when that rule stops.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -614,17 +615,16 @@ class _Scheme:
 
 
 def parse_scheme(name: str):
-    """'random_sign' or 'gaussian_<sigma>' into (kind, sigma)."""
+    """'random_sign' or 'gaussian_<sigma>', sigma a finite decimal > 0, into
+    (kind, sigma)."""
     if name == RANDOM_SIGN:
         return RANDOM_SIGN, 0.0
-    if name.startswith(GAUSSIAN):
-        suffix = name[len(GAUSSIAN):].lstrip("_")
-        try:
-            return GAUSSIAN, float(suffix)
-        except ValueError:
-            pass
-    raise ConfigError(f"unknown fast-weight scheme {name!r}; expected "
-                      "'random_sign' or 'gaussian_<sigma>'")
+    match = re.fullmatch(GAUSSIAN + r"_(\d*\.?\d+(?:[eE][+-]?\d+)?)", name)
+    if match and 0.0 < float(match[1]) < math.inf:
+        return GAUSSIAN, float(match[1])
+    raise ConfigError(f"experiment.schemes entry {name!r} is not a fast-weight scheme; "
+                      "expected 'random_sign' or 'gaussian_<sigma>' with a finite "
+                      "sigma > 0")
 
 
 def be_train(x, y, plan: SplitPlan, dims: list[int], schemes: list[str],

@@ -4,9 +4,12 @@ Adam, cosine annealing and finite-difference gradient checking.
 Everything is float64 and pure numpy. A trajectory keeps its trainable
 parameters in one contiguous vector (``MlpParams.flat``; a stack of
 trajectories keeps one row each), and the weight and bias arrays that code
-reads are views into it. The optimizer keeps its state in vectors of the
-same shape and updates a whole vector with a few in-place calls. Each
-vector is owned by a single training job at a time.
+reads are views into it. One forward core (:func:`_forward`) and one
+backward core (:func:`_backward`) run an MLP or a stack of them, so
+inference, the member step, a weight-decay grid's stacked step and the
+gradient check share every operation. The optimizer keeps its state in
+vectors of the same shape and updates a whole vector with a few in-place
+calls. Each vector is owned by a single training job at a time.
 """
 
 from __future__ import annotations
@@ -167,23 +170,26 @@ class MlpParams:
 
 def _forward(params: MlpParams, x: np.ndarray, bufs: dict) -> list[np.ndarray]:
     """The forward pass: ``[x, h1, ..., logits]``, each entry the input of
-    the next layer. Every layer's output is written into ``bufs`` (see
-    :func:`_buffer`), its bias added and its ReLU applied in place, so a
-    hidden output is positive exactly where its pre-activation is."""
+    the next layer. ``params`` may be a stack, its ``flat`` and every layer
+    leading with the same axes (a grid's ``(D, M)``); ``x`` then has those
+    axes too, or axes of 1 that broadcast, before ``(samples, features)``.
+    Every layer's output is written into ``bufs`` (see :func:`_buffer`), its
+    bias added and its ReLU applied in place, so a hidden output is positive
+    exactly where its pre-activation is."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError("input must be a 2-d (samples, features) array")
+    if x.ndim != params.flat.ndim + 1:
+        raise ShapeError(f"input must be a {params.flat.ndim + 1}-d (..., samples, "
+                         "features) array")
     acts = [x]
     h = x
     last = len(params.layers) - 1
     for i, layer in enumerate(params.layers):
-        if h.shape[1] != layer.weight.shape[0]:
-            raise ShapeError(
-                f"layer {i}: input has {h.shape[1]} features, weight expects "
-                f"{layer.weight.shape[0]}"
-            )
-        h = np.matmul(h, layer.weight, out=_buffer(bufs, i, (len(x), layer.weight.shape[1])))
-        h += layer.bias
+        w = layer.weight
+        if h.shape[-1] != w.shape[-2]:
+            raise ShapeError(f"layer {i}: input has {h.shape[-1]} features, weight "
+                             f"expects {w.shape[-2]}")
+        h = np.matmul(h, w, out=_buffer(bufs, i, w.shape[:-2] + (x.shape[-2], w.shape[-1])))
+        h += layer.bias[..., None, :]
         if i < last:
             np.maximum(h, 0.0, out=h)
         acts.append(h)
@@ -231,6 +237,53 @@ def _buffer(bufs: dict, key, shape, dtype=np.float64) -> np.ndarray:
     return view
 
 
+def _backward(params: MlpParams, acts: list[np.ndarray], y: np.ndarray, bufs: dict):
+    """Each stack row's mean softmax cross-entropy on :func:`_forward`'s
+    ``acts``, against checked intp labels ``y`` that broadcast over the
+    stack axes, and its exact gradient.
+
+    Returns ``(total, picked, grads)``: ``picked`` holds each sample's
+    log-probability of its label (stack axes, then samples), ``total`` their
+    sum, and ``grads`` an :class:`MlpParams` laid out like ``params``, or
+    None when a picked value is not finite. ``grads`` is kept in ``bufs``
+    while calls pass the same ``params.flat``; each such call overwrites it.
+    The log-softmax, then the delta, take the logits' buffer, and each
+    hidden activation's buffer takes the delta at its last read.
+    """
+    logits = acts[-1]
+    first = bufs.get(("first", logits.shape))
+    if first is None:  # the flat index of each sample's first logit, kept per shape
+        first = bufs["first", logits.shape] = np.arange(
+            0, logits.size, logits.shape[-1]).reshape(logits.shape[:-1])
+    label = first + y  # the flat index of each sample's label logit
+    # on a network with no layer the logits are the input, which is only read
+    logp = log_softmax(logits, out=logits if params.layers
+                       else _buffer(bufs, "logp", logits.shape))
+    picked = logp.reshape(-1)[label]
+    total = float(np.add.reduce(picked, axis=None))
+    # every picked log-probability is <= 0 or nan, so one that is not finite
+    # makes the sum not finite: only then look for it
+    if not math.isfinite(total) and not np.isfinite(picked).all():
+        return total, picked, None
+
+    delta = np.exp(logp, out=logp)
+    delta.reshape(-1)[label] -= 1.0
+    delta /= logits.shape[-2]
+    kept = bufs.get("grads")
+    if kept is None or kept[0] is not params.flat:  # the views serve one vector
+        kept = bufs["grads"] = params.flat, MlpParams.from_flat(
+            _buffer(bufs, "grad", params.flat.shape), params.dims)
+    grads = kept[1]
+    for i in range(len(params.layers) - 1, -1, -1):
+        np.matmul(acts[i].mT, delta, out=grads.layers[i].weight)
+        np.add.reduce(delta, axis=-2, out=grads.layers[i].bias)
+        if i > 0:  # the activation's last read: its buffer takes the delta
+            active = acts[i] > 0
+            delta = np.matmul(delta, params.layers[i].weight.mT, out=acts[i])
+            delta *= active
+    return total, picked, grads
+
+
 def loss_and_grad(params: MlpParams, x: np.ndarray, y: np.ndarray,
                   bufs: dict | None = None):
     """Mean softmax cross-entropy and its exact gradient.
@@ -238,91 +291,20 @@ def loss_and_grad(params: MlpParams, x: np.ndarray, y: np.ndarray,
     The softmax and log are fused through log-sum-exp for stability. Returns
     ``(nll, grads)`` with ``grads`` shaped like ``params``. A training
     trajectory passes the same ``bufs`` dict on every step: activations,
-    the log-softmax, then the delta, are written into its kept arrays
-    (see :func:`_buffer`), and ``grads`` is one kept :class:`MlpParams`
-    that the next call with that dict overwrites. Without ``bufs`` the call
-    allocates its own and ``grads`` is new.
+    the log-softmax, the delta and the gradient are written into its kept
+    arrays (see :func:`_buffer`), and ``grads`` is one kept
+    :class:`MlpParams` that the next call with that dict and these
+    parameters overwrites. Without ``bufs`` the call allocates its own and
+    ``grads`` is new.
     """
     bufs = {} if bufs is None else bufs
     acts = _forward(params, x, bufs)
-    n, k = acts[-1].shape
-    y = _check_labels(y, k, x)
-    rows = bufs.get("rows")
-    if rows is None or len(rows) < n:
-        rows = bufs["rows"] = np.arange(n)
-    label = rows[:n] * k + y  # flat index of each sample's label logit
-    logp = log_softmax(acts[-1], out=_buffer(bufs, "logp", (n, k)))
-    picked = logp.reshape(-1)[label]
-    nll = float(-np.add.reduce(picked) / n)
-    # every picked log-probability is <= 0 or nan, so one that is not finite
-    # makes the mean not finite: only then look for it
-    if not math.isfinite(nll) and not np.isfinite(picked).all():
+    y = _check_labels(y, acts[-1].shape[1], x)
+    total, picked, grads = _backward(params, acts, y, bufs)
+    if grads is None:
         raise NonFiniteLossError(f"non-finite loss at sample "
                                  f"{int(np.argmax(~np.isfinite(picked)))}")
-
-    delta = np.exp(logp, out=logp)
-    delta.reshape(-1)[label] -= 1.0
-    delta /= n
-
-    # the kept gradient's layer views hold for one layout only
-    layout = tuple(layer.weight.shape for layer in params.layers)
-    kept = bufs.get("grads")
-    if kept is None or kept[0] != layout:
-        kept = bufs["grads"] = layout, MlpParams.from_flat(np.empty_like(params.flat),
-                                                           params.dims)
-    grads = kept[1]
-    for i in range(len(params.layers) - 1, -1, -1):
-        np.matmul(acts[i].T, delta, out=grads.layers[i].weight)
-        np.add.reduce(delta, axis=0, out=grads.layers[i].bias)
-        if i > 0:  # the activation's last read: its buffer takes the delta
-            active = acts[i] > 0
-            delta = np.matmul(delta, params.layers[i].weight.T, out=acts[i])
-            delta *= active
-    return nll, grads
-
-
-def _stacked_loss_and_grad(params: np.ndarray, dims, x: np.ndarray, y: np.ndarray,
-                           bufs: dict):
-    """:func:`loss_and_grad` over stacked parameter rows, with the same
-    operations per row, so each row's gradients are bit-identical to its own
-    call's.
-
-    ``params`` is ``(D, M, P)``: row (d, m) is the ``flat`` vector of an MLP
-    with layer widths ``dims``. The batch ``x`` is ``(1, M, n, in)``, one
-    minibatch per member broadcast across the D rows of every member, with
-    intp labels ``y`` ``(M, n)`` already checked. Activations, deltas and
-    gradients live in ``bufs``, flat arrays the caller keeps across calls and
-    this function grows as needed. Returns ``(None, grads)``, the gradients
-    as one ``(D, M, P)`` array laid out like ``params``, or, when some row's
-    loss is non-finite, ``(mask, None)`` with the ``(D, M, n)`` mask of its
-    non-finite samples.
-    """
-    layers = _layer_views(params, dims)
-    n = x.shape[-2]
-    acts = [x]
-    for i, (w, b) in enumerate(layers):
-        z = np.matmul(acts[-1], w, out=_buffer(bufs, i, w.shape[:2] + (n, w.shape[3])))
-        z += b[..., None, :]
-        if i < len(layers) - 1:
-            np.maximum(z, 0.0, out=z)  # positive exactly where the pre-activation is
-        acts.append(z)
-    logp = log_softmax(acts.pop())
-    pick = (slice(None), np.arange(y.shape[0])[:, None], np.arange(n), y)
-    finite = np.isfinite(logp[pick])
-    if not finite.all():
-        return ~finite, None
-    delta = np.exp(logp)
-    delta[pick] -= 1.0
-    delta /= n
-    grads = _buffer(bufs, "grad", params.shape)
-    for i, (gw, gb) in reversed(list(enumerate(_layer_views(grads, dims)))):
-        np.matmul(acts[i].swapaxes(-1, -2), delta, out=gw)
-        np.sum(delta, axis=-2, keepdims=True, out=gb[..., None, :])
-        if i > 0:  # the activation's last read: its buffer takes the delta
-            active = acts[i] > 0
-            delta = np.matmul(delta, layers[i][0].swapaxes(-1, -2), out=acts[i])
-            delta *= active
-    return None, grads
+    return -total / len(picked), grads
 
 
 def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:

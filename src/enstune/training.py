@@ -27,8 +27,9 @@ from .netcore import (
     MlpParams,
     NonFiniteLossError,
     Optimizer,
+    _backward,
     _check_labels,
-    _stacked_loss_and_grad,
+    _forward,
     cosine_lr,
     loss_and_grad,
     mlp_forward,
@@ -385,7 +386,9 @@ def train_grid(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig, weight_dec
                stop_cfg: StoppingConfig, base_seed: int) -> list:
     """Train every (weight decay, member) pair of a shared plan for
     ``stop_cfg.max_epochs`` epochs as one stacked trajectory: one batched
-    step per minibatch moves all decays x members rows.
+    step per minibatch moves all decays x members rows, through the forward
+    and backward cores that :func:`~enstune.netcore.loss_and_grad` runs on
+    one member, so each row's gradient is that member's own.
 
     Each row starts where :func:`train_ensemble` starts the member (scaler,
     initial parameters, batch stream, learning-rate schedule) and ends
@@ -409,8 +412,9 @@ def train_grid(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig, weight_dec
         for m, ms in enumerate(plan.members)))
     x_train, y_train = xs[0], _check_labels(ys[0], dims[-1], xs[0])
     n_rows = len(weight_decays)
-    params = np.repeat(np.stack([p.flat for p in inits])[None], n_rows, axis=0)
-    opt = Optimizer(opt_cfg.kind, params, opt_cfg.lr,
+    params = MlpParams.from_flat(np.repeat(np.stack([p.flat for p in inits])[None], n_rows,
+                                           axis=0), dims)
+    opt = Optimizer(opt_cfg.kind, params.flat, opt_cfg.lr,
                     weight_decay=np.asarray(weight_decays, dtype=np.float64)[:, None, None],
                     momentum=opt_cfg.momentum,
                     decay_mask=inits[0].decay_mask(opt_cfg.decay_bias))
@@ -429,22 +433,25 @@ def train_grid(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig, weight_dec
             for start in range(0, n_train, batch_size):
                 idx = orders[:, start:start + batch_size]
                 xb, yb = x_train[idx][None], y_train[idx]
-                bad, grads = _stacked_loss_and_grad(params, dims, xb, yb, bufs)
-                while bad is not None:
+                while True:  # until no live row's loss is non-finite
+                    _, picked, grads = _backward(params, _forward(params, xb, bufs), yb,
+                                                 bufs)
+                    if grads is not None:
+                        break
+                    bad = ~np.isfinite(picked)
                     bad_rows = bad.any(axis=-1)
                     for r in np.flatnonzero(bad_rows.any(axis=1)):
                         m = int(np.argmax(bad_rows[r]))
                         outcomes[live[r]] = NonFiniteLossError(
                             f"non-finite loss at sample {int(np.argmax(bad[r, m]))}")
                     keep = np.flatnonzero(~bad_rows.any(axis=1))
-                    params = params[keep]
+                    params = MlpParams.from_flat(params.flat[keep], dims)
                     opt.keep_rows(keep)
                     live = [live[r] for r in keep]
-                    bad, grads = _stacked_loss_and_grad(params, dims, xb, yb, bufs)
-                opt.step(params, grads, lr_at(steps))
+                opt.step(params.flat, grads.flat, lr_at(steps))
                 steps += 1
     for r, entry in enumerate(live):
-        outcomes[entry] = [TrainedMember(MlpParams.from_flat(params[r, m].copy(), dims),
+        outcomes[entry] = [TrainedMember(MlpParams.from_flat(params.flat[r, m].copy(), dims),
                                          scaler, None, steps)
                            for m, scaler in enumerate(scalers)]
     return outcomes

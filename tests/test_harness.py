@@ -206,6 +206,10 @@ BAD_CONFIGS = [
                     "ensemble.members=50"],
      "ensemble.members=50 with ensemble.val_pct=0.1 on the disjoint holdout: "
      "disjoint validation sets need"),
+    *[("batch-ensemble", [f'experiment.schemes=["random_sign","{name}"]'],
+       f"experiment.schemes entry '{name}'")
+      for name in ["gaussian_-0.5", "gaussian_0", "gaussian_nan", "gaussian_inf",
+                   "gaussian0.1", "gaussian__0.1"]],
 ]
 
 # a row appended to a valid two-feature CSV task, by test id: what can be no
@@ -492,8 +496,11 @@ class TestAggregation:
     def test_scheme_parsing(self):
         assert parse_scheme("random_sign") == ("random_sign", 0.0)
         assert parse_scheme("gaussian_0.5") == ("gaussian", 0.5)
-        with pytest.raises(ConfigError):
-            parse_scheme("uniform_0.1")
+        assert parse_scheme("gaussian_1e-3") == ("gaussian", 0.001)
+        for name in ["uniform_0.1", "gaussian_-0.5", "gaussian_0", "gaussian_nan",
+                     "gaussian_inf", "gaussian_1e999", "gaussian0.1", "gaussian__0.1"]:
+            with pytest.raises(ConfigError, match="experiment.schemes"):
+                parse_scheme(name)
 
 
 class TestExperiments:

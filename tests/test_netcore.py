@@ -14,10 +14,11 @@ from enstune.netcore import (
     NonFiniteLossError,
     Optimizer,
     ShapeError,
+    _backward,
     _buffer,
+    _forward,
     _layer_views,
     _row_sum,
-    _stacked_loss_and_grad,
     cosine_lr,
     grad_check,
     log_softmax,
@@ -368,7 +369,18 @@ class TestKeptBuffers:
         assert nll == want_nll and np.array_equal(grads.flat, want.flat)
 
 
+def stacked_step(stack, dims, x, y, bufs):
+    """The shared forward and backward over a ``(D, M, P)`` stack of MLPs,
+    as a weight-decay grid steps it: ``(picked, grads)``."""
+    params = MlpParams.from_flat(stack, dims)
+    _, picked, grads = _backward(params, _forward(params, x, bufs), y, bufs)
+    return picked, grads
+
+
 class TestStackedKernel:
+    """The shared forward and backward on a stack of rows against the same
+    code on one member's row, as :func:`loss_and_grad` calls it."""
+
     @pytest.mark.parametrize("n", [9, 1])
     def test_every_row_is_bit_identical_to_loss_and_grad(self, n):
         rng = np.random.default_rng(3)
@@ -376,14 +388,31 @@ class TestStackedKernel:
         rows = [[random_mlp(dims, seed=10 * d + m) for m in range(2)] for d in range(3)]
         x = rng.normal(size=(2, n, 3))
         y = rng.integers(0, 4, size=(2, n))
-        bad, grads = _stacked_loss_and_grad(stack_rows(rows), dims, x[None], y, {})
-        assert bad is None
+        _, grads = stacked_step(stack_rows(rows), dims, x[None], y, {})
         for d, row in enumerate(rows):
             for m, params in enumerate(row):
                 _, want = loss_and_grad(params, x[m], y[m])
-                got = MlpParams.from_flat(grads[d, m], dims).arrays()
+                got = MlpParams.from_flat(grads.flat[d, m], dims).arrays()
                 for a, b in zip(got, want.arrays(), strict=True):
                     assert np.array_equal(a.reshape(b.shape), b)
+
+    def test_kept_buffers_serve_the_rows_left_after_a_drop(self):
+        rng = np.random.default_rng(5)
+        dims = [3, 7, 5, 4]
+        stack = stack_rows([[random_mlp(dims, seed=10 * d + m) for m in range(2)]
+                            for d in range(4)])
+        x = rng.normal(size=(1, 2, 9, 3))
+        y = rng.integers(0, 4, size=(2, 9))
+        bufs = {}  # one dict for the grid call and the call after the drop
+        before = stacked_step(stack, dims, x, y, bufs)[1].flat.copy()
+        keep = np.array([0, 2, 3])
+        left = stack[keep]
+        got_picked, got = stacked_step(left, dims, x, y, bufs)
+        want_picked, want = stacked_step(left.copy(), dims, x, y, {})
+        assert got.flat.shape == left.shape
+        assert np.array_equal(got_picked, want_picked)
+        assert np.array_equal(got.flat, want.flat)
+        assert np.array_equal(got.flat, before[keep])
 
     def test_reports_the_rows_whose_loss_is_non_finite(self):
         rng = np.random.default_rng(4)
@@ -392,8 +421,9 @@ class TestStackedKernel:
         x = rng.normal(size=(2, 5, 2))
         y = rng.integers(0, 3, size=(2, 5))
         with np.errstate(invalid="ignore"):
-            bad, grads = _stacked_loss_and_grad(stack_rows(rows), [2, 4, 3], x[None], y, {})
+            picked, grads = stacked_step(stack_rows(rows), [2, 4, 3], x[None], y, {})
         assert grads is None
+        bad = ~np.isfinite(picked)
         assert bad.shape == (2, 2, 5)
         assert bad[1, 0].any() and not bad[0].any() and not bad[1, 1].any()
         with pytest.raises(NonFiniteLossError), np.errstate(invalid="ignore"):
