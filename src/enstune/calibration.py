@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import metrics
-from .netcore import _check_labels, _row_max, _row_sum, softmax
+from .netcore import _check_labels, _class_major, _class_sum, softmax
 from .splits import JointEvalUnavailableError, SplitPlan, joint_eval_sets
 
 BRACKET = (0.01, 100.0)  # temperature search range
@@ -70,23 +70,23 @@ def pool_logits(mean_probs: np.ndarray) -> np.ndarray:
 class _PreparedSet:
     """One eval set, prepared once per objective and scored at any T.
 
-    The members' float64 logits are stacked as (M, N, K) and kept as M·N
-    rows of K, on which numpy broadcasts the row maxima faster. They, their
-    row maxima, the checked labels (as flat indices of each row's label
-    entry) and a scratch buffer are kept across evaluations. At T the buffer
-    holds exp(z / T - max z / T), the same floats ``softmax(z / T)``
-    exponentiates: division by T > 0 is monotone, so fl(max z / T) =
-    max fl(z / T).
+    The members' float64 logits, stacked as (M, N, K), are kept class-major
+    as K contiguous rows of M·N entries (see ``netcore._class_major``), so
+    every pass of an evaluation, the row maxima and the class sums among
+    them, runs over contiguous rows. They, their row maxima, the checked
+    labels (as flat indices of each row's label entry) and a scratch buffer
+    are kept across evaluations. At T the buffer holds exp(z / T - max z /
+    T), the same floats ``softmax(z / T)`` exponentiates: division by T > 0
+    is monotone, so fl(max z / T) = max fl(z / T).
     """
 
     def __init__(self, member_logits: Sequence[np.ndarray], labels: np.ndarray):
-        z = (np.asarray(member_logits[0], dtype=np.float64)[None]  # a lone member: no copy
-             if len(member_logits) == 1 else metrics._stack_members(member_logits))
+        z = metrics._stack_members(member_logits)
         y = _check_labels(labels, z.shape[-1], z[0])
-        n_members, n_rows, n_classes = z.shape
-        self.z = z.reshape(n_members * n_rows, n_classes)
-        self.rowmax = _row_max(self.z)
-        self.pick = np.arange(n_members * n_rows) * n_classes + np.tile(y, n_members)
+        n_members, n_rows = z.shape[:2]
+        self.z = _class_major(z)
+        self.rowmax = np.maximum.reduce(self.z, axis=0)
+        self.pick = np.tile(y, n_members) * (n_members * n_rows) + np.arange(n_members * n_rows)
         self.buf = np.empty_like(self.z)
         self.n_members = n_members
 
@@ -98,7 +98,7 @@ class _PreparedSet:
         e = np.divide(self.z, t, out=self.buf)
         e -= self.rowmax / t
         np.exp(e, out=e)
-        p = np.take(e, self.pick) / _row_sum(e)[:, 0]
+        p = np.take(e, self.pick) / _class_sum(e)
         if self.n_members > 1:  # each row's ensemble-mean label probability,
             # summed in member order as ``ensemble_mean`` sums; ``mean(axis=0)``
             # would sum a single row's members pairwise from 8 members on

@@ -33,46 +33,60 @@ class NonFiniteLossError(FloatingPointError):
     """Loss became NaN/inf; message names the first offending sample."""
 
 
-def _row_max(z: np.ndarray) -> np.ndarray:
-    """Each row's maximum along the last axis, keeping that axis.
-
-    It is taken over an F-ordered copy: numpy then takes elementwise maxima
-    across the columns, several times faster than a reduction along each
-    short row. The maxima are the same numbers; only the sign of a zero
-    maximum may differ, which changes ``z - max`` at most from 0.0 to -0.0,
-    so every exp taken of it is unchanged.
-    """
-    return np.maximum.reduce(np.asfortranarray(z), axis=-1, keepdims=True)
+def _class_major(z: np.ndarray) -> np.ndarray:
+    """The rows ``(..., K)`` of ``z`` copied class-major: a new C-ordered
+    float64 ``(K, rows)`` array. A reduction over its axis 0 runs as
+    elementwise passes over contiguous class rows, several times faster
+    than a reduction along each short row."""
+    z = np.asarray(z)
+    return np.array(z.reshape(-1, z.shape[-1]).T, dtype=np.float64, order="C")
 
 
-def _row_sum(e: np.ndarray) -> np.ndarray:
-    """Each row's sum along the last axis, keeping that axis.
+def _row_major(t: np.ndarray, shape) -> np.ndarray:
+    """The class-major ``(K, rows)`` array ``t`` as C-ordered rows of ``shape``."""
+    return np.ascontiguousarray(t.T).reshape(shape)
 
-    numpy adds a row shorter than 8 entries in order, so such rows are
-    summed over an F-ordered copy, as elementwise sums across the columns
-    in the same order: the same floats, several times faster. Longer rows
-    are summed pairwise, in another order, so they keep ``e.sum``.
-    """
-    if e.shape[-1] < 8:
-        return np.add.reduce(np.asfortranarray(e), axis=-1, keepdims=True)
-    return e.sum(axis=-1, keepdims=True)
+
+def _class_sum(e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The sums over axis 0 of a class-major ``(K, rows)`` array (into
+    ``out`` if given), the same floats numpy gives for each row of its
+    C-ordered transpose. numpy adds a row shorter than 8 entries in order,
+    which is the elementwise sum down the class rows; from 8 entries on it
+    adds a row pairwise, so such rows are summed over a row-major copy."""
+    if len(e) < 8:
+        return np.add.reduce(e, axis=0, out=out)
+    return np.add.reduce(np.ascontiguousarray(e.T), axis=-1, out=out)
+
+
+def _log_softmax_classes(t: np.ndarray, e: np.ndarray, sums: np.ndarray) -> None:
+    """The class-major ``(K, rows)`` array ``t`` turned in place into its
+    log-softmax over the classes, log-sum-exp stabilized; ``e`` (shaped like
+    ``t``) and ``sums`` ``(rows,)`` are scratch. The maxima are those of an
+    elementwise reduction down the class rows, which may differ from
+    ``z.max`` only in the sign of a zero maximum: that changes ``z - max``
+    at most from 0.0 to -0.0, so every exp taken of it is unchanged."""
+    with np.errstate(invalid="ignore"):  # an infinite logit gives inf - inf
+        t -= np.maximum.reduce(t, axis=0, out=sums)
+        np.exp(t, out=e)
+        t -= np.log(_class_sum(e, sums), out=sums)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, log-sum-exp stabilized."""
+    """Row-wise softmax, log-sum-exp stabilized, computed class-major."""
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(z - _row_max(z))
-    return e / _row_sum(e)
+    t = _class_major(z)
+    t -= np.maximum.reduce(t, axis=0)
+    np.exp(t, out=t)
+    t /= _class_sum(t)
+    return _row_major(t, z.shape)
 
 
-def log_softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise log-softmax, log-sum-exp stabilized, written into ``out``
-    if given (``z`` itself may be ``out``)."""
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax, log-sum-exp stabilized, computed class-major."""
     z = np.asarray(z, dtype=np.float64)
-    with np.errstate(invalid="ignore"):  # an infinite logit gives inf - inf
-        shifted = np.subtract(z, _row_max(z), out=out)
-        shifted -= np.log(_row_sum(np.exp(shifted)))
-        return shifted
+    t = _class_major(z)
+    _log_softmax_classes(t, np.empty_like(t), np.empty(t.shape[1]))
+    return _row_major(t, z.shape)
 
 
 @dataclass
@@ -202,7 +216,8 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 
 def _check_labels(y: np.ndarray, n_classes: int, rows_of, axes=("sample",)) -> np.ndarray:
-    """Labels as intp, checked in one pass over the array: ``ShapeError``
+    """Labels as intp (``y`` itself when it is intp already: callers only
+    read them), checked in one pass over the array: ``ShapeError``
     unless there is one label per row of ``rows_of`` (its leading axes, one
     per name in ``axes``), ``LabelError`` unless ``y`` has one axis per name,
     and ``LabelError`` naming its index along each axis for a label outside
@@ -217,24 +232,42 @@ def _check_labels(y: np.ndarray, n_classes: int, rows_of, axes=("sample",)) -> n
         bad = np.unravel_index(np.argmax((y < 0) | (y >= n_classes)), y.shape)
         where = ", ".join(f"{axis} {int(i)}" for axis, i in zip(axes, bad))
         raise LabelError(f"label {y[bad]} at {where} outside [0, {n_classes})")
-    return y.astype(np.intp)
+    return y.astype(np.intp, copy=False)
+
+
+_ALIGN = 64  # bytes: where every kept buffer starts, a cache line and the widest vector load
 
 
 def _buffer(bufs: dict, key, shape, dtype=np.float64) -> np.ndarray:
     """A C-ordered ``shape`` array in ``bufs[key]``, a flat array that the
     caller keeps across calls and that grows when a call needs more. The
-    view at each shape is kept in ``bufs["views"]`` until its buffer grows,
-    so a call at a shape seen before is one lookup."""
+    array starts on a 64-byte boundary of the flat one, which is allocated
+    that much larger, so a kernel's speed does not depend on where the
+    allocator placed it. The view at each shape is kept in ``bufs["views"]``
+    until its buffer grows, so a call at a shape seen before is one lookup."""
     views = bufs.setdefault("views", {})
     view = views.get((key, shape))
     if view is None:
         size = math.prod(shape)
-        if key not in bufs or bufs[key].size < size:
-            bufs[key] = np.empty(size, dtype)
+        pad = _ALIGN // np.dtype(dtype).itemsize
+        if key not in bufs or bufs[key].size < size + pad:
+            bufs[key] = np.empty(size + pad, dtype)
             for stale in [k for k in views if k[0] == key]:
                 del views[stale]
-        view = views[key, shape] = bufs[key][:size].reshape(shape)
+        flat = bufs[key]
+        start = -flat.ctypes.data % _ALIGN // flat.itemsize
+        view = views[key, shape] = flat[start:start + size].reshape(shape)
     return view
+
+
+def _sample_sum(delta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``delta`` summed over its samples axis (-2) into ``out``. einsum adds
+    the samples in order, as ``np.add.reduce`` adds them across a row of two
+    or more entries, and several times faster; on a row of one, numpy
+    reduces the contiguous samples pairwise, so that stays a reduce."""
+    if delta.shape[-1] == 1:
+        return np.add.reduce(delta, axis=-2, out=out)
+    return np.einsum("...bh->...h", delta, out=out)
 
 
 def _backward(params: MlpParams, acts: list[np.ndarray], y: np.ndarray, bufs: dict):
@@ -247,18 +280,26 @@ def _backward(params: MlpParams, acts: list[np.ndarray], y: np.ndarray, bufs: di
     sum, and ``grads`` an :class:`MlpParams` laid out like ``params``, or
     None when a picked value is not finite. ``grads`` is kept in ``bufs``
     while calls pass the same ``params.flat``; each such call overwrites it.
-    The log-softmax, then the delta, take the logits' buffer, and each
-    hidden activation's buffer takes the delta at its last read.
+
+    The log-softmax and the output delta run class-major: the logits are
+    copied once into a kept ``(K, rows)`` array, whose row maxima, shift,
+    exp, class sums and log are then passes over contiguous rows of every
+    sample of the stack, the same floats as :func:`log_softmax`. The delta
+    is copied back once, into the logits' buffer, and each hidden
+    activation's buffer takes the delta at its last read.
     """
     logits = acts[-1]
-    first = bufs.get(("first", logits.shape))
-    if first is None:  # the flat index of each sample's first logit, kept per shape
-        first = bufs["first", logits.shape] = np.arange(
-            0, logits.size, logits.shape[-1]).reshape(logits.shape[:-1])
-    label = first + y  # the flat index of each sample's label logit
-    # on a network with no layer the logits are the input, which is only read
-    logp = log_softmax(logits, out=logits if params.layers
-                       else _buffer(bufs, "logp", logits.shape))
+    n_classes = logits.shape[-1]
+    n_rows = logits.size // n_classes
+    row = bufs.get(("row", logits.shape))
+    if row is None:  # each sample's index along the class-major rows, kept per shape
+        row = bufs["row", logits.shape] = np.arange(n_rows).reshape(logits.shape[:-1])
+    label = y * n_rows + row  # the flat index of each sample's label entry
+    # the log-probabilities, their exps and one value per sample, in one kept array
+    work = _buffer(bufs, "classes", (2 * n_classes + 1, n_rows))
+    logp = work[:n_classes]
+    np.copyto(logp, logits.reshape(n_rows, n_classes).T)
+    _log_softmax_classes(logp, work[n_classes:-1], work[-1])
     picked = logp.reshape(-1)[label]
     total = float(np.add.reduce(picked, axis=None))
     # every picked log-probability is <= 0 or nan, so one that is not finite
@@ -266,9 +307,12 @@ def _backward(params: MlpParams, acts: list[np.ndarray], y: np.ndarray, bufs: di
     if not math.isfinite(total) and not np.isfinite(picked).all():
         return total, picked, None
 
-    delta = np.exp(logp, out=logp)
-    delta.reshape(-1)[label] -= 1.0
-    delta /= logits.shape[-2]
+    np.exp(logp, out=logp)
+    logp.reshape(-1)[label] -= 1.0
+    logp /= logits.shape[-2]
+    # on a network with no layer the logits are the input, which is only read
+    delta = logits if params.layers else _buffer(bufs, "delta", logits.shape)
+    np.copyto(delta.reshape(n_rows, n_classes), logp.T)
     kept = bufs.get("grads")
     if kept is None or kept[0] is not params.flat:  # the views serve one vector
         kept = bufs["grads"] = params.flat, MlpParams.from_flat(
@@ -276,7 +320,7 @@ def _backward(params: MlpParams, acts: list[np.ndarray], y: np.ndarray, bufs: di
     grads = kept[1]
     for i in range(len(params.layers) - 1, -1, -1):
         np.matmul(acts[i].mT, delta, out=grads.layers[i].weight)
-        np.add.reduce(delta, axis=-2, out=grads.layers[i].bias)
+        _sample_sum(delta, grads.layers[i].bias)
         if i > 0:  # the activation's last read: its buffer takes the delta
             active = acts[i] > 0
             delta = np.matmul(delta, params.layers[i].weight.mT, out=acts[i])

@@ -168,12 +168,12 @@ def member_logits(member: TrainedMember, x: np.ndarray) -> np.ndarray:
 def _member_start(x, y, ms: MemberSplit, dims, seed: int, member_index: int,
                   standardize: bool):
     """Where every trajectory of (seed, member) starts: its scaler, scaled
-    train rows and labels, initial parameters and batch stream."""
+    train rows and intp labels, initial parameters and batch stream."""
     if len(ms.train_idx) == 0 or len(ms.val_idx) == 0:
         raise ValueError(f"member {member_index}: empty train or validation set")
     scaler = (Standardizer.fit(x[ms.train_idx]) if standardize
               else Standardizer.identity(x.shape[1]))
-    return (scaler, scaler(x[ms.train_idx]), y[ms.train_idx],
+    return (scaler, scaler(x[ms.train_idx]), y[ms.train_idx].astype(np.intp, copy=False),
             MlpParams.random(dims, member_rng(seed, member_index, _INIT)),
             member_rng(seed, member_index, _BATCH))
 

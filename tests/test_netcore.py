@@ -17,8 +17,9 @@ from enstune.netcore import (
     _backward,
     _buffer,
     _forward,
+    _class_major,
+    _class_sum,
     _layer_views,
-    _row_sum,
     cosine_lr,
     grad_check,
     log_softmax,
@@ -396,6 +397,20 @@ class TestStackedKernel:
                 for a, b in zip(got, want.arrays(), strict=True):
                     assert np.array_equal(a.reshape(b.shape), b)
 
+    def test_a_width_one_layer_and_ten_classes(self):
+        rng = np.random.default_rng(7)
+        dims = [3, 1, 10]
+        rows = [[random_mlp(dims, seed=10 * d + m) for m in range(2)] for d in range(3)]
+        x = rng.normal(size=(2, 9, 3))
+        y = rng.integers(0, 10, size=(2, 9))
+        _, grads = stacked_step(stack_rows(rows), dims, x[None], y, {})
+        for d, row in enumerate(rows):
+            for m, params in enumerate(row):
+                _, want = loss_and_grad(params, x[m], y[m])
+                got = MlpParams.from_flat(grads.flat[d, m], dims).arrays()
+                for a, b in zip(got, want.arrays(), strict=True):
+                    assert a.tobytes() == b.tobytes()
+
     def test_kept_buffers_serve_the_rows_left_after_a_drop(self):
         rng = np.random.default_rng(5)
         dims = [3, 7, 5, 4]
@@ -428,6 +443,66 @@ class TestStackedKernel:
         assert bad[1, 0].any() and not bad[0].any() and not bad[1, 1].any()
         with pytest.raises(NonFiniteLossError), np.errstate(invalid="ignore"):
             loss_and_grad(rows[1][0], x[0], y[0])
+
+
+def row_major_backward(params, acts, y):
+    """The backward that the class-major core replaced, kept as its oracle:
+    row maxima over an F-ordered copy, row sums in numpy's own order, the
+    label pick on row-major flat indices and ``np.add.reduce`` bias sums."""
+    logits = acts[-1]
+    with np.errstate(invalid="ignore"):
+        shifted = logits - np.maximum.reduce(np.asfortranarray(logits), axis=-1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    label = np.arange(0, logits.size, logits.shape[-1]).reshape(logits.shape[:-1]) + y
+    picked = logp.reshape(-1)[label]
+    if not np.isfinite(picked).all():
+        return picked, None
+    delta = np.exp(logp)
+    delta.reshape(-1)[label] -= 1.0
+    delta /= logits.shape[-2]
+    grads = []
+    for i in range(len(params.layers) - 1, -1, -1):
+        grads[:0] = [np.matmul(acts[i].mT, delta), np.add.reduce(delta, axis=-2)]
+        if i > 0:
+            delta = np.matmul(delta, params.layers[i].weight.mT) * (acts[i] > 0)
+    return picked, grads
+
+
+class TestClassMajorCore:
+    """``_backward`` bit for bit against :func:`row_major_backward`."""
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    @pytest.mark.parametrize("hidden", [[1], [5], [4, 1]])
+    @pytest.mark.parametrize("lead", [(), (4,), (5, 4)])
+    def test_picked_loss_and_gradients(self, k, hidden, lead):
+        rng = np.random.default_rng(k)
+        dims = [3] + hidden + [k]
+        flat = np.stack([random_mlp(dims, seed=r).flat for r in range(math.prod(lead))])
+        params = MlpParams.from_flat(flat.reshape(lead + flat.shape[-1:]), dims)
+        x = rng.normal(size=lead[-1:] + (9, 3))
+        y = rng.integers(0, k, size=lead[-1:] + (9,))
+        for special in (False, True):
+            acts = _forward(params, x[None] if len(lead) == 2 else x, {})
+            if special:  # ties, +-0 and -inf away from the labels, as logits
+                logits = acts[-1]
+                logits[..., :3, :] = rng.choice([0.0, -0.0, 1.5, -np.inf], size=logits[..., :3, :].shape)
+                np.put_along_axis(logits, np.broadcast_to(y, logits.shape[:-1])[..., None],
+                                  rng.choice([0.0, -0.0, 1.5], size=logits.shape[:-1] + (1,)), -1)
+            want_picked, want = row_major_backward(params, [a.copy() for a in acts], y)
+            total, picked, grads = _backward(params, acts, y, {})
+            assert picked.tobytes() == want_picked.tobytes()
+            assert total == float(np.add.reduce(want_picked, axis=None))
+            for a, b in zip(grads.arrays(), want, strict=True):
+                assert a.tobytes() == b.tobytes()
+
+    def test_a_label_at_minus_inf_returns_no_gradient(self):
+        params = random_mlp([3, 5, 4])
+        acts = _forward(params, np.random.default_rng(1).normal(size=(6, 3)), {})
+        y = np.array([0, 1, 2, 3, 0, 1])
+        acts[-1][2, 2] = -np.inf
+        want_picked, _ = row_major_backward(params, [a.copy() for a in acts], y)
+        _, picked, grads = _backward(params, acts, y, {})
+        assert grads is None and picked.tobytes() == want_picked.tobytes()
 
 
 class TestStackedOptimizer:
@@ -525,13 +600,15 @@ class TestSoftmaxInvariants:
 
     @pytest.mark.parametrize("k", range(2, 10))
     def test_row_sum_is_the_row_reduction_bit_for_bit(self, k):
-        # rows shorter than 8 are summed over an F-ordered copy, longer ones
-        # by the reduction itself, which numpy sums pairwise from 8 entries on
+        # class-major sums run down the class rows below 8 classes and over a
+        # row-major copy from 8 on, where numpy sums each row pairwise: either
+        # way the floats of the C-ordered rows' own reduction
         rng = np.random.default_rng(k)
         z = rng.normal(0.0, 3.0, size=(20_000, k))
         e = np.exp(z)
         for a in (e, e.reshape(4, 5_000, k), e[::2], e[:, ::-1], np.asfortranarray(e)):
-            assert _row_sum(a).tobytes() == a.sum(axis=-1, keepdims=True).tobytes()
+            want = np.ascontiguousarray(a).sum(axis=-1).reshape(-1)
+            assert _class_sum(_class_major(a)).tobytes() == want.tobytes()
         shifted = np.exp(z - z.max(axis=-1, keepdims=True))
         want = shifted / shifted.sum(axis=-1, keepdims=True)
         assert softmax(z).tobytes() == want.tobytes()
