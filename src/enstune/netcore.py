@@ -260,11 +260,14 @@ def _buffer(bufs: dict, key, shape, dtype=np.float64) -> np.ndarray:
     return view
 
 
-def _sample_sum(delta: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``delta`` summed over its samples axis (-2) into ``out``. einsum adds
-    the samples in order, as ``np.add.reduce`` adds them across a row of two
-    or more entries, and several times faster; on a row of one, numpy
-    reduces the contiguous samples pairwise, so that stays a reduce."""
+def _bias_grad_in_order(delta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``delta`` summed over its samples axis (-2) into ``out``, bit for bit
+    as ``np.add.reduce(delta, axis=-2)``. einsum adds the samples in order,
+    as that reduce adds them across a row of two or more entries, and
+    several times faster; on a row of one, numpy reduces the contiguous
+    samples pairwise, so that stays a reduce. ``batchensemble._sample_sum``
+    sums a feature-major sample axis by a BLAS product instead, whose order
+    differs: the two layouts and guarantees keep them apart."""
     if delta.shape[-1] == 1:
         return np.add.reduce(delta, axis=-2, out=out)
     return np.einsum("...bh->...h", delta, out=out)
@@ -320,7 +323,7 @@ def _backward(params: MlpParams, acts: list[np.ndarray], y: np.ndarray, bufs: di
     grads = kept[1]
     for i in range(len(params.layers) - 1, -1, -1):
         np.matmul(acts[i].mT, delta, out=grads.layers[i].weight)
-        _sample_sum(delta, grads.layers[i].bias)
+        _bias_grad_in_order(delta, grads.layers[i].bias)
         if i > 0:  # the activation's last read: its buffer takes the delta
             active = acts[i] > 0
             delta = np.matmul(delta, params.layers[i].weight.mT, out=acts[i])
