@@ -80,6 +80,12 @@ RUNS = {
                                            'experiment.modes=["pool"]',
                                            "stopping.max_epochs=6"]),
     "sts_two": ("stop-then-scale", [TWO]),
+    # nine classes: softmax and the scores sum a row's classes pairwise from 8 on
+    "early_stop_k9": ("early-stop", [THREE, ALL_STOPS, "task.classes=9"]),
+    "temp_scale_k9": ("temp-scale", [TWO, ALL_TEMPS, "stopping.max_epochs=6", *SGD,
+                                     "task.classes=9"]),
+    "batch_ensemble_k9": ("batch-ensemble", [THREE, "stopping.max_epochs=15",
+                                             "task.classes=9"]),
 }
 WORKERS = ("1", "2")
 

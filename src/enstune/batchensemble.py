@@ -12,8 +12,8 @@ the sample axis.
 
 Each hidden layer is linear -> per-member batch norm -> ReLU. All members of
 a scheme share its slow weights, so they necessarily stop together; the
-monitored score is the NLL on ``calibration.validation_sets``: joint where the
-plan permits joint evaluation, the members' mean own NLL on disjoint plans.
+monitored score is the MLP rules' (``training._score``): the joint NLL where
+the plan permits it, the members' mean own NLL on disjoint plans.
 :func:`be_train` trains a plan's schemes as one stacked trajectory: they
 start from the same slow weights and draw the same batches, so until they
 stop they differ only in their fast weights and batch norm. Each scheme
@@ -29,7 +29,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .calibration import nll_at_temperature, validation_sets
 from .config import ConfigError
 from .data import Standardizer
 from .netcore import (
@@ -46,10 +45,8 @@ from .netcore import (
     log_softmax,
     softmax,
 )
-from .splits import DISJOINT, SplitPlan
+from .splits import DISJOINT, SplitPlan, joint_eval_sets
 from .training import (
-    INDIVIDUAL,
-    JOINT,
     NONE,
     OptimizerConfig,
     StopDecision,
@@ -58,8 +55,10 @@ from .training import (
     _BATCH,
     _INIT,
     _Rule,
+    _SetInputs,
     _cosine_schedule,
     _patience_loop,
+    _score,
 )
 
 GAUSSIAN = "gaussian"
@@ -552,13 +551,13 @@ class _BeTrajectory:
         self.steps = 0
         self.bufs = {}
         self.eval_bufs = {}
-        self.eval_inputs = {}  # members -> (rows, their standardized inputs)
+        xs = self.xs  # not self: a cycle would outlive the run
+        self.inputs = _SetInputs(lambda m, idx: xs[m, idx])
 
-    def run_epoch(self, schemes: list[int] | None = None) -> None:
-        """One epoch of the ``schemes`` (default: every live one). The
-        others leave the stack first, with their rows, BN state and
-        optimizer state."""
-        if schemes is not None and schemes != self.live:
+    def run_epoch(self, schemes: list[int]) -> None:
+        """One epoch of the ``schemes``. The others leave the stack first,
+        with their rows, BN state and optimizer state."""
+        if schemes != self.live:
             rows = [self.live.index(s) for s in schemes]
             self.params = BatchEnsembleModel.stack([self.models[r] for r in rows])
             self.opt.keep_rows(rows)
@@ -574,44 +573,20 @@ class _BeTrajectory:
             self.opt.step(self.params.flat, grads, self.lr_at(self.steps))
             self.steps += 1
 
-    def model(self, scheme: int) -> BatchEnsembleModel:
+    def state(self, scheme: int) -> BatchEnsembleModel:
         """The live one-scheme view of ``scheme``."""
         return self.models[self.live.index(scheme)]
 
-    def snapshot(self, scheme: int) -> BatchEnsembleModel:
-        return self.model(scheme).copy()
+    def steps_of(self, scheme: int) -> int:
+        return self.steps
 
     def set_logits(self, members: tuple[int, ...], idx: np.ndarray,
                    scheme: int) -> list[np.ndarray]:
         """Each of ``members``' logits on rows ``idx`` under ``scheme``, one
-        forward per member through the kept ``eval_bufs``. A monitored set
-        never changes over a run, so its inputs are gathered at its first
-        call and kept for every scheme."""
-        kept = self.eval_inputs.get(members)
-        if kept is None or kept[0] is not idx:
-            kept = self.eval_inputs[members] = idx, self.xs[np.array(members)[:, None], idx]
-        model = self.model(scheme)
-        return [be_forward(model, x, m, bufs=self.eval_bufs)
-                for m, x in zip(members, kept[1])]
-
-
-class _Scheme:
-    """One scheme of a :class:`_BeTrajectory`, as :func:`_patience_loop`
-    observes a trajectory."""
-
-    def __init__(self, traj: _BeTrajectory, scheme: int):
-        self.traj, self.scheme = traj, scheme
-
-    @property
-    def params(self) -> BatchEnsembleModel:
-        return self.traj.model(self.scheme)
-
-    @property
-    def steps(self) -> int:
-        return self.traj.steps
-
-    def snapshot(self) -> BatchEnsembleModel:
-        return self.traj.snapshot(self.scheme)
+        forward per member through the kept ``eval_bufs``."""
+        model = self.state(scheme)
+        return [be_forward(model, self.inputs(m, idx), m, bufs=self.eval_bufs)
+                for m in members]
 
 
 def parse_scheme(name: str):
@@ -652,12 +627,11 @@ def be_train(x, y, plan: SplitPlan, dims: list[int], schemes: list[str],
 
     # a disjoint plan has no joint set, and members that share slow weights
     # cannot stop one by one: it monitors the mean of the members' own NLLs
-    scored = INDIVIDUAL if plan.strategy == DISJOINT else JOINT
-    rules = [_Rule([s], lambda s=s: nll_at_temperature(validation_sets(
-        scored, plan, y, lambda ids, idx: traj.set_logits(ids, idx, s)))(1.0),
+    sets = ([((m,), ms.val_idx) for m, ms in enumerate(plan.members)]
+            if plan.strategy == DISJOINT else joint_eval_sets(plan))
+    rules = [_Rule([s], _score(sets, y, lambda ids, idx, s=s: traj.set_logits(ids, idx, s)),
                    stop_cfg.mode != NONE, stop_cfg.patience)
              for s in range(len(schemes))]
-    _patience_loop([_Scheme(traj, s) for s in range(len(schemes))], rules,
-                   stop_cfg.max_epochs, advance=traj.run_epoch)
+    _patience_loop(traj, rules, stop_cfg.max_epochs)
     return [BeTrainResult(rule.kept[0], traj.scalers, rule.decision(traj.batch, len(y)))
             for rule in rules]

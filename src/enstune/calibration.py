@@ -1,9 +1,9 @@
 """Temperature scaling in three modes: per-member, joint on member logits,
 and pool-then-calibrate on the averaged probabilities.
 
-:func:`validation_sets` alone decides which members are scored on which
-rows; one objective, :func:`nll_at_temperature`, scores them in every fit
-(:func:`calibrate`) and, at T = 1, in every ensemble stopping score. Every
+:func:`validation_sets` decides which members a fit scores on which rows;
+one objective, :func:`nll_at_temperature`, scores them in every fit
+(:func:`calibrate`) and, at T = 1, in every stopping rule's score. Every
 fit is a 1-d minimization of it over log-temperature in [0.01, 100], done by
 golden-section search (tolerance 1e-6 in log T, at most 100 objective
 evaluations). Boundary minima are returned as the bracket end with

@@ -438,7 +438,8 @@ def _run_seeds(cfg: ExperimentConfig, dprime, test, workers: int):
     """Every (seed, job) pair, then the kind's finish step over the completed
     seeds. A seed with a failing job, or a failing finish step, becomes an
     entry of ``failures`` (seed None for the finish step), with the error line
-    and its full traceback, instead of stopping the run; a failed seed
+    and its full traceback, instead of stopping the run; a seed's entry also
+    names the strategy and val_pct of its first failing job. A failed seed
     contributes no rows or runs."""
     finish = _KINDS[cfg.experiment.kind][1]
     seeds, jobs = cfg.experiment.seeds, _jobs(cfg)
@@ -447,7 +448,8 @@ def _run_seeds(cfg: ExperimentConfig, dprime, test, workers: int):
     results, failures = [], []
     for i, seed in enumerate(seeds):
         seed_outcomes = outcomes[i * len(jobs):(i + 1) * len(jobs)]
-        errors = [payload for status, payload in seed_outcomes if status == "error"]
+        errors = [{**job._asdict(), **payload}
+                  for job, (status, payload) in zip(jobs, seed_outcomes) if status == "error"]
         if errors:
             failures.append({"seed": seed, **errors[0]})
             continue

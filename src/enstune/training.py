@@ -5,8 +5,9 @@ and feeds the stopping rules that observe it.
 
 An "improvement" is a strictly lower monitored score; ties burn patience.
 Stopping restores the parameters snapshotted at the best epoch. Members
-advance one epoch at a time in lockstep; a joint rule monitors the ensemble
-NLL on ``calibration.validation_sets`` and stops everyone together.
+advance one epoch at a time in lockstep. Every rule scores the temperature
+objective at T = 1 (:func:`_score`): a per-member rule on the member's own
+holdout, a joint rule on the plan's joint sets, stopping everyone together.
 Under a constant learning rate the individual, joint and none runs of one
 plan are prefixes of one trajectory per member, so one call trains each
 member once and every mode observes it. A weight-decay grid, which no rule
@@ -20,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics
-from .calibration import nll_at_temperature, validation_sets
+from .calibration import nll_at_temperature
 from .data import Standardizer
 from .netcore import (
     MlpParams,
@@ -41,6 +41,7 @@ from .splits import (
     JointEvalUnavailableError,
     MemberSplit,
     SplitPlan,
+    joint_eval_sets,
 )
 
 # purposes for per-member RNG stream derivation
@@ -178,49 +179,63 @@ def _member_start(x, y, ms: MemberSplit, dims, seed: int, member_index: int,
             member_rng(seed, member_index, _BATCH))
 
 
-class _MemberState:
-    """One member's trajectory: parameters, scaler, data views, RNG streams
-    and its learning-rate schedule ``lr_at(step)``. It keeps the kernel's
-    buffers (``bufs``) for its whole run: each step's gradients view them
-    until the next step, and the optimizer has read them by then."""
+class _SetInputs:
+    """Each member's scaled rows of the monitored sets, made by
+    ``scaled(m, idx)``. A monitored set is one of the plan's own index
+    arrays and never changes over a run, so its rows are kept from its
+    first call."""
 
-    def __init__(self, x, y, ms: MemberSplit, dims, opt_cfg, seed, member_index,
-                 standardize, batch_size, lr_at):
-        (self.scaler, self.x_train, self.y_train, self.params,
-         self.batch_rng) = _member_start(x, y, ms, dims, seed, member_index, standardize)
-        self.x = x
-        self.x_val = self.scaler(x[ms.val_idx])
-        self.y_val = y[ms.val_idx]
-        self.opt = opt_cfg.build(self.params)
-        self.batch_size = batch_size
-        self.lr_at = lr_at
-        self.steps = 0
-        self.bufs = {}
-        self.set_inputs = {}  # id(idx) -> (idx, its scaled rows)
+    def __init__(self, scaled):
+        self.scaled = scaled
+        self.kept = {}  # (member, id(idx)) -> (idx, its scaled rows)
 
-    def run_epoch(self) -> None:
-        order = self.batch_rng.permutation(len(self.y_train))
-        xs, ys = self.x_train[order], self.y_train[order]  # each minibatch a slice
-        for start in range(0, len(order), self.batch_size):
-            stop = start + self.batch_size
-            lr_now = self.lr_at(self.steps)
-            _, grads = loss_and_grad(self.params, xs[start:stop], ys[start:stop], self.bufs)
-            self.opt.step(self.params.flat, grads.flat, lr_now)
-            self.steps += 1
-
-    def snapshot(self) -> MlpParams:
-        return self.params.copy()
-
-    def set_logits(self, idx: np.ndarray) -> np.ndarray:
-        """The member's logits on rows ``idx``. A monitored set never
-        changes over a run, so its scaled rows are kept at its first call."""
-        kept = self.set_inputs.get(id(idx))
+    def __call__(self, m: int, idx: np.ndarray) -> np.ndarray:
+        kept = self.kept.get((m, id(idx)))
         if kept is None:  # kept holds idx, so its id is not reused
-            kept = self.set_inputs[id(idx)] = idx, self.scaler(self.x[idx])
-        return mlp_forward(self.params, kept[1])
+            kept = self.kept[m, id(idx)] = idx, self.scaled(m, idx)
+        return kept[1]
 
-    def val_nll(self) -> float:
-        return metrics.nll(softmax(mlp_forward(self.params, self.x_val)), self.y_val)
+
+class _Members:
+    """A plan's MLP member trajectories, addressed by member index. Member m
+    keeps its parameters, scaler, train rows, batch stream, optimizer,
+    learning-rate schedule ``lr_at[m](step)`` and the kernel's buffers
+    (``bufs[m]``) for its whole run: each step's gradients view them until
+    the next step, and the optimizer has read them by then."""
+
+    def __init__(self, x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig, seeds,
+                 member_ids, standardize: bool, batch_size: int, lr_at):
+        (self.scalers, self.x_train, self.y_train, self.params,
+         self.batch_rngs) = zip(*(_member_start(x, y, ms, dims, seed, mid, standardize)
+                                  for ms, seed, mid in zip(plan.members, seeds, member_ids)))
+        self.opts = [opt_cfg.build(params) for params in self.params]
+        self.batch_size, self.lr_at = batch_size, lr_at
+        self.steps = [0] * plan.n_members
+        self.bufs = [{} for _ in plan.members]
+        scalers = self.scalers  # not self: a cycle would outlive the call
+        self.inputs = _SetInputs(lambda m, idx: scalers[m](x[idx]))
+
+    def run_epoch(self, ids) -> None:
+        """One epoch of each member in ``ids``, one after another."""
+        for m in ids:
+            params, opt, bufs, lr_at = self.params[m], self.opts[m], self.bufs[m], self.lr_at[m]
+            order = self.batch_rngs[m].permutation(len(self.y_train[m]))
+            xs, ys = self.x_train[m][order], self.y_train[m][order]  # each minibatch a slice
+            for start in range(0, len(order), self.batch_size):
+                stop = start + self.batch_size
+                _, grads = loss_and_grad(params, xs[start:stop], ys[start:stop], bufs)
+                opt.step(params.flat, grads.flat, lr_at(self.steps[m]))
+                self.steps[m] += 1
+
+    def state(self, m: int) -> MlpParams:
+        return self.params[m]
+
+    def steps_of(self, m: int) -> int:
+        return self.steps[m]
+
+    def set_logits(self, ids, idx: np.ndarray) -> list[np.ndarray]:
+        """Each of the members ``ids``' logits on rows ``idx``."""
+        return [mlp_forward(self.params[m], self.inputs(m, idx)) for m in ids]
 
 
 def _cosine_schedule(opt_cfg: OptimizerConfig, steps_per_epoch: int):
@@ -259,10 +274,17 @@ class _Rule:
                             self.history, self.stopped_early)
 
 
+def _score(sets, y, set_logits):
+    """A stopping rule's score: the temperature objective at T = 1 on the
+    eval sets ``sets``, (members, rows) pairs, each member's logits on the
+    rows coming from ``set_logits(members, rows)``."""
+    return lambda: nll_at_temperature([(set_logits(ids, idx), y[idx])
+                                       for ids, idx in sets])(1.0)
+
+
 # a diverging trajectory overflows before its loss is non-finite, which raises
 @np.errstate(over="ignore", invalid="ignore")
-def _patience_loop(trajectories, rules: list[_Rule], max_epochs: int,
-                   advance=None) -> None:
+def _patience_loop(traj, rules: list[_Rule], max_epochs: int) -> None:
     """The training protocol shared by every trainer. Each epoch advances
     every trajectory a live rule observes, then feeds each live rule its
     score: a monitored rule snapshots its trajectories on strict improvement
@@ -271,41 +293,35 @@ def _patience_loop(trajectories, rules: list[_Rule], max_epochs: int,
     final state. A trajectory stops once every rule on it has stopped, so
     rules sharing a trajectory never retrain its prefix.
 
-    A trajectory has ``run_epoch()``, ``snapshot()`` (a copy of its trained
-    state), the live state ``params`` and its optimizer ``steps``. Rules
-    with the same ``score`` callable share one evaluation per epoch. Given
-    ``advance(ids)``, the loop calls it instead of ``run_epoch()`` to run
-    one epoch of the trajectories ``ids`` (sorted) together, as the schemes
-    of one stack train.
+    ``traj`` holds a trainer's trajectories by id: ``run_epoch(ids)`` runs
+    one epoch of the trajectories ``ids`` (sorted), ``state(i)`` is the
+    live state of trajectory i (a snapshot is ``state(i).copy()``) and
+    ``steps_of(i)`` its optimizer steps. Rules with the same ``score``
+    callable share one evaluation per epoch.
     """
     for rule in rules:
         if rule.monitored:
-            rule.kept = [trajectories[i].snapshot() for i in rule.ids]
+            rule.kept = [traj.state(i).copy() for i in rule.ids]
     live = list(rules)
     for _ in range(max_epochs):
-        ids = sorted({i for rule in live for i in rule.ids})
-        if advance is not None:
-            advance(ids)
-        else:
-            for i in ids:
-                trajectories[i].run_epoch()
+        traj.run_epoch(sorted({i for rule in live for i in rule.ids}))
         scores = {}
         for rule in live:
             if rule.score not in scores:
                 scores[rule.score] = rule.score()
             rule.history.append(scores[rule.score])
             if rule.tracker.update(rule.history[-1]) and rule.monitored:
-                rule.kept = [trajectories[i].snapshot() for i in rule.ids]
+                rule.kept = [traj.state(i).copy() for i in rule.ids]
             if rule.monitored and rule.tracker.should_stop:
                 rule.stopped_early = True
-                rule.steps = [trajectories[i].steps for i in rule.ids]
+                rule.steps = [traj.steps_of(i) for i in rule.ids]
         live = [rule for rule in live if rule.steps is None]
         if not live:
             break
     for rule in live:  # ran every epoch
-        rule.steps = [trajectories[i].steps for i in rule.ids]
+        rule.steps = [traj.steps_of(i) for i in rule.ids]
         if not rule.monitored:
-            rule.kept = [trajectories[i].params for i in rule.ids]
+            rule.kept = [traj.state(i) for i in rule.ids]
 
 
 @dataclass
@@ -353,31 +369,33 @@ def train_ensemble(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig,
                                         "no common validation set")
     steps_per_epoch = [math.ceil(len(ms.train_idx) / stop_cfg.batch_size)
                        for ms in plan.members]
-    states = [_MemberState(x, y, ms, dims, opt_cfg, seeds[m], mid, standardize,
-                           stop_cfg.batch_size,
-                           _cosine_schedule(opt_cfg, max(steps_per_epoch)
-                                            if JOINT in modes else steps_per_epoch[m]))
-              for m, (ms, mid) in enumerate(zip(plan.members, member_ids))]
+    members = _Members(x, y, plan, dims, opt_cfg, seeds, member_ids, standardize,
+                       stop_cfg.batch_size,
+                       [_cosine_schedule(opt_cfg, max(steps_per_epoch) if JOINT in modes
+                                         else steps) for steps in steps_per_epoch])
+    # one score per member, which its individual and none rules share
+    own_score = [_score([((m,), ms.val_idx)], y, members.set_logits)
+                 for m, ms in enumerate(plan.members)]
     rules = {}
     for mode in modes:
         if mode == JOINT:
-            rules[mode] = [_Rule(range(len(states)), lambda: nll_at_temperature(
-                validation_sets(JOINT, plan, y, lambda ids, idx: [
-                    states[m].set_logits(idx) for m in ids]))(1.0), True, stop_cfg.patience)]
+            rules[mode] = [_Rule(range(plan.n_members),
+                                 _score(joint_eval_sets(plan), y, members.set_logits),
+                                 True, stop_cfg.patience)]
         else:
-            rules[mode] = [_Rule([m], s.val_nll, mode != NONE, stop_cfg.patience)
-                           for m, s in enumerate(states)]
-    _patience_loop(states, [r for mode_rules in rules.values() for r in mode_rules],
+            rules[mode] = [_Rule([m], own_score[m], mode != NONE, stop_cfg.patience)
+                           for m in range(plan.n_members)]
+    _patience_loop(members, [r for mode_rules in rules.values() for r in mode_rules],
                    stop_cfg.max_epochs)
     by_mode = {}
     for mode, mode_rules in rules.items():
-        members, decisions = [], []
+        trained, decisions = [], []
         for rule in mode_rules:
             decision = rule.decision(stop_cfg.batch_size, len(y))
             decisions.append(decision)
-            members += [TrainedMember(p, states[i].scaler, decision, states[i].steps)
+            trained += [TrainedMember(p, members.scalers[i], decision, members.steps[i])
                         for i, p in zip(rule.ids, rule.kept)]
-        by_mode[mode] = EnsembleResult(members, decisions)
+        by_mode[mode] = EnsembleResult(trained, decisions)
     own = by_mode[stop_cfg.mode]
     return EnsembleResult(own.members, own.decisions, by_mode)
 

@@ -524,7 +524,7 @@ def trajectory(ds, plan, epochs=2, seed=22):
     traj = _BeTrajectory(ds.x, ds.y, plan, BatchEnsembleModel.stack([model]),
                          OptimizerConfig(lr=0.01), 32, seed)
     for _ in range(epochs):
-        traj.run_epoch()
+        traj.run_epoch([0])
     return traj
 
 
@@ -556,7 +556,7 @@ class TestEpochDraw:
 
         monkeypatch.setattr(batchensemble, "be_loss_and_grads", recording)
         for _ in range(3):
-            traj.run_epoch()
+            traj.run_epoch([0])
         assert len(seen) == 3 * traj.steps_per_epoch
         for step, (xs, ys) in enumerate(seen):
             idx = [stream.next_batch(traj.batch) for stream in replay]
@@ -601,9 +601,9 @@ class TestMonitoringForward:
                 got = traj.set_logits(ids, idx, 0)
                 assert len(got) == len(ids)
                 for m, p in zip(ids, got):
-                    want = be_forward(traj.model(0), traj.xs[m, idx], m)
+                    want = be_forward(traj.state(0), traj.xs[m, idx], m)
                     assert p.tobytes() == want.tobytes(), f"members {ids}, member {m}"
-            traj.run_epoch()
+            traj.run_epoch([0])
 
     def test_other_rows_for_the_same_members_are_gathered_anew(self):
         ds, plans = self.plans()
@@ -611,7 +611,7 @@ class TestMonitoringForward:
         members = tuple(range(4))
         for idx in (np.arange(10), np.arange(10, 30), np.arange(10)):
             for m, p in zip(members, traj.set_logits(members, idx, 0)):
-                want = be_forward(traj.model(0), traj.xs[m, idx], m)
+                want = be_forward(traj.state(0), traj.xs[m, idx], m)
                 assert p.tobytes() == want.tobytes()
 
     def test_leaves_training_buffers_and_running_statistics(self):

@@ -655,7 +655,9 @@ class TestExperiments:
             manifest = json.load(f)
         (failure,) = manifest["failures"]
         assert 'raise RuntimeError("boom")' in failure.pop("traceback")
-        assert failure == {"seed": 1, "error": "RuntimeError: boom"}
+        # the entry names the job that failed, not only its seed
+        assert failure == {"seed": 1, "strategy": "overlapping", "val_pct": 0.1,
+                           "error": "RuntimeError: boom"}
         # seed 1's first job succeeded, but a failed seed writes nothing
         assert [(r["seed"], r["strategy"], r["mode"]) for r in manifest["runs"]] == [
             (0, s, m) for s in ("shared", "overlapping") for m in ("individual", "joint")]
@@ -1092,8 +1094,11 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text(),
                               parse_constant=no_constant)
         (failure,) = manifest["failures"]
-        assert failure["seed"] == 0
-        assert failure["error"].startswith("NonFiniteLossError: non-finite loss at member")
+        assert failure.pop("traceback")
+        error = failure.pop("error")
+        assert error.startswith("NonFiniteLossError: non-finite loss at member")
+        # the error names a member, the entry the plan that trained it
+        assert failure == {"seed": 0, "strategy": "shared", "val_pct": 0.05}
         assert manifest["runs"] == []
         with open(out / "cells.csv") as f:
             assert len(list(csv.reader(f))) == 1  # the header alone

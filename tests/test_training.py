@@ -1,16 +1,17 @@
 """Tests for training loops, patience control and normalized epochs."""
 
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from enstune import metrics, training
+from enstune import batchensemble, metrics, training
 from enstune.batchensemble import (
     BatchEnsembleModel,
     _BeTrajectory,
-    _Scheme,
     be_train,
     make_batch_ensemble,
 )
@@ -303,6 +304,26 @@ class TestSharedTrajectory:
         assert len(calls) == sum(expected)
         assert [member.steps for member in multi.members] == expected
 
+    def test_rules_sharing_a_score_evaluate_it_once_per_epoch(self, monkeypatch):
+        """A member's individual and none rules share its one score: each
+        epoch forwards every member once on its own holdout, plus the joint
+        sets' members while the joint rule is live."""
+        ds, plan = _shared_trajectory_case("overlapping")
+        calls = []
+        real = training.mlp_forward
+
+        def counting(params, x, *rest):
+            calls.append(len(x))
+            return real(params, x, *rest)
+
+        monkeypatch.setattr(training, "mlp_forward", counting)
+        multi = _train(ds, plan, "joint", modes=("individual", "none", "joint"))
+        (joint,) = multi.by_mode["joint"].decisions
+        assert joint.stopped_early and len(joint.history) < 40
+        assert all(len(d.history) == 40 for d in multi.by_mode["none"].decisions)
+        joint_forwards = sum(len(ids) for ids, _ in joint_eval_sets(plan))
+        assert len(calls) == plan.n_members * 40 + joint_forwards * len(joint.history)
+
     def test_several_modes_refuse_a_cosine_schedule(self):
         ds, plan = _shared_trajectory_case("shared")
         opt = OptimizerConfig(lr=0.02, cosine_epochs=10)
@@ -393,24 +414,42 @@ class TestJointScore:
         ds = blob_task(n=203, k=4)
         opt = OptimizerConfig(lr=1e-2)
         for plan in self.plans(ds):
-            states = [training._MemberState(ds.x, ds.y, ms, [2, 8, 4], opt,
-                                            33, m, True, 32, lambda step: 1e-2)
-                      for m, ms in enumerate(plan.members)]
-
-            def set_logits(ids, idx):
-                return [states[m].set_logits(idx) for m in ids]
-
+            members = training._Members(ds.x, ds.y, plan, [2, 8, 4], opt, [33] * 4,
+                                        range(4), True, 32, [lambda step: 1e-2] * 4)
             scores = []
             for _ in range(4):
-                scores.append(rule_score("joint", plan, ds.y, set_logits))
-                assert scores[-1] == probability_joint_nll(plan, ds.y, set_logits), \
+                scores.append(rule_score("joint", plan, ds.y, members.set_logits))
+                assert scores[-1] == probability_joint_nll(plan, ds.y,
+                                                           members.set_logits), \
                     plan.strategy
-                for state in states:
-                    state.run_epoch()
+                members.run_epoch(range(4))
             res = train_ensemble(ds.x, ds.y, plan, [2, 8, 4], opt,
                                  StoppingConfig(mode="joint", patience=10, max_epochs=3,
                                                 batch_size=32), 33)
             assert res.decisions[0].history == scores[1:], plan.strategy
+
+    @pytest.mark.parametrize("k", [4, 9])  # from 8 classes a row sums pairwise
+    def test_member_score_is_the_probability_formula(self, k):
+        """A per-member rule's score, its own holdout as a one-member set of
+        the temperature objective at T = 1, is float for float the NLL of
+        the member's softmax on that holdout, as it was first written."""
+        ds = blob_task(n=203, k=k)
+        opt = OptimizerConfig(lr=1e-2)
+        for plan in self.plans(ds):
+            members = training._Members(ds.x, ds.y, plan, [2, 8, k], opt, [37] * 4,
+                                        range(4), True, 32, [lambda step: 1e-2] * 4)
+            want = []
+            for _ in range(3):
+                members.run_epoch(range(4))
+                want.append([metrics.nll(softmax(training.mlp_forward(
+                    members.state(m), members.scalers[m](ds.x[ms.val_idx]))),
+                    ds.y[ms.val_idx]) for m, ms in enumerate(plan.members)])
+            res = train_ensemble(ds.x, ds.y, plan, [2, 8, k], opt,
+                                 StoppingConfig(mode="individual", patience=10,
+                                                max_epochs=3, batch_size=32), 37)
+            for m, decision in enumerate(res.decisions):
+                assert decision.history == [epoch[m] for epoch in want], \
+                    (plan.strategy, m)
 
     def test_batch_ensemble_trajectory(self):
         ds = blob_task(n=203, k=4)
@@ -429,11 +468,41 @@ class TestJointScore:
             for _ in range(4):
                 scores.append(rule_score(mode, plan, ds.y, logits))
                 assert scores[-1] == formula(plan, ds.y, logits), plan.strategy
-                traj.run_epoch()
+                traj.run_epoch([0])
             (res,) = be_train(ds.x, ds.y, plan, [2, 6, 4], ["random_sign"], opt,
                               StoppingConfig(mode="joint", patience=10, max_epochs=3,
                                              batch_size=32), 35)
             assert res.stop.history == scores[1:], plan.strategy
+
+
+class TestTrajectoryLifetime:
+    """A trainer's trajectory object holds every member's data, optimizer
+    state and kept buffers. It must be freed by reference counting when the
+    trainer returns: the cyclic collector may not run for many jobs."""
+
+    def test_trajectories_hold_no_reference_cycle(self, monkeypatch):
+        made = []
+        for module, name in ((training, "_Members"), (batchensemble, "_BeTrajectory")):
+            class Recorded(getattr(module, name)):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    made.append(weakref.ref(self))
+
+            monkeypatch.setattr(module, name, Recorded)
+        ds = blob_task()
+        plan = make_overlapping(len(ds), 3, rng_seed=4, labels=ds.y)
+        stop = StoppingConfig(mode="joint", patience=2, max_epochs=3, batch_size=32)
+        gc.disable()
+        try:
+            results = (train_ensemble(ds.x, ds.y, plan, [2, 6, 3], OptimizerConfig(), stop, 5,
+                                      modes=("joint", "individual", "none")),
+                       be_train(ds.x, ds.y, plan, [2, 6, 3], ["random_sign"],
+                                OptimizerConfig(), stop, 5))
+            assert len(made) == 2
+            # the results are alive, the trajectories they came from are not
+            assert [ref() for ref in made] == [None, None] and all(results)
+        finally:
+            gc.enable()
 
 
 class TestStopDecisionInvariants:
@@ -495,19 +564,19 @@ class TestFlatStorage:
         ds = blob_task()
         plan = make_shared(len(ds), 0.2, 2, rng_seed=3, labels=ds.y)
         opt = OptimizerConfig(lr=0.01)
-        member = training._MemberState(ds.x, ds.y, plan.members[0], [2, 6, 3], opt, 7, 0,
-                                       True, 32, lambda step: opt.lr)
+        members = training._Members(ds.x, ds.y, plan, [2, 6, 3], opt, [7, 7], range(2),
+                                    True, 32, [lambda step: opt.lr] * 2)
         be = _BeTrajectory(ds.x, ds.y, plan,
                            BatchEnsembleModel.stack([make_batch_ensemble(
                                [2, 6, 3], 2, "gaussian", np.random.default_rng(2))]),
                            opt, 32, 7)
-        for traj, view in ((member, member), (be, _Scheme(be, 0))):  # as the loop sees them
-            snap = view.snapshot()
+        for traj in (members, be):  # as the patience loop snapshots them
+            snap = traj.state(0).copy()
             before = snap.flat.copy()
-            assert not np.shares_memory(snap.flat, view.params.flat)
-            traj.run_epoch()
+            assert not np.shares_memory(snap.flat, traj.state(0).flat)
+            traj.run_epoch([0])
             assert np.array_equal(snap.flat, before)
-            assert not np.array_equal(view.params.flat, before)
+            assert not np.array_equal(traj.state(0).flat, before)
 
     def test_a_dropped_grid_row_leaves_the_others_unchanged(self):
         ds = blob_task()
