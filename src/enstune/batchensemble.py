@@ -55,7 +55,6 @@ from .training import (
     _BATCH,
     _INIT,
     _Rule,
-    _SetInputs,
     _cosine_schedule,
     _patience_loop,
     _score,
@@ -551,8 +550,6 @@ class _BeTrajectory:
         self.steps = 0
         self.bufs = {}
         self.eval_bufs = {}
-        xs = self.xs  # not self: a cycle would outlive the run
-        self.inputs = _SetInputs(lambda m, idx: xs[m, idx])
 
     def run_epoch(self, schemes: list[int]) -> None:
         """One epoch of the ``schemes``. The others leave the stack first,
@@ -580,13 +577,10 @@ class _BeTrajectory:
     def steps_of(self, scheme: int) -> int:
         return self.steps
 
-    def set_logits(self, members: tuple[int, ...], idx: np.ndarray,
-                   scheme: int) -> list[np.ndarray]:
-        """Each of ``members``' logits on rows ``idx`` under ``scheme``, one
-        forward per member through the kept ``eval_bufs``."""
-        model = self.state(scheme)
-        return [be_forward(model, self.inputs(m, idx), m, bufs=self.eval_bufs)
-                for m in members]
+    def logits(self, m: int, rows: np.ndarray, scheme: int) -> np.ndarray:
+        """Member m's logits on its scaled ``rows`` under ``scheme``, through
+        the kept ``eval_bufs``."""
+        return be_forward(self.state(scheme), rows, m, bufs=self.eval_bufs)
 
 
 def parse_scheme(name: str):
@@ -629,7 +623,8 @@ def be_train(x, y, plan: SplitPlan, dims: list[int], schemes: list[str],
     # cannot stop one by one: it monitors the mean of the members' own NLLs
     sets = ([((m,), ms.val_idx) for m, ms in enumerate(plan.members)]
             if plan.strategy == DISJOINT else joint_eval_sets(plan))
-    rules = [_Rule([s], _score(sets, y, lambda ids, idx, s=s: traj.set_logits(ids, idx, s)),
+    rules = [_Rule([s], _score(sets, y, lambda m, idx: traj.xs[m, idx],
+                               lambda m, rows, s=s: traj.logits(m, rows, s)),
                    stop_cfg.mode != NONE, stop_cfg.patience)
              for s in range(len(schemes))]
     _patience_loop(traj, rules, stop_cfg.max_epochs)

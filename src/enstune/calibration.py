@@ -180,8 +180,7 @@ def nll_at_temperature(eval_sets: Sequence[tuple[Sequence[np.ndarray], np.ndarra
 def validation_sets(mode: str, plan: SplitPlan, y: np.ndarray, set_logits) -> list:
     """The (member logits, labels) eval sets a mode scores: "individual" one
     per member on its own holdout, any other mode :func:`joint_eval_sets`.
-    ``set_logits(members, idx)`` gets the plan's own index arrays, the same
-    objects on every call, and returns each member's logits on rows ``idx``."""
+    ``set_logits(members, idx)`` returns each member's logits on rows ``idx``."""
     pairs = ([((m,), ms.val_idx) for m, ms in enumerate(plan.members)]
              if mode == "individual" else joint_eval_sets(plan))
     return [(set_logits(ids, idx), y[idx]) for ids, idx in pairs]

@@ -5,7 +5,8 @@ Every config key is exposed as a flag of the same dotted name, e.g.
 ``--task.n 2000`` or ``--experiment.seeds [0,1,2]``; ``--set a.b=v`` does the
 same thing and can be repeated. Exit code is 0 only when all seeds complete;
 1 when a seed or the run's summary fails, after partial results are written;
-2 for a bad config, which is rejected before any training.
+2 for a bad config or an unusable ``--out`` path, which are rejected before
+any training.
 """
 
 from __future__ import annotations
@@ -55,8 +56,26 @@ def _resolve_config(args, forced_kind: str) -> ExperimentConfig:
     return cfg
 
 
+def _check_out(path: str, directory: bool) -> None:
+    """Reject an output path the command could not write, before any work:
+    the first existing path on the way up from an output directory must be
+    a directory; an output file must not be a directory, and its parent
+    must be one."""
+    if directory:
+        head = os.path.abspath(path)
+        while not os.path.exists(head):
+            head = os.path.dirname(head)
+        if not os.path.isdir(head):
+            raise ConfigError(f"output directory {path}: {head} is not a directory")
+    elif os.path.isdir(path):
+        raise ConfigError(f"output file {path} is a directory")
+    elif not os.path.isdir(parent := os.path.dirname(os.path.abspath(path))):
+        raise ConfigError(f"output file {path}: {parent} is not an existing directory")
+
+
 def _cmd_experiment(args, kind: str) -> int:
     cfg = _resolve_config(args, kind)
+    _check_out(cfg.experiment.out_dir, directory=True)
     try:
         manifest = experiments.run_experiment(cfg)
     except experiments.ExperimentError as err:
@@ -72,6 +91,7 @@ def _cmd_gen_data(args) -> int:
     task = TaskSection(kind=args.kind, n=args.n, classes=args.classes, noise=args.noise,
                        radius=args.radius, label_noise=args.label_noise, data_seed=args.seed)
     ExperimentConfig(task=task).validate()  # rejects every task the generators refuse
+    _check_out(args.out, directory=False)
     ds = make_task(task)
     save_csv(ds, args.out, label_col=args.label_col)
     print(f"wrote {args.out} ({len(ds)} rows, {ds.n_classes} classes)")
@@ -79,6 +99,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    _check_out(args.out, directory=True)
     rows = []
     for path in args.cells:
         rows.extend(experiments.read_rows_csv(path))

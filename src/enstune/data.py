@@ -184,8 +184,5 @@ class Standardizer:
     def identity(cls, n_features: int) -> "Standardizer":
         return cls(np.zeros(n_features), np.ones(n_features))
 
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=np.float64) - self.mean) / self.sd
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.transform(x)
+        return (np.asarray(x, dtype=np.float64) - self.mean) / self.sd

@@ -45,7 +45,6 @@ from .training import (
     OptimizerConfig,
     StoppingConfig,
     member_logits,
-    member_probs,
     normalized_epochs,
     train_ensemble,
     train_grid,
@@ -163,8 +162,8 @@ def _wd_sweep_cells(cfg: ExperimentConfig, dprime, test, seed: int, plan, job: J
             warnings.warn(f"sweep cell wd={wd} seed={seed} diverged: {members}")
             cell.diverged = True
             continue
-        val_probs = [member_probs(m, dprime.x[val_idx]) for m in members]
-        test_probs = [member_probs(m, test.x) for m in members]
+        val_probs = [softmax(member_logits(m, dprime.x[val_idx])) for m in members]
+        test_probs = [softmax(member_logits(m, test.x)) for m in members]
         tags = dict(strategy=job.strategy, val_pct=job.val_pct, seed=seed,
                     normalized_epochs=float(np.mean([
                         normalized_epochs(m.steps, stop.batch_size, len(dprime.y))

@@ -33,7 +33,6 @@ from .netcore import (
     cosine_lr,
     loss_and_grad,
     mlp_forward,
-    softmax,
 )
 from .splits import (
     DISJOINT,
@@ -157,11 +156,6 @@ class TrainedMember:
     steps: int = 0  # optimizer steps its trajectory ran
 
 
-def member_probs(member: TrainedMember, x: np.ndarray) -> np.ndarray:
-    """Class probabilities on raw features through the member's scaler."""
-    return softmax(mlp_forward(member.params, member.scaler(x)))
-
-
 def member_logits(member: TrainedMember, x: np.ndarray) -> np.ndarray:
     return mlp_forward(member.params, member.scaler(x))
 
@@ -177,23 +171,6 @@ def _member_start(x, y, ms: MemberSplit, dims, seed: int, member_index: int,
     return (scaler, scaler(x[ms.train_idx]), y[ms.train_idx].astype(np.intp, copy=False),
             MlpParams.random(dims, member_rng(seed, member_index, _INIT)),
             member_rng(seed, member_index, _BATCH))
-
-
-class _SetInputs:
-    """Each member's scaled rows of the monitored sets, made by
-    ``scaled(m, idx)``. A monitored set is one of the plan's own index
-    arrays and never changes over a run, so its rows are kept from its
-    first call."""
-
-    def __init__(self, scaled):
-        self.scaled = scaled
-        self.kept = {}  # (member, id(idx)) -> (idx, its scaled rows)
-
-    def __call__(self, m: int, idx: np.ndarray) -> np.ndarray:
-        kept = self.kept.get((m, id(idx)))
-        if kept is None:  # kept holds idx, so its id is not reused
-            kept = self.kept[m, id(idx)] = idx, self.scaled(m, idx)
-        return kept[1]
 
 
 class _Members:
@@ -212,8 +189,6 @@ class _Members:
         self.batch_size, self.lr_at = batch_size, lr_at
         self.steps = [0] * plan.n_members
         self.bufs = [{} for _ in plan.members]
-        scalers = self.scalers  # not self: a cycle would outlive the call
-        self.inputs = _SetInputs(lambda m, idx: scalers[m](x[idx]))
 
     def run_epoch(self, ids) -> None:
         """One epoch of each member in ``ids``, one after another."""
@@ -233,9 +208,9 @@ class _Members:
     def steps_of(self, m: int) -> int:
         return self.steps[m]
 
-    def set_logits(self, ids, idx: np.ndarray) -> list[np.ndarray]:
-        """Each of the members ``ids``' logits on rows ``idx``."""
-        return [mlp_forward(self.params[m], self.inputs(m, idx)) for m in ids]
+    def logits(self, m: int, rows: np.ndarray) -> np.ndarray:
+        """Member m's logits on its scaled ``rows``."""
+        return mlp_forward(self.params[m], rows)
 
 
 def _cosine_schedule(opt_cfg: OptimizerConfig, steps_per_epoch: int):
@@ -274,12 +249,15 @@ class _Rule:
                             self.history, self.stopped_early)
 
 
-def _score(sets, y, set_logits):
+def _score(sets, y, inputs, logits):
     """A stopping rule's score: the temperature objective at T = 1 on the
-    eval sets ``sets``, (members, rows) pairs, each member's logits on the
-    rows coming from ``set_logits(members, rows)``."""
-    return lambda: nll_at_temperature([(set_logits(ids, idx), y[idx])
-                                       for ids, idx in sets])(1.0)
+    eval sets ``sets``, (members, rows) pairs. Each member's scaled rows of
+    each set (``inputs(m, rows)``) and the set's labels are gathered here,
+    once, when the rule is built; each evaluation then runs only
+    ``logits(m, scaled rows)`` per member, in set and member order."""
+    gathered = [([(m, inputs(m, idx)) for m in ids], y[idx]) for ids, idx in sets]
+    return lambda: nll_at_temperature([([logits(m, rows) for m, rows in members], labels)
+                                       for members, labels in gathered])(1.0)
 
 
 # a diverging trajectory overflows before its loss is non-finite, which raises
@@ -297,7 +275,9 @@ def _patience_loop(traj, rules: list[_Rule], max_epochs: int) -> None:
     one epoch of the trajectories ``ids`` (sorted), ``state(i)`` is the
     live state of trajectory i (a snapshot is ``state(i).copy()``) and
     ``steps_of(i)`` its optimizer steps. Rules with the same ``score``
-    callable share one evaluation per epoch.
+    callable share one evaluation per epoch. A score (:func:`_score`) holds
+    the rows it monitors, gathered when its rule was built, so an epoch's
+    evaluation runs only the forwards and the objective.
     """
     for rule in rules:
         if rule.monitored:
@@ -374,13 +354,14 @@ def train_ensemble(x, y, plan: SplitPlan, dims, opt_cfg: OptimizerConfig,
                        [_cosine_schedule(opt_cfg, max(steps_per_epoch) if JOINT in modes
                                          else steps) for steps in steps_per_epoch])
     # one score per member, which its individual and none rules share
-    own_score = [_score([((m,), ms.val_idx)], y, members.set_logits)
+    inputs = lambda m, idx: members.scalers[m](x[idx])
+    own_score = [_score([((m,), ms.val_idx)], y, inputs, members.logits)
                  for m, ms in enumerate(plan.members)]
     rules = {}
     for mode in modes:
         if mode == JOINT:
             rules[mode] = [_Rule(range(plan.n_members),
-                                 _score(joint_eval_sets(plan), y, members.set_logits),
+                                 _score(joint_eval_sets(plan), y, inputs, members.logits),
                                  True, stop_cfg.patience)]
         else:
             rules[mode] = [_Rule([m], own_score[m], mode != NONE, stop_cfg.patience)

@@ -27,7 +27,7 @@ from enstune.splits import SHARED, make_disjoint, make_overlapping, make_shared
 from enstune.training import (
     OptimizerConfig,
     StoppingConfig,
-    member_probs,
+    member_logits,
     train_ensemble,
 )
 from enstune.tuning import optimality_gap, select_h, selection_score
@@ -303,7 +303,7 @@ def test_criterion_8_early_stopping_trend():
                                   batch_size=128)
             res = train_ensemble(dprime.x, dprime.y, plan, dims, opt, stop,
                                  base_seed=seed)
-            probs = [member_probs(m, test.x) for m in res.members]
+            probs = [softmax(member_logits(m, test.x)) for m in res.members]
             nlls[mode].append(metrics.nll(metrics.ensemble_mean(probs), test.y))
             epochs[mode].append(float(np.mean([m.stop.normalized_epochs
                                                for m in res.members])))

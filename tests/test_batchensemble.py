@@ -573,7 +573,7 @@ def buffer_bytes(bufs):
 
 
 class TestMonitoringForward:
-    """The monitoring pass reads kept buffers and inputs gathered once."""
+    """The monitoring forward reads kept buffers and leaves training state."""
 
     def plans(self):
         ds, overlapping = overlapping_task()
@@ -596,23 +596,14 @@ class TestMonitoringForward:
         sets = self.monitored_sets(plan)
         if strategy == "overlapping":
             assert len({len(idx) for _, idx in sets}) > 1
-        for _ in range(2):  # fresh inputs and buffers, then kept ones
-            for ids, idx in sets[::-1] if reverse else sets:
-                got = traj.set_logits(ids, idx, 0)
-                assert len(got) == len(ids)
-                for m, p in zip(ids, got):
+        gathered = [[(m, idx, traj.xs[m, idx]) for m in ids] for ids, idx in sets]
+        for _ in range(2):  # fresh buffers, then kept ones
+            for members in gathered[::-1] if reverse else gathered:
+                for m, idx, rows in members:
+                    got = traj.logits(m, rows, 0)
                     want = be_forward(traj.state(0), traj.xs[m, idx], m)
-                    assert p.tobytes() == want.tobytes(), f"members {ids}, member {m}"
+                    assert got.tobytes() == want.tobytes(), f"member {m}"
             traj.run_epoch([0])
-
-    def test_other_rows_for_the_same_members_are_gathered_anew(self):
-        ds, plans = self.plans()
-        traj = trajectory(ds, plans["shared"])
-        members = tuple(range(4))
-        for idx in (np.arange(10), np.arange(10, 30), np.arange(10)):
-            for m, p in zip(members, traj.set_logits(members, idx, 0)):
-                want = be_forward(traj.state(0), traj.xs[m, idx], m)
-                assert p.tobytes() == want.tobytes()
 
     def test_leaves_training_buffers_and_running_statistics(self):
         ds, plans = self.plans()
@@ -620,7 +611,8 @@ class TestMonitoringForward:
             traj = trajectory(ds, plan)
             bufs, stats = buffer_bytes(traj.bufs), running_stats(traj.params)
             for ids, idx in self.monitored_sets(plan):
-                traj.set_logits(ids, idx, 0)
+                for m in ids:
+                    traj.logits(m, traj.xs[m, idx], 0)
             assert buffer_bytes(traj.bufs) == bufs, plan.strategy
             assert running_stats(traj.params) == stats, plan.strategy
 

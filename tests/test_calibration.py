@@ -290,7 +290,7 @@ class TestValidationSets:
         assert [ids for ids, _ in record.calls] == [(m,) for m in range(4)]
         for m, ((zs, labels), (_, idx), ms) in enumerate(zip(sets, record.calls,
                                                               plan.members)):
-            assert idx is ms.val_idx  # the plan's own array, so kept inputs hold
+            assert idx is ms.val_idx  # the plan's own array
             assert len(zs) == 1 and np.array_equal(zs[0], logits[m][idx])
             assert np.array_equal(labels, y[ms.val_idx])
 

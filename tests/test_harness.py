@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from enstune import config, experiments, metrics
+from enstune import cli, config, experiments, metrics
 from enstune.cli import EXPERIMENT_COMMANDS
 from enstune.cli import main as cli_main
 from enstune.config import (
@@ -41,7 +41,7 @@ from enstune.experiments import (
     parse_scheme,
     run_experiment,
 )
-from enstune.netcore import NonFiniteLossError, Optimizer
+from enstune.netcore import NonFiniteLossError, Optimizer, softmax
 from enstune.splits import SHARED, MemberSplit, SplitPlan
 from enstune.training import OptimizerConfig, StoppingConfig, train_ensemble
 
@@ -370,8 +370,8 @@ class TestData:
         (member,) = train_ensemble(ds.x, ds.y, plan, [2, 2], OptimizerConfig(lr=0.1),
                                    StoppingConfig(max_epochs=40, batch_size=32),
                                    0).members
-        from enstune.training import member_probs
-        err = metrics.classification_error(member_probs(member, ds.x), ds.y)
+        from enstune.training import member_logits
+        err = metrics.classification_error(softmax(member_logits(member, ds.x)), ds.y)
         assert err == 0.0
 
     def test_blobs_label_noise_rate(self):
@@ -1231,3 +1231,30 @@ class TestCli:
         cfg = load_config(str(path))
         dprime, test = experiments._check_config(cfg)
         assert len(dprime) + len(test) == cfg.task.n
+
+    @pytest.mark.parametrize("case", ["early-stop-out-is-a-file", "report-out-is-a-file",
+                                      "gen-data-out-is-a-directory"])
+    def test_unusable_out_path_exit_code(self, tmp_path, monkeypatch, capsys, case):
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked before the output path was checked")
+
+        for name in ("train_ensemble", "be_train", "train_grid", "build_dataset"):
+            monkeypatch.setattr(experiments, name, no_work)
+        monkeypatch.setattr(cli, "make_task", no_work)
+        out = tmp_path / "out"
+        if case == "gen-data-out-is-a-directory":
+            out.mkdir()
+            argv = ["gen-data", "--out", str(out)]
+        else:
+            out.write_text("kept\n")
+            if case == "report-out-is-a-file":
+                cells = tmp_path / "cells.csv"
+                cells.write_text(",".join(experiments.ROW_COLUMNS) + "\n"
+                                 + ",".join(["1"] * len(experiments.ROW_COLUMNS)) + "\n")
+                argv = ["report", str(cells), "--out", str(out)]
+            else:
+                argv = ["early-stop", "--out", str(out)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+        assert (os.listdir(out) == [] if out.is_dir() else out.read_text() == "kept\n")

@@ -31,7 +31,7 @@ from enstune.splits import (
 from enstune.training import (
     OptimizerConfig,
     StoppingConfig,
-    member_probs,
+    member_logits,
     normalized_epochs,
     stop_controller,
     train_ensemble,
@@ -105,7 +105,7 @@ class TestTrainMember:
         plan = make_shared(len(ds), 0.2, 1, rng_seed=0, labels=ds.y)
         member = train_solo(ds, plan.members[0], [2, 16, 3], OptimizerConfig(lr=5e-3),
                             StoppingConfig(max_epochs=60, batch_size=32), seed=1)
-        probs = member_probs(member, ds.x[plan.members[0].val_idx])
+        probs = softmax(member_logits(member, ds.x[plan.members[0].val_idx]))
         err = metrics.classification_error(probs, ds.y[plan.members[0].val_idx])
         assert err == 0.0
         assert member.stop.best_score == min(member.stop.history)
@@ -131,7 +131,7 @@ class TestTrainMember:
         plan = make_shared(len(ds), 0.25, 1, rng_seed=5, labels=ds.y)
         member = train_solo(ds, plan.members[0], [2, 16, 3], OptimizerConfig(lr=5e-3),
                             StoppingConfig(patience=5, max_epochs=80), seed=6)
-        probs = member_probs(member, ds.x[plan.members[0].val_idx])
+        probs = softmax(member_logits(member, ds.x[plan.members[0].val_idx]))
         re_evaluated = metrics.nll(probs, ds.y[plan.members[0].val_idx])
         assert re_evaluated == pytest.approx(member.stop.best_score, abs=1e-12)
 
@@ -178,7 +178,7 @@ class TestTrainEnsemble:
         # recompute the final monitored score outside the loop
         vals = []
         for a, b, idx in plan.joint_pairs:
-            probs = [member_probs(res.members[m], ds.x[idx]) for m in (a, b)]
+            probs = [softmax(member_logits(res.members[m], ds.x[idx])) for m in (a, b)]
             vals.append(metrics.nll(metrics.ensemble_mean(probs), ds.y[idx]))
         (decision,) = res.decisions
         assert float(np.mean(vals)) == pytest.approx(decision.best_score, abs=1e-12)
@@ -416,11 +416,12 @@ class TestJointScore:
         for plan in self.plans(ds):
             members = training._Members(ds.x, ds.y, plan, [2, 8, 4], opt, [33] * 4,
                                         range(4), True, 32, [lambda step: 1e-2] * 4)
+            set_logits = lambda ids, idx: [members.logits(m, members.scalers[m](ds.x[idx]))
+                                           for m in ids]
             scores = []
             for _ in range(4):
-                scores.append(rule_score("joint", plan, ds.y, members.set_logits))
-                assert scores[-1] == probability_joint_nll(plan, ds.y,
-                                                           members.set_logits), \
+                scores.append(rule_score("joint", plan, ds.y, set_logits))
+                assert scores[-1] == probability_joint_nll(plan, ds.y, set_logits), \
                     plan.strategy
                 members.run_epoch(range(4))
             res = train_ensemble(ds.x, ds.y, plan, [2, 8, 4], opt,
@@ -451,6 +452,31 @@ class TestJointScore:
                 assert decision.history == [epoch[m] for epoch in want], \
                     (plan.strategy, m)
 
+    def test_score_gathers_each_set_once(self):
+        """A rule's score gathers each member's rows of each set once, when it
+        is built, and every evaluation scores the live members on them."""
+        ds = blob_task(n=203, k=4)
+        plan = make_overlapping(len(ds), 4, rng_seed=32, labels=ds.y)
+        members = training._Members(ds.x, ds.y, plan, [2, 8, 4], OptimizerConfig(lr=1e-2),
+                                    [33] * 4, range(4), True, 32, [lambda step: 1e-2] * 4)
+        sets = joint_eval_sets(plan) + [((m,), ms.val_idx)
+                                        for m, ms in enumerate(plan.members)]
+        calls = []
+
+        def inputs(m, idx):
+            calls.append((m, idx))
+            return members.scalers[m](ds.x[idx])
+
+        score = training._score(sets, ds.y, inputs, members.logits)
+        want = [(m, idx) for ids, idx in sets for m in ids]
+        for _ in range(3):
+            assert len(calls) == len(want)
+            assert all(a == m and b is idx for (a, b), (m, idx) in zip(calls, want))
+            assert score() == nll_at_temperature([
+                ([members.logits(m, members.scalers[m](ds.x[idx])) for m in ids], ds.y[idx])
+                for ids, idx in sets])(1.0)
+            members.run_epoch(range(4))
+
     def test_batch_ensemble_trajectory(self):
         ds = blob_task(n=203, k=4)
         opt = OptimizerConfig(lr=1e-2)
@@ -460,7 +486,7 @@ class TestJointScore:
                                         training.member_rng(35, 0, training._INIT), 0.3)
             traj = _BeTrajectory(ds.x, ds.y, plan, BatchEnsembleModel.stack([model]), opt,
                                  32, 35)
-            logits = lambda ids, idx: traj.set_logits(ids, idx, 0)
+            logits = lambda ids, idx: [traj.logits(m, traj.xs[m, idx], 0) for m in ids]
             mode, formula = (("individual", probability_member_nll)
                              if plan.strategy == "disjoint"
                              else ("joint", probability_joint_nll))

@@ -10,13 +10,13 @@ from enstune import metrics
 from enstune.config import config_from_dict
 from enstune.data import make_blobs, train_test_split
 from enstune.experiments import Job, _wd_sweep_cells
-from enstune.netcore import NonFiniteLossError
+from enstune.netcore import NonFiniteLossError, softmax
 from enstune.splits import SHARED, make_overlapping, make_shared
 from enstune.training import (
     NONE,
     OptimizerConfig,
     StoppingConfig,
-    member_probs,
+    member_logits,
     train_ensemble,
     train_grid,
 )
@@ -173,8 +173,9 @@ def per_cell_sweep(dprime, test, decays, seeds, plans, dims, val_fraction, opt, 
                 cell.diverged = True
                 continue
             val_idx = plan.members[0].val_idx
-            val_probs = [member_probs(m, dprime.x[val_idx]) for m in result.members]
-            test_probs = [member_probs(m, test.x) for m in result.members]
+            val_probs = [softmax(member_logits(m, dprime.x[val_idx]))
+                         for m in result.members]
+            test_probs = [softmax(member_logits(m, test.x)) for m in result.members]
             norm = float(np.mean([m.stop.normalized_epochs for m in result.members]))
             tags = dict(strategy=plan.strategy, val_pct=val_fraction, seed=seed,
                         normalized_epochs=norm)
